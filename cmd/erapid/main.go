@@ -25,12 +25,10 @@ import (
 
 	erapid "repro"
 	"repro/internal/core"
-	"repro/internal/flit"
 	"repro/internal/policy"
 	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -88,18 +86,43 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	cfg.Pattern = *pattern
-	cfg.Load = *load
-	cfg.InjectionRate = *rate
-	cfg.Boards = *boards
-	cfg.NodesPerBoard = *nodes
-	cfg.Seed = *seed
-	cfg.Window = *window
-	cfg.MaxHold = *maxHold
-	cfg.WarmupCycles = *warmup
-	cfg.MeasureCycles = *measure
-	cfg.DrainLimitCycles = *drain
-	cfg.Workers = *workers
+	// Without -config every flag applies, defaults included; on top of a
+	// loaded file only the flags the user actually set do.
+	apply := func(f *flag.Flag) {
+		switch f.Name {
+		case "mode":
+			cfg.Mode = m
+		case "pattern":
+			cfg.Pattern = *pattern
+		case "load":
+			cfg.Load = *load
+		case "rate":
+			cfg.InjectionRate = *rate
+		case "boards":
+			cfg.Boards = *boards
+		case "nodes":
+			cfg.NodesPerBoard = *nodes
+		case "seed":
+			cfg.Seed = *seed
+		case "window":
+			cfg.Window = *window
+		case "maxhold":
+			cfg.MaxHold = *maxHold
+		case "warmup":
+			cfg.WarmupCycles = *warmup
+		case "measure":
+			cfg.MeasureCycles = *measure
+		case "drain":
+			cfg.DrainLimitCycles = *drain
+		case "workers":
+			cfg.Workers = *workers
+		}
+	}
+	if *cfgPath == "" {
+		flag.VisitAll(apply)
+	} else {
+		flag.Visit(apply)
+	}
 	cfg.PhaseProfile = *phaseProf || *phaseProfOut != ""
 	if *polFlag != "" {
 		spec, err := policy.ParseSpec(*polFlag)
@@ -163,36 +186,30 @@ func main() {
 		os.Exit(2)
 	}
 
-	// -trace rides the unified telemetry pipeline: a recorder filtered to
-	// LS stage entries replaces the old ctrl.System.Trace() consumer (the
-	// printed format is unchanged).
+	// -trace and -journey each read a kind-filtered recorder.
 	var stageRec *telemetry.Recorder
 	if *lsTrace {
 		stageRec = telemetry.NewRecorder(1 << 20)
 		stageRec.Filter = func(ev telemetry.Event) bool { return ev.Kind == telemetry.StageEnter }
 		sys.AttachSink(stageRec)
 	}
-	var tracer *trace.Tracer
+	var journeyRec *telemetry.Recorder
 	if *journey > 0 {
-		tracer = trace.New(1 << 20)
-		sys.AttachTracer(tracer)
+		journeyRec = telemetry.NewRecorder(1 << 20)
+		// The packet lifecycle plus DBR reassignments.
+		journeyRec.Filter = func(ev telemetry.Event) bool { return ev.Kind <= telemetry.ChannelReassign }
+		sys.AttachSink(journeyRec)
 	}
 
 	// Telemetry exports: a streaming JSONL event sink plus the per-window
 	// metrics collector (whose recorder also feeds the Perfetto export).
-	var events *telemetry.JSONL
-	var eventsFile *os.File
+	closeEvents := func() {}
 	var tel *core.Telemetry
 	if *metricsOut != "" || *eventsOut != "" || *perfetto != "" || *dashboard != "" {
 		tcfg := core.TelemetryConfig{}
 		if *eventsOut != "" {
-			f, err := os.Create(*eventsOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			eventsFile = f
-			events = telemetry.NewJSONL(f)
+			var events *telemetry.JSONL
+			events, closeEvents = openEvents(*eventsOut)
 			tcfg.Sinks = append(tcfg.Sinks, events)
 		}
 		if *perfetto == "" {
@@ -220,13 +237,9 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 		core.FormatPhaseReport(os.Stderr, pp.Report())
 		if *phaseProfOut != "" {
-			if err := writeFile(*phaseProfOut, func(f *os.File) error {
+			export(*phaseProfOut, func(f *os.File) error {
 				return pp.Registry().WriteMetricsJSONL(f)
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintln(os.Stderr, "wrote", *phaseProfOut)
+			})
 		}
 	}
 	if stageRec != nil {
@@ -235,50 +248,28 @@ func main() {
 			fmt.Printf("  %8d  board %d  %s\n", ev.Cycle, ev.Board, ev.Label)
 		}
 	}
-	if tracer != nil {
-		printJourneys(tracer, *journey)
+	if journeyRec != nil {
+		printJourneys(journeyRec, *journey)
 	}
 
-	if events != nil {
-		if err := events.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := eventsFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "wrote", *eventsOut)
-	}
+	closeEvents()
 	if tel != nil {
 		if *metricsOut != "" {
-			if err := writeFile(*metricsOut, func(f *os.File) error {
+			export(*metricsOut, func(f *os.File) error {
 				return tel.Registry().WriteMetricsJSONL(f)
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintln(os.Stderr, "wrote", *metricsOut)
+			})
 		}
 		if *perfetto != "" {
-			if err := writeFile(*perfetto, func(f *os.File) error {
+			export(*perfetto, func(f *os.File) error {
 				return telemetry.WriteChromeTrace(f, tel.Recorder().Events(), tel.Registry(), cfg.CycleNS, cfg.Boards)
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintln(os.Stderr, "wrote", *perfetto)
+			})
 		}
 		if *dashboard != "" {
 			title := fmt.Sprintf("E-RAPID %s, %s traffic, load %.2f — reconfiguration dashboard",
 				res.Mode, res.Pattern, res.Load)
-			if err := writeFile(*dashboard, func(f *os.File) error {
+			export(*dashboard, func(f *os.File) error {
 				return report.WriteDashboard(f, title, tel.Registry())
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintln(os.Stderr, "wrote", *dashboard)
+			})
 		}
 	}
 }
@@ -328,16 +319,10 @@ func runHier(cfg core.Config, metricsOut, eventsOut string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var events *telemetry.JSONL
-	var eventsFile *os.File
+	closeEvents := func() {}
 	if eventsOut != "" {
-		f, err := os.Create(eventsOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		eventsFile = f
-		events = telemetry.NewJSONL(f)
+		var events *telemetry.JSONL
+		events, closeEvents = openEvents(eventsOut)
 		h.AttachSink(events)
 	}
 	if metricsOut != "" {
@@ -358,32 +343,18 @@ func runHier(cfg core.Config, metricsOut, eventsOut string) {
 	}
 	printHierResult(res, h, cfg)
 
-	if events != nil {
-		if err := events.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := eventsFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "wrote", eventsOut)
-	}
+	closeEvents()
 	if metricsOut != "" {
 		// One JSONL stream; the tierN/rackM/ series prefixes keep every
 		// subsystem's metrics distinguishable.
-		if err := writeFile(metricsOut, func(f *os.File) error {
+		export(metricsOut, func(f *os.File) error {
 			for _, ht := range h.Telemetries() {
 				if err := ht.T.Registry().WriteMetricsJSONL(f); err != nil {
 					return err
 				}
 			}
 			return nil
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "wrote", metricsOut)
+		})
 	}
 }
 
@@ -419,37 +390,69 @@ func printHierResult(r *core.Result, h *erapid.Hier, cfg core.Config) {
 	}
 }
 
-// writeFile creates path, runs write, and closes it, returning the
-// first error.
-func writeFile(path string, write func(*os.File) error) error {
+// create opens an output file; failure ends the process.
+func create(path string) *os.File {
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
+	return f
+}
+
+// finish closes an output file and reports it on stderr; err is what
+// writing it returned, and the first error ends the process.
+func finish(f *os.File, path string, err error) {
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fmt.Fprintln(os.Stderr, "wrote", path)
+}
+
+// export writes one output file through write.
+func export(path string, write func(*os.File) error) {
+	f := create(path)
+	finish(f, path, write(f))
+}
+
+// openEvents streams telemetry events to path as JSON Lines; the
+// returned function flushes and closes the stream.
+func openEvents(path string) (*telemetry.JSONL, func()) {
+	f := create(path)
+	events := telemetry.NewJSONL(f)
+	return events, func() { finish(f, path, events.Flush()) }
 }
 
 // printJourneys dumps the event journeys of the last n delivered packets
-// still present in the trace ring.
-func printJourneys(tr *trace.Tracer, n int) {
-	evs := tr.Events()
-	var ids []flit.PacketID
-	seen := map[flit.PacketID]bool{}
+// still present in the recorder's ring.
+func printJourneys(rec *telemetry.Recorder, n int) {
+	evs := rec.Events()
+	var ids []uint64
+	seen := map[uint64]bool{}
 	for i := len(evs) - 1; i >= 0 && len(ids) < n; i-- {
-		if evs[i].Kind == trace.Deliver && !seen[evs[i].Packet] {
+		if evs[i].Kind == telemetry.PacketDeliver && !seen[evs[i].Packet] {
 			seen[evs[i].Packet] = true
 			ids = append(ids, evs[i].Packet)
 		}
 	}
-	fmt.Printf("\npacket journeys (%d of %d delivered in trace window):\n", len(ids), tr.Count(trace.Deliver))
+	fmt.Printf("\npacket journeys (%d of %d delivered in trace window):\n", len(ids), rec.Count(telemetry.PacketDeliver))
 	for _, id := range ids {
 		fmt.Println()
-		for _, ev := range tr.Journey(id) {
-			fmt.Println(" ", ev)
+		for _, ev := range evs {
+			if ev.Packet != id {
+				continue
+			}
+			fmt.Printf("  %8d %-14s pkt#%-6d", ev.Cycle, ev.Kind, ev.Packet)
+			if ev.Wavelength >= 0 {
+				fmt.Printf(" board %d λ%d → %d", ev.Board, ev.Wavelength, ev.Dest)
+			} else if ev.Board >= 0 {
+				fmt.Printf(" board %d", ev.Board)
+			}
+			fmt.Println()
 		}
 	}
 }

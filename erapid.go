@@ -189,14 +189,6 @@ type SweepSeries = sweep.Series
 // SweepPoint is one (load, result) pair.
 type SweepPoint = sweep.Point
 
-// Sweep runs the batch in parallel and returns one series per
-// (pattern, mode) pair.
-//
-// Deprecated: use SweepContext, which supports cancellation and
-// returns the sweep's errors directly instead of requiring a separate
-// SweepErrs pass.
-func Sweep(req SweepRequest) []SweepSeries { return sweep.Run(req) }
-
 // SweepContext runs the batch in parallel and returns one series per
 // (pattern, mode) pair plus the joined errors of every failed point
 // (nil when all points succeeded). Cancelling the context stops
@@ -208,19 +200,6 @@ func SweepContext(ctx context.Context, req SweepRequest) ([]SweepSeries, error) 
 
 // PaperLoads returns the paper's load axis: 0.1 … 0.9 of capacity.
 func PaperLoads() []float64 { return sweep.PaperLoads() }
-
-// SweepErrs collects errors across a sweep's points.
-//
-// Deprecated: SweepContext already returns these errors joined;
-// SweepErrs remains for callers of the deprecated Sweep.
-func SweepErrs(series []SweepSeries) []error { return sweep.Errs(series) }
-
-// WindowSample is one reconfiguration window of system activity, for
-// time-series studies (see System.EnableHistory).
-type WindowSample = core.WindowSample
-
-// History accumulates per-window samples of a running system.
-type History = core.History
 
 // TelemetryConfig parameterizes the unified telemetry layer (see
 // System.EnableTelemetry): per-window metric series, the structured

@@ -1,6 +1,7 @@
 package erapid
 
 import (
+	"context"
 	"testing"
 )
 
@@ -61,14 +62,14 @@ func TestPublicModesAndPatterns(t *testing.T) {
 }
 
 func TestPublicSweep(t *testing.T) {
-	series := Sweep(SweepRequest{
+	series, err := SweepContext(context.Background(), SweepRequest{
 		Base:     fastConfig(NPNB),
 		Patterns: []string{Uniform},
 		Modes:    []Mode{NPNB, PB},
 		Loads:    []float64{0.2, 0.4},
 	})
-	if errs := SweepErrs(series); len(errs) != 0 {
-		t.Fatal(errs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(series) != 2 {
 		t.Fatalf("got %d series", len(series))

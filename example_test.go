@@ -53,8 +53,8 @@ func ExampleSweepContext() {
 	// points: 2
 }
 
-// ExampleSystem_Step drives a system cycle by cycle with a per-window
-// history recorder, the building block for custom experiments.
+// ExampleSystem_Step drives a system cycle by cycle with per-window
+// telemetry enabled, the building block for custom experiments.
 func ExampleSystem_Step() {
 	cfg := erapid.DefaultConfig(erapid.PNB)
 	cfg.Boards, cfg.NodesPerBoard = 4, 4
@@ -64,12 +64,12 @@ func ExampleSystem_Step() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hist := sys.EnableHistory(cfg.Window)
+	tel := sys.EnableTelemetry(erapid.TelemetryConfig{})
 	sys.Controllers().Start()
 	for i := 0; i < 2000; i++ {
 		sys.Step()
 	}
-	fmt.Println("windows sampled:", len(hist.Samples()))
+	fmt.Println("windows sampled:", len(tel.Registry().Windows()))
 	// Output:
 	// windows sampled: 4
 }

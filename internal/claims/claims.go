@@ -10,6 +10,7 @@
 package claims
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -143,16 +144,21 @@ func checkTable1(Settings) (string, bool, error) {
 	return got, true, nil
 }
 
-func (s Settings) pair(pattern string, a, b core.Mode, load float64) (*core.Result, *core.Result, error) {
-	res := sweep.Run(sweep.Request{
+// sweep runs patterns × modes × loads over the settings' schedule.
+func (s Settings) sweep(patterns []string, modes []core.Mode, loads []float64) ([]sweep.Series, error) {
+	return sweep.RunContext(context.Background(), sweep.Request{
 		Base:     s.base(core.NPNB),
-		Patterns: []string{pattern},
-		Modes:    []core.Mode{a, b},
-		Loads:    []float64{load},
+		Patterns: patterns,
+		Modes:    modes,
+		Loads:    loads,
 		Workers:  s.Workers,
 	})
-	if errs := sweep.Errs(res); len(errs) > 0 {
-		return nil, nil, errs[0]
+}
+
+func (s Settings) pair(pattern string, a, b core.Mode, load float64) (*core.Result, *core.Result, error) {
+	res, err := s.sweep([]string{pattern}, []core.Mode{a, b}, []float64{load})
+	if err != nil {
+		return nil, nil, err
 	}
 	return res[0].Points[0].Result, res[1].Points[0].Result, nil
 }
@@ -187,15 +193,9 @@ func checkUniformPBDegradation(s Settings) (string, bool, error) {
 
 func checkUniformPowerSavings(s Settings) (string, bool, error) {
 	// Average savings across the load axis, as the paper summarizes.
-	res := sweep.Run(sweep.Request{
-		Base:     s.base(core.NPNB),
-		Patterns: []string{traffic.Uniform},
-		Modes:    []core.Mode{core.NPNB, core.PNB, core.PB},
-		Loads:    []float64{0.1, 0.3, 0.5, 0.7, 0.9},
-		Workers:  s.Workers,
-	})
-	if errs := sweep.Errs(res); len(errs) > 0 {
-		return "", false, errs[0]
+	res, err := s.sweep([]string{traffic.Uniform}, []core.Mode{core.NPNB, core.PNB, core.PB}, []float64{0.1, 0.3, 0.5, 0.7, 0.9})
+	if err != nil {
+		return "", false, err
 	}
 	var savePNB, savePB float64
 	n := float64(len(res[0].Points))
@@ -211,15 +211,9 @@ func checkUniformPowerSavings(s Settings) (string, bool, error) {
 }
 
 func checkComplementSaturation(s Settings) (string, bool, error) {
-	res := sweep.Run(sweep.Request{
-		Base:     s.base(core.NPNB),
-		Patterns: []string{traffic.Complement},
-		Modes:    []core.Mode{core.NPNB},
-		Loads:    []float64{0.2, 0.4},
-		Workers:  s.Workers,
-	})
-	if errs := sweep.Errs(res); len(errs) > 0 {
-		return "", false, errs[0]
+	res, err := s.sweep([]string{traffic.Complement}, []core.Mode{core.NPNB}, []float64{0.2, 0.4})
+	if err != nil {
+		return "", false, err
 	}
 	sat := sweep.SaturationLoad(res[0])
 	return fmt.Sprintf("NP-NB saturates at load %.1f", sat), sat <= 0.4, nil
@@ -246,15 +240,9 @@ func checkComplementNPBPower(s Settings) (string, bool, error) {
 func checkComplementPBSaves(s Settings) (string, bool, error) {
 	// Compare across a couple of loads: P-B should track NP-B's throughput
 	// while spending less power somewhere on the curve.
-	res := sweep.Run(sweep.Request{
-		Base:     s.base(core.NPNB),
-		Patterns: []string{traffic.Complement},
-		Modes:    []core.Mode{core.NPB, core.PB},
-		Loads:    []float64{0.3, 0.9},
-		Workers:  s.Workers,
-	})
-	if errs := sweep.Errs(res); len(errs) > 0 {
-		return "", false, errs[0]
+	res, err := s.sweep([]string{traffic.Complement}, []core.Mode{core.NPB, core.PB}, []float64{0.3, 0.9})
+	if err != nil {
+		return "", false, err
 	}
 	var worstThr, bestSave float64
 	worstThr = 1
@@ -286,15 +274,9 @@ func checkPatternGain(pattern string, minGain float64) func(Settings) (string, b
 func checkOverallTradeoff(s Settings) (string, bool, error) {
 	// Across the four paper patterns at a mid load: power saving of P-B vs
 	// NP-B and throughput retention.
-	res := sweep.Run(sweep.Request{
-		Base:     s.base(core.NPNB),
-		Patterns: traffic.PaperNames(),
-		Modes:    []core.Mode{core.NPB, core.PB},
-		Loads:    []float64{0.5},
-		Workers:  s.Workers,
-	})
-	if errs := sweep.Errs(res); len(errs) > 0 {
-		return "", false, errs[0]
+	res, err := s.sweep(traffic.PaperNames(), []core.Mode{core.NPB, core.PB}, []float64{0.5})
+	if err != nil {
+		return "", false, err
 	}
 	byKey := map[string]*core.Result{}
 	for _, se := range res {

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/stats"
-	"repro/internal/trace"
+	"repro/internal/telemetry"
 	"repro/internal/traffic"
 )
 
@@ -395,61 +395,6 @@ func TestPowerLevelsLadder(t *testing.T) {
 	}
 }
 
-func TestHistoryRecordsWindows(t *testing.T) {
-	cfg := fastConfig(PB)
-	cfg.Load = 0.5
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.EnableHistory(cfg.Window)
-	s.Controllers().Start()
-	for i := 0; i < int(cfg.Window)*6; i++ {
-		s.Step()
-	}
-	samples := h.Samples()
-	if len(samples) != 6 {
-		t.Fatalf("recorded %d samples, want 6", len(samples))
-	}
-	var injected uint64
-	for i, ws := range samples {
-		if ws.Window != uint64(i+1) {
-			t.Fatalf("sample %d has window %d", i, ws.Window)
-		}
-		if ws.EndCycle != uint64(i+1)*cfg.Window-1 {
-			t.Fatalf("sample %d ends at %d", i, ws.EndCycle)
-		}
-		injected += ws.Injected
-		if ws.SupplyMW < 0 || ws.DynamicMW > ws.SupplyMW {
-			t.Fatalf("sample %d power inconsistent: %+v", i, ws)
-		}
-	}
-	if injected != s.InjectedCount() {
-		t.Fatalf("window injections %d != total %d", injected, s.InjectedCount())
-	}
-	if h.Last().Window != 6 {
-		t.Fatalf("Last() = %+v", h.Last())
-	}
-	// Power management activity shows up in the samples for P-B.
-	var levelChanges uint64
-	for _, ws := range samples {
-		levelChanges += ws.LevelChanges + ws.Shutdowns
-	}
-	if levelChanges == 0 {
-		t.Fatal("no DPM activity recorded over 6 windows of P-B")
-	}
-}
-
-func TestHistoryInvalidWindowPanics(t *testing.T) {
-	s := MustNewSystem(fastConfig(PB))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("EnableHistory(0) did not panic")
-		}
-	}()
-	s.EnableHistory(0)
-}
-
 func TestTracerCapturesPacketLifecycle(t *testing.T) {
 	cfg := fastConfig(NPB)
 	cfg.Pattern = traffic.Complement
@@ -458,27 +403,30 @@ func TestTracerCapturesPacketLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.New(100000)
-	s.AttachTracer(tr)
+	rec := telemetry.NewRecorder(100000)
+	rec.Filter = func(ev telemetry.Event) bool { return ev.Kind <= telemetry.ChannelReassign }
+	s.AttachSink(rec)
 	s.Controllers().Start()
 	for i := 0; i < 8000; i++ {
 		s.Step()
 	}
-	for _, k := range []trace.Kind{
-		trace.Inject, trace.NetEnter, trace.LaserEnqueue,
-		trace.LaserTransmit, trace.OpticalArrive, trace.Deliver,
-	} {
-		if tr.Count(k) == 0 {
+	want := []telemetry.Kind{
+		telemetry.PacketInject, telemetry.PacketNetEnter, telemetry.PacketLaserEnqueue,
+		telemetry.PacketLaserTransmit, telemetry.PacketOpticalArrive, telemetry.PacketDeliver,
+	}
+	for _, k := range want {
+		if rec.Count(k) == 0 {
 			t.Errorf("no %v events recorded", k)
 		}
 	}
-	if tr.Count(trace.Reassign) == 0 {
+	if rec.Count(telemetry.ChannelReassign) == 0 {
 		t.Error("no reassign events under complement NP-B")
 	}
 	// A delivered packet's journey must be causally ordered.
-	var delivered flit.PacketID
-	for _, ev := range tr.Events() {
-		if ev.Kind == trace.Deliver {
+	evs := rec.Events()
+	var delivered uint64
+	for _, ev := range evs {
+		if ev.Kind == telemetry.PacketDeliver {
 			delivered = ev.Packet
 			break
 		}
@@ -486,9 +434,12 @@ func TestTracerCapturesPacketLifecycle(t *testing.T) {
 	if delivered == 0 {
 		t.Fatal("no delivered packet found in trace")
 	}
-	j := tr.Journey(delivered)
-	want := []trace.Kind{trace.Inject, trace.NetEnter, trace.LaserEnqueue,
-		trace.LaserTransmit, trace.OpticalArrive, trace.Deliver}
+	var j []telemetry.Event
+	for _, ev := range evs {
+		if ev.Packet == delivered {
+			j = append(j, ev)
+		}
+	}
 	if len(j) != len(want) {
 		t.Fatalf("journey has %d events (%v), want %d", len(j), j, len(want))
 	}

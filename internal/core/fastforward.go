@@ -20,11 +20,11 @@ package core
 import "repro/internal/traffic"
 
 // ffEligible reports whether the system as configured may ever
-// fast-forward: recorders that observe every cycle (history, telemetry
-// windows, the phase profiler) and the fault injector's per-cycle tick
-// all need real cycles.
+// fast-forward: recorders that observe every cycle (telemetry windows,
+// the phase profiler) and the fault injector's per-cycle tick all need
+// real cycles.
 func (s *System) ffEligible() bool {
-	return s.faults == nil && s.history == nil && s.telemetry == nil && s.phaseProf == nil
+	return s.faults == nil && s.telemetry == nil && s.phaseProf == nil
 }
 
 // fastForward advances the system analytically through up to n cycles

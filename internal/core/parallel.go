@@ -14,7 +14,7 @@
 //	        per-board outboxes
 //	commit  outboxes drained in ascending board order (NIC net-enter
 //	        events, deliveries, fabric side effects), then the
-//	        history/telemetry observers
+//	        telemetry observer
 //
 // The schedule is *pipelined*: the phases of consecutive cycles overlap,
 // which packs the five phases into TWO barrier crossings per
@@ -284,7 +284,7 @@ func (s *System) tickBoardCompute(bi int, now uint64) {
 // canonical board order — NIC net-enter events, then deliveries, then
 // the fabric's deferred side effects (tx sub-phases, laser sub-phases,
 // idle-power sample, deactivations) — exactly the serial step's
-// emission order, then the history/telemetry observers.
+// emission order, then the telemetry observer.
 func (s *System) commitCycle(now uint64) {
 	par := s.par
 	if s.tel != nil {
@@ -307,9 +307,6 @@ func (s *System) commitCycle(now uint64) {
 	}
 	s.fab.CommitBoardTick(now)
 
-	if s.history != nil {
-		s.history.observe(now)
-	}
 	if s.telemetry != nil {
 		s.telemetry.observe(now)
 	}

@@ -127,8 +127,6 @@ func (s *System) Reset(cfg Config) error {
 	s.nextPkt = 0
 	s.injected, s.delivered, s.droppedByFault = 0, 0, 0
 	s.cycle, s.nextCycle = 0, 0
-	s.history = nil
-	s.tracer = nil
 	s.tel = nil
 	s.sinks = nil
 	s.telemetry = nil

@@ -15,7 +15,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -42,8 +41,8 @@ type System struct {
 	// serial step on the exact pre-parallel code path.
 	par *parState
 
-	// freePkts recycles delivered, untraced packets (and their flit
-	// slabs) so the steady-state injection path allocates nothing.
+	// freePkts recycles delivered packets (and their flit slabs) so the
+	// steady-state injection path allocates nothing.
 	freePkts []*flit.Packet
 	// ffStates is the idle fast-forward's reusable per-node injector
 	// state snapshot buffer (see fastforward.go); nil until first used.
@@ -63,9 +62,6 @@ type System struct {
 	deliveredPerNode []uint64
 	cycle            uint64
 	nextCycle        uint64
-
-	history *History
-	tracer  *trace.Tracer
 
 	// tel is the unified telemetry pipeline: every instrumented point in
 	// the system emits through this single sink. nil means disabled, and
@@ -386,10 +382,9 @@ func (s *System) deliverNow(p *flit.Packet, now uint64) {
 	}
 	s.meas.OnDeliver(p.Labeled, p.Latency(), p.NetworkLatency())
 	// A delivered packet is fully consumed (all flits reassembled, stats
-	// recorded); recycle it unless a tracer may still index its journey
-	// or it carries control state. Telemetry sinks copy the packet ID by
-	// value, so they do not inhibit recycling.
-	if s.tracer == nil && !p.Control {
+	// recorded); recycle it unless it carries control state. Telemetry
+	// sinks copy the packet ID by value, so they do not inhibit recycling.
+	if !p.Control {
 		s.freePkts = append(s.freePkts, p)
 	}
 }
@@ -404,7 +399,7 @@ func (s *System) onFaultDrop(p *flit.Packet, now uint64) {
 	if s.tel != nil {
 		s.tel.Emit(telemetry.Event{Cycle: now, Kind: telemetry.PacketDropFault, Packet: uint64(p.ID), Board: p.SrcBoard, Wavelength: -1, Dest: p.DstBoard})
 	}
-	if s.tracer == nil && !p.Control {
+	if !p.Control {
 		s.freePkts = append(s.freePkts, p)
 	}
 }
@@ -470,15 +465,12 @@ func (s *System) stepHead(now uint64) {
 				Board: -1, Wavelength: -1, Dest: -1, Label: s.meas.Phase().String()})
 		}
 	}
-	if s.history == nil {
-		// Power metering tracks the measurement interval unless a history
-		// recorder keeps it on continuously.
-		switch s.meas.Phase() {
-		case stats.Measure:
-			s.fab.EnableMetering(true)
-		case stats.Drain, stats.Done:
-			s.fab.EnableMetering(false)
-		}
+	// Power metering tracks the measurement interval.
+	switch s.meas.Phase() {
+	case stats.Measure:
+		s.fab.EnableMetering(true)
+	case stats.Drain, stats.Done:
+		s.fab.EnableMetering(false)
 	}
 }
 
@@ -516,9 +508,6 @@ func (s *System) step(now uint64) {
 	s.fab.Tick(now)
 	pp.addTick(0, t0)
 	t0 = pp.start()
-	if s.history != nil {
-		s.history.observe(now)
-	}
 	if s.telemetry != nil {
 		s.telemetry.observe(now)
 	}
@@ -540,84 +529,13 @@ func (s *System) AttachSink(sink telemetry.Sink) {
 		return
 	}
 	s.sinks = append(s.sinks, sink)
-	s.setSink(telemetry.Tee(s.sinks...))
-}
-
-// setSink points every instrumented component at the combined sink.
-func (s *System) setSink(sink telemetry.Sink) {
-	s.tel = sink
+	// Point every instrumented component at the combined sink.
+	s.tel = telemetry.Tee(s.sinks...)
 	if s.faults != nil {
-		s.faults.SetSink(sink)
+		s.faults.SetSink(s.tel)
 	}
-	if sink == nil {
-		s.fab.SetObserver(nil)
-		s.ctl.SetSink(nil)
-		return
-	}
-	s.fab.SetObserver(fabObserver{sink})
-	s.ctl.SetSink(sink)
-}
-
-// AttachTracer wires a legacy trace ring buffer into the pipeline:
-// packet lifecycle events and DBR reassignments are re-emitted as
-// trace.Events with their historical field conventions, so Journey and
-// Dump output is unchanged. Internally the tracer is just one more
-// telemetry sink.
-func (s *System) AttachTracer(tr *trace.Tracer) {
-	s.tracer = tr
-	s.AttachSink(traceSink{tr})
-}
-
-// traceSink adapts the telemetry pipeline back onto a trace.Tracer,
-// preserving the historical kind set and field conventions (stage,
-// phase and laser-level events have no trace equivalent and are
-// dropped).
-type traceSink struct{ tr *trace.Tracer }
-
-func (t traceSink) Emit(ev telemetry.Event) {
-	var k trace.Kind
-	switch ev.Kind {
-	case telemetry.PacketInject:
-		k = trace.Inject
-	case telemetry.PacketNetEnter:
-		k = trace.NetEnter
-	case telemetry.PacketLaserEnqueue:
-		k = trace.LaserEnqueue
-	case telemetry.PacketLaserTransmit:
-		k = trace.LaserTransmit
-	case telemetry.PacketOpticalArrive:
-		k = trace.OpticalArrive
-	case telemetry.PacketDeliver:
-		k = trace.Deliver
-	case telemetry.ChannelReassign:
-		k = trace.Reassign
-	default:
-		return
-	}
-	t.tr.Record(trace.Event{Cycle: ev.Cycle, Kind: k, Packet: flit.PacketID(ev.Packet),
-		Board: ev.Board, Wavelength: ev.Wavelength, Dest: ev.Dest})
-}
-
-// fabObserver adapts the optical Observer interface to the telemetry
-// pipeline.
-type fabObserver struct{ sink telemetry.Sink }
-
-func (o fabObserver) LaserEnqueue(sb, w, d int, p *flit.Packet, now uint64) {
-	o.sink.Emit(telemetry.Event{Cycle: now, Kind: telemetry.PacketLaserEnqueue, Packet: uint64(p.ID), Board: sb, Wavelength: w, Dest: d})
-}
-
-func (o fabObserver) LaserTransmit(sb, w, d int, p *flit.Packet, now uint64) {
-	o.sink.Emit(telemetry.Event{Cycle: now, Kind: telemetry.PacketLaserTransmit, Packet: uint64(p.ID), Board: sb, Wavelength: w, Dest: d})
-}
-
-func (o fabObserver) ChannelReassign(d, w, from, to int, now uint64) {
-	// Board carries the new holder, matching the historical trace field
-	// convention for reassignments.
-	o.sink.Emit(telemetry.Event{Cycle: now, Kind: telemetry.ChannelReassign, Board: to, Wavelength: w, Dest: d, From: from, To: to})
-}
-
-func (o fabObserver) LaserLevel(sb, w, d, from, to int, now uint64) {
-	o.sink.Emit(telemetry.Event{Cycle: now, Kind: telemetry.LaserLevel, Board: sb, Wavelength: w, Dest: d, From: from, To: to})
+	s.fab.SetSink(s.tel)
+	s.ctl.SetSink(s.tel)
 }
 
 // SetInjectionRate changes every node's mean injection rate mid-run

@@ -55,27 +55,41 @@ func TestTelemetryDeterminism(t *testing.T) {
 }
 
 // TestTelemetryDoesNotPerturbResults: a run with the full telemetry
-// pipeline attached must produce the same Result as one without.
+// pipeline attached, or with just a journey-filtered recorder (under
+// which delivered packets are still recycled), must produce the same
+// Result as one without, in every mode.
 func TestTelemetryDoesNotPerturbResults(t *testing.T) {
-	cfg := fastConfig(PB)
-	cfg.Pattern = "complement"
-	cfg.Load = 0.6
-	cfg.Seed = 7
-
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	attach := map[string]func(*System){
+		"full pipeline": func(s *System) {
+			s.EnableTelemetry(TelemetryConfig{Sinks: []telemetry.Sink{telemetry.NewJSONL(&bytes.Buffer{})}})
+		},
+		"journey recorder": func(s *System) {
+			rec := telemetry.NewRecorder(1 << 16)
+			rec.Filter = func(ev telemetry.Event) bool { return ev.Kind <= telemetry.ChannelReassign }
+			s.AttachSink(rec)
+		},
 	}
+	for _, mode := range Modes() {
+		cfg := fastConfig(mode)
+		cfg.Pattern = "complement"
+		cfg.Load = 0.6
+		cfg.Seed = 7
 
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var evBuf bytes.Buffer
-	s.EnableTelemetry(TelemetryConfig{Sinks: []telemetry.Sink{telemetry.NewJSONL(&evBuf)}})
-	instrumented := s.Run()
-	if !reflect.DeepEqual(plain, instrumented) {
-		t.Errorf("telemetry perturbed the run:\nplain:        %+v\ninstrumented: %+v", plain, instrumented)
+		plain, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, fn := range attach {
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn(s)
+			instrumented := s.Run()
+			if !reflect.DeepEqual(plain, instrumented) {
+				t.Errorf("%v: %s perturbed the run:\nplain:        %+v\ninstrumented: %+v", mode, name, plain, instrumented)
+			}
+		}
 	}
 }
 
@@ -146,40 +160,6 @@ func TestTelemetryCollector(t *testing.T) {
 
 func seriesName(board int, metric string) string {
 	return "board" + string(rune('0'+board)) + "/" + metric
-}
-
-// TestStageEventsMatchLegacyTrace: the unified pipeline must reproduce
-// ctrl's legacy stage trace exactly (same cycles, boards, names, order).
-func TestStageEventsMatchLegacyTrace(t *testing.T) {
-	cfg := fastConfig(PB)
-	cfg.Load = 0.4
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Controllers().EnableTrace()
-	rec := telemetry.NewRecorder(1 << 16)
-	rec.Filter = func(ev telemetry.Event) bool { return ev.Kind == telemetry.StageEnter }
-	s.AttachSink(rec)
-	s.Controllers().Start()
-	for i := 0; i < int(3*cfg.Window); i++ {
-		s.Step()
-	}
-
-	legacy := s.Controllers().Trace()
-	unified := rec.Events()
-	if len(legacy) == 0 {
-		t.Fatal("no legacy stage events")
-	}
-	if len(unified) != len(legacy) {
-		t.Fatalf("unified pipeline saw %d stage events, legacy trace %d", len(unified), len(legacy))
-	}
-	for i, ev := range legacy {
-		u := unified[i]
-		if u.Cycle != ev.Cycle || u.Board != ev.Board || u.Label != ev.Stage {
-			t.Fatalf("stage event %d mismatch: unified %+v, legacy %+v", i, u, ev)
-		}
-	}
 }
 
 // TestTelemetryOffStepNoAllocs asserts the disabled path of the

@@ -192,14 +192,6 @@ func (c Counters) Add(o Counters) Counters {
 	return c
 }
 
-// StageEvent records one LS protocol stage execution, for the Fig. 4
-// trace reproduction and protocol-order tests.
-type StageEvent struct {
-	Cycle uint64
-	Board int
-	Stage string
-}
-
 // RingFault intercepts RC→RC control-ring messages (fault injection).
 // Implementations must be deterministic functions of their own state and
 // the arguments.
@@ -220,11 +212,8 @@ type System struct {
 	rcs []*RC
 	ctr Counters
 
-	// traceStages, when set, appends protocol stage events.
-	traceStages bool
-	trace       []StageEvent
 	// sink, when non-nil, receives every stage entry as a telemetry
-	// event (the unified pipeline; see SetSink).
+	// event (see SetSink).
 	sink telemetry.Sink
 	// ringFault, when non-nil, filters every RC→RC message (fault
 	// injection). The healthy path never consults it beyond a nil check.
@@ -314,15 +303,6 @@ func (s *System) Counters() Counters { return s.ctr }
 // RC returns board b's reconfiguration controller.
 func (s *System) RC(b int) *RC { return s.rcs[b] }
 
-// EnableTrace records LS stage events (Fig. 4) into the in-memory
-// StageEvent slice. New consumers should prefer SetSink, the unified
-// telemetry pipeline; this remains for protocol-order tests that want
-// the events as structs.
-func (s *System) EnableTrace() { s.traceStages = true }
-
-// Trace returns the recorded stage events.
-func (s *System) Trace() []StageEvent { return s.trace }
-
 // SetSink attaches a telemetry sink (nil detaches): every LS stage
 // entry is emitted as a telemetry.StageEnter event with the RC's board
 // and the stage name as label. core.System wires this automatically
@@ -330,9 +310,6 @@ func (s *System) Trace() []StageEvent { return s.trace }
 func (s *System) SetSink(sink telemetry.Sink) { s.sink = sink }
 
 func (s *System) stage(board int, name string) {
-	if s.traceStages {
-		s.trace = append(s.trace, StageEvent{Cycle: s.eng.Now(), Board: board, Stage: name})
-	}
 	if s.sink != nil {
 		s.sink.Emit(telemetry.Event{
 			Cycle: s.eng.Now(), Kind: telemetry.StageEnter,

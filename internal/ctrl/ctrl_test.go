@@ -6,6 +6,7 @@ import (
 	"repro/internal/flit"
 	"repro/internal/optical"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -155,11 +156,12 @@ func TestLockStepStageOrder(t *testing.T) {
 	// Reproduces Fig. 4: the five DBR stages execute in order on every
 	// board, aligned in lock-step across boards.
 	r := newRig(t, 4, dbrConfig(300))
-	r.sys.EnableTrace()
+	rec := telemetry.NewRecorder(1 << 10)
+	r.sys.SetSink(rec)
 	r.run(0, 900) // window 2 (DBR) fires at cycle 600
 	want := []string{"link-request", "board-request", "reconfigure", "board-response", "link-response", "complete"}
-	perBoard := map[int][]StageEvent{}
-	for _, ev := range r.sys.Trace() {
+	perBoard := map[int][]telemetry.Event{}
+	for _, ev := range rec.Events() {
 		perBoard[ev.Board] = append(perBoard[ev.Board], ev)
 	}
 	if len(perBoard) != 4 {
@@ -170,11 +172,11 @@ func TestLockStepStageOrder(t *testing.T) {
 			t.Fatalf("board %d recorded %d stages (%v), want %d", b, len(evs), evs, len(want))
 		}
 		for i, ev := range evs {
-			if ev.Stage != want[i] {
-				t.Fatalf("board %d stage %d = %q, want %q", b, i, ev.Stage, want[i])
+			if ev.Kind != telemetry.StageEnter || ev.Label != want[i] {
+				t.Fatalf("board %d stage %d = %v %q, want %q", b, i, ev.Kind, ev.Label, want[i])
 			}
 			if i > 0 && ev.Cycle < evs[i-1].Cycle {
-				t.Fatalf("board %d stage %q ran before %q", b, ev.Stage, want[i-1])
+				t.Fatalf("board %d stage %q ran before %q", b, ev.Label, want[i-1])
 			}
 		}
 	}

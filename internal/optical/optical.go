@@ -25,6 +25,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -237,14 +238,8 @@ func (l *Laser) SetLevel(level int, now, relockCycles uint64) {
 	}
 	if l.fab != nil {
 		l.fab.refreshIdle(l)
-		if l.fab.observer != nil {
-			if dp := l.fab.deferring(); dp != nil {
-				lg := &dp.logs[l.s]
-				ev := lg.events()
-				*ev = append(*ev, evOp{kind: evLevel, w: int32(l.w), d: int32(l.d), from: int32(from), to: int32(level)})
-			} else {
-				l.fab.observer.LaserLevel(l.s, l.w, l.d, from, level, now)
-			}
+		if l.fab.sink != nil {
+			l.fab.emit(l.s, evOp{kind: telemetry.LaserLevel, w: int32(l.w), d: int32(l.d), from: int32(from), to: int32(level)}, now)
 		}
 	}
 }
@@ -252,21 +247,6 @@ func (l *Laser) SetLevel(level int, now, relockCycles uint64) {
 // DeliverFunc receives a packet that completed optical transmission on
 // channel (d, w) at the given arrival cycle.
 type DeliverFunc func(p *flit.Packet, now uint64)
-
-// Observer receives optical-domain events (tracing/diagnostics). All
-// methods are called synchronously from the fabric; implementations must
-// be cheap and must not mutate the fabric.
-type Observer interface {
-	// LaserEnqueue: packet p joined the transmit queue of laser (s,w→d).
-	LaserEnqueue(s, w, d int, p *flit.Packet, now uint64)
-	// LaserTransmit: laser (s,w→d) started serializing p.
-	LaserTransmit(s, w, d int, p *flit.Packet, now uint64)
-	// ChannelReassign: channel (d,w) moved from one holder to another.
-	ChannelReassign(d, w, from, to int, now uint64)
-	// LaserLevel: laser (s,w→d) changed operating level from → to
-	// (level 0 is Off, so from==0 is a wake and to==0 a shutdown).
-	LaserLevel(s, w, d, from, to int, now uint64)
-}
 
 // Fabric is the complete optical subsystem of one cluster.
 type Fabric struct {
@@ -313,7 +293,10 @@ type Fabric struct {
 	autoWake int
 	wakes    uint64
 
-	observer Observer
+	// sink receives the fabric's telemetry events (laser enqueue and
+	// transmit, level transitions, channel reassignments); nil disables
+	// them.
+	sink telemetry.Sink
 
 	// dropHook receives packets discarded because their laser is
 	// permanently failed; nil (the healthy default) discards silently.
@@ -340,8 +323,9 @@ type boardShard struct {
 // permanently failed lasers (fault injection). Pass nil to detach.
 func (f *Fabric) SetDropHook(fn DeliverFunc) { f.dropHook = fn }
 
-// SetObserver attaches an optical-event observer (nil detaches).
-func (f *Fabric) SetObserver(o Observer) { f.observer = o }
+// SetSink attaches a telemetry sink (nil detaches). Implementations
+// must not mutate the fabric.
+func (f *Fabric) SetSink(sink telemetry.Sink) { f.sink = sink }
 
 // SetAutoWake enables wake-on-demand for Off lasers at the given ladder
 // level. Pass 0 (Off) to disable.
@@ -441,7 +425,7 @@ func NewFabric(top *topology.Topology, eng *sim.Engine, cfg Config) (*Fabric, er
 // owners, lasers to the default level with empty queues and zeroed
 // statistics, transmitters to empty reassembly buffers, and the
 // delivery heap, power meter and idle aggregate to zero. Attached
-// observer and drop hooks are detached (the next run re-attaches its
+// sink and drop hook are detached (the next run re-attaches its
 // own). All slab and queue backing arrays are retained, so the reset
 // fabric runs without reallocating its steady-state structures.
 func (f *Fabric) Reset() {
@@ -521,7 +505,7 @@ func (f *Fabric) Reset() {
 	f.meterEnabled = false
 	f.autoWake = 0
 	f.wakes = 0
-	f.observer = nil
+	f.sink = nil
 	f.dropHook = nil
 	if p := f.par; p != nil {
 		p.computing = false
@@ -730,8 +714,10 @@ func (f *Fabric) Reassign(d, w, newHolder int, level int, now uint64) error {
 	}
 	oldHolder := ch.holder
 	ch.holder = newHolder
-	if f.observer != nil {
-		f.observer.ChannelReassign(d, w, oldHolder, newHolder, now)
+	if f.sink != nil {
+		// Board carries the new holder.
+		f.sink.Emit(telemetry.Event{Cycle: now, Kind: telemetry.ChannelReassign,
+			Board: newHolder, Wavelength: w, Dest: d, From: oldHolder, To: newHolder})
 	}
 	nl := f.lasers[newHolder][w][d]
 	if !f.cfg.Ladder.Operating(level) {
@@ -1033,13 +1019,8 @@ func (f *Fabric) tickLaser(l *Laser, now uint64) {
 		copy(l.queue, l.queue[1:])
 		l.queue[len(l.queue)-1] = nil
 		l.queue = l.queue[:len(l.queue)-1]
-		if f.observer != nil {
-			if dp := f.deferring(); dp != nil {
-				lg := &dp.logs[l.s]
-				lg.laserEvents = append(lg.laserEvents, evOp{kind: evTransmit, w: int32(l.w), d: int32(l.d), p: p})
-			} else {
-				f.observer.LaserTransmit(l.s, l.w, l.d, p, now)
-			}
+		if f.sink != nil {
+			f.emit(l.s, evOp{kind: telemetry.PacketLaserTransmit, w: int32(l.w), d: int32(l.d), p: p}, now)
 		}
 		ser := f.cfg.Ladder.SerializationCycles(p.Bits(), l.level, f.cfg.CycleNS)
 		l.busyUntil = now + ser

@@ -9,10 +9,10 @@
 // touches shared, order-sensitive state is instead recorded in the
 // board's log, segregated by the shared target it will be applied to:
 //
-//   - observer events and drop-hook calls re-enter the core layer
-//     (telemetry, measurement), which feeds ONE ordered stream — so the
-//     four event-bearing kinds share one append-only log per sub-phase
-//     (txEvents, laserEvents), preserving their interleaving;
+//   - telemetry events and drop-hook calls feed ONE ordered stream
+//     (the sink; the drop hook emits into it from the core layer) — so
+//     the four event-bearing kinds share one append-only log per
+//     sub-phase (txEvents, laserEvents), preserving their interleaving;
 //   - idle-aggregate float deltas (refreshIdle): float addition is not
 //     associative, so the deltas are computed in place but summed into
 //     idleLitMW only at commit, in the serial order, one flat float
@@ -36,7 +36,10 @@
 // kind commutes with the serial interleaving per board.
 package optical
 
-import "repro/internal/flit"
+import (
+	"repro/internal/flit"
+	"repro/internal/telemetry"
+)
 
 // Sub-phase indices: the order sub-phases run within a tick and are
 // replayed in at commit.
@@ -47,22 +50,18 @@ const (
 	numPhases
 )
 
-// evOp kinds: the side effects that feed the single ordered event
-// stream (observer + drop hook) and must keep their interleaving.
-const (
-	evDrop     uint8 = iota // dropHook(p, now)
-	evEnqueue               // observer.LaserEnqueue(s, w, d, p, now)
-	evTransmit              // observer.LaserTransmit(s, w, d, p, now)
-	evLevel                 // observer.LaserLevel(s, w, d, from, to, now)
-)
-
-// evOp is one deferred event-stream record. The source board is the log
-// index and the cycle is the committing cycle, so neither is stored.
+// evOp is one record of the single ordered event stream (sink + drop
+// hook), whose interleaving must be kept. kind names the telemetry
+// event the record produces: PacketLaserEnqueue, PacketLaserTransmit
+// and LaserLevel go to the sink; PacketDropFault goes to the drop hook,
+// which accounts the loss before emitting the event itself. The source
+// board is the log index and the cycle is the committing cycle, so
+// neither is stored.
 type evOp struct {
 	p        *flit.Packet
 	w, d     int32
 	from, to int32
-	kind     uint8
+	kind     telemetry.Kind
 }
 
 // meterOp is one deferred power-meter sample.
@@ -94,14 +93,6 @@ type boardLog struct {
 	wakes       uint64               // auto-wake tally
 	cur         uint8                // sub-phase selector for deferred appends
 	_           [64]byte
-}
-
-// events returns the event log of the board's current sub-phase.
-func (lg *boardLog) events() *[]evOp {
-	if lg.cur == phaseTx {
-		return &lg.txEvents
-	}
-	return &lg.laserEvents
 }
 
 // addIdle defers one idle-aggregate delta in the current sub-phase.
@@ -220,19 +211,38 @@ func (f *Fabric) drainIdle(lg *boardLog, phase int) {
 // order, dropping packet references as it goes.
 func (f *Fabric) replayEvents(s int, ops []evOp, now uint64) {
 	for i := range ops {
-		op := &ops[i]
-		switch op.kind {
-		case evDrop:
-			f.dropHook(op.p, now)
-		case evEnqueue:
-			f.observer.LaserEnqueue(s, int(op.w), int(op.d), op.p, now)
-		case evTransmit:
-			f.observer.LaserTransmit(s, int(op.w), int(op.d), op.p, now)
-		case evLevel:
-			f.observer.LaserLevel(s, int(op.w), int(op.d), int(op.from), int(op.to), now)
-		}
-		op.p = nil
+		f.apply(s, ops[i], now)
+		ops[i].p = nil
 	}
+}
+
+// emit feeds one record of board s into the event stream: deferred into
+// the board's current sub-phase log during a compute phase, applied
+// immediately otherwise. Callers check the target (sink or drop hook)
+// for nil first.
+func (f *Fabric) emit(s int, op evOp, now uint64) {
+	if dp := f.deferring(); dp != nil {
+		if lg := &dp.logs[s]; lg.cur == phaseTx {
+			lg.txEvents = append(lg.txEvents, op)
+		} else {
+			lg.laserEvents = append(lg.laserEvents, op)
+		}
+		return
+	}
+	f.apply(s, op, now)
+}
+
+// apply delivers one event-stream record of board s to its target.
+func (f *Fabric) apply(s int, op evOp, now uint64) {
+	if op.kind == telemetry.PacketDropFault {
+		f.dropHook(op.p, now)
+		return
+	}
+	ev := telemetry.Event{Cycle: now, Kind: op.kind, Board: s, Wavelength: int(op.w), Dest: int(op.d), From: int(op.from), To: int(op.to)}
+	if op.p != nil {
+		ev.Packet = uint64(op.p.ID)
+	}
+	f.sink.Emit(ev)
 }
 
 // assertSerialPhase panics when a control-plane mutation is attempted

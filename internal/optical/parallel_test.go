@@ -6,10 +6,11 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
-// recEvent is one recorded observer/hook/delivery callback, normalized
+// recEvent is one recorded sink/hook/delivery callback, normalized
 // so streams from two fabrics compare with ==.
 type recEvent struct {
 	kind     string
@@ -20,21 +21,13 @@ type recEvent struct {
 }
 
 // recorder captures the full ordered side-effect stream of one fabric:
-// observer events, drop-hook calls and deliveries, interleaved exactly
+// telemetry events, drop-hook calls and deliveries, interleaved exactly
 // as the fabric emits them.
 type recorder struct{ evs []recEvent }
 
-func (r *recorder) LaserEnqueue(s, w, d int, p *flit.Packet, now uint64) {
-	r.evs = append(r.evs, recEvent{kind: "enqueue", s: s, w: w, d: d, pkt: p.ID, at: now})
-}
-func (r *recorder) LaserTransmit(s, w, d int, p *flit.Packet, now uint64) {
-	r.evs = append(r.evs, recEvent{kind: "transmit", s: s, w: w, d: d, pkt: p.ID, at: now})
-}
-func (r *recorder) ChannelReassign(d, w, from, to int, now uint64) {
-	r.evs = append(r.evs, recEvent{kind: "reassign", w: w, d: d, from: from, to: to, at: now})
-}
-func (r *recorder) LaserLevel(s, w, d, from, to int, now uint64) {
-	r.evs = append(r.evs, recEvent{kind: "level", s: s, w: w, d: d, from: from, to: to, at: now})
+func (r *recorder) Emit(ev telemetry.Event) {
+	r.evs = append(r.evs, recEvent{kind: ev.Kind.String(), s: ev.Board, w: ev.Wavelength, d: ev.Dest,
+		pkt: flit.PacketID(ev.Packet), from: ev.From, to: ev.To, at: ev.Cycle})
 }
 func (r *recorder) drop(p *flit.Packet, now uint64) {
 	r.evs = append(r.evs, recEvent{kind: "drop", pkt: p.ID, at: now})
@@ -58,7 +51,7 @@ func loadedFabric(t testing.TB, boards int) (*Fabric, *sim.Engine, *recorder) {
 		t.Fatal(err)
 	}
 	rec := &recorder{}
-	f.SetObserver(rec)
+	f.SetSink(rec)
 	f.SetDropHook(rec.drop)
 	f.SetAutoWake(f.cfg.Ladder.Bottom())
 	f.EnableMetering(true)

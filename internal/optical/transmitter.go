@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/router"
+	"repro/internal/telemetry"
 )
 
 // Transmitter is one wavelength's transmit unit at a board: the
@@ -106,12 +107,7 @@ func (t *Transmitter) tick(now uint64) {
 			// free the reassembly buffer.
 			laser.dropWin++
 			if t.f.dropHook != nil {
-				if dp := t.f.deferring(); dp != nil {
-					lg := &dp.logs[t.s]
-					*lg.events() = append(*lg.events(), evOp{kind: evDrop, p: p})
-				} else {
-					t.f.dropHook(p, now)
-				}
+				t.f.emit(t.s, evOp{kind: telemetry.PacketDropFault, p: p}, now)
 			}
 			n := len(vc.entries)
 			for i := range vc.entries {
@@ -132,13 +128,8 @@ func (t *Transmitter) tick(now uint64) {
 		}
 		laser.queue = append(laser.queue, p)
 		t.f.activateLaser(laser, now)
-		if t.f.observer != nil {
-			if dp := t.f.deferring(); dp != nil {
-				lg := &dp.logs[t.s]
-				*lg.events() = append(*lg.events(), evOp{kind: evEnqueue, w: int32(t.w), d: int32(dst), p: p})
-			} else {
-				t.f.observer.LaserEnqueue(t.s, t.w, dst, p, now)
-			}
+		if t.f.sink != nil {
+			t.f.emit(t.s, evOp{kind: telemetry.PacketLaserEnqueue, w: int32(t.w), d: int32(dst), p: p}, now)
 		}
 		n := len(vc.entries)
 		vc.entries = vc.entries[:0]

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,14 +19,14 @@ func smallSeries(t *testing.T) []sweep.Series {
 	base.WarmupCycles = 1000
 	base.MeasureCycles = 1000
 	base.DrainLimitCycles = 20000
-	series := sweep.Run(sweep.Request{
+	series, err := sweep.RunContext(context.Background(), sweep.Request{
 		Base:     base,
 		Patterns: []string{traffic.Uniform},
 		Modes:    []core.Mode{core.NPNB, core.PB},
 		Loads:    []float64{0.2, 0.5},
 	})
-	if errs := sweep.Errs(series); len(errs) > 0 {
-		t.Fatal(errs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return series
 }

@@ -3,8 +3,7 @@
 // The kernel plays the role YACSIM played in the paper's evaluation: an
 // event calendar with a current virtual time, plus a process layer
 // (process.go) that lets sequential behaviours be written as blocking
-// goroutines, and a two-phase clock (clock.go) for cycle-accurate
-// hardware models.
+// goroutines exchanging messages through mailboxes (mailbox.go).
 //
 // Determinism: events scheduled for the same time fire in scheduling
 // order (FIFO tie-break by sequence number). The engine is single

@@ -229,19 +229,6 @@ func BenchmarkEventScheduling(b *testing.B) {
 	}
 }
 
-func BenchmarkClockTick(b *testing.B) {
-	e := NewEngine()
-	c := NewClock(e, 1)
-	for i := 0; i < 32; i++ {
-		c.Add(Ticker{F: func(Time) {}})
-	}
-	c.Start()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
 func BenchmarkProcessContextSwitch(b *testing.B) {
 	e := NewEngine()
 	e.SpawnProcess("spinner", func(p *Process) {

@@ -1,86 +1,5 @@
 package sim
 
-import "fmt"
-
-// Resource is a counted FCFS resource for processes (the YACSIM
-// "facility" primitive): Acquire blocks the calling process while all
-// units are in use; Release hands a unit to the longest-waiting process.
-type Resource struct {
-	eng      *Engine
-	name     string
-	capacity int
-	inUse    int
-	waiters  []*Process
-
-	acquisitions uint64
-	waits        uint64
-}
-
-// NewResource creates a resource with the given number of units.
-func NewResource(eng *Engine, name string, capacity int) *Resource {
-	if capacity < 1 {
-		panic(fmt.Sprintf("sim: resource %q capacity %d < 1", name, capacity))
-	}
-	return &Resource{eng: eng, name: name, capacity: capacity}
-}
-
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
-// Capacity returns the total units.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Waiting returns the number of blocked processes.
-func (r *Resource) Waiting() int { return len(r.waiters) }
-
-// Acquisitions returns the total successful acquisitions.
-func (r *Resource) Acquisitions() uint64 { return r.acquisitions }
-
-// Waits returns how many acquisitions had to block first.
-func (r *Resource) Waits() uint64 { return r.waits }
-
-// TryAcquire takes a unit without blocking; it reports success.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse >= r.capacity {
-		return false
-	}
-	r.inUse++
-	r.acquisitions++
-	return true
-}
-
-// Acquire takes a unit, blocking the process FCFS while none is free.
-func (r *Resource) Acquire(p *Process) {
-	if r.TryAcquire() {
-		return
-	}
-	r.waits++
-	r.waiters = append(r.waiters, p)
-	p.park()
-	// Ownership was transferred by Release before the wake-up.
-}
-
-// Release returns a unit. If processes are waiting, the unit passes
-// directly to the head of the queue (its wake-up is scheduled at the
-// current instant).
-func (r *Resource) Release() {
-	if r.inUse <= 0 {
-		panic(fmt.Sprintf("sim: resource %q released more than acquired", r.name))
-	}
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		copy(r.waiters, r.waiters[1:])
-		r.waiters = r.waiters[:len(r.waiters)-1]
-		r.acquisitions++
-		r.eng.After(0, next.resumeFn)
-		return
-	}
-	r.inUse--
-}
-
 // Mailbox is a FIFO message queue with blocking receive for processes
 // (the YACSIM mailbox primitive). Senders never block.
 type Mailbox[T any] struct {

@@ -2,98 +2,6 @@ package sim
 
 import "testing"
 
-func TestResourceSerializesProcesses(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "server", 1)
-	var order []string
-	for _, name := range []string{"a", "b", "c"} {
-		name := name
-		e.SpawnProcess(name, func(p *Process) {
-			r.Acquire(p)
-			order = append(order, name+"+")
-			p.Delay(10)
-			order = append(order, name+"-")
-			r.Release()
-		})
-	}
-	e.Run()
-	want := []string{"a+", "a-", "b+", "b-", "c+", "c-"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v (FCFS violated)", order, want)
-		}
-	}
-	if e.Now() != 30 {
-		t.Fatalf("final time = %d, want 30 (serialized service)", e.Now())
-	}
-	if r.Acquisitions() != 3 || r.Waits() != 2 {
-		t.Fatalf("acquisitions=%d waits=%d, want 3/2", r.Acquisitions(), r.Waits())
-	}
-	if r.InUse() != 0 || r.Waiting() != 0 {
-		t.Fatalf("resource not idle after drain: %d/%d", r.InUse(), r.Waiting())
-	}
-}
-
-func TestResourceCapacityTwoOverlaps(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "duo", 2)
-	var finished []Time
-	for i := 0; i < 4; i++ {
-		e.SpawnProcess("p", func(p *Process) {
-			r.Acquire(p)
-			p.Delay(10)
-			r.Release()
-			finished = append(finished, p.Now())
-		})
-	}
-	e.Run()
-	// Two at a time: finish times 10,10,20,20.
-	want := []Time{10, 10, 20, 20}
-	for i := range want {
-		if finished[i] != want[i] {
-			t.Fatalf("finished = %v, want %v", finished, want)
-		}
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "one", 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire failed on free resource")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire succeeded on full resource")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire failed after release")
-	}
-}
-
-func TestResourceOverReleasePanics(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "x", 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("over-release did not panic")
-		}
-	}()
-	r.Release()
-}
-
-func TestResourceInvalidCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("capacity 0 did not panic")
-		}
-	}()
-	NewResource(NewEngine(), "bad", 0)
-}
-
 func TestMailboxFIFO(t *testing.T) {
 	e := NewEngine()
 	mb := NewMailbox[int](e, "mb")

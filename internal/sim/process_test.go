@@ -145,16 +145,19 @@ func TestSignalDoesNotAccumulate(t *testing.T) {
 }
 
 func TestProcessRunsInsideClockedSimulation(t *testing.T) {
-	// Processes and clocked components share the calendar coherently.
+	// Processes and a self-rescheduling per-cycle event share the
+	// calendar coherently.
 	e := NewEngine()
-	c := NewClock(e, 1)
 	ticks := 0
-	c.OnPostTick(func(now Time) {
+	var tick func()
+	tick = func() {
 		ticks++
-		if now == 50 {
+		if e.Now() == 50 {
 			e.Stop()
+			return
 		}
-	})
+		e.After(1, tick)
+	}
 	var samples []int
 	e.SpawnProcess("sampler", func(p *Process) {
 		for i := 0; i < 5; i++ {
@@ -162,7 +165,7 @@ func TestProcessRunsInsideClockedSimulation(t *testing.T) {
 			samples = append(samples, ticks)
 		}
 	})
-	c.Start()
+	e.After(0, tick)
 	e.Run()
 	if len(samples) != 5 {
 		t.Fatalf("samples = %v, want 5 entries", samples)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -102,61 +101,34 @@ func Compare(ctx context.Context, req CompareRequest) ([]Comparison, error) {
 	if len(specs) == 0 {
 		specs = DefaultPolicySpecs()
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	cmps := make([]Comparison, len(req.Scenarios))
-	type job struct{ si, pi int }
-	var jobs []job
 	for si, sc := range req.Scenarios {
 		cmps[si] = Comparison{Scenario: sc, Outcomes: make([]PolicyOutcome, len(specs))}
 		for pi, spec := range specs {
 			cmps[si].Outcomes[pi] = PolicyOutcome{Policy: spec.CanonicalName(), Spec: spec}
-			jobs = append(jobs, job{si: si, pi: pi})
 		}
 	}
 
-	var (
-		wg   sync.WaitGroup
-		next = make(chan job)
-		mu   sync.Mutex
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Scenarios may differ in shape, so the pooled runner falls back
-			// to fresh construction across shape changes; within one
-			// scenario's policy panel every run resets the same system.
-			var runner core.Runner
-			for j := range next {
-				cfg := cmps[j.si].Scenario.Config
-				cfg.Policy = cmps[j.si].Outcomes[j.pi].Spec
-				res, err := runner.RunContext(ctx, cfg)
-				mu.Lock()
-				o := &cmps[j.si].Outcomes[j.pi]
-				o.Digest = cfg.Digest()
-				o.Result, o.Err = res, err
-				done := *o
-				mu.Unlock()
-				if req.OnResult != nil {
-					req.OnResult(cmps[j.si].Scenario.Name, done)
-				}
-			}
-		}()
-	}
-dispatch:
-	for _, j := range jobs {
-		select {
-		case next <- j:
-		case <-ctx.Done():
-			break dispatch
+	// Scenarios may differ in shape, so a worker's pooled runner falls
+	// back to fresh construction across shape changes; within one
+	// scenario's policy panel every run resets the same system.
+	var mu sync.Mutex
+	forEachJob(ctx, req.Workers, len(cmps)*len(specs), func(runner *core.Runner, i int) {
+		cmp := &cmps[i/len(specs)]
+		o := &cmp.Outcomes[i%len(specs)]
+		cfg := cmp.Scenario.Config
+		cfg.Policy = o.Spec
+		res, err := runner.RunContext(ctx, cfg)
+		mu.Lock()
+		o.Digest = cfg.Digest()
+		o.Result, o.Err = res, err
+		done := *o
+		mu.Unlock()
+		if req.OnResult != nil {
+			req.OnResult(cmp.Scenario.Name, done)
 		}
-	}
-	close(next)
-	wg.Wait()
+	})
 
 	var errs []error
 	for si := range cmps {

@@ -1,9 +1,9 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -83,60 +83,30 @@ func Replicate(req ReplicateRequest) ([]*Replicated, error) {
 		}
 	}
 
-	type job struct{ li, si int }
-	var jobs []job
-	for li := range req.Loads {
-		for si := range req.Seeds {
-			jobs = append(jobs, job{li, si})
-		}
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	var (
-		wg   sync.WaitGroup
-		next = make(chan job)
 		mu   sync.Mutex
 		err1 error
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Every job shares one topology, so each worker reuses a single
-			// pooled system across its whole job stream (core.Runner resets
-			// it per job instead of reconstructing).
-			var runner core.Runner
-			for j := range next {
-				cfg := req.Base
-				cfg.Pattern = req.Pattern
-				cfg.Mode = req.Mode
-				cfg.Load = req.Loads[j.li]
-				cfg.Seed = req.Seeds[j.si]
-				res, err := runner.Run(cfg)
-				mu.Lock()
-				if err != nil && err1 == nil {
-					err1 = err
-				}
-				if err == nil {
-					out[j.li].Runs[j.si] = res
-					if req.OnResult != nil {
-						req.OnResult(req.Loads[j.li], req.Seeds[j.si], res)
-					}
-				}
-				mu.Unlock()
+	forEachJob(context.Background(), req.Workers, len(req.Loads)*len(req.Seeds), func(runner *core.Runner, i int) {
+		li, si := i/len(req.Seeds), i%len(req.Seeds)
+		cfg := req.Base
+		cfg.Pattern = req.Pattern
+		cfg.Mode = req.Mode
+		cfg.Load = req.Loads[li]
+		cfg.Seed = req.Seeds[si]
+		res, err := runner.Run(cfg)
+		mu.Lock()
+		if err != nil && err1 == nil {
+			err1 = err
+		}
+		if err == nil {
+			out[li].Runs[si] = res
+			if req.OnResult != nil {
+				req.OnResult(cfg.Load, cfg.Seed, res)
 			}
-		}()
-	}
-	for _, j := range jobs {
-		next <- j
-	}
-	close(next)
-	wg.Wait()
+		}
+		mu.Unlock()
+	})
 	if err1 != nil {
 		return nil, err1
 	}

@@ -76,14 +76,42 @@ type Request struct {
 	PhaseProfile *core.PhaseAggregate
 }
 
-// Run executes the sweep and returns one series per (pattern, mode), in
-// request order, with points ordered by load.
-//
-// Deprecated: use RunContext, which supports cancellation and reports
-// point errors directly instead of requiring a separate Errs pass.
-func Run(req Request) []Series {
-	series, _ := RunContext(context.Background(), req)
-	return series
+// forEachJob calls fn once per job index in [0, n), in ascending
+// dispatch order, from up to workers goroutines (<= 0 means
+// GOMAXPROCS; never more than n). Each goroutine owns one pooled
+// core.Runner, so consecutive jobs sharing a topology reset its system
+// instead of rebuilding it. Cancelling ctx stops dispatching; jobs
+// already handed out run to completion (fn forwards ctx into its run
+// to cut them short).
+func forEachJob(ctx context.Context, workers, n int, fn func(r *core.Runner, i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var runner core.Runner
+			for i := range next {
+				fn(&runner, i)
+			}
+		}()
+	}
+dispatch:
+	for i := 0; i < n; i++ {
+		select {
+		case next <- i:
+		case <-ctx.Done():
+			break dispatch
+		}
+	}
+	close(next)
+	wg.Wait()
 }
 
 // RunContext executes the sweep with bounded parallelism and
@@ -99,85 +127,51 @@ func RunContext(ctx context.Context, req Request) ([]Series, error) {
 	if len(req.Patterns) == 0 || len(req.Modes) == 0 || len(req.Loads) == 0 {
 		return nil, nil
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	type job struct {
-		si, pi int
-		load   float64
-	}
 	series := make([]Series, 0, len(req.Patterns)*len(req.Modes))
-	var jobs []job
 	for _, pat := range req.Patterns {
 		for _, mode := range req.Modes {
-			si := len(series)
 			series = append(series, Series{
 				Mode:    mode,
 				Pattern: pat,
 				Points:  make([]Point, len(req.Loads)),
 			})
-			for pi, load := range req.Loads {
-				jobs = append(jobs, job{si: si, pi: pi, load: load})
-			}
 		}
 	}
 
-	var (
-		wg   sync.WaitGroup
-		next = make(chan job)
-		mu   sync.Mutex
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One pooled system per worker: every point of a sweep shares a
-			// topology, so consecutive points reset it instead of rebuilding.
-			var runner core.Runner
-			for j := range next {
-				s := &series[j.si]
-				cfg := req.Base
-				cfg.Mode = s.Mode
-				cfg.Pattern = s.Pattern
-				cfg.Load = j.load
-				res, err := runPoint(ctx, &runner, cfg, req.PhaseProfile)
-				pt := Point{Load: j.load, Result: res, Err: err}
-				mu.Lock()
-				s.Points[j.pi] = pt
-				mu.Unlock()
-				if req.OnResult != nil {
-					// Pass only the curve labels: a full *s copy would share
-					// the Points backing array that other workers mutate.
-					req.OnResult(Series{Mode: s.Mode, Pattern: s.Pattern}, pt)
-				}
-			}
-		}()
-	}
-dispatch:
-	for _, j := range jobs {
-		select {
-		case next <- j:
-		case <-ctx.Done():
-			break dispatch
+	var mu sync.Mutex
+	forEachJob(ctx, req.Workers, len(series)*len(req.Loads), func(runner *core.Runner, i int) {
+		s, pi := &series[i/len(req.Loads)], i%len(req.Loads)
+		cfg := req.Base
+		cfg.Mode = s.Mode
+		cfg.Pattern = s.Pattern
+		cfg.Load = req.Loads[pi]
+		res, err := runPoint(ctx, runner, cfg, req.PhaseProfile)
+		pt := Point{Load: cfg.Load, Result: res, Err: err}
+		mu.Lock()
+		s.Points[pi] = pt
+		mu.Unlock()
+		if req.OnResult != nil {
+			// Pass only the curve labels: a full *s copy would share
+			// the Points backing array that other workers mutate.
+			req.OnResult(Series{Mode: s.Mode, Pattern: s.Pattern}, pt)
 		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		// Mark the points that never ran so the caller can tell a
-		// cancelled hole from a legitimately empty series.
-		for si := range series {
-			for pi := range series[si].Points {
-				p := &series[si].Points[pi]
-				if p.Result == nil && p.Err == nil {
-					p.Err = err
-				}
+	})
+
+	var errs []error
+	for _, s := range series {
+		for pi := range s.Points {
+			p := &s.Points[pi]
+			if p.Result == nil && p.Err == nil {
+				// Never ran: mark it so the caller can tell a cancelled
+				// hole from a legitimately empty series.
+				p.Err = ctx.Err()
+			}
+			if p.Err != nil {
+				errs = append(errs, fmt.Errorf("%s load %.2f: %w", s.Label(), p.Load, p.Err))
 			}
 		}
 	}
-	return series, errors.Join(Errs(series)...)
+	return series, errors.Join(errs...)
 }
 
 // runPoint executes one sweep point through the worker's pooled
@@ -205,22 +199,6 @@ func runPoint(ctx context.Context, r *core.Runner, cfg core.Config, agg *core.Ph
 		}
 	}
 	return res, err
-}
-
-// Errs collects the errors across all points of all series.
-//
-// Deprecated: RunContext already returns these errors joined; Errs
-// remains for callers of the deprecated Run.
-func Errs(series []Series) []error {
-	var errs []error
-	for _, s := range series {
-		for _, p := range s.Points {
-			if p.Err != nil {
-				errs = append(errs, fmt.Errorf("%s load %.2f: %w", s.Label(), p.Load, p.Err))
-			}
-		}
-	}
-	return errs
 }
 
 // SaturationLoad estimates the saturation point of a series: the lowest

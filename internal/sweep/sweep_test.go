@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"errors"
-	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -46,7 +45,7 @@ func TestLoadsPanics(t *testing.T) {
 
 func TestRunProducesAllPoints(t *testing.T) {
 	var done atomic.Int64
-	series := Run(Request{
+	series, err := RunContext(context.Background(), Request{
 		Base:     fastBase(),
 		Patterns: []string{traffic.Uniform, traffic.Complement},
 		Modes:    []core.Mode{core.NPNB, core.PB},
@@ -60,8 +59,8 @@ func TestRunProducesAllPoints(t *testing.T) {
 	if done.Load() != 8 {
 		t.Fatalf("OnResult called %d times, want 8", done.Load())
 	}
-	if errs := Errs(series); len(errs) != 0 {
-		t.Fatalf("sweep errors: %v", errs)
+	if err != nil {
+		t.Fatalf("sweep errors: %v", err)
 	}
 	for _, s := range series {
 		if len(s.Points) != 2 {
@@ -90,9 +89,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 		Loads:    []float64{0.2, 0.5},
 	}
 	req.Workers = 1
-	serial := Run(req)
+	serial, _ := RunContext(context.Background(), req)
 	req.Workers = 8
-	parallel := Run(req)
+	parallel, _ := RunContext(context.Background(), req)
 	for i := range serial {
 		for j := range serial[i].Points {
 			a, b := serial[i].Points[j].Result, parallel[i].Points[j].Result
@@ -106,19 +105,20 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestSweepCarriesErrors(t *testing.T) {
 	base := fastBase()
 	base.NodesPerBoard = 3 // complement needs power-of-two nodes → error
-	series := Run(Request{
+	_, err := RunContext(context.Background(), Request{
 		Base:     base,
 		Patterns: []string{traffic.Complement},
 		Modes:    []core.Mode{core.NPNB},
 		Loads:    []float64{0.2},
 	})
-	if errs := Errs(series); len(errs) != 1 {
-		t.Fatalf("expected 1 error, got %v", errs)
+	joined, ok := err.(interface{ Unwrap() []error })
+	if !ok || len(joined.Unwrap()) != 1 {
+		t.Fatalf("expected 1 joined error, got %v", err)
 	}
 }
 
 func TestSaturationLoad(t *testing.T) {
-	series := Run(Request{
+	series, _ := RunContext(context.Background(), Request{
 		Base:     fastBase(),
 		Patterns: []string{traffic.Complement},
 		Modes:    []core.Mode{core.NPNB},
@@ -130,7 +130,7 @@ func TestSaturationLoad(t *testing.T) {
 		t.Fatalf("complement NP-NB never saturated (sat=%v)", sat)
 	}
 	// A barely loaded uniform system does not saturate.
-	uni := Run(Request{
+	uni, _ := RunContext(context.Background(), Request{
 		Base:     fastBase(),
 		Patterns: []string{traffic.Uniform},
 		Modes:    []core.Mode{core.NPNB},
@@ -142,7 +142,7 @@ func TestSaturationLoad(t *testing.T) {
 }
 
 func TestEmptyRequest(t *testing.T) {
-	if got := Run(Request{Base: fastBase()}); got != nil {
+	if got, _ := RunContext(context.Background(), Request{Base: fastBase()}); got != nil {
 		t.Fatalf("empty request produced %v", got)
 	}
 }
@@ -199,24 +199,5 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	if ok+cancelled != 8 {
 		t.Errorf("points = %d ok + %d cancelled, want 8 total", ok, cancelled)
-	}
-}
-
-// TestRunContextMatchesRun: with a background context, RunContext and
-// the deprecated Run produce identical series.
-func TestRunContextMatchesRun(t *testing.T) {
-	req := Request{
-		Base:     fastBase(),
-		Patterns: []string{traffic.Uniform},
-		Modes:    []core.Mode{core.PB},
-		Loads:    []float64{0.2},
-	}
-	a := Run(req)
-	b, err := RunContext(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("Run and RunContext disagree:\n%+v\n%+v", a, b)
 	}
 }

@@ -18,10 +18,9 @@ package telemetry
 
 import "fmt"
 
-// Kind classifies telemetry events. The packet-lifecycle kinds mirror
-// (and supersede) the kinds of package trace; their JSONL names are
-// identical to the historical trace output so downstream consumers can
-// migrate without re-parsing.
+// Kind classifies telemetry events. The packet-lifecycle kinds and
+// ChannelReassign come first, so Kind <= ChannelReassign selects a
+// packet-journey view.
 type Kind uint8
 
 const (
@@ -70,8 +69,7 @@ const (
 	numKinds
 )
 
-// kindNames are the JSONL/string names, aligned with the historical
-// package trace names for the shared kinds.
+// kindNames are the JSONL/string names.
 var kindNames = [numKinds]string{
 	PacketInject:        "inject",
 	PacketNetEnter:      "net-enter",

@@ -121,6 +121,12 @@ func TestKindStringRoundTrip(t *testing.T) {
 func TestRecorderRingAndCounts(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
+		if i == 3 {
+			// Not yet wrapped: everything recorded so far, oldest first.
+			if evs := r.Events(); len(evs) != 3 || evs[0].Cycle != 0 || evs[2].Cycle != 2 {
+				t.Fatalf("unwrapped ring = %v, want cycles 0..2", evs)
+			}
+		}
 		r.Emit(Event{Cycle: uint64(i), Kind: PacketInject, Board: -1, Wavelength: -1, Dest: -1})
 	}
 	if got := r.Count(PacketInject); got != 10 {
@@ -135,6 +141,15 @@ func TestRecorderRingAndCounts(t *testing.T) {
 			t.Errorf("event %d cycle = %d, want %d (oldest-first order)", i, ev.Cycle, want)
 		}
 	}
+}
+
+func TestRecorderZeroCapacityPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewRecorder(0) did not panic")
+		}
+	}()
+	NewRecorder(0)
 }
 
 func TestRecorderFilter(t *testing.T) {

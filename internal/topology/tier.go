@@ -11,8 +11,7 @@ import "fmt"
 
 // NewSRS builds the single-cluster SRS topology that serves as the tier
 // building block: B boards × D nodes per board, fully connected through
-// the optical super-highway. It replaces the 3-tuple constructor New
-// for the C = 1 systems the simulator assembles.
+// the optical super-highway.
 func NewSRS(boards, nodes int) (*Topology, error) {
 	switch {
 	case boards < 2:

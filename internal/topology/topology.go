@@ -23,35 +23,6 @@ type Topology struct {
 	nodes    int // nodes per board
 }
 
-// New validates and builds a topology from the legacy 3-tuple. The
-// evaluated systems use C = 1; multi-cluster systems are representable
-// but the simulator assembles one cluster at a time.
-//
-// Deprecated: the simulator composes systems from tiers now. Use NewSRS
-// for the C = 1 building block, or NewHier for multi-tier hierarchies.
-func New(clusters, boards, nodes int) (*Topology, error) {
-	if clusters < 1 {
-		return nil, fmt.Errorf("topology: clusters = %d, need >= 1", clusters)
-	}
-	t, err := NewSRS(boards, nodes)
-	if err != nil {
-		return nil, err
-	}
-	t.clusters = clusters
-	return t, nil
-}
-
-// MustNew is New for static configurations known to be valid.
-//
-// Deprecated: use MustNewSRS (or NewHier for multi-tier hierarchies).
-func MustNew(clusters, boards, nodes int) *Topology {
-	t, err := New(clusters, boards, nodes)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Clusters returns C.
 func (t *Topology) Clusters() int { return t.clusters }
 

@@ -7,22 +7,18 @@ import (
 
 func TestNewValidation(t *testing.T) {
 	cases := []struct {
-		c, b, d int
-		ok      bool
+		b, d int
+		ok   bool
 	}{
-		{1, 4, 4, true},
-		{1, 8, 8, true},
-		{2, 4, 4, true},
-		{0, 4, 4, false},
-		{1, 1, 4, false},
-		{1, 4, 0, false},
-		{-1, 4, 4, false},
+		{4, 4, true},
+		{8, 8, true},
+		{1, 4, false},
+		{4, 0, false},
 	}
 	for _, c := range cases {
-		//lint:ignore SA1019 exercising the deprecated multi-cluster shim
-		_, err := New(c.c, c.b, c.d)
+		_, err := NewSRS(c.b, c.d)
 		if (err == nil) != c.ok {
-			t.Errorf("New(%d,%d,%d) error = %v, want ok=%v", c.c, c.b, c.d, err, c.ok)
+			t.Errorf("NewSRS(%d,%d) error = %v, want ok=%v", c.b, c.d, err, c.ok)
 		}
 	}
 }
@@ -127,14 +123,12 @@ func TestNodeAddressing(t *testing.T) {
 }
 
 func TestNodeIDRoundTrip(t *testing.T) {
-	f := func(cRaw, bRaw, dRaw uint8) bool {
-		//lint:ignore SA1019 exercising the deprecated multi-cluster shim
-		top := MustNew(2, 6, 5)
-		c := int(cRaw) % 2
+	f := func(bRaw, dRaw uint8) bool {
+		top := MustNewSRS(6, 5)
 		b := int(bRaw) % 6
 		l := int(dRaw) % 5
-		n := top.NodeID(c, b, l)
-		return top.Cluster(n) == c && top.Board(n) == b && top.Local(n) == l
+		n := top.NodeID(0, b, l)
+		return top.Cluster(n) == 0 && top.Board(n) == b && top.Local(n) == l
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
