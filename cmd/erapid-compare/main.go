@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/policy"
+	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/sweep"
 )
@@ -33,23 +34,17 @@ func main() {
 		scenarios = flag.String("scenarios", "", "comma-separated scenario names to run (default: all; see -list)")
 		list      = flag.Bool("list", false, "list the built-in scenarios and exit")
 		outDir    = flag.String("out", "", "write compare.txt and one pareto-<scenario>.svg per scenario into this directory")
-		boards    = flag.Int("boards", 8, "boards B")
-		nodes     = flag.Int("nodes", 8, "nodes per board D")
-		seed      = flag.Uint64("seed", 1, "random seed shared by every run")
 		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		quick     = flag.Bool("quick", false, "shorter warm-up/measurement (coarser, ~3x faster)")
 		verbose   = flag.Bool("v", false, "print each run as it finishes")
 	)
+	shape := prof.AddConfigFlags("random seed shared by every run", "",
+		"shorter warm-up/measurement (coarser, ~3x faster)")
 	flag.Parse()
 
 	base := erapid.DefaultConfig(erapid.PB)
-	base.Boards = *boards
-	base.NodesPerBoard = *nodes
-	base.Seed = *seed
-	if *quick {
-		base.WarmupCycles = 8000
-		base.MeasureCycles = 5000
-		base.DrainLimitCycles = 60000
+	if err := shape.Apply(&base, flag.VisitAll); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	scs := Scenarios(base)
 	if *list {

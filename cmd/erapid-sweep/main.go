@@ -23,7 +23,6 @@ import (
 
 	erapid "repro"
 	"repro/internal/core"
-	"repro/internal/policy"
 	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/sweep"
@@ -40,15 +39,13 @@ func main() {
 		svgDir    = flag.String("svg", "", "write one SVG chart per (figure, metric) into this directory")
 		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS/run-workers)")
 		runWork   = flag.Int("run-workers", 1, "intra-run worker threads per simulation (board-sharded, bit-identical to 1)")
-		quick     = flag.Bool("quick", false, "shorter warm-up/measurement (coarser, ~5x faster)")
-		boards    = flag.Int("boards", 8, "boards B")
-		nodes     = flag.Int("nodes", 8, "nodes per board D")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		polFlag   = flag.String("policy", "", "reconfiguration policy for every run: a name (paper, greedy-off, ewma, oracle-static) or a JSON spec")
 		progress  = flag.Duration("progress-interval", 0, "minimum time between progress lines (0 = every point)")
 		phaseProf = flag.Bool("phase-profile", false, "profile per-worker phase times across all runs and print a shard-imbalance summary")
 	)
 	profFlags := prof.AddFlags()
+	shape := prof.AddConfigFlags("random seed",
+		"reconfiguration policy for every run: a name (paper, greedy-off, ewma, oracle-static) or a JSON spec",
+		"shorter warm-up/measurement (coarser, ~5x faster)")
 	flag.Parse()
 
 	stopProf, err := profFlags.Start()
@@ -75,16 +72,9 @@ func main() {
 	}
 
 	base := erapid.DefaultConfig(erapid.NPNB)
-	base.Boards = *boards
-	base.NodesPerBoard = *nodes
-	base.Seed = *seed
-	if *polFlag != "" {
-		spec, err := policy.ParseSpec(*polFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		base.Policy = spec
+	if err := shape.Apply(&base, flag.VisitAll); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	// Budget the two parallelism levels against the machine: each of the
 	// -workers concurrent simulations spins up -run-workers threads, so
@@ -97,12 +87,6 @@ func main() {
 			sweepWorkers = 1
 		}
 	}
-	if *quick {
-		base.WarmupCycles = 8000
-		base.MeasureCycles = 5000
-		base.DrainLimitCycles = 60000
-	}
-
 	// Ctrl-C / SIGTERM cancels in-flight simulations at their next
 	// reconfiguration-window boundary instead of killing them mid-cycle.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

@@ -63,7 +63,6 @@ func runDesignSpace() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		sys.Controllers().Start()
 		fab := sys.Fabric()
 		fab.EnableMetering(true)
 		for w := 0; w < nWindows; w++ {

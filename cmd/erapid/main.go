@@ -25,7 +25,6 @@ import (
 
 	erapid "repro"
 	"repro/internal/core"
-	"repro/internal/policy"
 	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/telemetry"
@@ -37,17 +36,13 @@ func main() {
 		pattern = flag.String("pattern", erapid.Uniform, "traffic pattern (uniform, complement, butterfly, shuffle, transpose, bitreverse, tornado, neighbor, hotspot)")
 		load    = flag.Float64("load", 0.5, "offered load as a fraction of uniform network capacity")
 		rate    = flag.Float64("rate", 0, "absolute injection rate in packets/node/cycle (overrides -load)")
-		boards  = flag.Int("boards", 8, "boards B")
-		nodes   = flag.Int("nodes", 8, "nodes per board D")
 		tiers   = flag.String("tiers", "", "hierarchical topology as rack=BxD,count=R (e.g. rack=8x8,count=16): R racks of BxD plus the inter-rack fabric; overrides -boards/-nodes")
-		seed    = flag.Uint64("seed", 1, "random seed")
 		window  = flag.Uint64("window", 2000, "reconfiguration window R_w in cycles")
 		maxHold = flag.Int("maxhold", 4, "max channels one flow may hold (0 = unlimited)")
 		warmup  = flag.Uint64("warmup", 20000, "warm-up cycles")
 		measure = flag.Uint64("measure", 10000, "measurement cycles")
 		drain   = flag.Uint64("drain", 300000, "drain limit cycles")
 		lsTrace = flag.Bool("trace", false, "print the Lock-Step protocol stage trace (Fig. 4)")
-		polFlag = flag.String("policy", "", "reconfiguration policy: a name (paper, greedy-off, ewma, oracle-static) or a JSON spec like {\"name\":\"ewma\",\"alpha\":0.2}")
 		faults  = flag.String("faults", "", "load a JSON fault-injection spec (see internal/fault)")
 		cfgPath = flag.String("config", "", "load a JSON config file (flags override it)")
 		dump    = flag.String("dump-config", "", "write the effective config as JSON and exit")
@@ -63,6 +58,8 @@ func main() {
 		phaseProfOut = flag.String("phase-profile-out", "", "write the phase profiler's per-epoch series as JSON Lines (implies -phase-profile)")
 	)
 	profFlags := prof.AddFlags()
+	shape := prof.AddConfigFlags("random seed",
+		"reconfiguration policy: a name (paper, greedy-off, ewma, oracle-static) or a JSON spec like {\"name\":\"ewma\",\"alpha\":0.2}", "")
 	flag.Parse()
 
 	stopProf, err := profFlags.Start()
@@ -98,12 +95,6 @@ func main() {
 			cfg.Load = *load
 		case "rate":
 			cfg.InjectionRate = *rate
-		case "boards":
-			cfg.Boards = *boards
-		case "nodes":
-			cfg.NodesPerBoard = *nodes
-		case "seed":
-			cfg.Seed = *seed
 		case "window":
 			cfg.Window = *window
 		case "maxhold":
@@ -118,20 +109,16 @@ func main() {
 			cfg.Workers = *workers
 		}
 	}
-	if *cfgPath == "" {
-		flag.VisitAll(apply)
-	} else {
-		flag.Visit(apply)
+	visit := flag.VisitAll
+	if *cfgPath != "" {
+		visit = flag.Visit
+	}
+	visit(apply)
+	if err := shape.Apply(&cfg, visit); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	cfg.PhaseProfile = *phaseProf || *phaseProfOut != ""
-	if *polFlag != "" {
-		spec, err := policy.ParseSpec(*polFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cfg.Policy = spec
-	}
 	if *faults != "" {
 		spec, err := erapid.LoadFaultSpec(*faults)
 		if err != nil {
@@ -176,64 +163,61 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		runHier(cfg, *metricsOut, *eventsOut)
-		return
 	}
 
-	sys, err := erapid.NewSystem(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
+	var runner core.Runner
 	// -trace and -journey each read a kind-filtered recorder.
 	var stageRec *telemetry.Recorder
 	if *lsTrace {
 		stageRec = telemetry.NewRecorder(1 << 20)
 		stageRec.Filter = func(ev telemetry.Event) bool { return ev.Kind == telemetry.StageEnter }
-		sys.AttachSink(stageRec)
+		runner.AttachSink(stageRec)
 	}
 	var journeyRec *telemetry.Recorder
 	if *journey > 0 {
 		journeyRec = telemetry.NewRecorder(1 << 20)
 		// The packet lifecycle plus DBR reassignments.
 		journeyRec.Filter = func(ev telemetry.Event) bool { return ev.Kind <= telemetry.ChannelReassign }
-		sys.AttachSink(journeyRec)
+		runner.AttachSink(journeyRec)
 	}
 
 	// Telemetry exports: a streaming JSONL event sink plus the per-window
 	// metrics collector (whose recorder also feeds the Perfetto export).
 	closeEvents := func() {}
-	var tel *core.Telemetry
-	if *metricsOut != "" || *eventsOut != "" || *perfetto != "" || *dashboard != "" {
+	if *eventsOut != "" {
+		var events *telemetry.JSONL
+		events, closeEvents = openEvents(*eventsOut)
+		runner.AttachSink(events)
+	}
+	if *metricsOut != "" || *perfetto != "" || *dashboard != "" {
 		tcfg := core.TelemetryConfig{}
-		if *eventsOut != "" {
-			var events *telemetry.JSONL
-			events, closeEvents = openEvents(*eventsOut)
-			tcfg.Sinks = append(tcfg.Sinks, events)
-		}
 		if *perfetto == "" {
 			tcfg.EventCap = -1 // no in-memory recorder needed
 		}
-		tel = sys.EnableTelemetry(tcfg)
+		runner.EnableTelemetry(tcfg)
 	}
 
 	// Ctrl-C / SIGTERM cancels the run at its next reconfiguration-window
 	// boundary; the partial metrics of the completed prefix still print.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	res, runErr := sys.RunContext(ctx)
+	res, runErr := runner.RunContext(ctx, cfg)
 	stopSignals()
 	if runErr != nil {
 		var cancelled *core.CancelledError
-		if errors.As(runErr, &cancelled) {
-			fmt.Fprintf(os.Stderr, "cancelled by signal after %d windows; metrics cover the completed prefix\n", cancelled.Window)
-		} else {
+		if !errors.As(runErr, &cancelled) {
+			// A run fails only by cancellation; anything else is a config
+			// the engine could not assemble.
 			fmt.Fprintln(os.Stderr, runErr)
-			os.Exit(1)
+			os.Exit(2)
 		}
+		fmt.Fprintf(os.Stderr, "cancelled by signal after %d windows; metrics cover the completed prefix\n", cancelled.Window)
 	}
-	printResult(res, cfg)
-	if pp := sys.PhaseProfile(); pp != nil {
+	if res.Tiers != nil {
+		printHierResult(res, cfg)
+	} else {
+		printResult(res, cfg)
+	}
+	if pp := runner.PhaseProfile(); pp != nil {
 		fmt.Fprintln(os.Stderr)
 		core.FormatPhaseReport(os.Stderr, pp.Report())
 		if *phaseProfOut != "" {
@@ -253,24 +237,32 @@ func main() {
 	}
 
 	closeEvents()
-	if tel != nil {
-		if *metricsOut != "" {
-			export(*metricsOut, func(f *os.File) error {
-				return tel.Registry().WriteMetricsJSONL(f)
-			})
-		}
-		if *perfetto != "" {
-			export(*perfetto, func(f *os.File) error {
-				return telemetry.WriteChromeTrace(f, tel.Recorder().Events(), tel.Registry(), cfg.CycleNS, cfg.Boards)
-			})
-		}
-		if *dashboard != "" {
-			title := fmt.Sprintf("E-RAPID %s, %s traffic, load %.2f — reconfiguration dashboard",
-				res.Mode, res.Pattern, res.Load)
-			export(*dashboard, func(f *os.File) error {
-				return report.WriteDashboard(f, title, tel.Registry())
-			})
-		}
+	tels := runner.Telemetries()
+	if *metricsOut != "" {
+		// One JSONL stream; a hierarchical run's tierN/rackM/ series
+		// prefixes keep every subsystem's metrics distinguishable.
+		export(*metricsOut, func(f *os.File) error {
+			for _, ht := range tels {
+				if err := ht.T.Registry().WriteMetricsJSONL(f); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	// -perfetto and -dashboard are flat-only, so tels[0] is the run's one
+	// collector.
+	if *perfetto != "" {
+		export(*perfetto, func(f *os.File) error {
+			return telemetry.WriteChromeTrace(f, tels[0].T.Recorder().Events(), tels[0].T.Registry(), cfg.CycleNS, cfg.Boards)
+		})
+	}
+	if *dashboard != "" {
+		title := fmt.Sprintf("E-RAPID %s, %s traffic, load %.2f — reconfiguration dashboard",
+			res.Mode, res.Pattern, res.Load)
+		export(*dashboard, func(f *os.File) error {
+			return report.WriteDashboard(f, title, tels[0].T.Registry())
+		})
 	}
 }
 
@@ -311,57 +303,13 @@ func parseTiers(s string) ([]core.TierSpec, error) {
 	return []core.TierSpec{{Boards: b, NodesPerBoard: d}, {Boards: r}}, nil
 }
 
-// runHier executes a multi-tier configuration through the hierarchical
-// engine and prints the aggregate plus the per-tier breakdown.
-func runHier(cfg core.Config, metricsOut, eventsOut string) {
-	h, err := erapid.NewHier(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	closeEvents := func() {}
-	if eventsOut != "" {
-		var events *telemetry.JSONL
-		events, closeEvents = openEvents(eventsOut)
-		h.AttachSink(events)
-	}
-	if metricsOut != "" {
-		h.EnableTelemetry(core.TelemetryConfig{EventCap: -1})
-	}
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	res, runErr := h.RunContext(ctx)
-	stopSignals()
-	if runErr != nil {
-		var cancelled *core.CancelledError
-		if errors.As(runErr, &cancelled) {
-			fmt.Fprintf(os.Stderr, "cancelled by signal after %d windows; metrics cover the completed subsystems\n", cancelled.Window)
-		} else {
-			fmt.Fprintln(os.Stderr, runErr)
-			os.Exit(1)
-		}
-	}
-	printHierResult(res, h, cfg)
-
-	closeEvents()
-	if metricsOut != "" {
-		// One JSONL stream; the tierN/rackM/ series prefixes keep every
-		// subsystem's metrics distinguishable.
-		export(metricsOut, func(f *os.File) error {
-			for _, ht := range h.Telemetries() {
-				if err := ht.T.Registry().WriteMetricsJSONL(f); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-}
-
-func printHierResult(r *core.Result, h *erapid.Hier, cfg core.Config) {
-	top := h.Topology()
-	fmt.Printf("E-RAPID %s, %d nodes (%d racks x %d) — %s, %s traffic\n",
-		top, top.TotalNodes(), top.Racks(), top.RackNodes(), r.Mode, r.Pattern)
+// printHierResult prints a multi-tier run: the aggregate plus the
+// per-tier breakdown.
+func printHierResult(r *core.Result, cfg core.Config) {
+	t0 := cfg.Tiers[0]
+	racks, rackNodes := cfg.Racks(), t0.Boards*t0.NodesPerBoard
+	fmt.Printf("E-RAPID H(%d×R(1,%d,%d)), %d nodes (%d racks x %d) — %s, %s traffic\n",
+		racks, t0.Boards, t0.NodesPerBoard, racks*rackNodes, racks, rackNodes, r.Mode, r.Pattern)
 	if r.Policy != "" {
 		fmt.Printf("  policy                %s\n", r.Policy)
 	}

@@ -37,9 +37,9 @@ func runCLI(t *testing.T, args ...string) []byte {
 }
 
 // TestConfigFileAndFlags: a dumped config reloads to the same bytes
-// (flag defaults must not clobber the file), flags the user sets still
-// override the file (-mode included), and without -config every flag
-// applies.
+// (flag defaults must not clobber the file; -tiers included), flags the
+// user sets still override the file (-mode included), and without
+// -config every flag applies.
 func TestConfigFileAndFlags(t *testing.T) {
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
@@ -56,6 +56,14 @@ func TestConfigFileAndFlags(t *testing.T) {
 	runCLI(t, "-config", path("a.json"), "-dump-config", path("b.json"))
 	if a, b := read("a.json"), read("b.json"); !bytes.Equal(a, b) {
 		t.Errorf("config round trip changed the file:\n%s\nvs\n%s", a, b)
+	}
+
+	// -tiers dumps the resolved form: the flat fields mirror tier 0, so
+	// the file reloads to itself.
+	runCLI(t, "-tiers", "rack=4x4,count=4", "-dump-config", path("t.json"))
+	runCLI(t, "-config", path("t.json"), "-dump-config", path("u.json"))
+	if a, b := read("t.json"), read("u.json"); !bytes.Equal(a, b) {
+		t.Errorf("-tiers config round trip changed the file:\n%s\nvs\n%s", a, b)
 	}
 
 	runCLI(t, "-config", path("a.json"), "-load", "0.3", "-mode", "NP-NB", "-dump-config", path("c.json"))

@@ -125,10 +125,12 @@ type Result = core.Result
 // System is an assembled network for custom cycle-by-cycle drivers.
 type System = core.System
 
-// Runner executes runs back-to-back, transparently reusing one pooled
-// System across structurally compatible configurations via
-// System.Reset. The zero value is ready to use; it is not safe for
-// concurrent use — give each worker goroutine its own.
+// Runner executes runs back-to-back — flat configs on a pooled System
+// reused across structurally compatible configurations via
+// System.Reset, multi-tier configs on the hierarchical engine — and
+// carries a run's telemetry attachments (AttachSink, EnableTelemetry).
+// The zero value is ready to use; it is not safe for concurrent use —
+// give each worker goroutine its own.
 type Runner = core.Runner
 
 // Modes returns the four configurations in the paper's order.
@@ -155,24 +157,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // NewSystem assembles a network without running it, for custom drivers
-// (see examples/designspace). A System models one SRS tier; multi-tier
-// configs assemble through NewHier instead.
+// (see examples/designspace); it is ready to Step. A System models one
+// SRS tier; multi-tier configs run through Run, RunContext or a Runner.
 func NewSystem(cfg Config) (*System, error) { return core.NewSystem(cfg) }
 
-// Hier is an assembled hierarchical (multi-tier) simulation: R
-// independent rack SRS instances plus the inter-rack WDM fabric. Run
-// and RunContext dispatch to it automatically for multi-tier configs;
-// construct one directly to attach telemetry before running.
-type Hier = core.Hier
-
 // HierTelemetry identifies one subsystem's telemetry in
-// Hier.Telemetries: the tier, the instance index within the tier, and
-// the series prefix ("tier0/rack3/", "tier1/").
+// Runner.Telemetries: the tier, the instance index within the tier, and
+// the series prefix ("tier0/rack3/", "tier1/"; "" for a flat run).
 type HierTelemetry = core.HierTelemetry
-
-// NewHier assembles a hierarchical simulation from a multi-tier config
-// (len(cfg.Tiers) >= 2).
-func NewHier(cfg Config) (*Hier, error) { return core.NewHier(cfg) }
 
 // PatternNames lists every supported traffic pattern.
 func PatternNames() []string { return traffic.Names() }

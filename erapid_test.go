@@ -83,7 +83,6 @@ func TestPublicSystemStepping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Controllers().Start()
 	for i := 0; i < 1000; i++ {
 		s.Step()
 	}

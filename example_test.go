@@ -65,7 +65,6 @@ func ExampleSystem_Step() {
 		log.Fatal(err)
 	}
 	tel := sys.EnableTelemetry(erapid.TelemetryConfig{})
-	sys.Controllers().Start()
 	for i := 0; i < 2000; i++ {
 		sys.Step()
 	}

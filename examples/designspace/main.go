@@ -41,7 +41,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sys.Controllers().Start()
 		fab := sys.Fabric()
 		fab.EnableMetering(true)
 		tr := &trace{}

@@ -159,9 +159,11 @@ func LoadConfig(path string, defaults Config) (Config, error) {
 	return cfg, nil
 }
 
-// SaveConfig writes a Config as indented JSON.
+// SaveConfig writes a Config as indented JSON, in the resolved form
+// LoadConfig will hand back: the flat topology fields mirror a tier
+// array, so a saved file reloads and re-saves to the same bytes.
 func SaveConfig(path string, cfg Config) error {
-	data, err := json.MarshalIndent(cfg, "", "  ")
+	data, err := json.MarshalIndent(cfg.tiersApplied(), "", "  ")
 	if err != nil {
 		return err
 	}

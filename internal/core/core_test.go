@@ -406,7 +406,6 @@ func TestTracerCapturesPacketLifecycle(t *testing.T) {
 	rec := telemetry.NewRecorder(100000)
 	rec.Filter = func(ev telemetry.Event) bool { return ev.Kind <= telemetry.ChannelReassign }
 	s.AttachSink(rec)
-	s.Controllers().Start()
 	for i := 0; i < 8000; i++ {
 		s.Step()
 	}
@@ -488,7 +487,11 @@ func TestPortRadiusLimitsReconfigurationGain(t *testing.T) {
 	if gainLim < 1.0 {
 		t.Fatalf("limited array fell below the static baseline: %.2f", gainLim)
 	}
-	if err := MustNewSystem(limited).Fabric().CheckInvariants(); err != nil {
+	sys, err := NewSystem(limited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Fabric().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

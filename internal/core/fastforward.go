@@ -10,7 +10,7 @@
 // fast-forwarded run is bit-identical to a ticked one; everything else
 // the per-cycle machinery does is provably a no-op and is skipped.
 // That turns the idle floor from "scan all components and tick the
-// clock" into "draw and compare" — the SimSpeedIdle row's speedup.
+// clock" into "draw and compare" — what the idle-64 workload measures.
 //
 // Only the serial engine fast-forwards: parallel epochs pipeline
 // instead, and the two stepping modes stay bit-identical because both

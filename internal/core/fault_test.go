@@ -243,7 +243,6 @@ func TestFaultConservationQuick(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		s.Controllers().Start()
 		limit := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainLimitCycles
 		for s.Measurement().Phase() != stats.Done && s.Cycle() < limit {
 			s.Step()

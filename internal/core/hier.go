@@ -29,10 +29,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/ctrl"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -98,25 +98,20 @@ func deriveSeed(seed, tier, idx uint64) uint64 {
 	return splitmix64(splitmix64(seed^(tier+1)*0xa3c59ac2f1234567) + idx)
 }
 
-// Hier assembles and runs a hierarchical (multi-tier) simulation. Build
-// one with NewHier (or Runner.Hier for pooled slab reuse across jobs),
-// optionally attach telemetry/sinks, then call Run or RunContext.
+// Hier is the plan of a hierarchical (multi-tier) simulation: the
+// validated topology and the derived per-rack and fabric subsystem
+// configurations. Runner.RunContext builds one per multi-tier run and
+// executes it on its pooled subsystems.
 type Hier struct {
 	cfg     Config
 	top     *topology.Hier
 	rackCfg Config // per-rack template; Seed is set per instance
 	fabCfg  Config // tier-1 fabric
-
-	rack *Runner
-	fab  *Runner
-
-	telCfg *TelemetryConfig
-	sinks  []telemetry.Sink
-	tels   []HierTelemetry
 }
 
 // HierTelemetry hands back one subsystem's collector after a run,
-// labeled by tier and instance; its series names carry Prefix.
+// labeled by tier and instance; its series names carry Prefix. A flat
+// run has a single entry (tier 0, instance 0).
 type HierTelemetry struct {
 	Tier     int
 	Instance int // rack index at tier 0; 0 at tier 1
@@ -126,7 +121,7 @@ type HierTelemetry struct {
 
 // NewHier validates a multi-tier configuration and plans its subsystem
 // runs. Flat configurations are rejected — run them through NewSystem;
-// RunContext dispatches automatically.
+// Runner.RunContext dispatches automatically.
 func NewHier(cfg Config) (*Hier, error) {
 	cfg = cfg.tiersApplied()
 	if !cfg.MultiTier() {
@@ -139,7 +134,7 @@ func NewHier(cfg Config) (*Hier, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &Hier{cfg: cfg, top: top, rack: &Runner{}, fab: &Runner{}}
+	h := &Hier{cfg: cfg, top: top}
 
 	rate := cfg.Rate()
 	fIntra := top.IntraFraction()
@@ -192,49 +187,15 @@ func NewHier(cfg Config) (*Hier, error) {
 	return h, nil
 }
 
-// Hier plans a hierarchical run whose subsystems reuse this Runner's
-// pooled systems: consecutive hierarchical jobs on one shape reset the
-// rack and fabric slabs in place instead of reconstructing them.
-func (r *Runner) Hier(cfg Config) (*Hier, error) {
-	h, err := NewHier(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if r.rack == nil {
-		r.rack = &Runner{}
-		r.fab = &Runner{}
-	}
-	h.rack, h.fab = r.rack, r.fab
-	return h, nil
-}
-
-// Topology returns the validated hierarchical topology.
-func (h *Hier) Topology() *topology.Hier { return h.top }
-
-// EnableTelemetry arranges for every subsystem run to collect metrics;
-// each subsystem's series are prefixed "tier0/rack<i>/" or "tier1/".
-// Call before Run; collectors are available from Telemetries after.
-func (h *Hier) EnableTelemetry(tc TelemetryConfig) {
-	h.telCfg = &tc
-}
-
-// AttachSink streams every subsystem's telemetry events into sink, in
-// subsystem order (racks 0..R−1, then the fabric). Call before Run.
-func (h *Hier) AttachSink(sink telemetry.Sink) {
-	h.sinks = append(h.sinks, sink)
-}
-
-// Telemetries returns the per-subsystem collectors of the last run
-// (nil until EnableTelemetry and a run).
-func (h *Hier) Telemetries() []HierTelemetry { return h.tels }
-
-// Run executes the hierarchical simulation; see RunContext.
-func (h *Hier) Run() (*Result, error) {
-	return h.RunContext(context.Background())
+// RunContext executes the plan on a throw-away Runner; see
+// Runner.RunContext, which also pools the subsystems across runs and
+// carries telemetry attachments.
+func (h *Hier) RunContext(ctx context.Context) (*Result, error) {
+	return h.run(ctx, new(Runner))
 }
 
 // subRun captures one subsystem's Result plus the fabric-level values
-// (supply ceiling, integrated energy) that only exist pre-teardown.
+// (supply ceiling, integrated energy) its Result does not carry.
 type subRun struct {
 	res         *Result
 	supplyBound float64
@@ -242,247 +203,197 @@ type subRun struct {
 	nodes       int
 }
 
-// RunContext runs the R rack subsystems and the tier-1 fabric
-// sequentially, aggregating their metrics into one Result with a
-// per-tier breakdown. Cancellation is checked inside every subsystem
-// run at window boundaries; a cancelled run returns the aggregate of
-// the completed portion alongside the *CancelledError.
-func (h *Hier) RunContext(ctx context.Context) (*Result, error) {
-	h.tels = nil
-	racks := h.top.Racks()
-	runOne := func(runner *Runner, cfg Config, tier, inst int) (subRun, error) {
-		sys, err := runner.System(cfg)
-		if err != nil {
-			return subRun{}, err
+// runSub runs one subsystem of a hierarchical run on the pooled
+// sub-Runner, forwarding r's sinks and — under the subsystem's series
+// prefix — its telemetry request, and collecting the subsystem's
+// collector into r.tels.
+func (r *Runner) runSub(ctx context.Context, sub *Runner, cfg Config, tier, inst int) (subRun, error) {
+	sub.sinks = r.sinks
+	if r.telCfg != nil {
+		tc := *r.telCfg
+		tc.Prefix = fmt.Sprintf("tier%d/", tier)
+		if tier == 0 {
+			tc.Prefix = fmt.Sprintf("tier%d/rack%d/", tier, inst)
 		}
-		if h.telCfg != nil {
-			tc := *h.telCfg
-			if tc.Window == 0 {
-				tc.Window = cfg.Window
-			}
-			prefix := fmt.Sprintf("tier%d/", tier)
-			if tier == 0 {
-				prefix = fmt.Sprintf("tier%d/rack%d/", tier, inst)
-			}
-			tc.Prefix = prefix
-			h.tels = append(h.tels, HierTelemetry{Tier: tier, Instance: inst, Prefix: prefix, T: sys.EnableTelemetry(tc)})
-		}
-		for _, sink := range h.sinks {
-			sys.AttachSink(sink)
-		}
-		res, runErr := sys.RunContext(ctx)
-		sr := subRun{res: res, nodes: cfg.Boards * cfg.NodesPerBoard}
-		if res != nil {
-			sr.supplyBound = sys.Fabric().SupplyBoundMW()
-			sr.dynamicNJ = sys.Fabric().Meter().DynamicEnergyNJ()
-		}
-		return sr, runErr
+		sub.telCfg = &tc
 	}
+	res, err := sub.RunContext(ctx, cfg)
+	for _, ht := range sub.tels {
+		r.tels = append(r.tels, HierTelemetry{Tier: tier, Instance: inst, Prefix: ht.Prefix, T: ht.T})
+	}
+	sr := subRun{res: res, nodes: cfg.Boards * cfg.NodesPerBoard}
+	if res != nil {
+		sr.supplyBound = sub.sys.fab.SupplyBoundMW()
+		sr.dynamicNJ = sub.sys.fab.Meter().DynamicEnergyNJ()
+	}
+	return sr, err
+}
 
-	rackRuns := make([]subRun, 0, racks)
+// run executes the R rack subsystems and the tier-1 fabric
+// sequentially on r's pooled sub-Runners, folding their metrics into
+// one Result with a per-tier breakdown. Cancellation is checked inside
+// every subsystem run at window boundaries; a cancelled run returns the
+// aggregate of the completed portion alongside the *CancelledError.
+func (h *Hier) run(ctx context.Context, r *Runner) (*Result, error) {
+	if r.rack == nil {
+		r.rack, r.fab = new(Runner), new(Runner)
+	}
+	n := float64(h.top.TotalNodes())
+	all, tier0, tier1 := fold{n: n}, fold{n: n}, fold{n: n}
 	var cancelled *CancelledError
-	for i := 0; i < racks; i++ {
+	for i := 0; i < h.top.Racks() && cancelled == nil; i++ {
 		cfg := h.rackCfg
 		cfg.Seed = deriveSeed(h.cfg.Seed, 0, uint64(i))
-		sr, err := runOne(h.rack, cfg, 0, i)
-		if err != nil {
-			var ce *CancelledError
-			if asCancelled(err, &ce) && sr.res != nil {
-				rackRuns = append(rackRuns, sr)
-				cancelled = ce
-				break
-			}
+		sr, err := r.runSub(ctx, r.rack, cfg, 0, i)
+		if err != nil && !(errors.As(err, &cancelled) && sr.res != nil) {
 			return nil, fmt.Errorf("core: tier-0 rack %d: %w", i, err)
 		}
-		rackRuns = append(rackRuns, sr)
+		all.add(sr)
+		tier0.add(sr)
 	}
-	var fabRun *subRun
+	tiers := []TierResult{tier0.tier(0, h.rackCfg)}
 	if cancelled == nil {
-		sr, err := runOne(h.fab, h.fabCfg, 1, 0)
-		if err != nil {
-			var ce *CancelledError
-			if asCancelled(err, &ce) && sr.res != nil {
-				cancelled = ce
-			} else {
-				return nil, fmt.Errorf("core: tier-1 fabric: %w", err)
-			}
+		sr, err := r.runSub(ctx, r.fab, h.fabCfg, 1, 0)
+		if err != nil && !(errors.As(err, &cancelled) && sr.res != nil) {
+			return nil, fmt.Errorf("core: tier-1 fabric: %w", err)
 		}
-		if sr.res != nil {
-			fabRun = &sr
-		}
+		all.add(sr)
+		tier1.add(sr)
+		tiers = append(tiers, tier1.tier(1, h.fabCfg))
 	}
-	res := h.merge(rackRuns, fabRun)
+	res := all.result()
+	res.Mode = h.cfg.Mode
+	res.Pattern = h.cfg.Pattern
+	res.Policy = h.cfg.PolicyName()
+	res.Load = h.cfg.Load
+	res.Rate = h.cfg.Rate()
+	res.Capacity = h.cfg.Capacity()
+	res.Tiers = tiers
 	if cancelled != nil {
 		return res, cancelled
 	}
 	return res, nil
 }
 
-// asCancelled reports whether err is a *CancelledError, unwrapping it.
-func asCancelled(err error, out **CancelledError) bool {
-	ce, ok := err.(*CancelledError)
-	if ok {
-		*out = ce
-	}
-	return ok
+// fold accumulates subsystem results into one Result. Additive
+// quantities (power, counters, packet counts) sum; per-node rates are
+// carried shares that sum across subsystems; latency statistics are
+// sample-weighted. The whole run and each tier fold the same way, over
+// different subsets of the subsystems.
+type fold struct {
+	n       float64 // global node count
+	systems int
+	r       Result
+
+	latW, latSum, netSum, p50, p95, p99 float64
+	bits, energyNJ                      float64
+	labInj, labDel                      float64
+	fairW, fairSum                      float64
+	supplyBound                         float64
 }
 
-// merge folds the subsystem results into one Result plus the per-tier
-// breakdown. Additive quantities (power, counters, packet counts) sum;
-// per-node rates are carried shares that sum across tiers; latency
-// statistics are sample-weighted.
-func (h *Hier) merge(rackRuns []subRun, fabRun *subRun) *Result {
-	cfg := h.cfg
-	n := float64(h.top.TotalNodes())
+func (f *fold) add(sr subRun) {
+	sub, r := sr.res, &f.r
+	f.systems++
+	// Per-node rates scale by the subsystem's share of the N global
+	// nodes; every global node appears once per tier, so tier shares
+	// add up to the run totals.
+	nodes := float64(sr.nodes)
+	r.Throughput += sub.Throughput * nodes / f.n
+	r.OfferedLoad += sub.OfferedLoad * nodes / f.n
 
-	t0 := h.tierResult(0, rackRuns)
-	tiers := []TierResult{t0}
-	if fabRun != nil {
-		tiers = append(tiers, h.tierResult(1, []subRun{*fabRun}))
+	w := float64(sub.Samples)
+	f.latW += w
+	f.latSum += sub.AvgLatency * w
+	f.netSum += sub.AvgNetLatency * w
+	f.p50 += sub.P50Latency * w
+	f.p95 += sub.P95Latency * w
+	f.p99 += sub.P99Latency * w
+	if sub.MaxLatency > r.MaxLatency {
+		r.MaxLatency = sub.MaxLatency
+	}
+	r.Samples += sub.Samples
+
+	r.PowerDynamicMW += sub.PowerDynamicMW
+	r.PowerSupplyMW += sub.PowerSupplyMW
+	f.supplyBound += sr.supplyBound
+	f.energyNJ += sr.dynamicNJ
+	if sub.EnergyPerBitPJ > 0 {
+		f.bits += sr.dynamicNJ * 1e3 / sub.EnergyPerBitPJ
 	}
 
-	r := &Result{
-		Mode:     cfg.Mode,
-		Pattern:  cfg.Pattern,
-		Policy:   cfg.PolicyName(),
-		Load:     cfg.Load,
-		Rate:     cfg.Rate(),
-		Capacity: cfg.Capacity(),
-		Tiers:    tiers,
+	r.Ctrl = r.Ctrl.Add(sub.Ctrl)
+	r.Wakes += sub.Wakes
+	if sub.Cycles > r.Cycles {
+		r.Cycles = sub.Cycles
 	}
-	var latW, latSum, netSum, p50, p95, p99 float64
-	var bits, energyNJ float64
-	var labInj, labDel float64
-	var fairW, fairSum float64
-	all := make([]subRun, 0, len(rackRuns)+1)
-	all = append(all, rackRuns...)
-	if fabRun != nil {
-		all = append(all, *fabRun)
+	r.Truncated = r.Truncated || sub.Truncated
+	r.Injected += sub.Injected
+	r.Delivered += sub.Delivered
+	if sub.MaxSourceQueue > r.MaxSourceQueue {
+		r.MaxSourceQueue = sub.MaxSourceQueue
 	}
-	for _, sr := range all {
-		sub := sr.res
-		nodes := float64(sr.nodes)
-		// Per-node rates scale by the subsystem's share of the N global
-		// nodes; every global node appears once per tier, so tier shares
-		// add up to the run totals.
-		r.Throughput += sub.Throughput * nodes / n
-		r.OfferedLoad += sub.OfferedLoad * nodes / n
+	f.fairW += float64(sub.Delivered)
+	f.fairSum += sub.Fairness * float64(sub.Delivered)
 
-		w := float64(sub.Samples)
-		latW += w
-		latSum += sub.AvgLatency * w
-		netSum += sub.AvgNetLatency * w
-		p50 += sub.P50Latency * w
-		p95 += sub.P95Latency * w
-		p99 += sub.P99Latency * w
-		if sub.MaxLatency > r.MaxLatency {
-			r.MaxLatency = sub.MaxLatency
-		}
-		r.Samples += sub.Samples
-
-		r.PowerDynamicMW += sub.PowerDynamicMW
-		r.PowerSupplyMW += sub.PowerSupplyMW
-		energyNJ += sr.dynamicNJ
-		if sub.EnergyPerBitPJ > 0 {
-			bits += sr.dynamicNJ * 1e3 / sub.EnergyPerBitPJ
-		}
-
-		r.Ctrl = r.Ctrl.Add(sub.Ctrl)
-		r.Wakes += sub.Wakes
-		if sub.Cycles > r.Cycles {
-			r.Cycles = sub.Cycles
-		}
-		r.Truncated = r.Truncated || sub.Truncated
-		r.Injected += sub.Injected
-		r.Delivered += sub.Delivered
-		if sub.MaxSourceQueue > r.MaxSourceQueue {
-			r.MaxSourceQueue = sub.MaxSourceQueue
-		}
-		fairW += float64(sub.Delivered)
-		fairSum += sub.Fairness * float64(sub.Delivered)
-
-		if sub.DeliveredFraction > 0 {
-			li := float64(sub.Samples) / sub.DeliveredFraction
-			labInj += li
-			labDel += float64(sub.Samples)
-		}
+	if sub.DeliveredFraction > 0 {
+		f.labInj += float64(sub.Samples) / sub.DeliveredFraction
+		f.labDel += float64(sub.Samples)
 	}
-	if latW > 0 {
-		r.AvgLatency = latSum / latW
-		r.AvgNetLatency = netSum / latW
-		r.P50Latency = p50 / latW
-		r.P95Latency = p95 / latW
-		r.P99Latency = p99 / latW
+}
+
+// result finishes the weighted means and returns the folded Result.
+func (f *fold) result() *Result {
+	r := f.r
+	if f.latW > 0 {
+		r.AvgLatency = f.latSum / f.latW
+		r.AvgNetLatency = f.netSum / f.latW
+		r.P50Latency = f.p50 / f.latW
+		r.P95Latency = f.p95 / f.latW
+		r.P99Latency = f.p99 / f.latW
 	}
-	if bits > 0 {
-		r.EnergyPerBitPJ = energyNJ * 1e3 / bits
+	if f.bits > 0 {
+		r.EnergyPerBitPJ = f.energyNJ * 1e3 / f.bits
 	}
 	r.DeliveredFraction = 1
-	if labInj > 0 {
-		r.DeliveredFraction = labDel / labInj
+	if f.labInj > 0 {
+		r.DeliveredFraction = f.labDel / f.labInj
 	}
-	if fairW > 0 {
-		r.Fairness = fairSum / fairW
+	if f.fairW > 0 {
+		r.Fairness = f.fairSum / f.fairW
 	}
-	return r
+	return &r
 }
 
-// tierResult aggregates the instances of one tier.
-func (h *Hier) tierResult(tier int, runs []subRun) TierResult {
-	n := float64(h.top.TotalNodes())
-	level := h.top.Level(tier)
-	cfg := h.rackCfg
-	if tier == 1 {
-		cfg = h.fabCfg
-	}
-	t := TierResult{
+// tier renders the fold as one tier's slice of the breakdown; cfg is
+// the tier's subsystem configuration.
+func (f *fold) tier(tier int, cfg Config) TierResult {
+	r := f.result()
+	return TierResult{
 		Tier:          tier,
-		Systems:       len(runs),
-		Boards:        level.Boards(),
-		NodesPerBoard: level.NodesPerBoard(),
+		Systems:       f.systems,
+		Boards:        cfg.Boards,
+		NodesPerBoard: cfg.NodesPerBoard,
 		Window:        cfg.Window,
 		Policy:        cfg.PolicyName(),
+
+		Throughput:  r.Throughput,
+		OfferedLoad: r.OfferedLoad,
+		AvgLatency:  r.AvgLatency,
+		P95Latency:  r.P95Latency,
+		Samples:     r.Samples,
+
+		PowerDynamicMW: r.PowerDynamicMW,
+		PowerSupplyMW:  r.PowerSupplyMW,
+		SupplyBoundMW:  f.supplyBound,
+		EnergyPerBitPJ: r.EnergyPerBitPJ,
+
+		Ctrl:  r.Ctrl,
+		Wakes: r.Wakes,
+
+		Injected:          r.Injected,
+		Delivered:         r.Delivered,
+		DeliveredFraction: r.DeliveredFraction,
+		Truncated:         r.Truncated,
 	}
-	var latW, latSum, p95 float64
-	var bits, energyNJ float64
-	var labInj, labDel float64
-	for _, sr := range runs {
-		sub := sr.res
-		nodes := float64(sr.nodes)
-		t.Throughput += sub.Throughput * nodes / n
-		t.OfferedLoad += sub.OfferedLoad * nodes / n
-		w := float64(sub.Samples)
-		latW += w
-		latSum += sub.AvgLatency * w
-		p95 += sub.P95Latency * w
-		t.Samples += sub.Samples
-		t.PowerDynamicMW += sub.PowerDynamicMW
-		t.PowerSupplyMW += sub.PowerSupplyMW
-		t.SupplyBoundMW += sr.supplyBound
-		energyNJ += sr.dynamicNJ
-		if sub.EnergyPerBitPJ > 0 {
-			bits += sr.dynamicNJ * 1e3 / sub.EnergyPerBitPJ
-		}
-		t.Ctrl = t.Ctrl.Add(sub.Ctrl)
-		t.Wakes += sub.Wakes
-		t.Injected += sub.Injected
-		t.Delivered += sub.Delivered
-		t.Truncated = t.Truncated || sub.Truncated
-		if sub.DeliveredFraction > 0 {
-			labInj += float64(sub.Samples) / sub.DeliveredFraction
-			labDel += float64(sub.Samples)
-		}
-	}
-	if latW > 0 {
-		t.AvgLatency = latSum / latW
-		t.P95Latency = p95 / latW
-	}
-	if bits > 0 {
-		t.EnergyPerBitPJ = energyNJ * 1e3 / bits
-	}
-	t.DeliveredFraction = 1
-	if labInj > 0 {
-		t.DeliveredFraction = labDel / labInj
-	}
-	return t
 }

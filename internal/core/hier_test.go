@@ -243,15 +243,12 @@ func TestHierRunnerReuse(t *testing.T) {
 // labeled, with every series name carrying its tier/instance prefix.
 func TestHierTelemetryPrefixes(t *testing.T) {
 	cfg := hierTestConfig(2, 4, 2)
-	h, err := NewHier(cfg)
-	if err != nil {
+	var r Runner
+	r.EnableTelemetry(TelemetryConfig{EventCap: -1})
+	if _, err := r.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	h.EnableTelemetry(TelemetryConfig{EventCap: -1})
-	if _, err := h.RunContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	tels := h.Telemetries()
+	tels := r.Telemetries()
 	if len(tels) != 3 {
 		t.Fatalf("len(Telemetries) = %d, want 3 (2 racks + fabric)", len(tels))
 	}

@@ -49,7 +49,6 @@ func oracleProfile(cfg Config, ladder *power.Ladder) (*policy.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.ctl.Start()
 	s.StepN(pcfg.WarmupCycles + pcfg.MeasureCycles)
 	s.eng.Stop()
 	s.eng.Shutdown()

@@ -188,7 +188,7 @@ func (s *System) Close() {
 // injectors (each on its own derived RNG stream) and record the
 // positive draws, in node order, in the board's outbox.
 func (s *System) drawBoard(bi int) {
-	base := s.top.NodeID(0, bi, 0)
+	base := s.top.NodeID(bi, 0)
 	d := s.top.NodesPerBoard()
 	ob := &s.par.outboxes[bi]
 	draws := ob.draws[:0]
@@ -205,7 +205,7 @@ func (s *System) drawBoard(bi int) {
 // before admission), so each injector's state is saved first, giving
 // invalidateSpec an exact rewind point.
 func (s *System) drawBoardSpec(bi int) {
-	base := s.top.NodeID(0, bi, 0)
+	base := s.top.NodeID(bi, 0)
 	d := s.top.NodesPerBoard()
 	ob := &s.par.outboxes[bi]
 	draws := ob.draws[:0]
@@ -232,7 +232,7 @@ func (s *System) invalidateSpec() {
 	par.specHave = false
 	for bi := range par.outboxes {
 		ob := &par.outboxes[bi]
-		base := s.top.NodeID(0, bi, 0)
+		base := s.top.NodeID(bi, 0)
 		for i := range ob.preDraw {
 			s.injectors[base+i].Restore(ob.preDraw[i])
 		}
@@ -261,7 +261,7 @@ func (s *System) admit(now uint64) {
 // mature next cycle (flit readyAt and credit stamps are > now), so
 // per-board grouping commutes with the serial all-NICs-first order.
 func (s *System) tickBoardCompute(bi int, now uint64) {
-	base := s.top.NodeID(0, bi, 0)
+	base := s.top.NodeID(bi, 0)
 	d := s.top.NodesPerBoard()
 	for n := base; n < base+d; n++ {
 		if nic := s.nics[n]; nic.HasWork() {

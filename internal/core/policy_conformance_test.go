@@ -97,7 +97,6 @@ func TestPolicyConformanceFaultedConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Controllers().Start()
 			limit := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainLimitCycles
 			for s.Measurement().Phase() != stats.Done && s.Cycle() < limit {
 				s.Step()

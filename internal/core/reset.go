@@ -4,23 +4,19 @@
 // depends only on the topology and the per-component capacities: the
 // fabric's channel/laser/transmitter slabs (O(B³) lasers), the engine,
 // and the packet block pool. Reset rewinds all of that in place and
-// rebuilds only the genuinely per-run state — controllers (the policy
-// may differ), injectors (seed, pattern, rate), fault injector,
-// measurement — so a fleet that replays many runs on one topology
-// (sweep replication, the policy compare harness, the service worker
-// pool) skips reconstruction entirely. A reset system is
-// bit-identical to a fresh NewSystem with the same config: same
-// Result, same telemetry stream, same digest.
+// then runs initRun — the per-run initialiser NewSystem itself ends
+// with — so a fleet that replays many runs on one topology (sweep
+// workers, the policy compare harness, the service worker pool) skips
+// reconstruction entirely. A reset system is bit-identical to a fresh
+// NewSystem with the same config: same Result, same telemetry stream,
+// same digest.
 package core
 
 import (
 	"context"
 	"fmt"
 
-	"repro/internal/ctrl"
-	"repro/internal/fault"
-	"repro/internal/policy"
-	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // resetIncompat reports which structural aspect of the configuration
@@ -69,61 +65,24 @@ func (s *System) Reset(cfg Config) error {
 	if reason := resetIncompat(s.cfg, cfg); reason != "" {
 		return fmt.Errorf("core: Reset: %s changed, which requires reconstruction; use NewSystem", reason)
 	}
-	if _, err := cfg.topology(); err != nil {
-		return err
-	}
-	ladder, err := cfg.ladder()
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	// Tear down live execution state. The old worker pool is closed (a
-	// completed run's teardown already did; Close is idempotent) and the
-	// engine and fabric rewind in place.
+	// completed run's teardown already did; Close is idempotent), the old
+	// RC processes died with the previous run, and the engine and fabric
+	// rewind in place.
 	if s.par != nil {
 		s.par.pool.Close()
 		s.par = nil
 	}
 	s.eng.Reset()
 	s.fab.Reset()
-	// Rebuild the control plane: RC processes are engine processes (the
-	// old ones died with the previous run) and the policy may differ.
-	cc := cfg.ctrlConfig()
-	if cc.Policy.CanonicalName() == "oracle-static" {
-		prof, err := oracleProfile(cfg, ladder)
-		if err != nil {
-			return fmt.Errorf("core: oracle profiling pre-pass: %w", err)
-		}
-		spec := cc.Policy
-		cc.NewPolicy = func(b int) policy.Policy {
-			return policy.NewOracleStatic(policyParams(cfg, cc, ladder, b, spec), prof)
-		}
-	}
-	ctl, err := ctrl.NewSystem(s.top, s.fab, s.eng, cc)
-	if err != nil {
-		return err
-	}
-	s.cfg = cfg
-	s.ctl = ctl
-	s.meas = stats.NewMeasurement(cfg.WarmupCycles, cfg.MeasureCycles)
-	s.lastPhase = -1
-	s.faults = nil
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		inj, err := fault.New(s.fab, cfg.Window, cfg.Seed, cfg.Faults)
-		if err != nil {
-			return err
-		}
-		s.faults = inj
-		s.fab.SetDropHook(s.onFaultDrop)
-		if cfg.Faults.HasCtrlFaults() {
-			ctl.SetRingFault(inj)
-		}
-	}
 	// Clear per-run accounting and attachments, then rewind the electrical
 	// domain in place: NICs, IBI routers, ejectors and receivers keep their
 	// wiring (sinks, credit paths, deliver callbacks all point at retained
-	// objects) and only the injectors — whose construction depends on
-	// per-run parameters — are rebuilt. Recycled packets in the free pool
-	// carry over: injectOne fully re-stamps them.
+	// objects). Recycled packets in the free pool carry over: injectOne
+	// fully re-stamps them.
 	s.nextPkt = 0
 	s.injected, s.delivered, s.droppedByFault = 0, 0, 0
 	s.cycle, s.nextCycle = 0, 0
@@ -148,48 +107,62 @@ func (s *System) Reset(cfg Config) error {
 	for i := range s.deliveredPerNode {
 		s.deliveredPerNode[i] = 0
 	}
-	if err := s.buildInjectors(); err != nil {
-		return err
-	}
-	if cfg.Workers > 1 {
-		s.enableParallel(cfg.Workers)
-	}
-	if cfg.PhaseProfile {
-		s.enablePhaseProfile()
-	}
-	return nil
-}
-
-// ResetSeed is Reset with only the seed changed: the replication fast
-// path (sweep.Replicate steps the seed per replicate on an otherwise
-// fixed config).
-func (s *System) ResetSeed(seed uint64) error {
-	cfg := s.cfg
-	cfg.Seed = seed
-	return s.Reset(cfg)
+	return s.initRun(cfg, nil)
 }
 
 // Runner executes simulation runs back-to-back, transparently reusing
 // one pooled System across structurally compatible configurations via
 // Reset and falling back to fresh construction when the shape changes.
-// The zero value is ready to use. A Runner is not safe for concurrent
-// use: give each worker goroutine of a fleet (sweep workers, service
-// workers) its own, so repeat jobs on one topology skip slab, heap and
-// topology reconstruction entirely.
+// It is the one place a Config is dispatched to an engine: flat configs
+// run on the pooled System, multi-tier configs on the hierarchical
+// engine over pooled rack and fabric sub-Runners. The zero value is
+// ready to use. A Runner is not safe for concurrent use: give each
+// worker goroutine of a fleet (sweep workers, service workers) its own,
+// so repeat jobs on one topology skip slab, heap and topology
+// reconstruction entirely.
 type Runner struct {
 	sys *System
-	// rack and fab pool the subsystems of hierarchical runs (see
-	// Runner.Hier): consecutive multi-tier jobs on one shape reset the
-	// rack and fabric slabs in place.
-	rack *Runner
-	fab  *Runner
+	// rack and fab pool the subsystems of hierarchical runs: consecutive
+	// multi-tier jobs on one shape reset the rack and fabric slabs in
+	// place.
+	rack, fab *Runner
+
+	// sinks and telCfg are the observation requests for the next run
+	// (AttachSink, EnableTelemetry); RunContext consumes them.
+	sinks  []telemetry.Sink
+	telCfg *TelemetryConfig
+	// tels and phase are what the last run collected.
+	tels  []HierTelemetry
+	phase *PhaseProfile
 }
 
-// System returns a system assembled for cfg: the pooled one reset in
+// AttachSink streams the next run's telemetry events into sink; a
+// hierarchical run streams every subsystem's events in subsystem order
+// (racks 0..R−1, then the fabric). The attachment lasts one run.
+func (r *Runner) AttachSink(sink telemetry.Sink) {
+	r.sinks = append(r.sinks, sink)
+}
+
+// EnableTelemetry arranges for the next run to collect per-window
+// metrics; the collectors are available from Telemetries afterwards.
+// Like AttachSink it lasts one run.
+func (r *Runner) EnableTelemetry(tc TelemetryConfig) {
+	r.telCfg = &tc
+}
+
+// Telemetries returns the collectors of the last run: one for a flat
+// run, one per subsystem for a hierarchical run (series prefixed
+// "tier0/rack<i>/" or "tier1/"). Nil unless EnableTelemetry preceded
+// the run.
+func (r *Runner) Telemetries() []HierTelemetry { return r.tels }
+
+// PhaseProfile returns the last run's phase profiler, or nil when
+// Config.PhaseProfile was false (always, for hierarchical runs).
+func (r *Runner) PhaseProfile() *PhaseProfile { return r.phase }
+
+// system returns a system assembled for cfg: the pooled one reset in
 // place when structurally compatible, a fresh construction otherwise.
-// The caller owns the returned system until its run completes (attach
-// sinks before stepping); the Runner retains it for the next call.
-func (r *Runner) System(cfg Config) (*System, error) {
+func (r *Runner) system(cfg Config) (*System, error) {
 	if sys := r.sys; sys != nil && sys.ResetCompatible(cfg) {
 		if err := sys.Reset(cfg); err == nil {
 			return sys, nil
@@ -206,22 +179,38 @@ func (r *Runner) System(cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// RunContext executes one run of cfg through the pooled system,
-// bit-identical to core.RunContext(ctx, cfg). Multi-tier configs run
-// through the hierarchical engine on pooled rack/fabric subsystems.
+// RunContext executes one run of cfg with cooperative cancellation: the
+// context is checked once per reconfiguration-window boundary, so a
+// cancelled run returns within one R_w window with a partial Result and
+// a *CancelledError (never a wedge, and never a perturbed result — the
+// completed prefix is bit-identical to the uncancelled run).
+//
+// Multi-tier configurations (len(cfg.Tiers) >= 2) run on the
+// hierarchical engine: R rack subsystems plus the inter-rack fabric,
+// aggregated into one Result with a per-tier breakdown (Result.Tiers).
 func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
+	r.tels, r.phase = nil, nil
+	defer func() { r.sinks, r.telCfg = nil, nil }()
 	if cfg.MultiTier() {
-		h, err := r.Hier(cfg)
+		h, err := NewHier(cfg)
 		if err != nil {
 			return nil, err
 		}
-		return h.RunContext(ctx)
+		return h.run(ctx, r)
 	}
-	sys, err := r.System(cfg)
+	sys, err := r.system(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return sys.RunContext(ctx)
+	if r.telCfg != nil {
+		r.tels = []HierTelemetry{{Prefix: r.telCfg.Prefix, T: sys.EnableTelemetry(*r.telCfg)}}
+	}
+	for _, sink := range r.sinks {
+		sys.AttachSink(sink)
+	}
+	res, err := sys.RunContext(ctx)
+	r.phase = sys.phaseProf
+	return res, err
 }
 
 // Run is RunContext without cancellation.

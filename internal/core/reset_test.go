@@ -106,25 +106,6 @@ func TestResetParallel(t *testing.T) {
 	assertIdentical(t, "reset back to serial", refRes, refEvs, res, evs)
 }
 
-// TestResetSeed pins the replication fast path.
-func TestResetSeed(t *testing.T) {
-	cfg := fastConfig(PB)
-	cfg.Seed = 7
-	refRes, refEvs := runWorkers(t, cfg, 1)
-	s, err := NewSystem(fastConfig(PB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if err := s.ResetSeed(7); err != nil {
-		t.Fatalf("ResetSeed: %v", err)
-	}
-	sink := &captureSink{}
-	s.AttachSink(sink)
-	res := s.Run()
-	assertIdentical(t, "reset seed", refRes, refEvs, res, sink.evs)
-}
-
 // TestResetIncompatible pins the structural-compatibility boundary:
 // slab-shaping fields reject, per-run fields accept.
 func TestResetIncompatible(t *testing.T) {

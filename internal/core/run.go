@@ -13,28 +13,9 @@ func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
 
-// RunContext is Run with cooperative cancellation: the context is
-// checked once per reconfiguration-window boundary, so a cancelled run
-// returns within one R_w window with a partial Result and a
-// *CancelledError (never a wedge, and never a perturbed result — the
-// completed prefix is bit-identical to the uncancelled run).
-//
-// Multi-tier configurations (len(cfg.Tiers) >= 2) dispatch to the
-// hierarchical engine: R rack subsystems plus the inter-rack fabric,
-// aggregated into one Result with a per-tier breakdown (Result.Tiers).
+// RunContext is Runner.RunContext on a throw-away Runner.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.MultiTier() {
-		h, err := NewHier(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return h.RunContext(ctx)
-	}
-	s, err := NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunContext(ctx)
+	return new(Runner).RunContext(ctx, cfg)
 }
 
 // Run executes the measurement methodology of Sec. 4 on an assembled
@@ -47,11 +28,10 @@ func (s *System) Run() *Result {
 }
 
 // RunContext is Run with cooperative cancellation checked once per
-// reconfiguration window (see the package-level RunContext). On
-// cancellation it still tears the system down cleanly and returns the
-// metrics of the completed portion alongside a *CancelledError.
+// reconfiguration window (see Runner.RunContext). On cancellation it
+// still tears the system down cleanly and returns the metrics of the
+// completed portion alongside a *CancelledError.
 func (s *System) RunContext(ctx context.Context) (*Result, error) {
-	s.ctl.Start()
 	limit := s.cfg.WarmupCycles + s.cfg.MeasureCycles + s.cfg.DrainLimitCycles
 	window := s.cfg.Window
 	truncated := false

@@ -100,7 +100,6 @@ func TestSetInjectionRateDiscardsStagedDraws(t *testing.T) {
 		}
 		sink := &captureSink{}
 		s.AttachSink(sink)
-		s.Controllers().Start()
 		s.StepN(1234) // mid-window: the pipelined path now holds staged draws for cycle 1234
 		s.SetInjectionRate(0.09)
 		s.StepN(777)

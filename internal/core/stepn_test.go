@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // This file pins the StepN stepping contract at its edges: the no-op
@@ -27,7 +29,6 @@ func TestStepNZero(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			s.Controllers().Start()
 			if got := s.StepN(5); got != 4 {
 				t.Fatalf("StepN(5) from cold = %d, want 4 (cycles 0..4)", got)
 			}
@@ -63,7 +64,6 @@ func TestStepNStopsAtDone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Controllers().Start()
 		last := s.StepN(huge)
 		s.Close()
 		if s.Measurement().Phase() != stats.Done {
@@ -107,7 +107,6 @@ func TestStepNChunkInvariance(t *testing.T) {
 		}
 		sink := &captureSink{}
 		s.AttachSink(sink)
-		s.Controllers().Start()
 		limit := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainLimitCycles
 		for s.Measurement().Phase() != stats.Done && s.Cycle() < limit {
 			s.StepN(chunk)
@@ -159,7 +158,6 @@ func TestStepPastDone(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			s.Controllers().Start()
 			limit := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainLimitCycles
 			for s.Measurement().Phase() != stats.Done && s.Cycle() < limit {
 				s.StepN(cfg.Window)
@@ -181,5 +179,41 @@ func TestStepPastDone(t *testing.T) {
 				t.Errorf("conservation broken past Done: injected %d < delivered %d + dropped %d", inj, del, drop)
 			}
 		})
+	}
+}
+
+// TestNewSystemReadyToStep: a constructed system needs no explicit
+// Controllers().Start() — stepping it through two windows runs the LS
+// protocol, and an explicit Start (idempotent) changes nothing.
+func TestNewSystemReadyToStep(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		cfg := fastConfig(PB)
+		cfg.Pattern = "complement"
+		cfg.Workers = workers
+		step := func(start bool) (*System, []telemetry.Event) {
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := &captureSink{}
+			s.AttachSink(sink)
+			if start {
+				s.Controllers().Start()
+			}
+			s.StepN(2*cfg.Window + 1)
+			s.Close()
+			return s, sink.evs
+		}
+		lazy, lazyEvs := step(false)
+		started, startedEvs := step(true)
+		if got := lazy.Controllers().Counters(); got.Windows == 0 {
+			t.Errorf("workers=%d: no LS window ran without an explicit Start", workers)
+		} else if got != started.Controllers().Counters() {
+			t.Errorf("workers=%d: ctrl counters %+v, explicitly started %+v", workers, got, started.Controllers().Counters())
+		}
+		if !reflect.DeepEqual(lazyEvs, startedEvs) {
+			t.Errorf("workers=%d: event stream differs from the explicitly started run (%d vs %d events)",
+				workers, len(lazyEvs), len(startedEvs))
+		}
 	}
 }

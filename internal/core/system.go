@@ -95,12 +95,9 @@ type board struct {
 	routeWS []int
 }
 
-// NewSystem validates the configuration and assembles the network. A
-// config selecting the oracle-static policy first runs a profiling
-// pre-pass (serial, healthy, same seed and traffic) whose averaged
-// window statistics the oracle plans its fixed allocation from; the
-// pre-pass is deterministic, so the main run stays bit-identical
-// across worker counts.
+// NewSystem validates the configuration and assembles the network; the
+// returned system is ready to step (the LS controllers start on the
+// first Step, StepN or Run).
 func NewSystem(cfg Config) (*System, error) {
 	if cfg.MultiTier() {
 		return nil, fmt.Errorf("core: a System models one SRS tier; run multi-tier configs through Run/RunContext or NewHier")
@@ -108,9 +105,12 @@ func NewSystem(cfg Config) (*System, error) {
 	return newSystem(cfg, nil)
 }
 
-// newSystem is NewSystem with an optional per-board policy override
-// (used for the oracle pre-pass profilers and the profiled oracle
-// instances themselves).
+// newSystem allocates everything whose shape depends only on the
+// topology and the per-component capacities — engine, optical fabric
+// slabs, NICs, IBI routers, sinks, packet pool — and hands the rest to
+// initRun, the same per-run initialiser Reset calls after its rewind.
+// newPol optionally overrides the per-board policy (the oracle
+// pre-pass's profilers).
 func newSystem(cfg Config, newPol func(board int) policy.Policy) (*System, error) {
 	top, err := cfg.topology()
 	if err != nil {
@@ -134,47 +134,61 @@ func newSystem(cfg Config, newPol func(board int) policy.Policy) (*System, error
 	if err != nil {
 		return nil, err
 	}
+	s := &System{cfg: cfg, top: top, eng: eng, fab: fab}
+	s.assemble()
+	s.pktBlock = flit.NewBlock((&flit.Packet{Size: cfg.PacketBytes, FlitBytes: cfg.FlitBytes}).Flits())
+	if err := s.initRun(cfg, newPol); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// initRun builds the per-run state of a freshly allocated or rewound
+// system: the LS controllers (the policy may differ run to run; a
+// config selecting oracle-static first runs a serial, healthy profiling
+// pre-pass on the same seed and traffic, which is deterministic, so the
+// main run stays bit-identical across worker counts), the measurement,
+// the fault injector, the traffic injectors, and the parallel stepper
+// and phase profiler when configured. It is the only place any of these
+// is created.
+func (s *System) initRun(cfg Config, newPol func(board int) policy.Policy) error {
 	cc := cfg.ctrlConfig()
 	if newPol != nil {
 		cc.NewPolicy = newPol
 	} else if cc.Policy.CanonicalName() == "oracle-static" {
+		ladder := s.fab.Config().Ladder
 		prof, err := oracleProfile(cfg, ladder)
 		if err != nil {
-			return nil, fmt.Errorf("core: oracle profiling pre-pass: %w", err)
+			return fmt.Errorf("core: oracle profiling pre-pass: %w", err)
 		}
 		spec := cc.Policy
 		cc.NewPolicy = func(b int) policy.Policy {
 			return policy.NewOracleStatic(policyParams(cfg, cc, ladder, b, spec), prof)
 		}
 	}
-	ctl, err := ctrl.NewSystem(top, fab, eng, cc)
+	ctl, err := ctrl.NewSystem(s.top, s.fab, s.eng, cc)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s := &System{
-		cfg:       cfg,
-		top:       top,
-		eng:       eng,
-		fab:       fab,
-		ctl:       ctl,
-		meas:      stats.NewMeasurement(cfg.WarmupCycles, cfg.MeasureCycles),
-		lastPhase: -1,
-	}
+	s.cfg = cfg
+	s.ctl = ctl
+	s.meas = stats.NewMeasurement(cfg.WarmupCycles, cfg.MeasureCycles)
+	s.lastPhase = -1
+	s.faults = nil
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		inj, err := fault.New(fab, cfg.Window, cfg.Seed, cfg.Faults)
+		inj, err := fault.New(s.fab, cfg.Window, cfg.Seed, cfg.Faults)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.faults = inj
-		fab.SetDropHook(s.onFaultDrop)
+		s.fab.SetDropHook(s.onFaultDrop)
 		if cfg.Faults.HasCtrlFaults() {
 			ctl.SetRingFault(inj)
 		}
 	}
-	if err := s.assemble(); err != nil {
-		return nil, err
+	if err := s.buildInjectors(); err != nil {
+		return err
 	}
-	s.pktBlock = flit.NewBlock((&flit.Packet{Size: cfg.PacketBytes, FlitBytes: cfg.FlitBytes}).Flits())
 	if cfg.Workers > 1 {
 		s.enableParallel(cfg.Workers)
 	}
@@ -182,20 +196,11 @@ func newSystem(cfg Config, newPol func(board int) policy.Policy) (*System, error
 		// After enableParallel: the profiler snapshots the shard layout.
 		s.enablePhaseProfile()
 	}
-	return s, nil
-}
-
-// MustNewSystem is NewSystem for statically valid configurations.
-func MustNewSystem(cfg Config) *System {
-	s, err := NewSystem(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
+	return nil
 }
 
 // assemble wires NICs, IBI routers, transmitters and receivers.
-func (s *System) assemble() error {
+func (s *System) assemble() {
 	cfg := s.cfg
 	top := s.top
 	b := top.Boards()
@@ -219,7 +224,7 @@ func (s *System) assemble() error {
 
 		// Node NICs and ejectors.
 		for n := 0; n < d; n++ {
-			global := top.NodeID(0, bi, n)
+			global := top.NodeID(bi, n)
 			nic := link.NewPacketSource(fmt.Sprintf("nic%d", global),
 				bd.ibi.InputSink(n), cfg.VCs, cfg.BufDepth, cfg.FlitCyclesElec)
 			nic.OnDequeue = func(p *flit.Packet, now uint64) {
@@ -284,16 +289,13 @@ func (s *System) assemble() error {
 
 		s.boards = append(s.boards, bd)
 	}
-
-	return s.buildInjectors()
 }
 
 // buildInjectors (re)creates the per-node traffic injectors for the
 // current configuration, one independent derived RNG stream per node in
 // node order. The injectors are the only electrical-domain state whose
 // construction depends on per-run parameters (pattern, rate,
-// burstiness, seed), so Reset rebuilds just these while the NICs,
-// routers and sinks rewind in place.
+// burstiness, seed); the NICs, routers and sinks are wired once.
 func (s *System) buildInjectors() error {
 	cfg := s.cfg
 	master := rng.New(cfg.Seed)
@@ -562,6 +564,7 @@ func (s *System) SetInjectionRate(rate float64) {
 // (e.g. the design-space time-series example); Run steps parallel
 // systems in window-sized epochs instead, amortizing the pool dispatch.
 func (s *System) Step() uint64 {
+	s.ctl.Start()
 	if s.par != nil {
 		return s.stepEpoch(1)
 	}
@@ -584,6 +587,7 @@ func (s *System) StepN(n uint64) uint64 {
 	if n == 0 {
 		return s.cycle
 	}
+	s.ctl.Start()
 	if s.par != nil {
 		return s.stepEpoch(n)
 	}
@@ -616,10 +620,6 @@ func (s *System) DeliveredCount() uint64 { return s.delivered }
 // injection so far.
 func (s *System) DroppedByFault() uint64 { return s.droppedByFault }
 
-// FaultInjector returns the attached fault injector, or nil on healthy
-// runs.
-func (s *System) FaultInjector() *fault.Injector { return s.faults }
-
 // Quiescent reports whether every injected packet has been accounted
 // for: delivered or destroyed by a fault, with nothing in flight. It is
 // the conservation invariant fault tests drain to.
@@ -633,7 +633,8 @@ func (s *System) Engine() *sim.Engine { return s.eng }
 // Fabric exposes the optical fabric.
 func (s *System) Fabric() *optical.Fabric { return s.fab }
 
-// Controllers exposes the LS controller system.
+// Controllers exposes the LS controller system. Stepping starts it;
+// an explicit Start is harmless.
 func (s *System) Controllers() *ctrl.System { return s.ctl }
 
 // Topology exposes the topology.

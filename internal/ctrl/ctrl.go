@@ -209,8 +209,9 @@ type System struct {
 	eng *sim.Engine
 	cfg Config
 
-	rcs []*RC
-	ctr Counters
+	rcs     []*RC
+	ctr     Counters
+	started bool
 
 	// sink, when non-nil, receives every stage entry as a telemetry
 	// event (see SetSink).
@@ -250,8 +251,8 @@ func (s *System) putMsg(m *boardMsg) {
 // SetRingFault attaches a control-ring fault filter (nil detaches).
 func (s *System) SetRingFault(rf RingFault) { s.ringFault = rf }
 
-// NewSystem builds the controller system. Call Start to spawn the RC
-// processes before running the engine.
+// NewSystem builds the controller system. Start spawns the RC
+// processes; core.System calls it on its first step.
 func NewSystem(top *topology.Topology, fab *optical.Fabric, eng *sim.Engine, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -318,9 +319,13 @@ func (s *System) stage(board int, name string) {
 	}
 }
 
-// Start spawns one RC process per board. The processes run for the
-// lifetime of the engine.
+// Start spawns one RC process per board; later calls are no-ops. The
+// processes run for the lifetime of the engine.
 func (s *System) Start() {
+	if s.started {
+		return
+	}
+	s.started = true
 	for _, rc := range s.rcs {
 		rc.start()
 	}

@@ -194,9 +194,6 @@ func (l *Laser) Transitions() uint64 { return l.transitions }
 // Sent returns the number of packets transmitted.
 func (l *Laser) Sent() uint64 { return l.sentPackets }
 
-// BusyCycles returns the cumulative cycles spent serializing packets.
-func (l *Laser) BusyCycles() uint64 { return l.busyCycles }
-
 // Failed reports whether the laser is currently failed (fault injection).
 func (l *Laser) Failed() bool { return l.failed }
 
@@ -906,9 +903,6 @@ func (f *Fabric) DeliverDue(now uint64) {
 		}
 	}
 }
-
-// PendingDeliveries returns the number of in-flight transmissions.
-func (f *Fabric) PendingDeliveries() int { return len(f.delHeap) }
 
 // FastForwardIdle accounts n cycles on a quiescent fabric without
 // ticking: the only per-cycle effect a Tick has when nothing is queued,

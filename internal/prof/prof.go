@@ -1,6 +1,7 @@
-// Package prof wires the standard pprof profiling flags into the CLIs,
-// so simulator hot spots can be inspected with `go tool pprof` on real
-// workloads (not just the microbenchmarks).
+// Package prof holds the flag blocks the CLIs share: the standard pprof
+// profiling flags, so simulator hot spots can be inspected with `go
+// tool pprof` on real workloads (not just the microbenchmarks), and the
+// run-shape flags every simulation command binds onto a core.Config.
 package prof
 
 import (
@@ -11,6 +12,9 @@ import (
 	"os"
 	"runtime"
 	rtpprof "runtime/pprof"
+
+	"repro/internal/core"
+	"repro/internal/policy"
 )
 
 // Flags holds the -cpuprofile/-memprofile flag values.
@@ -77,4 +81,60 @@ func AdminMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// ConfigFlags holds the run-shape flags the simulation CLIs share.
+type ConfigFlags struct {
+	boards, nodes *int
+	seed          *uint64
+	policy        *string
+	quick         *bool
+}
+
+// AddConfigFlags registers -boards, -nodes and -seed on the default
+// flag set, plus -policy and -quick when given a usage string (each
+// CLI words them for what it runs; "" leaves the flag out). Call before
+// flag.Parse.
+func AddConfigFlags(seedUsage, policyUsage, quickUsage string) *ConfigFlags {
+	f := &ConfigFlags{
+		boards: flag.Int("boards", 8, "boards B"),
+		nodes:  flag.Int("nodes", 8, "nodes per board D"),
+		seed:   flag.Uint64("seed", 1, seedUsage),
+	}
+	if policyUsage != "" {
+		f.policy = flag.String("policy", "", policyUsage)
+	}
+	if quickUsage != "" {
+		f.quick = flag.Bool("quick", false, quickUsage)
+	}
+	return f
+}
+
+// Apply binds the shared flags onto cfg. visit is flag.VisitAll to
+// apply every flag, defaults included, or flag.Visit to apply only the
+// flags the user set (on top of a loaded config file, whose values the
+// defaults must not clobber).
+func (f *ConfigFlags) Apply(cfg *core.Config, visit func(func(*flag.Flag))) error {
+	var err error
+	visit(func(fl *flag.Flag) {
+		switch fl.Name {
+		case "boards":
+			cfg.Boards = *f.boards
+		case "nodes":
+			cfg.NodesPerBoard = *f.nodes
+		case "seed":
+			cfg.Seed = *f.seed
+		case "policy":
+			if *f.policy != "" {
+				cfg.Policy, err = policy.ParseSpec(*f.policy)
+			}
+		case "quick":
+			if *f.quick {
+				cfg.WarmupCycles = 8000
+				cfg.MeasureCycles = 5000
+				cfg.DrainLimitCycles = 60000
+			}
+		}
+	})
+	return err
 }

@@ -624,21 +624,6 @@ func (r *Router) traverse(inPort, inVC int, now uint64) {
 	}
 }
 
-// OutputBusy reports whether output port p is serializing a flit at now.
-func (r *Router) OutputBusy(p int, now uint64) bool {
-	return r.outs[p].nextFreeAt > now
-}
-
-// BufferedFlits returns the number of flits currently buffered at input
-// port p across all VCs (for utilization statistics).
-func (r *Router) BufferedFlits(p int) int {
-	n := 0
-	for _, vc := range r.ins[p] {
-		n += len(vc.buf)
-	}
-	return n
-}
-
 // Quiescent reports whether the router holds no flits and no in-flight
 // allocations (used by drain checks in tests).
 func (r *Router) Quiescent() bool {

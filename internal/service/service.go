@@ -8,7 +8,7 @@
 //
 //   - Jobs (single runs or figure sweeps) are queued and executed by a
 //     fixed worker pool budgeted against GOMAXPROCS, the same rule
-//     sweep.Replicate uses, so a loaded server saturates the machine
+//     sweep.RunContext uses, so a loaded server saturates the machine
 //     without oversubscribing it.
 //   - Every run is content-addressed by its canonical Config digest
 //     (core.Config.Digest): a completed result is cached under that
@@ -49,7 +49,7 @@ import (
 // Options configures a Server. The zero value is a sensible default.
 type Options struct {
 	// Workers bounds concurrently running jobs; 0 picks
-	// runtime.GOMAXPROCS(0), the same budget rule as sweep.Replicate.
+	// runtime.GOMAXPROCS(0), the same budget rule as sweep.RunContext.
 	Workers int
 	// QueueCap bounds jobs queued behind the workers; a full queue
 	// rejects new submissions with 503. 0 means 64.
@@ -503,34 +503,13 @@ func (s *Server) finishLocked(j *Job, state JobState, resultJSON json.RawMessage
 	}
 }
 
-// execRun simulates one configuration on the worker's pooled system,
-// streaming its telemetry into the job's event log. Multi-tier configs
-// run through the hierarchical engine on the runner's pooled rack and
-// fabric subsystems.
+// execRun simulates one configuration on the worker's pooled runner,
+// streaming its telemetry into the job's event log.
 func (s *Server) execRun(ctx context.Context, runner *core.Runner, j *Job) (json.RawMessage, error) {
-	var (
-		res    *core.Result
-		runErr error
-	)
-	if j.cfg.MultiTier() {
-		h, err := runner.Hier(j.cfg)
-		if err != nil {
-			return nil, err
-		}
-		if j.events != nil {
-			h.AttachSink(j.events)
-		}
-		res, runErr = h.RunContext(ctx)
-	} else {
-		sys, err := runner.System(j.cfg)
-		if err != nil {
-			return nil, err
-		}
-		if j.events != nil {
-			sys.AttachSink(j.events)
-		}
-		res, runErr = sys.RunContext(ctx)
+	if j.events != nil {
+		runner.AttachSink(j.events)
 	}
+	res, runErr := runner.RunContext(ctx, j.cfg)
 	var data json.RawMessage
 	if res != nil {
 		var err error

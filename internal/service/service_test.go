@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -454,6 +456,102 @@ func TestEventLogStreamAndSkip(t *testing.T) {
 	}
 }
 
+// jobEvents drains a finished job's whole event log.
+func jobEvents(t *testing.T, s *Server, id string) []telemetry.Event {
+	t.Helper()
+	log, _ := s.eventLogFor(id)
+	buf := make([]telemetry.Event, 0, 4096)
+	var got []telemetry.Event
+	var from uint64
+	for {
+		batch, resume, skipped, closed := log.next(from, buf)
+		if skipped != 0 {
+			t.Fatalf("skipped %d events with an oversized ring", skipped)
+		}
+		got = append(got, batch...)
+		from = resume
+		if closed && len(batch) == 0 {
+			return got
+		}
+	}
+}
+
+// TestOnePathIdentity: every entry point runs a Config through the same
+// Runner dispatch, so the same config — flat or two-tier — yields
+// byte-identical Result JSON from core.RunContext, a Runner reused after
+// a run of a different shape, a sweep point and a service job, and the
+// identical event stream wherever a sink can be attached.
+func TestOnePathIdentity(t *testing.T) {
+	flat := fastCfg(core.PB, 3)
+	flat.Pattern = "complement"
+	hier := fastCfg(core.PB, 3)
+	hier.Tiers = []core.TierSpec{{Boards: 2, NodesPerBoard: 2}, {Boards: 2}}
+	for _, tc := range []struct {
+		name       string
+		cfg, other core.Config
+	}{
+		{"flat-4x4", flat, hier},
+		{"hier-2x2x2", hier, flat},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			marshal := func(res *core.Result, err error) []byte {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+			want := marshal(core.RunContext(ctx, tc.cfg))
+
+			var fresh, reused core.Runner
+			wantEvs := telemetry.NewRecorder(1 << 20)
+			fresh.AttachSink(wantEvs)
+			if got := marshal(fresh.RunContext(ctx, tc.cfg)); !bytes.Equal(got, want) {
+				t.Errorf("fresh Runner result differs:\n%s\n%s", got, want)
+			}
+			if _, err := reused.RunContext(ctx, tc.other); err != nil {
+				t.Fatal(err)
+			}
+			reusedEvs := telemetry.NewRecorder(1 << 20)
+			reused.AttachSink(reusedEvs)
+			if got := marshal(reused.RunContext(ctx, tc.cfg)); !bytes.Equal(got, want) {
+				t.Errorf("reused Runner result differs:\n%s\n%s", got, want)
+			}
+			if !reflect.DeepEqual(reusedEvs.Events(), wantEvs.Events()) {
+				t.Errorf("reused Runner event stream differs (%d vs %d events)", len(reusedEvs.Events()), len(wantEvs.Events()))
+			}
+
+			series, err := sweep.RunContext(ctx, sweep.Request{
+				Base: tc.cfg, Patterns: []string{tc.cfg.Pattern}, Modes: []core.Mode{tc.cfg.Mode}, Loads: []float64{tc.cfg.Load},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := marshal(series[0].Points[0].Result, nil); !bytes.Equal(got, want) {
+				t.Errorf("sweep point result differs:\n%s\n%s", got, want)
+			}
+
+			s := New(Options{Workers: 1, EventCap: 1 << 20})
+			defer shutdown(t, s)
+			v, err := s.SubmitRun(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if job := waitDone(t, s, v.ID); !bytes.Equal(job.Result, want) {
+				t.Errorf("service job result differs (state %s, error %q):\n%s\n%s", job.State, job.Error, job.Result, want)
+			}
+			if got := jobEvents(t, s, v.ID); !reflect.DeepEqual(got, wantEvs.Events()) {
+				t.Errorf("service job event stream differs (%d vs %d events)", len(got), len(wantEvs.Events()))
+			}
+		})
+	}
+}
+
 // TestEventStreamMatchesRecorder: the events a job streams are exactly
 // the events the simulation emits.
 func TestEventStreamMatchesRecorder(t *testing.T) {
@@ -474,21 +572,7 @@ func TestEventStreamMatchesRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, s, v.ID)
-	log, _ := s.eventLogFor(v.ID)
-	buf := make([]telemetry.Event, 0, 4096)
-	var got []telemetry.Event
-	var from uint64
-	for {
-		batch, resume, skipped, closed := log.next(from, buf)
-		if skipped != 0 {
-			t.Fatalf("skipped %d events with an oversized ring", skipped)
-		}
-		got = append(got, batch...)
-		from = resume
-		if closed && len(batch) == 0 {
-			break
-		}
-	}
+	got := jobEvents(t, s, v.ID)
 	if len(got) != len(want) {
 		t.Fatalf("streamed %d events, recorder saw %d", len(got), len(want))
 	}

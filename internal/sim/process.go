@@ -57,9 +57,6 @@ func (e *Engine) LiveProcesses() int { return len(e.procs) }
 // Name returns the process name given at spawn time.
 func (p *Process) Name() string { return p.name }
 
-// Finished reports whether the process body has returned.
-func (p *Process) Finished() bool { return p.finished }
-
 // Engine returns the engine this process runs on.
 func (p *Process) Engine() *Engine { return p.eng }
 

@@ -157,9 +157,6 @@ func (w *Window) AddN(n, max uint64) {
 	w.total += max
 }
 
-// Hits returns the accumulated hit count.
-func (w *Window) Hits() uint64 { return w.hits }
-
 // Total returns the accumulated denominator.
 func (w *Window) Total() uint64 { return w.total }
 
@@ -326,10 +323,6 @@ func (m *Measurement) MeasureCycles() uint64 { return m.measureCycles }
 func (m *Measurement) LabeledInFlight() uint64 {
 	return m.labeledInjected - m.labeledDelivered - m.labeledDropped
 }
-
-// LabeledDropped returns the number of labeled packets dropped by fault
-// injection.
-func (m *Measurement) LabeledDropped() uint64 { return m.labeledDropped }
 
 // LabeledDelivered returns the number of labeled packets delivered.
 func (m *Measurement) LabeledDelivered() uint64 { return m.labeledDelivered }

@@ -183,20 +183,9 @@ func runPoint(ctx context.Context, r *core.Runner, cfg core.Config, agg *core.Ph
 	if agg != nil {
 		cfg.PhaseProfile = true
 	}
-	if cfg.MultiTier() {
-		// Hierarchical points run through the runner's pooled rack and
-		// fabric subsystems (phase profiling is a flat-engine knob).
-		return r.RunContext(ctx, cfg)
-	}
-	sys, err := r.System(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sys.RunContext(ctx)
-	if agg != nil {
-		if pp := sys.PhaseProfile(); pp != nil {
-			agg.Add(pp.Report())
-		}
+	res, err := r.RunContext(ctx, cfg)
+	if pp := r.PhaseProfile(); pp != nil && agg != nil {
+		agg.Add(pp.Report())
 	}
 	return res, err
 }

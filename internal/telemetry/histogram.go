@@ -23,9 +23,6 @@ type Histogram struct {
 // label block, e.g. `job_run_seconds{kind="run"}`).
 func (h *Histogram) Name() string { return h.name }
 
-// Bounds returns the finite upper bounds (no +Inf entry).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	// First bucket whose upper bound is >= v; all larger values land in

@@ -106,9 +106,6 @@ func KindFromString(s string) (Kind, error) {
 	return 0, fmt.Errorf("telemetry: unknown event kind %q", s)
 }
 
-// NumKinds returns the number of event kinds.
-func NumKinds() int { return int(numKinds) }
-
 // HasTransition reports whether a kind carries meaningful From/To
 // fields (level transitions and holder moves).
 func (k Kind) HasTransition() bool { return k == ChannelReassign || k == LaserLevel }

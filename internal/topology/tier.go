@@ -19,7 +19,7 @@ func NewSRS(boards, nodes int) (*Topology, error) {
 	case nodes < 1:
 		return nil, fmt.Errorf("topology: nodes per board = %d, need >= 1", nodes)
 	}
-	return &Topology{clusters: 1, boards: boards, nodes: nodes}, nil
+	return &Topology{boards: boards, nodes: nodes}, nil
 }
 
 // MustNewSRS is NewSRS for static configurations known to be valid.
@@ -75,7 +75,7 @@ func NewHier(tiers ...Tier) (*Hier, error) {
 	}
 	h := &Hier{tiers: append([]Tier(nil), tiers...), levels: []*Topology{t0}}
 	if len(tiers) == 2 {
-		rack := t0.NodesPerCluster()
+		rack := t0.TotalNodes()
 		if n := tiers[1].Nodes; n != 0 && n != rack {
 			return nil, fmt.Errorf("topology: tier 1: nodes per rack = %d, want 0 (derived) or %d (= tier-0 boards × nodes)", n, rack)
 		}
@@ -109,7 +109,7 @@ func (h *Hier) Racks() int {
 }
 
 // RackNodes returns the endpoint count of one rack (tier-0 B×D).
-func (h *Hier) RackNodes() int { return h.levels[0].NodesPerCluster() }
+func (h *Hier) RackNodes() int { return h.levels[0].TotalNodes() }
 
 // TotalNodes returns the endpoint count of the whole hierarchy.
 func (h *Hier) TotalNodes() int { return h.Racks() * h.RackNodes() }

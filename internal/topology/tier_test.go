@@ -22,8 +22,8 @@ func TestNewSRSValidation(t *testing.T) {
 		if (err == nil) != c.ok {
 			t.Errorf("NewSRS(%d,%d) error = %v, want ok=%v", c.b, c.d, err, c.ok)
 		}
-		if err == nil && top.Clusters() != 1 {
-			t.Errorf("NewSRS(%d,%d).Clusters() = %d, want 1", c.b, c.d, top.Clusters())
+		if err == nil && top.TotalNodes() != c.b*c.d {
+			t.Errorf("NewSRS(%d,%d).TotalNodes() = %d, want %d", c.b, c.d, top.TotalNodes(), c.b*c.d)
 		}
 	}
 }

@@ -16,15 +16,12 @@ package topology
 
 import "fmt"
 
-// Topology is an immutable description of an E-RAPID system.
+// Topology is an immutable description of a one-cluster E-RAPID system
+// (C = 1, as in the paper's evaluation).
 type Topology struct {
-	clusters int
-	boards   int // boards per cluster
-	nodes    int // nodes per board
+	boards int // boards per cluster
+	nodes  int // nodes per board
 }
-
-// Clusters returns C.
-func (t *Topology) Clusters() int { return t.clusters }
 
 // Boards returns B, the boards per cluster.
 func (t *Topology) Boards() int { return t.boards }
@@ -32,11 +29,8 @@ func (t *Topology) Boards() int { return t.boards }
 // NodesPerBoard returns D.
 func (t *Topology) NodesPerBoard() int { return t.nodes }
 
-// TotalNodes returns C*B*D.
-func (t *Topology) TotalNodes() int { return t.clusters * t.boards * t.nodes }
-
-// NodesPerCluster returns B*D.
-func (t *Topology) NodesPerCluster() int { return t.boards * t.nodes }
+// TotalNodes returns B*D.
+func (t *Topology) TotalNodes() int { return t.boards * t.nodes }
 
 // Wavelengths returns the number of usable inter-board wavelengths per
 // cluster: λ_1 .. λ_{B-1} (λ_0 would be a board-to-self channel).
@@ -44,19 +38,13 @@ func (t *Topology) Wavelengths() int { return t.boards - 1 }
 
 // String implements fmt.Stringer using the paper's R(C,B,D) notation.
 func (t *Topology) String() string {
-	return fmt.Sprintf("R(%d,%d,%d)", t.clusters, t.boards, t.nodes)
+	return fmt.Sprintf("R(1,%d,%d)", t.boards, t.nodes)
 }
 
-// Board returns the board (within its cluster) hosting global node id n.
+// Board returns the board hosting global node id n.
 func (t *Topology) Board(n int) int {
 	t.checkNode(n)
-	return (n / t.nodes) % t.boards
-}
-
-// Cluster returns the cluster hosting global node id n.
-func (t *Topology) Cluster(n int) int {
-	t.checkNode(n)
-	return n / (t.boards * t.nodes)
+	return n / t.nodes
 }
 
 // Local returns the node's index within its board.
@@ -65,13 +53,12 @@ func (t *Topology) Local(n int) int {
 	return n % t.nodes
 }
 
-// NodeID returns the global node id for (cluster, board, local).
-func (t *Topology) NodeID(cluster, board, local int) int {
-	if cluster < 0 || cluster >= t.clusters || board < 0 || board >= t.boards ||
-		local < 0 || local >= t.nodes {
-		panic(fmt.Sprintf("topology: NodeID(%d,%d,%d) out of range for %s", cluster, board, local, t))
+// NodeID returns the global node id for (board, local).
+func (t *Topology) NodeID(board, local int) int {
+	if board < 0 || board >= t.boards || local < 0 || local >= t.nodes {
+		panic(fmt.Sprintf("topology: NodeID(%d,%d) out of range for %s", board, local, t))
 	}
-	return (cluster*t.boards+board)*t.nodes + local
+	return board*t.nodes + local
 }
 
 func (t *Topology) checkNode(n int) {

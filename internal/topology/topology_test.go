@@ -127,8 +127,8 @@ func TestNodeIDRoundTrip(t *testing.T) {
 		top := MustNewSRS(6, 5)
 		b := int(bRaw) % 6
 		l := int(dRaw) % 5
-		n := top.NodeID(0, b, l)
-		return top.Cluster(n) == 0 && top.Board(n) == b && top.Local(n) == l
+		n := top.NodeID(b, l)
+		return top.Board(n) == b && top.Local(n) == l
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestPanics(t *testing.T) {
 		"owner-w0":           func() { top.StaticOwner(1, 0) },
 		"owner-w-oob":        func() { top.StaticOwner(1, 4) },
 		"board-oob":          func() { top.Board(16) },
-		"node-id-oob":        func() { top.NodeID(0, 4, 0) },
+		"node-id-oob":        func() { top.NodeID(4, 0) },
 		"channel-id-w0":      func() { top.ChannelID(0, 0) },
 		"channel-from-id-ob": func() { top.ChannelFromID(99) },
 	} {
