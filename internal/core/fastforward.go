@@ -63,18 +63,8 @@ func (s *System) fastForward(n uint64) uint64 {
 	if !s.Quiescent() || !s.fab.Quiescent(now) {
 		return 0
 	}
-	for _, nic := range s.nics {
-		if nic.HasWork() {
-			return 0
-		}
-	}
 	for _, bd := range s.boards {
-		for _, rx := range bd.rxSources {
-			if rx.HasWork() {
-				return 0
-			}
-		}
-		if bd.ibi.HasWork() {
+		if !bd.workless() {
 			return 0
 		}
 	}

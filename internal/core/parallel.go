@@ -261,22 +261,9 @@ func (s *System) admit(now uint64) {
 // mature next cycle (flit readyAt and credit stamps are > now), so
 // per-board grouping commutes with the serial all-NICs-first order.
 func (s *System) tickBoardCompute(bi int, now uint64) {
-	base := s.top.NodeID(bi, 0)
-	d := s.top.NodesPerBoard()
-	for n := base; n < base+d; n++ {
-		if nic := s.nics[n]; nic.HasWork() {
-			nic.Tick(now)
-		}
-	}
 	bd := s.boards[bi]
-	for _, rx := range bd.rxSources {
-		if rx.HasWork() {
-			rx.Tick(now)
-		}
-	}
-	if bd.ibi.HasWork() {
-		bd.ibi.Tick(now)
-	}
+	tickSources(bd.nicSet, bd.nics, now)
+	bd.tickRxIBI(now)
 	s.fab.TickBoard(bi, now)
 }
 

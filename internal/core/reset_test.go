@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/policy"
@@ -42,6 +43,39 @@ func TestResetMatchesNewSystem(t *testing.T) {
 			s.Run()
 			res, evs := runReset(t, s, cfg)
 			assertIdentical(t, "reset "+mode.String(), refRes, refEvs, res, evs)
+		})
+	}
+}
+
+// TestResetMidRun is the cancelled-job case: a pooled system abandoned
+// with packets in flight everywhere — NIC queues, router buffers,
+// reassembly buffers, laser queues, the delivery heap — and then Reset
+// must be indistinguishable from a fresh NewSystem. A stale counter
+// behind an active set would skip a component the fresh system ticks;
+// a stale bit alone only buys a no-op visit, and TestIndexInvariant's
+// check straight after each Reset is what catches that.
+func TestResetMidRun(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		workers := workers
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			t.Parallel()
+			cfg := fastConfig(PB)
+			cfg.Workers = workers
+			refRes, refEvs := runWorkers(t, cfg, workers)
+			dirty := cfg
+			dirty.Load = 0.9
+			dirty.Seed = cfg.Seed + 17
+			s, err := NewSystem(dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			s.StepN(1500)
+			if s.Quiescent() {
+				t.Fatal("nothing in flight after 1500 cycles; the reset has no state to rewind")
+			}
+			res, evs := runReset(t, s, cfg)
+			assertIdentical(t, "mid-run reset", refRes, refEvs, res, evs)
 		})
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/ctrl"
 	"repro/internal/fault"
@@ -86,10 +87,17 @@ type board struct {
 	idx    int
 	ibi    *router.Router
 	ejects []*link.PacketSink
+	nics   []*link.PacketSource // the board's slice of System.nics
 	// rxSources re-inject optically received packets into the IBI, one per
 	// wavelength.
 	rxSources []*link.PacketSource // index w-1
-	rrW       int                  // tie-break rotation for route choices
+	// nicSet and rxSet index nics and rxSources by HasWork. They are
+	// allocated per board: during a parallel tick phase only the board's
+	// own worker touches them (NIC.Tick, rx.Tick, and the credits its IBI
+	// returns), so no two workers ever write one word; Enqueue happens in
+	// the serial phases (admission, DeliverDue).
+	nicSet, rxSet router.ActiveSet
+	rrW           int // tie-break rotation for route choices
 	// routeWS is the board's reusable route-choice wavelength scratch
 	// buffer; per board so concurrent IBI ticks never share it.
 	routeWS []int
@@ -210,7 +218,8 @@ func (s *System) assemble() {
 	s.nics = make([]*link.PacketSource, top.TotalNodes())
 	s.deliveredPerNode = make([]uint64, top.TotalNodes())
 	for bi := 0; bi < b; bi++ {
-		bd := &board{idx: bi}
+		bd := &board{idx: bi, nics: s.nics[bi*d : (bi+1)*d],
+			nicSet: router.NewActiveSet(d), rxSet: router.NewActiveSet(w)}
 		// Port map: inputs 0..d-1 node NICs, d..d+w-1 optical receivers;
 		// outputs 0..d-1 node ejectors, d..d+w-1 transmitters.
 		bd.ibi = router.MustNew(router.Config{
@@ -243,6 +252,7 @@ func (s *System) assemble() {
 					}
 				}
 			}
+			nic.TrackIn(bd.nicSet, n)
 			bd.ibi.SetInputCreditSink(n, nic)
 			s.nics[global] = nic
 
@@ -276,6 +286,7 @@ func (s *System) assemble() {
 			port := d + wl - 1
 			rx := link.NewPacketSource(fmt.Sprintf("rx%d.λ%d", bi, wl),
 				bd.ibi.InputSink(port), cfg.VCs, cfg.BufDepth, cfg.FlitCyclesElec)
+			rx.TrackIn(bd.rxSet, wl-1)
 			bd.ibi.SetInputCreditSink(port, rx)
 			bd.rxSources = append(bd.rxSources, rx)
 			bi, wl := bi, wl
@@ -487,25 +498,16 @@ func (s *System) step(now uint64) {
 	t0 = pp.start()
 	s.injectAll(now)
 	pp.addDraw(0, t0)
-	// Active-set scheduling: visit components in the same deterministic
-	// order as the exhaustive scan, skipping the ones that provably have
-	// nothing to do this cycle (HasWork is O(1) on maintained counters; a
-	// workless component's Tick is a no-op, so skipping changes nothing).
+	// Active-set scheduling: visit the components that have work in the
+	// same deterministic order as an exhaustive scan would — every NIC in
+	// node order first, then board by board (a workless component's Tick
+	// is a no-op, so skipping it changes nothing).
 	t0 = pp.start()
-	for _, nic := range s.nics {
-		if nic.HasWork() {
-			nic.Tick(now)
-		}
+	for _, bd := range s.boards {
+		tickSources(bd.nicSet, bd.nics, now)
 	}
 	for _, bd := range s.boards {
-		for _, rx := range bd.rxSources {
-			if rx.HasWork() {
-				rx.Tick(now)
-			}
-		}
-		if bd.ibi.HasWork() {
-			bd.ibi.Tick(now)
-		}
+		bd.tickRxIBI(now)
 	}
 	s.fab.Tick(now)
 	pp.addTick(0, t0)
@@ -518,6 +520,31 @@ func (s *System) step(now uint64) {
 		pp.flush(now + 1)
 	}
 	s.cycle = now
+}
+
+// tickSources ticks the members of set, in ascending order. A Tick never
+// enqueues to or credits a source, so no bit of set rises during the
+// walk; a source that runs out of work clears its own bit.
+func tickSources(set router.ActiveSet, srcs []*link.PacketSource, now uint64) {
+	for wi, word := range set {
+		for ; word != 0; word &= word - 1 {
+			srcs[wi<<6|bits.TrailingZeros64(word)].Tick(now)
+		}
+	}
+}
+
+// tickRxIBI advances the board's receive sources and then its router.
+func (bd *board) tickRxIBI(now uint64) {
+	tickSources(bd.rxSet, bd.rxSources, now)
+	if bd.ibi.HasWork() {
+		bd.ibi.Tick(now)
+	}
+}
+
+// workless reports whether no electrical component of the board has
+// anything to do (queued credits count as work).
+func (bd *board) workless() bool {
+	return bd.nicSet.Empty() && bd.rxSet.Empty() && !bd.ibi.HasWork()
 }
 
 // AttachSink adds a telemetry sink to the unified event pipeline:

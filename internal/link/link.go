@@ -29,6 +29,13 @@ type PacketSource struct {
 	credits []int
 	pending []creditEntry
 
+	// act holds bit `bit` up exactly while HasWork is true, so whoever
+	// owns a group of sources walks the set instead of polling each one.
+	// A source is born on a private one-bit set; TrackIn moves it to its
+	// owner's.
+	act router.ActiveSet
+	bit int
+
 	// in-flight transmission state. cur points into the current packet's
 	// flit slab (flit.Flitize); it is nil when no packet is serializing.
 	cur        []flit.Flit
@@ -56,7 +63,7 @@ func NewPacketSource(name string, sink router.Sink, vcs, depth int, flitCycles u
 	if vcs < 1 || depth < 1 || flitCycles < 1 {
 		panic(fmt.Sprintf("link: source %q: invalid vcs=%d depth=%d flitCycles=%d", name, vcs, depth, flitCycles))
 	}
-	s := &PacketSource{name: name, sink: sink, vcs: vcs, depth: depth, flitCycles: flitCycles}
+	s := &PacketSource{name: name, sink: sink, vcs: vcs, depth: depth, flitCycles: flitCycles, act: router.NewActiveSet(1)}
 	s.credits = make([]int, vcs)
 	for v := range s.credits {
 		s.credits[v] = depth
@@ -83,10 +90,19 @@ func (s *PacketSource) Reset() {
 	s.nextSendAt = 0
 	s.rrVC = 0
 	s.sent = 0
+	s.act.Remove(s.bit)
 }
 
+// TrackIn makes bit i of set this source's HasWork bit. Call it on an
+// idle source, before the first Enqueue; sources that share a set must
+// only ever be mutated by one goroutine at a time.
+func (s *PacketSource) TrackIn(set router.ActiveSet, i int) { s.act, s.bit = set, i }
+
 // Enqueue appends a packet to the source queue.
-func (s *PacketSource) Enqueue(p *flit.Packet) { s.queue = append(s.queue, p) }
+func (s *PacketSource) Enqueue(p *flit.Packet) {
+	s.queue = append(s.queue, p)
+	s.act.Add(s.bit)
+}
 
 // QueueLen returns the number of packets waiting (excluding the one in
 // flight). Source-queue growth is the canonical saturation signal.
@@ -99,8 +115,8 @@ func (s *PacketSource) Sent() uint64 { return s.sent }
 func (s *PacketSource) Busy() bool { return s.cur != nil }
 
 // HasWork reports whether Tick would do anything this cycle: a packet
-// queued or in flight, or credits waiting to mature. It is O(1), so the
-// system's active-set scheduler can skip idle sources.
+// queued or in flight, or credits waiting to mature. It is the predicate
+// the source's ActiveSet bit tracks.
 func (s *PacketSource) HasWork() bool {
 	return s.cur != nil || len(s.queue) > 0 || len(s.pending) > 0
 }
@@ -108,6 +124,7 @@ func (s *PacketSource) HasWork() bool {
 // PutCredit implements router.CreditSink.
 func (s *PacketSource) PutCredit(vc int, readyAt uint64) {
 	s.pending = append(s.pending, creditEntry{vc: vc, readyAt: readyAt})
+	s.act.Add(s.bit)
 }
 
 func (s *PacketSource) absorbCredits(now uint64) {
@@ -129,6 +146,13 @@ func (s *PacketSource) absorbCredits(now uint64) {
 // and a VC has credit, and sends the next flit when the channel and
 // credits allow.
 func (s *PacketSource) Tick(now uint64) {
+	s.tick(now)
+	if !s.HasWork() {
+		s.act.Remove(s.bit)
+	}
+}
+
+func (s *PacketSource) tick(now uint64) {
 	s.absorbCredits(now)
 	if s.cur == nil {
 		if len(s.queue) == 0 {
@@ -185,14 +209,14 @@ type PacketSink struct {
 	// tail's arrival stamp.
 	OnPacket func(p *flit.Packet, now uint64)
 
-	open     map[int]*flit.Packet // per VC
+	open     []*flit.Packet // per VC, grown on first use; nil = no open packet
 	received uint64
 }
 
 // NewPacketSink creates a sink returning credits to cs (may be nil for
 // tests). onPacket may be nil.
 func NewPacketSink(name string, cs router.CreditSink, onPacket func(p *flit.Packet, now uint64)) *PacketSink {
-	return &PacketSink{name: name, credits: cs, OnPacket: onPacket, open: make(map[int]*flit.Packet)}
+	return &PacketSink{name: name, credits: cs, OnPacket: onPacket}
 }
 
 // Received returns the number of completed packets.
@@ -208,7 +232,10 @@ func (k *PacketSink) Reset() {
 
 // PutFlit implements router.Sink.
 func (k *PacketSink) PutFlit(f *flit.Flit, readyAt uint64) {
-	if cur, ok := k.open[f.VC]; ok {
+	for f.VC >= len(k.open) {
+		k.open = append(k.open, nil)
+	}
+	if cur := k.open[f.VC]; cur != nil {
 		if f.Packet != cur {
 			panic(fmt.Sprintf("link: sink %q: VC %d interleaved packets %v and %v", k.name, f.VC, cur, f.Packet))
 		}
@@ -225,7 +252,7 @@ func (k *PacketSink) PutFlit(f *flit.Flit, readyAt uint64) {
 		k.credits.PutCredit(f.VC, readyAt+1)
 	}
 	if f.IsTail() {
-		delete(k.open, f.VC)
+		k.open[f.VC] = nil
 		k.received++
 		if k.OnPacket != nil {
 			k.OnPacket(f.Packet, readyAt)

@@ -20,9 +20,11 @@ package optical
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/flit"
 	"repro/internal/power"
+	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -136,6 +138,7 @@ type Laser struct {
 	s, w, d int
 	ladder  *power.Ladder
 	fab     *Fabric
+	ch      *Channel // the channel (d, w) this laser would light
 
 	level         int    // index into ladder; 0 = Off
 	disabledUntil uint64 // CDR relock / voltage transition window
@@ -313,7 +316,10 @@ type boardShard struct {
 	// reassembly buffers, maintained by the shard's owner so Quiescent
 	// needs no O(B²) transmitter scan.
 	txFlits int
-	_       [64 - 2*24 - 8]byte
+	// txPending has bit w-1 up exactly while transmitter w holds flits
+	// (Transmitter.pending > 0); tickBoardTx walks it.
+	txPending router.ActiveSet
+	_         [128 - 3*24 - 8]byte
 }
 
 // SetDropHook registers the accounting path for packets discarded at
@@ -343,6 +349,9 @@ func NewFabric(top *topology.Topology, eng *sim.Engine, cfg Config) (*Fabric, er
 	b := top.Boards()
 	f := &Fabric{top: top, eng: eng, cfg: cfg, meter: power.NewMeter(cfg.CycleNS)}
 	f.shards = make([]boardShard, b)
+	for s := range f.shards {
+		f.shards[s].txPending = router.NewActiveSet(b - 1)
+	}
 	f.channels = make([][]*Channel, b)
 	f.deliver = make([][]DeliverFunc, b)
 	for d := 0; d < b; d++ {
@@ -397,6 +406,7 @@ func NewFabric(top *topology.Topology, eng *sim.Engine, cfg Config) (*Fabric, er
 				l.ladder = cfg.Ladder
 				l.level = cfg.DefaultLevel
 				l.fab = f
+				l.ch = f.channels[d][w]
 				l.key = (s*b+w)*b + d
 				f.lasers[s][w][d] = l
 				f.refreshIdle(l)
@@ -447,6 +457,7 @@ func (f *Fabric) Reset() {
 		}
 		sh.deact = sh.deact[:0]
 		sh.txFlits = 0
+		clear(sh.txPending)
 	}
 	// Rebuild the idle-laser supply aggregate from zero with the same
 	// per-laser refreshIdle sequence NewFabric runs, so the float value is
@@ -534,7 +545,7 @@ func (f *Fabric) Reset() {
 // level's power when it is lit (drives its channel) and operating, and
 // not already accounted per-cycle via the active list.
 func (f *Fabric) litIdleMW(l *Laser) float64 {
-	if l.active || l.failed || !l.ladder.Operating(l.level) || f.channels[l.d][l.w].holder != l.s {
+	if l.active || l.failed || !l.ladder.Operating(l.level) || l.ch.holder != l.s {
 		return 0
 	}
 	return f.cfg.Ladder.MW(l.level)
@@ -949,10 +960,10 @@ func (f *Fabric) Tick(now uint64) {
 
 // tickBoardTx advances board s's transmitters one cycle.
 func (f *Fabric) tickBoardTx(s int, now uint64) {
-	wpb := f.top.Boards() - 1
-	for _, tx := range f.txs[s*wpb : (s+1)*wpb] {
-		if tx.pending > 0 {
-			tx.tick(now)
+	txs := f.txs[s*(f.top.Boards()-1):]
+	for wi, word := range f.shards[s].txPending {
+		for ; word != 0; word &= word - 1 {
+			txs[wi<<6|bits.TrailingZeros64(word)].tick(now)
 		}
 	}
 }
@@ -994,7 +1005,7 @@ func (f *Fabric) flushDeact(s int) {
 }
 
 func (f *Fabric) tickLaser(l *Laser, now uint64) {
-	ch := f.channels[l.d][l.w]
+	ch := l.ch
 	lit := ch.holder == l.s && !l.failed
 	if lit && l.level == 0 && len(l.queue) > 0 && f.cfg.Ladder.Operating(f.autoWake) {
 		l.SetLevel(f.autoWake, now, f.cfg.RelockCycles)
@@ -1128,6 +1139,30 @@ func (f *Fabric) CheckInvariants() error {
 					return fmt.Errorf("laser (%d,λ%d→%d) queue %d exceeds capacity %d", s, w, d, len(l.queue), f.cfg.QueueCap)
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// CheckIndex verifies, by exhaustive scan, that every transmitter's
+// pending count and txPending bit agree with its reassembly buffers and
+// that each shard's txFlits is their sum; tests call it between Ticks.
+func (f *Fabric) CheckIndex() error {
+	wpb := f.top.Boards() - 1
+	for s := range f.shards {
+		sh, flits := &f.shards[s], 0
+		for i, tx := range f.txs[s*wpb : (s+1)*wpb] {
+			n := 0
+			for v := range tx.vcs {
+				n += len(tx.vcs[v].entries)
+			}
+			if n != tx.pending || sh.txPending.Has(i) != (n > 0) {
+				return fmt.Errorf("tx(%d,λ%d) holds %d flits, pending %d, bit %v", s, tx.w, n, tx.pending, sh.txPending.Has(i))
+			}
+			flits += n
+		}
+		if flits != sh.txFlits {
+			return fmt.Errorf("board %d transmitters hold %d flits, txFlits %d", s, flits, sh.txFlits)
 		}
 	}
 	return nil

@@ -72,7 +72,9 @@ func (t *Transmitter) PutFlit(f *flit.Flit, readyAt uint64) {
 	}
 	vc.entries = append(vc.entries, txEntry{f: f, readyAt: readyAt})
 	t.pending++
-	t.f.shards[t.s].txFlits++
+	sh := &t.f.shards[t.s]
+	sh.txFlits++
+	sh.txPending.Add(t.w - 1)
 }
 
 // tick moves completed packets from reassembly buffers into laser queues
@@ -141,14 +143,11 @@ func (t *Transmitter) tick(now uint64) {
 			}
 		}
 	}
+	if t.pending == 0 {
+		t.f.shards[t.s].txPending.Remove(t.w - 1)
+	}
 }
 
 // PendingFlits returns the number of flits currently buffered across all
 // VCs (for diagnostics).
-func (t *Transmitter) PendingFlits() int {
-	n := 0
-	for v := range t.vcs {
-		n += len(t.vcs[v].entries)
-	}
-	return n
-}
+func (t *Transmitter) PendingFlits() int { return t.pending }

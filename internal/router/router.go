@@ -9,9 +9,35 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/flit"
 )
+
+// ActiveSet is an ordered set of small integers (port, source or
+// transmitter indices): one bit per member, kept current at the points
+// that change membership and walked in ascending order — copy a word,
+// then repeatedly take bits.TrailingZeros64 and clear the lowest bit —
+// which visits members in exactly the order an exhaustive index scan
+// that tests the membership predicate would.
+type ActiveSet []uint64
+
+// NewActiveSet returns an empty set over indices [0, n).
+func NewActiveSet(n int) ActiveSet { return make(ActiveSet, (n+63)>>6) }
+
+func (s ActiveSet) Add(i int)      { s[i>>6] |= 1 << (i & 63) }
+func (s ActiveSet) Remove(i int)   { s[i>>6] &^= 1 << (i & 63) }
+func (s ActiveSet) Has(i int) bool { return s[i>>6]>>(i&63)&1 != 0 }
+
+// Empty reports whether the set has no members.
+func (s ActiveSet) Empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // Sink consumes flits. readyAt is the first cycle the flit may be acted
 // upon downstream (arrival stamp); it must be strictly greater than the
@@ -156,9 +182,12 @@ type nomination struct{ inPort, inVC, out int }
 //
 // The router keeps O(1) activity counters (buffered flits, non-idle VCs,
 // pending credits) so each pipeline stage — and, via HasWork, the whole
-// Tick — can be skipped when it provably has nothing to do. The visit
-// order of ports and VCs within a stage is unchanged, so arbitration
-// outcomes are bit-identical to the exhaustive scan.
+// Tick — can be skipped when it provably has nothing to do, and an
+// ActiveSet per stage so a stage that does run visits only the ports
+// that can take part in it. Sets are walked in ascending order, which is
+// the exhaustive scan's order, so arbitration outcomes are bit-identical
+// to it: no stage adds a member to the set it is walking, and whatever
+// arrives during a Tick is stamped > now.
 type Router struct {
 	cfg  Config
 	ins  [][]*inVC // [port][vc]
@@ -171,15 +200,25 @@ type Router struct {
 	// Activity counters for stage skipping.
 	bufTotal   int   // flits buffered across all input VCs
 	activeVCs  int   // input VCs with stage != vcIdle
+	portBuf    []int // per input port: flits buffered
 	portActive []int // per input port: VCs with stage != vcIdle
 	vaWaiting  int   // input VCs in vcWaitVC
 	credTotal  int   // immature credit entries across all outputs
 
-	// Per-tick scratch buffers (no steady-state allocation).
+	// Stage indexes: bit p is up exactly while the counter or list it
+	// indexes is non-empty.
+	bufPorts    ActiveSet // input ports with portBuf > 0 (RC)
+	activePorts ActiveSet // input ports with portActive > 0 (VA gather, SA stage 1)
+	credOuts    ActiveSet // outputs with pendingCredits (credit absorption)
+
+	// Per-tick scratch buffers (no steady-state allocation). reqOuts and
+	// nomOuts are the outputs named by this cycle's VA requests and SA
+	// nominations; each is emptied by the loop that serves it.
 	reqScratch []vaReq
 	reqSubset  []vaReq
-	outReqs    []int // per output: waiting VA requests this cycle
+	reqOuts    ActiveSet
 	nomScratch []nomination
+	nomOuts    ActiveSet
 	saBest     []int // per output: index into nomScratch of the SA winner
 	saCount    []int // per output: nominations this cycle
 }
@@ -212,8 +251,10 @@ func New(cfg Config) (*Router, error) {
 	}
 	r.inputCreditSinks = make([]CreditSink, cfg.Inputs)
 	r.rrInVC = make([]int, cfg.Inputs)
+	r.portBuf = make([]int, cfg.Inputs)
 	r.portActive = make([]int, cfg.Inputs)
-	r.outReqs = make([]int, cfg.Outputs)
+	r.bufPorts, r.activePorts = NewActiveSet(cfg.Inputs), NewActiveSet(cfg.Inputs)
+	r.credOuts, r.reqOuts, r.nomOuts = NewActiveSet(cfg.Outputs), NewActiveSet(cfg.Outputs), NewActiveSet(cfg.Outputs)
 	r.saBest = make([]int, cfg.Outputs)
 	r.saCount = make([]int, cfg.Outputs)
 	// Scratch capacities are bounded by the request populations (every
@@ -253,8 +294,11 @@ func (r *Router) Reset() {
 			vc.outPort, vc.outVC, vc.vcClass = 0, 0, 0
 		}
 		r.rrInVC[p] = 0
-		r.portActive[p] = 0
+		r.portBuf[p], r.portActive[p] = 0, 0
 	}
+	clear(r.bufPorts)
+	clear(r.activePorts)
+	clear(r.credOuts)
 	for _, op := range r.outs {
 		for v := range op.vcs {
 			op.vcs[v] = outVCState{credits: op.link.DownDepth}
@@ -319,6 +363,8 @@ func (s inputSink) PutFlit(f *flit.Flit, readyAt uint64) {
 	}
 	vc.buf = append(vc.buf, bufEntry{f: f, readyAt: readyAt})
 	r.bufTotal++
+	r.portBuf[s.port]++
+	r.bufPorts.Add(s.port)
 	r.ctr.FlitsIn++
 }
 
@@ -336,6 +382,7 @@ func (s creditSink) PutCredit(vc int, readyAt uint64) {
 	op := s.r.outs[s.port]
 	op.pendingCredits = append(op.pendingCredits, creditEntry{vc: vc, readyAt: readyAt})
 	s.r.credTotal++
+	s.r.credOuts.Add(s.port)
 }
 
 // CreditSink returns the credit sink for output port p (handed to the
@@ -372,54 +419,62 @@ func (r *Router) Tick(now uint64) {
 
 // absorbCredits makes matured credits visible to the allocators.
 func (r *Router) absorbCredits(now uint64) {
-	for _, op := range r.outs {
-		if len(op.pendingCredits) == 0 {
-			continue
-		}
-		kept := op.pendingCredits[:0]
-		for _, ce := range op.pendingCredits {
-			if ce.readyAt <= now {
-				op.vcs[ce.vc].credits++
-				r.credTotal--
-				if op.vcs[ce.vc].credits > op.link.DownDepth {
-					panic(fmt.Sprintf("router %q: credit overflow on output", r.cfg.Name))
+	for wi, word := range r.credOuts {
+		for ; word != 0; word &= word - 1 {
+			o := wi<<6 | bits.TrailingZeros64(word)
+			op := r.outs[o]
+			kept := op.pendingCredits[:0]
+			for _, ce := range op.pendingCredits {
+				if ce.readyAt <= now {
+					op.vcs[ce.vc].credits++
+					r.credTotal--
+					if op.vcs[ce.vc].credits > op.link.DownDepth {
+						panic(fmt.Sprintf("router %q: credit overflow on output", r.cfg.Name))
+					}
+				} else {
+					kept = append(kept, ce)
 				}
-			} else {
-				kept = append(kept, ce)
+			}
+			op.pendingCredits = kept
+			if len(kept) == 0 {
+				r.credOuts.Remove(o)
 			}
 		}
-		op.pendingCredits = kept
 	}
 }
 
 // routeCompute starts the RC stage for idle VCs whose head flit arrived.
 func (r *Router) routeCompute(now uint64) {
-	for p := range r.ins {
-		for v, vc := range r.ins[p] {
-			if vc.stage != vcIdle || len(vc.buf) == 0 {
-				continue
+	for wi, word := range r.bufPorts {
+		for ; word != 0; word &= word - 1 {
+			p := wi<<6 | bits.TrailingZeros64(word)
+			for v, vc := range r.ins[p] {
+				if vc.stage != vcIdle || len(vc.buf) == 0 {
+					continue
+				}
+				head := vc.buf[0]
+				if head.readyAt > now {
+					continue
+				}
+				if !head.f.IsHead() {
+					panic(fmt.Sprintf("router %q: non-head flit %v at idle VC %d.%d", r.cfg.Name, head.f, p, v))
+				}
+				out := r.cfg.Route(head.f.Packet)
+				if out < 0 || out >= r.cfg.Outputs {
+					panic(fmt.Sprintf("router %q: route for %v returned invalid port %d", r.cfg.Name, head.f.Packet, out))
+				}
+				vc.outPort = out
+				vc.vcClass = -1
+				if r.cfg.VCClass != nil {
+					vc.vcClass = r.cfg.VCClass(head.f.Packet, out)
+				}
+				vc.stage = vcWaitVC
+				vc.stageReady = now + 1 // RC occupies this cycle
+				r.activeVCs++
+				r.portActive[p]++
+				r.activePorts.Add(p)
+				r.vaWaiting++
 			}
-			head := vc.buf[0]
-			if head.readyAt > now {
-				continue
-			}
-			if !head.f.IsHead() {
-				panic(fmt.Sprintf("router %q: non-head flit %v at idle VC %d.%d", r.cfg.Name, head.f, p, v))
-			}
-			out := r.cfg.Route(head.f.Packet)
-			if out < 0 || out >= r.cfg.Outputs {
-				panic(fmt.Sprintf("router %q: route for %v returned invalid port %d", r.cfg.Name, head.f.Packet, out))
-			}
-			vc.outPort = out
-			vc.vcClass = -1
-			if r.cfg.VCClass != nil {
-				vc.vcClass = r.cfg.VCClass(head.f.Packet, out)
-			}
-			vc.stage = vcWaitVC
-			vc.stageReady = now + 1 // RC occupies this cycle
-			r.activeVCs++
-			r.portActive[p]++
-			r.vaWaiting++
 		}
 	}
 }
@@ -435,53 +490,53 @@ func (r *Router) routeCompute(now uint64) {
 // once per output.
 func (r *Router) vcAllocate(now uint64) {
 	reqs := r.reqScratch[:0]
-	for p := range r.ins {
-		if r.portActive[p] == 0 {
-			continue
-		}
-		for v, vc := range r.ins[p] {
-			if vc.stage == vcWaitVC && vc.stageReady <= now {
-				reqs = append(reqs, vaReq{inPort: p, inVC: v, out: vc.outPort})
-				r.outReqs[vc.outPort]++
+	for wi, word := range r.activePorts {
+		for ; word != 0; word &= word - 1 {
+			p := wi<<6 | bits.TrailingZeros64(word)
+			for v, vc := range r.ins[p] {
+				if vc.stage == vcWaitVC && vc.stageReady <= now {
+					reqs = append(reqs, vaReq{inPort: p, inVC: v, out: vc.outPort})
+					r.reqOuts.Add(vc.outPort)
+				}
 			}
 		}
 	}
 	r.reqScratch = reqs
-	for op := 0; op < r.cfg.Outputs; op++ {
-		if r.outReqs[op] == 0 {
-			continue
-		}
-		r.outReqs[op] = 0
-		sub := r.reqSubset[:0]
-		for _, rq := range reqs {
-			if rq.out == op {
-				sub = append(sub, rq)
+	for wi, word := range r.reqOuts {
+		r.reqOuts[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			op := wi<<6 | bits.TrailingZeros64(word)
+			sub := r.reqSubset[:0]
+			for _, rq := range reqs {
+				if rq.out == op {
+					sub = append(sub, rq)
+				}
 			}
-		}
-		r.reqSubset = sub
-		out := r.outs[op]
-		// Grant each request the first admissible free output VC,
-		// round-robin across requesters for fairness across cycles.
-		granted := 0
-		for ri := 0; ri < len(sub); ri++ {
-			rq := sub[(ri+out.rrIn)%len(sub)]
-			ivc := r.ins[rq.inPort][rq.inVC]
-			v := r.freeOutVC(out, ivc.vcClass)
-			if v < 0 {
-				continue
+			r.reqSubset = sub
+			out := r.outs[op]
+			// Grant each request the first admissible free output VC,
+			// round-robin across requesters for fairness across cycles.
+			granted := 0
+			for ri := 0; ri < len(sub); ri++ {
+				rq := sub[(ri+out.rrIn)%len(sub)]
+				ivc := r.ins[rq.inPort][rq.inVC]
+				v := r.freeOutVC(out, ivc.vcClass)
+				if v < 0 {
+					continue
+				}
+				out.vcs[v] = outVCState{allocated: true, inPort: rq.inPort, inVC: rq.inVC, credits: out.vcs[v].credits}
+				ivc.outVC = v
+				ivc.stage = vcActive
+				ivc.stageReady = now + 1 // VA occupies this cycle
+				r.vaWaiting--
+				granted++
 			}
-			out.vcs[v] = outVCState{allocated: true, inPort: rq.inPort, inVC: rq.inVC, credits: out.vcs[v].credits}
-			ivc.outVC = v
-			ivc.stage = vcActive
-			ivc.stageReady = now + 1 // VA occupies this cycle
-			r.vaWaiting--
-			granted++
+			if granted < len(sub) {
+				r.ctr.VAStalls += uint64(len(sub) - granted)
+			}
+			out.rrVC = (out.rrVC + 1) % len(out.vcs)
+			out.rrIn = (out.rrIn + 1) % r.cfg.Inputs
 		}
-		if granted < len(sub) {
-			r.ctr.VAStalls += uint64(len(sub) - granted)
-		}
-		out.rrVC = (out.rrVC + 1) % len(out.vcs)
-		out.rrIn = (out.rrIn + 1) % r.cfg.Inputs
 	}
 }
 
@@ -506,26 +561,21 @@ func (r *Router) freeOutVC(out *outPort, class int) int {
 // output stage) and moves the granted flits onto their output channels.
 func (r *Router) switchAllocateAndTraverse(now uint64) {
 	// Stage 1: each input port nominates one requesting VC (round-robin).
-	// Ports with no non-idle VC cannot nominate and are skipped outright.
+	// Only ports with a non-idle VC can nominate.
 	noms := r.nomScratch[:0]
-	for p := range r.ins {
-		if r.portActive[p] == 0 {
-			continue
-		}
-		chosen := -1
-		nvc := r.cfg.VCs
-		for dv := 0; dv < nvc; dv++ {
-			v := (r.rrInVC[p] + dv) % nvc
-			vc := r.ins[p][v]
-			if !r.saEligible(vc, now) {
-				continue
+	nvc := r.cfg.VCs
+	for wi, word := range r.activePorts {
+		for ; word != 0; word &= word - 1 {
+			p := wi<<6 | bits.TrailingZeros64(word)
+			for dv := 0; dv < nvc; dv++ {
+				v := (r.rrInVC[p] + dv) % nvc
+				vc := r.ins[p][v]
+				if r.saEligible(vc, now) {
+					noms = append(noms, nomination{inPort: p, inVC: v, out: vc.outPort})
+					r.rrInVC[p] = (v + 1) % nvc
+					break
+				}
 			}
-			chosen = v
-			break
-		}
-		if chosen >= 0 {
-			noms = append(noms, nomination{inPort: p, inVC: chosen, out: r.ins[p][chosen].outPort})
-			r.rrInVC[p] = (chosen + 1) % nvc
 		}
 	}
 	r.nomScratch = noms
@@ -551,18 +601,19 @@ func (r *Router) switchAllocateAndTraverse(now uint64) {
 			}
 		}
 		r.saCount[op]++
+		r.nomOuts.Add(op)
 	}
-	for op := 0; op < r.cfg.Outputs; op++ {
-		c := r.saCount[op]
-		if c == 0 {
-			continue
+	for wi, word := range r.nomOuts {
+		r.nomOuts[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			op := wi<<6 | bits.TrailingZeros64(word)
+			// Losers on this output count as conflicts.
+			r.ctr.SAConflicts += uint64(r.saCount[op] - 1)
+			r.saCount[op] = 0
+			nm := noms[r.saBest[op]]
+			r.traverse(nm.inPort, nm.inVC, now)
+			r.outs[op].rrIn = (nm.inPort + 1) % r.cfg.Inputs
 		}
-		r.saCount[op] = 0
-		// Losers on this output count as conflicts.
-		r.ctr.SAConflicts += uint64(c - 1)
-		nm := noms[r.saBest[op]]
-		r.traverse(nm.inPort, nm.inVC, now)
-		r.outs[op].rrIn = (nm.inPort + 1) % r.cfg.Inputs
 	}
 }
 
@@ -594,6 +645,9 @@ func (r *Router) traverse(inPort, inVC int, now uint64) {
 	copy(vc.buf, vc.buf[1:])
 	vc.buf = vc.buf[:len(vc.buf)-1]
 	r.bufTotal--
+	if r.portBuf[inPort]--; r.portBuf[inPort] == 0 {
+		r.bufPorts.Remove(inPort)
+	}
 
 	out := r.outs[vc.outPort]
 	f := entry.f
@@ -619,20 +673,43 @@ func (r *Router) traverse(inPort, inVC int, now uint64) {
 		out.vcs[vc.outVC].allocated = false
 		vc.stage = vcIdle
 		r.activeVCs--
-		r.portActive[inPort]--
+		if r.portActive[inPort]--; r.portActive[inPort] == 0 {
+			r.activePorts.Remove(inPort)
+		}
 		r.ctr.PacketsOut++
 	}
 }
 
 // Quiescent reports whether the router holds no flits and no in-flight
 // allocations (used by drain checks in tests).
-func (r *Router) Quiescent() bool {
+func (r *Router) Quiescent() bool { return r.bufTotal == 0 && r.activeVCs == 0 }
+
+// CheckIndex verifies, by exhaustive scan, that every activity counter
+// and every ActiveSet bit agrees with the state it summarizes; tests
+// call it between Ticks. It returns the first disagreement found.
+func (r *Router) CheckIndex() error {
 	for p := range r.ins {
+		buf, act := 0, 0
 		for _, vc := range r.ins[p] {
-			if len(vc.buf) > 0 || vc.stage != vcIdle {
-				return false
+			buf += len(vc.buf)
+			if vc.stage != vcIdle {
+				act++
 			}
 		}
+		if buf != r.portBuf[p] || r.bufPorts.Has(p) != (buf > 0) {
+			return fmt.Errorf("router %q: input %d holds %d flits, portBuf %d, bit %v", r.cfg.Name, p, buf, r.portBuf[p], r.bufPorts.Has(p))
+		}
+		if act != r.portActive[p] || r.activePorts.Has(p) != (act > 0) {
+			return fmt.Errorf("router %q: input %d has %d non-idle VCs, portActive %d, bit %v", r.cfg.Name, p, act, r.portActive[p], r.activePorts.Has(p))
+		}
 	}
-	return true
+	for o, op := range r.outs {
+		if r.credOuts.Has(o) != (len(op.pendingCredits) > 0) {
+			return fmt.Errorf("router %q: output %d has %d pending credits, bit %v", r.cfg.Name, o, len(op.pendingCredits), r.credOuts.Has(o))
+		}
+	}
+	if !r.reqOuts.Empty() || !r.nomOuts.Empty() {
+		return fmt.Errorf("router %q: request/nomination scratch sets not emptied", r.cfg.Name)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/flit"
@@ -94,12 +95,18 @@ func build2x2(t *testing.T, vcs, depth int) (*Router, *collector, *collector) {
 	return r, c0, c1
 }
 
+// runCycles drives the senders and the router for n cycles, checking
+// every activity counter and ActiveSet bit against an exhaustive scan
+// after each one.
 func runCycles(r *Router, senders []*sender, n uint64) {
 	for now := uint64(0); now < n; now++ {
 		for _, s := range senders {
 			s.tick(now)
 		}
 		r.Tick(now)
+		if err := r.CheckIndex(); err != nil {
+			panic(fmt.Sprintf("cycle %d: %v", now, err))
+		}
 	}
 }
 
@@ -348,51 +355,60 @@ func TestConfigValidation(t *testing.T) {
 
 func TestFlitConservationRandomized(t *testing.T) {
 	// Conservation: everything sent is delivered exactly once, for a mix
-	// of packets across ports and VCs.
-	r := MustNew(Config{
-		Name: "conserve", Inputs: 3, Outputs: 3, VCs: 2, BufDepth: 2,
-		Route: func(p *flit.Packet) int { return p.Dst },
-	})
-	cols := make([]*collector, 3)
-	for o := 0; o < 3; o++ {
-		cols[o] = &collector{router: r, port: o}
-		r.ConnectOutput(o, OutputLink{Sink: cols[o], FlitCycles: 2, DownVCs: 2, DownDepth: 4})
+	// of packets across ports and VCs (runCycles checks the index after
+	// every cycle). The 130-port case spans three set words; its senders
+	// and destinations sit on both sides of each word boundary.
+	cases := []struct {
+		name  string
+		ports int
+		busy  []int // ports that send, and that packets are sent to
+	}{
+		{"3", 3, []int{0, 1, 2}},
+		{"130", 130, []int{0, 63, 64, 127, 128, 129}},
 	}
-	var senders []*sender
-	id := 0
-	for p := 0; p < 3; p++ {
-		s := newSender(r, p, 2, 2)
-		for i := 0; i < 8; i++ {
-			id++
-			s.enqueuePacket(mkPacket(id, p, (p+i)%3), i%2)
-		}
-		senders = append(senders, s)
-	}
-	runCycles(r, senders, 10000)
-	total := 0
-	seen := map[flit.PacketID]bool{}
-	for _, c := range cols {
-		total += len(c.packets)
-		for _, p := range c.packets {
-			if seen[p.ID] {
-				t.Fatalf("packet %d delivered twice", p.ID)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := MustNew(Config{
+				Name: "conserve", Inputs: tc.ports, Outputs: tc.ports, VCs: 2, BufDepth: 2,
+				Route: func(p *flit.Packet) int { return p.Dst },
+			})
+			cols := make([]*collector, tc.ports)
+			for o := range cols {
+				cols[o] = &collector{router: r, port: o}
+				r.ConnectOutput(o, OutputLink{Sink: cols[o], FlitCycles: 2, DownVCs: 2, DownDepth: 4})
 			}
-			seen[p.ID] = true
-		}
-	}
-	if total != 24 {
-		t.Fatalf("delivered %d packets, want 24", total)
-	}
-	if !r.Quiescent() {
-		t.Fatal("router not quiescent after drain")
-	}
-	// Every packet delivered to the right port.
-	for o, c := range cols {
-		for _, p := range c.packets {
-			if p.Dst != o {
-				t.Fatalf("packet %d for %d delivered to %d", p.ID, p.Dst, o)
+			var senders []*sender
+			id := 0
+			for i, p := range tc.busy {
+				s := newSender(r, p, 2, 2)
+				for j := 0; j < 8; j++ {
+					id++
+					s.enqueuePacket(mkPacket(id, p, tc.busy[(i+j)%len(tc.busy)]), j%2)
+				}
+				senders = append(senders, s)
 			}
-		}
+			runCycles(r, senders, 10000)
+			total := 0
+			seen := map[flit.PacketID]bool{}
+			for o, c := range cols {
+				total += len(c.packets)
+				for _, p := range c.packets {
+					if seen[p.ID] {
+						t.Fatalf("packet %d delivered twice", p.ID)
+					}
+					seen[p.ID] = true
+					if p.Dst != o {
+						t.Fatalf("packet %d for %d delivered to %d", p.ID, p.Dst, o)
+					}
+				}
+			}
+			if total != id {
+				t.Fatalf("delivered %d packets, want %d", total, id)
+			}
+			if !r.Quiescent() {
+				t.Fatal("router not quiescent after drain")
+			}
+		})
 	}
 }
 
