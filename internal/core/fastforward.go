@@ -36,6 +36,11 @@ func (s *System) ffEligible() bool {
 // replays it through the full machinery.
 func (s *System) fastForward(n uint64) uint64 {
 	now := s.nextCycle
+	if now == 0 {
+		// Cycle 0 is always stepped: it emits the initial phase event,
+		// and no engine event sits at t = 0 to force it.
+		return 0
+	}
 	horizon := now + n
 	// Clock-driven measurement boundaries and engine events (LS control
 	// wakeups, scheduled reconfiguration work) bound the idle stretch.

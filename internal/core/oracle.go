@@ -50,8 +50,5 @@ func oracleProfile(cfg Config, ladder *power.Ladder) (*policy.Profile, error) {
 		return nil, err
 	}
 	s.StepN(pcfg.WarmupCycles + pcfg.MeasureCycles)
-	s.eng.Stop()
-	s.eng.Shutdown()
-	s.Close()
 	return policy.BuildProfile(profilers), nil
 }

@@ -66,12 +66,8 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 			}
 		}
 	}
-	s.eng.Stop()
 	res := s.result(now, truncated)
-	// Release the RC process goroutines and the worker pool: the run is
-	// complete.
-	s.eng.Shutdown()
-	s.Close()
+	s.Close() // release the worker pool: the run is complete
 	if cancelled != nil {
 		return res, &CancelledError{Window: (now + 1) / window, Cycle: now + 1, Cause: cancelled}
 	}

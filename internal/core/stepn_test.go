@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
-	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -182,38 +183,88 @@ func TestStepPastDone(t *testing.T) {
 	}
 }
 
-// TestNewSystemReadyToStep: a constructed system needs no explicit
-// Controllers().Start() — stepping it through two windows runs the LS
-// protocol, and an explicit Start (idempotent) changes nothing.
+// TestNewSystemReadyToStep: a constructed system is running — stepping
+// it through two windows runs the LS protocol with no further set-up.
 func TestNewSystemReadyToStep(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		cfg := fastConfig(PB)
 		cfg.Pattern = "complement"
 		cfg.Workers = workers
-		step := func(start bool) (*System, []telemetry.Event) {
-			s, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.StepN(2*cfg.Window + 1)
+		s.Close()
+		if got := s.Controllers().Counters(); got.Windows != 2*uint64(cfg.Boards) || got.BandwidthCyles == 0 {
+			t.Errorf("workers=%d: after two windows ctrl counters = %+v", workers, got)
+		}
+	}
+}
+
+// TestPhaseEventAtCycleZero: cycle 0 is stepped, never fast-forwarded,
+// so a quiet serial run's first event is the warm-up phase at cycle 0
+// (no engine event sits at t = 0 to force the step).
+func TestPhaseEventAtCycleZero(t *testing.T) {
+	cfg := fastConfig(PB)
+	cfg.Load = 0.02
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &captureSink{}
+	s.AttachSink(sink)
+	s.StepN(cfg.Window)
+	if len(sink.evs) == 0 {
+		t.Fatal("no events in the first window")
+	}
+	if ev := sink.evs[0]; ev.Cycle != 0 || ev.Kind != telemetry.PhaseChange || ev.Label != "warmup" {
+		t.Fatalf("first event = %+v, want {cycle 0, phase, warmup}", ev)
+	}
+}
+
+// TestSerialSystemOwnsNoGoroutines: a Workers <= 1 system starts no
+// goroutine at any point of its life, so one that is stepped by hand and
+// dropped leaks nothing; a parallel system's pool is gone after Close.
+func TestSerialSystemOwnsNoGoroutines(t *testing.T) {
+	// Closed pools' workers (earlier tests', and this test's own at
+	// workers=2) need a moment to exit: let the baseline settle first.
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		time.Sleep(time.Millisecond)
+		base = min(base, runtime.NumGoroutine())
+	}
+	check := func(when string) {
+		t.Helper()
+		for i := 0; runtime.NumGoroutine() > base && i < 100; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%s: %d goroutines, want <= %d", when, n, base)
+		}
+	}
+	for _, workers := range []int{0, 1, 2} {
+		cfg := fastConfig(PB)
+		cfg.Workers = workers
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := func(when string) {
+			if workers <= 1 {
+				check(fmt.Sprintf("workers=%d %s", workers, when))
 			}
-			sink := &captureSink{}
-			s.AttachSink(sink)
-			if start {
-				s.Controllers().Start()
-			}
-			s.StepN(2*cfg.Window + 1)
-			s.Close()
-			return s, sink.evs
 		}
-		lazy, lazyEvs := step(false)
-		started, startedEvs := step(true)
-		if got := lazy.Controllers().Counters(); got.Windows == 0 {
-			t.Errorf("workers=%d: no LS window ran without an explicit Start", workers)
-		} else if got != started.Controllers().Counters() {
-			t.Errorf("workers=%d: ctrl counters %+v, explicitly started %+v", workers, got, started.Controllers().Counters())
+		s.StepN(3 * cfg.Window)
+		serial("after 3 windows")
+		s.Run()
+		serial("after Run")
+		if err := s.Reset(cfg); err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(lazyEvs, startedEvs) {
-			t.Errorf("workers=%d: event stream differs from the explicitly started run (%d vs %d events)",
-				workers, len(lazyEvs), len(startedEvs))
-		}
+		s.StepN(cfg.Window)
+		serial("after Reset + 1 window")
+		s.Close()
+		check(fmt.Sprintf("workers=%d after Close", workers))
 	}
 }

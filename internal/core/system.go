@@ -591,7 +591,6 @@ func (s *System) SetInjectionRate(rate float64) {
 // (e.g. the design-space time-series example); Run steps parallel
 // systems in window-sized epochs instead, amortizing the pool dispatch.
 func (s *System) Step() uint64 {
-	s.ctl.Start()
 	if s.par != nil {
 		return s.stepEpoch(1)
 	}
@@ -614,7 +613,6 @@ func (s *System) StepN(n uint64) uint64 {
 	if n == 0 {
 		return s.cycle
 	}
-	s.ctl.Start()
 	if s.par != nil {
 		return s.stepEpoch(n)
 	}

@@ -22,9 +22,13 @@
 //	Link Response  — each RC programs its LCs: lasers turn on/off and
 //	                 the receivers re-lock onto their new sources
 //
-// RCs are sim processes (goroutines under the deterministic engine), so
-// the protocol really exchanges messages with ring-hop latencies rather
-// than being approximated by a global barrier.
+// Each RC is an explicit state machine driven by sim.Engine callbacks
+// (rc.go): every window wake, LC hop, stage delay, ring arrival and
+// receive deadline is one event, so the protocol really exchanges
+// messages with ring-hop latencies rather than being approximated by a
+// global barrier, and its order is the engine's (time, seq) order alone
+// — no goroutines. A ring arrival and its consumption are deliberately
+// two events (see RC.receive).
 package ctrl
 
 import (
@@ -80,9 +84,9 @@ type Config struct {
 	// which corresponds to MaxHold = 4; see the ablation bench.
 	MaxHold int
 	// RecvTimeoutCycles bounds every blocking ring receive during the DBR
-	// exchange; 0 (the default) keeps the legacy unbounded receive, which
-	// is exact when messages cannot be lost. Fault-injected systems set it
-	// so a dropped Board Request cannot wedge a window.
+	// exchange; 0 (the default) leaves receives unbounded, which is exact
+	// when messages cannot be lost. Fault-injected systems set it so a
+	// dropped Board Request cannot wedge a window.
 	RecvTimeoutCycles uint64
 	// RecvRetries bounds how many times a timed-out RC re-sends its
 	// message (each retry doubles the timeout) before abandoning the
@@ -209,9 +213,8 @@ type System struct {
 	eng *sim.Engine
 	cfg Config
 
-	rcs     []*RC
-	ctr     Counters
-	started bool
+	rcs []*RC
+	ctr Counters
 
 	// sink, when non-nil, receives every stage entry as a telemetry
 	// event (see SetSink).
@@ -221,10 +224,12 @@ type System struct {
 	ringFault RingFault
 
 	// msgFree recycles consumed boardMsg records (and their entry
-	// slices) so the per-window ring exchange allocates nothing in the
-	// steady state. RC processes run one at a time under the engine, so
-	// the free list needs no locking.
-	msgFree []*boardMsg
+	// slices), flightFree the in-transit records of ring hops, so the
+	// per-window ring exchange allocates nothing in the steady state. RC
+	// callbacks run one at a time on the engine's thread, so the free
+	// lists need no locking.
+	msgFree    []*boardMsg
+	flightFree []*flight
 }
 
 // getMsg returns a recycled control message or a fresh one. Callers
@@ -241,8 +246,8 @@ func (s *System) getMsg() *boardMsg {
 }
 
 // putMsg recycles a fully consumed control message. The assign slice is
-// deliberately dropped, never reused: the origin's lastAssign (and the
-// Link Response stage) may still reference it.
+// deliberately dropped, never reused: the origin's Link Response stage
+// still reads it.
 func (s *System) putMsg(m *boardMsg) {
 	m.assign = nil
 	s.msgFree = append(s.msgFree, m)
@@ -251,8 +256,9 @@ func (s *System) putMsg(m *boardMsg) {
 // SetRingFault attaches a control-ring fault filter (nil detaches).
 func (s *System) SetRingFault(rf RingFault) { s.ringFault = rf }
 
-// NewSystem builds the controller system. Start spawns the RC
-// processes; core.System calls it on its first step.
+// NewSystem builds the controller system and schedules every RC's first
+// wake at Window, in ascending board order: a constructed system is
+// running, driven by whoever advances eng.
 func NewSystem(top *topology.Topology, fab *optical.Fabric, eng *sim.Engine, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -292,6 +298,9 @@ func NewSystem(top *topology.Topology, fab *optical.Fabric, eng *sim.Engine, cfg
 	if cfg.PowerAware {
 		fab.SetAutoWake(cfg.WakeLevel)
 	}
+	for _, rc := range s.rcs {
+		rc.nextWindow()
+	}
 	return s, nil
 }
 
@@ -300,9 +309,6 @@ func (s *System) Config() Config { return s.cfg }
 
 // Counters returns a snapshot of the protocol counters.
 func (s *System) Counters() Counters { return s.ctr }
-
-// RC returns board b's reconfiguration controller.
-func (s *System) RC(b int) *RC { return s.rcs[b] }
 
 // SetSink attaches a telemetry sink (nil detaches): every LS stage
 // entry is emitted as a telemetry.StageEnter event with the RC's board
@@ -319,14 +325,7 @@ func (s *System) stage(board int, name string) {
 	}
 }
 
-// Start spawns one RC process per board; later calls are no-ops. The
-// processes run for the lifetime of the engine.
-func (s *System) Start() {
-	if s.started {
-		return
-	}
-	s.started = true
-	for _, rc := range s.rcs {
-		rc.start()
-	}
-}
+// Start does nothing: NewSystem already scheduled the RCs. It survives
+// only because the frozen benchmark/ harness calls it (ROADMAP item 1c
+// moves the harness off it; then it goes).
+func (s *System) Start() {}

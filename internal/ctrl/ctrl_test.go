@@ -33,7 +33,6 @@ func newRig(t *testing.T, boards int, cfg Config) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Start()
 	return &rig{top: top, eng: eng, fab: fab, sys: sys}
 }
 

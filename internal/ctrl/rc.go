@@ -1,7 +1,7 @@
 package ctrl
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -18,14 +18,22 @@ type laserSnap struct {
 	dropped uint64
 }
 
+// msgKind distinguishes the two ring circulations of the DBR exchange.
+type msgKind uint8
+
+const (
+	boardRequest msgKind = iota
+	boardResponse
+)
+
 // boardMsg is an RC→RC control packet on the electrical ring.
 type boardMsg struct {
-	kind   string // "board-request" | "board-response"
-	origin int    // board whose incoming channels the message describes
+	kind   msgKind
+	origin int // board whose incoming channels the message describes
 	// window and attempt tag the message for the fault-tolerant exchange:
 	// receivers discard messages from older windows, and an origin
-	// recognizes which retry came back. Unused (but set) on the legacy
-	// blocking path.
+	// recognizes which retry came back. Unused (but set) when receives
+	// are unbounded.
 	window  uint64
 	attempt int
 	// entries is indexed by wavelength (1..B-1).
@@ -56,21 +64,31 @@ type chanEntry struct {
 	ownerDrops uint64
 }
 
-// RC is one board's reconfiguration controller.
+// flight is one ring message in transit: the record and its arrive
+// closure are built once and recycled through System.flightFree, so a
+// steady-state hop allocates nothing.
+type flight struct {
+	to *RC
+	m  *boardMsg
+	fn func()
+}
+
+// RC is one board's reconfiguration controller: an explicit state
+// machine whose every blocking point — window wake, LC hop, stage
+// delay, ring arrival, receive deadline — is one engine callback, bound
+// once in newRC. Between callbacks the fields below are the whole state.
 type RC struct {
 	sys   *System
 	board int
-
-	mbox *sim.Mailbox[*boardMsg]
 
 	// pol decides this board's level moves and wavelength grants; the
 	// RC owns applying them safely (see the policy package contracts).
 	pol policy.Policy
 
-	windows uint64
-	// lastAssign records the most recent holder map this RC computed for
-	// its incoming channels (diagnostics).
-	lastAssign []int
+	// windows is the index k of the window being processed (k·R_w is its
+	// nominal wake time); cycleStart is when its cycle began.
+	windows    uint64
+	cycleStart uint64
 	// snap is the window-snapshot scratch, reused across windows (each
 	// window's snapshot is fully consumed before the next one is taken).
 	snap [][]laserSnap
@@ -79,62 +97,104 @@ type RC struct {
 	// publishes; bwCtx carries the topology/fabric callbacks, built once.
 	chanObs []policy.ChanObs
 	bwCtx   policy.BandwidthCtx
+
+	// lc is the next Link Controller on the power cycle's LC chain.
+	lc int
+	// full is the completed Board Request awaiting the Reconfigure
+	// stage; assign is the holder map it produced, circulated by Board
+	// Response and applied by Link Response.
+	full   *boardMsg
+	assign []int
+
+	// Ring receive state. inbox holds arrived messages in arrival order;
+	// recvKind is the circulation in progress (other kinds stay queued);
+	// waiting is set while the RC is blocked on an arrival. With bounded
+	// receives, deadline is the absolute give-up time, timer the engine
+	// event armed for it, and timeout/attempt the retry schedule.
+	inbox    []*boardMsg
+	recvKind msgKind
+	waiting  bool
+	deadline uint64
+	timer    sim.EventID
+	timeout  uint64
+	attempt  int
+
+	onWake, onLCHop, onBoardRequest, onReconfigure, onLinkResponse, onConsume, onDeadline func()
 }
 
 func newRC(s *System, board int) *RC {
-	rc := &RC{sys: s, board: board, mbox: sim.NewMailbox[*boardMsg](s.eng, fmt.Sprintf("rc%d-inbox", board))}
+	rc := &RC{sys: s, board: board}
 	rc.chanObs = make([]policy.ChanObs, s.top.Boards())
 	rc.bwCtx.StaticOwner = func(w int) int { return s.top.StaticOwner(rc.board, w) }
 	rc.bwCtx.LaserHealthy = func(src, w int) bool { return s.fab.LaserHealthy(src, w, rc.board) }
+	rc.onWake = rc.nextWindow
+	rc.onLCHop = rc.lcHop
+	rc.onBoardRequest = rc.boardRequest
+	rc.onReconfigure = rc.reconfigure
+	rc.onLinkResponse = rc.linkResponse
+	rc.onConsume = func() {
+		s.eng.Cancel(rc.timer) // no-op when unarmed or already fired
+		rc.receive()
+	}
+	rc.onDeadline = func() {
+		// An arrival at this same instant that was scheduled first has
+		// already claimed the wake-up: its consume event decides.
+		if rc.waiting {
+			rc.waiting = false
+			rc.receive()
+		}
+	}
 	return rc
 }
 
-// Policy returns the RC's reconfiguration policy.
-func (rc *RC) Policy() policy.Policy { return rc.pol }
-
-// Board returns the RC's board index.
-func (rc *RC) Board() int { return rc.board }
-
-// Windows returns the number of reconfiguration windows processed.
-func (rc *RC) Windows() uint64 { return rc.windows }
-
-func (rc *RC) start() {
-	rc.sys.eng.SpawnProcess(fmt.Sprintf("rc%d", rc.board), rc.run)
-}
-
-// run is the RC process body: wake every R_w, alternate power (odd) and
-// bandwidth (even) cycles.
-func (rc *RC) run(p *sim.Process) {
-	w := rc.sys.cfg.Window
-	for k := uint64(1); ; k++ {
-		target := k * w
-		now := p.Now()
-		if target > now {
-			p.Delay(target - now)
+// nextWindow is both how a finished cycle goes back to sleep and the
+// wake callback itself: it schedules the wake for the next R_w boundary,
+// or — at the boundary, or past it after a cycle that overran R_w —
+// runs the due windows until one starts a cycle or the RC has caught up.
+func (rc *RC) nextWindow() {
+	for {
+		if target := (rc.windows + 1) * rc.sys.cfg.Window; target > rc.sys.eng.Now() {
+			rc.sys.eng.At(target, rc.onWake)
+			return
 		}
-		rc.windows++
-		rc.sys.ctr.Windows++
-		snap := rc.snapshotAndReset()
-		start := p.Now()
-		if k%2 == 1 {
-			if rc.sys.cfg.PowerAware {
-				rc.sys.ctr.PowerCycles++
-				rc.powerCycle(p, snap)
-				rc.sys.ctr.PowerCycleBusy += p.Now() - start
-			}
-		} else {
-			if rc.sys.cfg.BandwidthReconfig {
-				rc.sys.ctr.BandwidthCyles++
-				rc.bandwidthCycle(p, snap)
-				rc.sys.ctr.BandwidthCycleBusy += p.Now() - start
-			}
+		if rc.window() {
+			return
 		}
 	}
 }
 
-// snapshotAndReset captures every local laser's window statistics and
-// resets the windows for the next R_w. Indexed [w][d].
-func (rc *RC) snapshotAndReset() [][]laserSnap {
+// window processes one R_w boundary: snapshot the lasers, then start
+// the power (odd) or bandwidth (even) cycle. It reports whether a cycle
+// is now in progress; the cycle's last callback calls nextWindow.
+func (rc *RC) window() bool {
+	sys := rc.sys
+	rc.windows++
+	sys.ctr.Windows++
+	rc.snapshotAndReset()
+	rc.cycleStart = sys.eng.Now()
+	switch {
+	case rc.windows%2 == 1 && sys.cfg.PowerAware:
+		// Dynamic Power Regulation (Sec. 3.1): the Power_Request packet
+		// traverses the LC chain, one hop per transmitter.
+		sys.ctr.PowerCycles++
+		sys.stage(rc.board, "power-request")
+		rc.lc = 1
+		sys.eng.After(sys.cfg.LCHopCycles, rc.onLCHop)
+		return true
+	case rc.windows%2 == 0 && sys.cfg.BandwidthReconfig:
+		// Stage 1 of the LS DBR exchange (Sec. 3.2): Link Request — the
+		// request visits every LC and returns to the RC.
+		sys.ctr.BandwidthCyles++
+		sys.stage(rc.board, "link-request")
+		sys.eng.After(uint64(sys.top.Boards())*sys.cfg.LCHopCycles, rc.onBoardRequest)
+		return true
+	}
+	return false
+}
+
+// snapshotAndReset captures every local laser's window statistics into
+// rc.snap (indexed [w][d]) and resets the windows for the next R_w.
+func (rc *RC) snapshotAndReset() {
 	b := rc.sys.top.Boards()
 	// Idle lasers accrue window statistics lazily; bring this board's up
 	// to date before reading and resetting the windows (the snapshot only
@@ -164,103 +224,94 @@ func (rc *RC) snapshotAndReset() [][]laserSnap {
 			l.BufWin.Reset()
 		}
 	}
-	return snap
 }
 
-// powerCycle implements the Dynamic Power Regulation Algorithm
-// (Sec. 3.1): the Power_Request packet traverses the LC chain; each LC
-// consults the policy and scales its lasers locally. The RC receives no
-// LC state back.
-func (rc *RC) powerCycle(p *sim.Process, snap [][]laserSnap) {
-	sys := rc.sys
-	sys.stage(rc.board, "power-request")
-	b := sys.top.Boards()
-	relock := sys.fab.Config().RelockCycles
-	ladder := sys.fab.Config().Ladder
-	for w := 1; w < b; w++ { // one LC per transmitter
-		p.Delay(sys.cfg.LCHopCycles)
-		now := p.Now()
-		for d := 0; d < b; d++ {
-			l := sys.fab.Laser(rc.board, w, d)
-			if l == nil {
-				continue
-			}
-			if sys.fab.Channel(d, w).Holder() != rc.board {
-				continue // laser dark: channel driven by another board
-			}
-			if l.Failed() {
-				continue // DPM leaves failed lasers alone until they recover
-			}
-			st := snap[w][d]
-			obs := policy.LinkObs{
-				Wavelength: w,
-				Dest:       d,
-				Level:      l.Level(),
-				LinkUtil:   st.linkUtil,
-				BufUtil:    st.bufUtil,
-				QueueLen:   st.queueLen,
-				Dropped:    st.dropped,
-				LiveQueue:  l.QueueLen(),
-				Busy:       l.Busy(now),
-			}
-			target := rc.pol.Power(obs)
-			if target == obs.Level {
-				continue
-			}
-			switch {
-			case target == 0:
-				// Shutdown is applied only when the laser is drained and not
-				// mid-transmission; otherwise the preference is deferred to a
-				// later window (the safety contract).
-				if obs.LiveQueue != 0 || obs.QueueLen != 0 || obs.Busy {
-					continue
-				}
-				l.SetLevel(0, now, relock)
-				sys.ctr.Shutdowns++
-			case !ladder.Operating(target):
-				continue // invalid preference: ignored
-			case target > obs.Level:
-				// Scale up, or a policy-driven pre-wake from Off.
-				l.SetLevel(target, now, relock)
-				sys.ctr.LevelUps++
-			default:
-				l.SetLevel(target, now, relock)
-				sys.ctr.LevelDowns++
-			}
-		}
-	}
-	p.Delay(sys.cfg.LCHopCycles) // request returns to the RC
-	sys.stage(rc.board, "power-complete")
-}
-
-// bandwidthCycle implements the five-stage LS DBR exchange (Sec. 3.2).
-func (rc *RC) bandwidthCycle(p *sim.Process, snap [][]laserSnap) {
+// lcHop is one hop of the Power_Request along the LC chain: LC rc.lc
+// consults the policy and scales its lasers locally (the RC receives no
+// LC state back); the hop after the last LC returns the request to the
+// RC and completes the cycle.
+func (rc *RC) lcHop() {
 	sys := rc.sys
 	b := sys.top.Boards()
-
-	// Stage 1: Link Request — collect outgoing link statistics. The
-	// request visits every LC and returns to the RC.
-	sys.stage(rc.board, "link-request")
-	p.Delay(uint64(b) * sys.cfg.LCHopCycles)
-
-	// Stage 2: Board Request — circulate a request for my incoming link
-	// statistics; simultaneously fill in the requests of the other boards
-	// from my outgoing snapshot.
-	sys.stage(rc.board, "board-request")
-	full := rc.circulateRequest(p, snap)
-	if full == nil {
-		// Retries exhausted (fault injection lost the request for good):
-		// give up reconfiguring this window rather than wedge the
-		// lock-step schedule. The fabric keeps its current assignment.
-		sys.ctr.AbandonedCycles++
-		sys.stage(rc.board, "abandoned")
+	now := sys.eng.Now()
+	w := rc.lc
+	if w >= b {
+		sys.stage(rc.board, "power-complete")
+		sys.ctr.PowerCycleBusy += now - rc.cycleStart
+		rc.nextWindow()
 		return
 	}
+	relock := sys.fab.Config().RelockCycles
+	ladder := sys.fab.Config().Ladder
+	for d := 0; d < b; d++ {
+		l := sys.fab.Laser(rc.board, w, d)
+		if l == nil {
+			continue
+		}
+		if sys.fab.Channel(d, w).Holder() != rc.board {
+			continue // laser dark: channel driven by another board
+		}
+		if l.Failed() {
+			continue // DPM leaves failed lasers alone until they recover
+		}
+		st := rc.snap[w][d]
+		obs := policy.LinkObs{
+			Wavelength: w,
+			Dest:       d,
+			Level:      l.Level(),
+			LinkUtil:   st.linkUtil,
+			BufUtil:    st.bufUtil,
+			QueueLen:   st.queueLen,
+			Dropped:    st.dropped,
+			LiveQueue:  l.QueueLen(),
+			Busy:       l.Busy(now),
+		}
+		target := rc.pol.Power(obs)
+		if target == obs.Level {
+			continue
+		}
+		switch {
+		case target == 0:
+			// Shutdown is applied only when the laser is drained and not
+			// mid-transmission; otherwise the preference is deferred to a
+			// later window (the safety contract).
+			if obs.LiveQueue != 0 || obs.QueueLen != 0 || obs.Busy {
+				continue
+			}
+			l.SetLevel(0, now, relock)
+			sys.ctr.Shutdowns++
+		case !ladder.Operating(target):
+			continue // invalid preference: ignored
+		case target > obs.Level:
+			// Scale up, or a policy-driven pre-wake from Off.
+			l.SetLevel(target, now, relock)
+			sys.ctr.LevelUps++
+		default:
+			l.SetLevel(target, now, relock)
+			sys.ctr.LevelDowns++
+		}
+	}
+	rc.lc++
+	sys.eng.After(sys.cfg.LCHopCycles, rc.onLCHop)
+}
 
-	// Stage 3: Reconfigure — hand the assembled channel observations to
-	// the policy, which computes the new holder map.
-	sys.stage(rc.board, "reconfigure")
-	p.Delay(sys.cfg.ComputeCycles)
+// boardRequest is stage 2, Board Request: circulate a request for my
+// incoming link statistics; meanwhile receive fills in the requests of
+// the other boards from my outgoing snapshot.
+func (rc *RC) boardRequest() {
+	rc.sys.stage(rc.board, "board-request")
+	rc.circulate(boardRequest)
+}
+
+// reconfigure is stage 3 (after its compute delay) and the start of
+// stage 4: hand the assembled channel observations to the policy, which
+// computes the new holder map, then circulate the map so source boards
+// update their outgoing tables.
+func (rc *RC) reconfigure() {
+	sys := rc.sys
+	b := sys.top.Boards()
+	full := rc.full
+	rc.full = nil
 	for w := 1; w < b; w++ {
 		e := full.entries[w]
 		rc.chanObs[w] = policy.ChanObs{
@@ -274,32 +325,31 @@ func (rc *RC) bandwidthCycle(p *sim.Process, snap [][]laserSnap) {
 			OwnerDrops:  e.ownerDrops,
 		}
 	}
-	// assign escapes (lastAssign, the circulated response), so it is the
-	// one per-window allocation; it is handed to the policy pre-filled
-	// with the current holder map.
+	// assign escapes into the circulated response, so it is the one
+	// per-window allocation; it is handed to the policy pre-filled with
+	// the current holder map.
 	assign := make([]int, b)
 	for w := 1; w < b; w++ {
 		assign[w] = full.entries[w].holder
 	}
 	rc.bwCtx.Window = rc.windows
 	rc.bwCtx.Repairs = 0
-	assign = rc.pol.Bandwidth(&rc.bwCtx, rc.chanObs, assign)
+	rc.assign = rc.pol.Bandwidth(&rc.bwCtx, rc.chanObs, assign)
 	sys.ctr.FaultRepairs += uint64(rc.bwCtx.Repairs)
-	rc.lastAssign = assign
 	sys.putMsg(full)
 
-	// Stage 4: Board Response — circulate the new assignments so source
-	// boards update their outgoing tables.
 	sys.stage(rc.board, "board-response")
-	rc.circulateResponse(p, assign)
+	rc.circulate(boardResponse)
+}
 
-	// Stage 5: Link Response — program the LCs: lasers switch on/off and
-	// receivers re-lock.
-	sys.stage(rc.board, "link-response")
-	p.Delay(uint64(b) * sys.cfg.LCHopCycles)
-	now := p.Now()
+// linkResponse is stage 5 (after its LC-chain delay): program the LCs —
+// lasers switch on/off and receivers re-lock.
+func (rc *RC) linkResponse() {
+	sys := rc.sys
+	b := sys.top.Boards()
+	now := sys.eng.Now()
 	for w := 1; w < b; w++ {
-		newHolder := assign[w]
+		newHolder := rc.assign[w]
 		if newHolder < 0 || newHolder >= b || newHolder == rc.board {
 			continue // invalid grant: ignored (the safety contract)
 		}
@@ -320,17 +370,31 @@ func (rc *RC) bandwidthCycle(p *sim.Process, snap [][]laserSnap) {
 		}
 	}
 	sys.stage(rc.board, "complete")
+	rc.endBandwidthCycle()
 }
 
-// newRequest builds this RC's board-request message for the current
-// window and attempt, reusing a recycled message when one is free.
-func (rc *RC) newRequest(attempt int) *boardMsg {
+// endBandwidthCycle accounts the cycle's duration — completed or
+// abandoned — and goes back to sleep.
+func (rc *RC) endBandwidthCycle() {
+	rc.sys.ctr.BandwidthCycleBusy += rc.sys.eng.Now() - rc.cycleStart
+	rc.nextWindow()
+}
+
+// newMsg builds this RC's message for the circulation in progress,
+// current window and attempt, reusing a recycled record when one is
+// free: a board-request starts with the current holder of each incoming
+// channel, a board-response carries the new holder map.
+func (rc *RC) newMsg() *boardMsg {
 	b := rc.sys.top.Boards()
 	m := rc.sys.getMsg()
-	m.kind = "board-request"
+	m.kind = rc.recvKind
 	m.origin = rc.board
 	m.window = rc.windows
-	m.attempt = attempt
+	m.attempt = rc.attempt
+	if m.kind == boardResponse {
+		m.assign = rc.assign
+		return m
+	}
 	if cap(m.entries) < b {
 		m.entries = make([]chanEntry, b)
 	} else {
@@ -345,110 +409,101 @@ func (rc *RC) newRequest(attempt int) *boardMsg {
 	return m
 }
 
-// newResponse builds this RC's board-response message carrying the new
-// holder map.
-func (rc *RC) newResponse(attempt int, assign []int) *boardMsg {
-	m := rc.sys.getMsg()
-	m.kind = "board-response"
-	m.origin = rc.board
-	m.window = rc.windows
-	m.attempt = attempt
-	m.assign = assign
-	return m
+// circulate starts a ring circulation: send this RC's message and
+// receive until it comes back.
+func (rc *RC) circulate(kind msgKind) {
+	rc.recvKind = kind
+	rc.attempt = 0
+	rc.timeout = rc.sys.cfg.RecvTimeoutCycles
+	rc.deadline = rc.sys.eng.Now() + rc.timeout
+	rc.send(rc.newMsg())
+	rc.receive()
 }
 
-// circulateRequest runs the Board Request circulation: it sends this
-// RC's request around the ring and forwards/fills the other boards'
-// requests until its own comes back complete. With RecvTimeoutCycles
-// set, every receive is bounded; a timeout re-sends the request with a
-// doubled timeout up to RecvRetries times, after which nil is returned
-// (the cycle is abandoned, never wedged).
-func (rc *RC) circulateRequest(p *sim.Process, snap [][]laserSnap) *boardMsg {
+// receive is the one receive loop of both circulations. It takes every
+// queued message of the kind in progress, forwarding the other boards'
+// (a board-request after filling in this board's entries), until this
+// RC's own message is back — any attempt of it that made it all the way
+// around is complete — and then moves to the next stage. With nothing to
+// take it blocks: waiting is set and, iff RecvTimeoutCycles > 0, the
+// deadline timer armed. A deadline already reached times out without
+// scheduling anything: the message is re-sent with a doubled timeout, up
+// to RecvRetries times, after which the circulation is given up — never
+// wedged.
+//
+// Ordering contract (ctrl_plane.golden pins it). An arrival and its
+// consumption are two events: arrive queues the message and, if the RC
+// is waiting, schedules one zero-delay onConsume, which cancels the
+// timer and re-enters this loop — so each return to waiting re-arms the
+// timer under a new sequence number, and a deadline that fires after a
+// same-instant arrival is a no-op. They must not be merged: same-instant
+// actions of different boards draw from the ring-fault RNG (one draw per
+// hop) and emit StageEnter in event order.
+func (rc *RC) receive() {
 	sys := rc.sys
-	rc.send(rc.newRequest(0))
-	if sys.cfg.RecvTimeoutCycles == 0 {
-		// Legacy exact path: messages cannot be lost, block indefinitely.
-		for {
-			m := rc.recv(p, "board-request")
-			if m.origin == rc.board {
-				return m
-			}
-			rc.fillEntries(m, snap)
-			rc.send(m)
-		}
-	}
-	attempt := 0
-	timeout := sys.cfg.RecvTimeoutCycles
-	deadline := p.Now() + timeout
+	bounded := sys.cfg.RecvTimeoutCycles > 0
 	for {
-		m, ok := rc.recvUntil(p, "board-request", deadline)
+		m := rc.take()
 		switch {
-		case !ok:
-			if attempt >= sys.cfg.RecvRetries {
-				return nil
+		case m == nil:
+			if !bounded || rc.deadline > sys.eng.Now() {
+				rc.waiting = true
+				if bounded {
+					rc.timer = sys.eng.At(rc.deadline, rc.onDeadline)
+				}
+				return
+			}
+			if rc.attempt >= sys.cfg.RecvRetries {
+				rc.circulated(nil)
+				return
 			}
 			sys.ctr.Timeouts++
 			sys.ctr.Retries++
-			attempt++
-			timeout *= 2
-			deadline = p.Now() + timeout
-			rc.send(rc.newRequest(attempt))
-		case m.window < rc.windows:
+			rc.attempt++
+			rc.timeout *= 2
+			rc.deadline = sys.eng.Now() + rc.timeout
+			rc.send(rc.newMsg())
+		case bounded && m.window < rc.windows:
 			sys.ctr.StaleMsgs++ // leftover from an earlier window
 			sys.putMsg(m)
 		case m.origin == rc.board:
-			// Any attempt of my own request that made it all the way around
-			// carries a complete set of entries.
-			return m
+			rc.circulated(m)
+			return
 		default:
-			rc.fillEntries(m, snap)
+			if m.kind == boardRequest {
+				rc.fillEntries(m)
+			}
 			rc.send(m)
 		}
 	}
 }
 
-// circulateResponse runs the Board Response circulation. A response
-// that is lost beyond the retry budget is abandoned silently: the local
-// assignment still applies in Link Response, and remote boards observe
-// the holder change through their own next Board Request.
-func (rc *RC) circulateResponse(p *sim.Process, assign []int) {
+// circulated ends the circulation in progress; m is this RC's own
+// message back from the ring, or nil when the retries ran out.
+func (rc *RC) circulated(m *boardMsg) {
 	sys := rc.sys
-	rc.send(rc.newResponse(0, assign))
-	if sys.cfg.RecvTimeoutCycles == 0 {
-		for {
-			m := rc.recv(p, "board-response")
-			if m.origin == rc.board {
-				sys.putMsg(m)
-				return
-			}
-			rc.send(m)
-		}
-	}
-	attempt := 0
-	timeout := sys.cfg.RecvTimeoutCycles
-	deadline := p.Now() + timeout
-	for {
-		m, ok := rc.recvUntil(p, "board-response", deadline)
-		switch {
-		case !ok:
-			if attempt >= sys.cfg.RecvRetries {
-				return
-			}
-			sys.ctr.Timeouts++
-			sys.ctr.Retries++
-			attempt++
-			timeout *= 2
-			deadline = p.Now() + timeout
-			rc.send(rc.newResponse(attempt, assign))
-		case m.window < rc.windows:
-			sys.ctr.StaleMsgs++
+	switch {
+	case rc.recvKind == boardResponse:
+		// A response lost beyond the retry budget is abandoned silently:
+		// the local assignment still applies in Link Response, and remote
+		// boards observe the holder change through their own next Board
+		// Request.
+		if m != nil {
 			sys.putMsg(m)
-		case m.origin == rc.board:
-			sys.putMsg(m)
-			return
-		default:
-			rc.send(m)
 		}
+		sys.stage(rc.board, "link-response")
+		sys.eng.After(uint64(sys.top.Boards())*sys.cfg.LCHopCycles, rc.onLinkResponse)
+	case m == nil:
+		// Fault injection lost the request for good: give up reconfiguring
+		// this window rather than wedge the lock-step schedule. The fabric
+		// keeps its current assignment.
+		sys.ctr.AbandonedCycles++
+		sys.stage(rc.board, "abandoned")
+		rc.endBandwidthCycle()
+	default:
+		rc.full = m
+		sys.stage(rc.board, "reconfigure")
+		sys.eng.After(sys.cfg.ComputeCycles, rc.onReconfigure)
 	}
 }
 
@@ -456,13 +511,13 @@ func (rc *RC) circulateResponse(p *sim.Process, assign []int) {
 // board-request: statistics for the incoming channels of m.origin that
 // this board currently drives, and the owner-demand field for the
 // channel this board statically owns.
-func (rc *RC) fillEntries(m *boardMsg, snap [][]laserSnap) {
+func (rc *RC) fillEntries(m *boardMsg) {
 	sys := rc.sys
 	b := sys.top.Boards()
 	for w := 1; w < b; w++ {
 		ch := sys.fab.Channel(m.origin, w)
 		if ch.Holder() == rc.board {
-			st := snap[w][m.origin]
+			st := rc.snap[w][m.origin]
 			m.entries[w].holder = rc.board
 			m.entries[w].linkUtil = st.linkUtil
 			m.entries[w].bufUtil = st.bufUtil
@@ -471,7 +526,7 @@ func (rc *RC) fillEntries(m *boardMsg, snap [][]laserSnap) {
 			m.entries[w].dead = l == nil || l.PermanentlyFailed()
 		}
 		if sys.top.StaticOwner(m.origin, w) == rc.board {
-			st := snap[w][m.origin]
+			st := rc.snap[w][m.origin]
 			m.entries[w].ownerDemand = st.bufUtil
 			m.entries[w].ownerQueue = st.queueLen
 			m.entries[w].ownerDrops = st.dropped
@@ -494,18 +549,44 @@ func (rc *RC) send(m *boardMsg) {
 		}
 		delay += extra
 	}
-	sys.rcs[next].mbox.PutAfter(delay, m)
+	var f *flight
+	if n := len(sys.flightFree); n > 0 {
+		f = sys.flightFree[n-1]
+		sys.flightFree = sys.flightFree[:n-1]
+	} else {
+		f = &flight{}
+		f.fn = func() {
+			to, m := f.to, f.m
+			f.to, f.m = nil, nil
+			sys.flightFree = append(sys.flightFree, f)
+			to.arrive(m)
+		}
+	}
+	f.to, f.m = sys.rcs[next], m
+	sys.eng.After(delay, f.fn)
 }
 
-// recv blocks the RC process until a message of the given kind is
-// available. Other kinds stay queued: with equal stage timings the
+// arrive queues a message off the ring and, if the RC is blocked in
+// receive, schedules its consumption later in this instant (see the
+// ordering contract on receive).
+func (rc *RC) arrive(m *boardMsg) {
+	rc.inbox = append(rc.inbox, m)
+	if rc.waiting {
+		rc.waiting = false
+		rc.sys.eng.After(0, rc.onConsume)
+	}
+}
+
+// take dequeues the first queued message of the kind being received.
+// Other kinds stay queued in arrival order: with equal stage timings the
 // lock-step schedule never interleaves kinds, but the protocol does not
 // depend on that.
-func (rc *RC) recv(p *sim.Process, kind string) *boardMsg {
-	return rc.mbox.ReceiveMatch(p, func(m *boardMsg) bool { return m.kind == kind })
-}
-
-// recvUntil is recv with an absolute deadline; ok is false on timeout.
-func (rc *RC) recvUntil(p *sim.Process, kind string, deadline uint64) (*boardMsg, bool) {
-	return rc.mbox.ReceiveMatchUntil(p, func(m *boardMsg) bool { return m.kind == kind }, deadline)
+func (rc *RC) take() *boardMsg {
+	for i, m := range rc.inbox {
+		if m.kind == rc.recvKind {
+			rc.inbox = slices.Delete(rc.inbox, i, i+1)
+			return m
+		}
+	}
+	return nil
 }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/link"
 	"repro/internal/rng"
 	"repro/internal/router"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
@@ -121,7 +120,6 @@ type Result struct {
 // Mesh is an assembled baseline network.
 type Mesh struct {
 	cfg  Config
-	eng  *sim.Engine
 	meas *stats.Measurement
 
 	routers   []*router.Router
@@ -140,7 +138,6 @@ func New(cfg Config) (*Mesh, error) {
 	}
 	m := &Mesh{
 		cfg:  cfg,
-		eng:  sim.NewEngine(),
 		meas: stats.NewMeasurement(cfg.WarmupCycles, cfg.MeasureCycles),
 	}
 	m.assemble()
@@ -326,7 +323,6 @@ func (m *Mesh) onDeliver(p *flit.Packet, now uint64) {
 }
 
 func (m *Mesh) step(now uint64) {
-	m.eng.RunUntil(now)
 	m.meas.Advance(now)
 	for i, inj := range m.injectors {
 		dst, ok := inj.Step()

@@ -1,14 +1,16 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel plays the role YACSIM played in the paper's evaluation: an
-// event calendar with a current virtual time, plus a process layer
-// (process.go) that lets sequential behaviours be written as blocking
-// goroutines exchanging messages through mailboxes (mailbox.go).
+// event calendar with a current virtual time. Sequential behaviours
+// (the LS control protocol) are state machines whose blocking points
+// are calendar callbacks; YACSIM's process and mailbox primitives have
+// no counterpart (process.go is a remnant kept for the frozen
+// benchmark, see there).
 //
 // Determinism: events scheduled for the same time fire in scheduling
-// order (FIFO tie-break by sequence number). The engine is single
-// threaded; the process layer runs at most one goroutine at a time with
-// a strict handshake, so simulations are reproducible bit-for-bit.
+// order (FIFO tie-break by sequence number), on the caller's thread —
+// the engine starts no goroutines — so simulations are reproducible
+// bit-for-bit from the (time, seq) order alone.
 //
 // The calendar is a typed min-heap of pooled event records: scheduling
 // does not box through interfaces, fired and cancelled events return to
@@ -55,21 +57,15 @@ type Engine struct {
 	executed uint64
 	stopped  bool
 
-	// procs tracks live processes so Drain can detect leaks.
+	// procs tracks live processes for Shutdown (process.go).
 	procs map[*Process]struct{}
 }
 
 // NewEngine returns an empty engine at time zero.
-func NewEngine() *Engine {
-	return &Engine{procs: make(map[*Process]struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Pending returns the number of scheduled (uncancelled) events. It is
-// O(1): cancellation removes calendar entries eagerly.
-func (e *Engine) Pending() int { return len(e.events) }
 
 // Executed returns the total number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -266,35 +262,12 @@ func (e *Engine) NextEventTime() (Time, bool) {
 // simulations (e.g. "run until all labelled packets drain").
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
-
-// Resume clears the stopped flag so stepping can continue.
-func (e *Engine) Resume() { e.stopped = false }
-
-// Shutdown stops the engine and terminates every live process goroutine.
-// Call it when a simulation run is complete; the engine must be idle (no
-// process currently executing). After Shutdown the engine must not be
-// stepped again.
-func (e *Engine) Shutdown() {
-	e.stopped = true
-	for p := range e.procs {
-		close(p.wake)
-		delete(e.procs, p)
-	}
-}
-
 // Reset returns the engine to its initial state — time zero, empty
 // calendar, sequence zero, not stopped — so a completed simulation's
-// engine can host a fresh run without reconstruction. Any leftover
-// process goroutines are terminated (a completed run's Shutdown
-// normally already did) and pending calendar entries are recycled onto
-// the free list, so the reset engine schedules without allocating.
+// engine can host a fresh run without reconstruction. Pending calendar
+// entries are recycled onto the free list, so the reset engine
+// schedules without allocating.
 func (e *Engine) Reset() {
-	for p := range e.procs {
-		close(p.wake)
-		delete(e.procs, p)
-	}
 	for i, ev := range e.events {
 		e.events[i] = nil
 		e.recycle(ev)

@@ -10,8 +10,8 @@ func TestEngineStartsAtZero(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("Now() = %d, want 0", e.Now())
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0", e.Pending())
+	if _, ok := e.NextEventTime(); ok {
+		t.Fatal("fresh engine has a pending event")
 	}
 }
 
@@ -142,12 +142,8 @@ func TestStopHaltsRun(t *testing.T) {
 	if count != 5 {
 		t.Fatalf("executed %d ticks, want 5", count)
 	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
-	}
-	e.Resume()
-	if e.Stopped() {
-		t.Fatal("Stopped() = true after Resume")
+	if e.Step() {
+		t.Fatal("Step ran an event on a stopped engine")
 	}
 }
 
@@ -225,19 +221,6 @@ func BenchmarkEventScheduling(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.After(Time(i%64), fn)
-		e.Step()
-	}
-}
-
-func BenchmarkProcessContextSwitch(b *testing.B) {
-	e := NewEngine()
-	e.SpawnProcess("spinner", func(p *Process) {
-		for {
-			p.Delay(1)
-		}
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
 }

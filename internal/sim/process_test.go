@@ -6,11 +6,11 @@ func TestProcessDelay(t *testing.T) {
 	e := NewEngine()
 	var trace []Time
 	e.SpawnProcess("p", func(p *Process) {
-		trace = append(trace, p.Now())
+		trace = append(trace, e.Now())
 		p.Delay(10)
-		trace = append(trace, p.Now())
+		trace = append(trace, e.Now())
 		p.Delay(5)
-		trace = append(trace, p.Now())
+		trace = append(trace, e.Now())
 	})
 	e.Run()
 	want := []Time{0, 10, 15}
@@ -22,8 +22,8 @@ func TestProcessDelay(t *testing.T) {
 			t.Fatalf("trace = %v, want %v", trace, want)
 		}
 	}
-	if e.LiveProcesses() != 0 {
-		t.Fatalf("LiveProcesses = %d, want 0", e.LiveProcesses())
+	if len(e.procs) != 0 {
+		t.Fatalf("LiveProcesses = %d, want 0", len(e.procs))
 	}
 }
 
@@ -85,65 +85,6 @@ func TestProcessZeroDelayYields(t *testing.T) {
 	}
 }
 
-func TestSignalWakesWaitersInOrder(t *testing.T) {
-	e := NewEngine()
-	sig := NewSignal(e, "go")
-	var woken []string
-	for _, name := range []string{"w1", "w2", "w3"} {
-		name := name
-		e.SpawnProcess(name, func(p *Process) {
-			p.WaitSignal(sig)
-			woken = append(woken, name)
-		})
-	}
-	e.SpawnProcess("firer", func(p *Process) {
-		p.Delay(100)
-		if sig.Waiting() != 3 {
-			t.Errorf("Waiting() = %d, want 3", sig.Waiting())
-		}
-		sig.Fire()
-	})
-	e.Run()
-	if e.Now() != 100 {
-		t.Fatalf("final time = %d, want 100", e.Now())
-	}
-	want := []string{"w1", "w2", "w3"}
-	if len(woken) != 3 {
-		t.Fatalf("woken = %v, want %v", woken, want)
-	}
-	for i := range want {
-		if woken[i] != want[i] {
-			t.Fatalf("woken = %v, want %v", woken, want)
-		}
-	}
-	if sig.Fires() != 1 {
-		t.Fatalf("Fires() = %d, want 1", sig.Fires())
-	}
-}
-
-func TestSignalDoesNotAccumulate(t *testing.T) {
-	e := NewEngine()
-	sig := NewSignal(e, "s")
-	e.SpawnProcess("firer", func(p *Process) {
-		sig.Fire() // nobody waiting: wake-up is lost, not queued
-		p.Delay(10)
-		sig.Fire()
-	})
-	var woken bool
-	e.SpawnProcess("waiter", func(p *Process) {
-		p.Delay(5)
-		p.WaitSignal(sig)
-		woken = true
-		if p.Now() != 10 {
-			t.Errorf("woken at %d, want 10", p.Now())
-		}
-	})
-	e.Run()
-	if !woken {
-		t.Fatal("waiter never woke")
-	}
-}
-
 func TestProcessRunsInsideClockedSimulation(t *testing.T) {
 	// Processes and a self-rescheduling per-cycle event share the
 	// calendar coherently.
@@ -188,14 +129,14 @@ func TestShutdownReleasesProcesses(t *testing.T) {
 		})
 	}
 	e.RunUntil(100)
-	if e.LiveProcesses() != 5 {
-		t.Fatalf("LiveProcesses = %d, want 5", e.LiveProcesses())
+	if len(e.procs) != 5 {
+		t.Fatalf("LiveProcesses = %d, want 5", len(e.procs))
 	}
 	e.Shutdown()
-	if e.LiveProcesses() != 0 {
-		t.Fatalf("LiveProcesses after Shutdown = %d, want 0", e.LiveProcesses())
+	if len(e.procs) != 0 {
+		t.Fatalf("LiveProcesses after Shutdown = %d, want 0", len(e.procs))
 	}
-	if !e.Stopped() {
+	if !e.stopped {
 		t.Fatal("engine not stopped after Shutdown")
 	}
 }
@@ -208,21 +149,5 @@ func TestShutdownBeforeFirstActivation(t *testing.T) {
 	e.Shutdown()
 	if ran {
 		t.Fatal("process body ran despite shutdown")
-	}
-}
-
-func TestShutdownWithSignalWaiters(t *testing.T) {
-	e := NewEngine()
-	sig := NewSignal(e, "s")
-	e.SpawnProcess("waiter", func(p *Process) {
-		p.WaitSignal(sig)
-	})
-	e.RunUntil(10)
-	if sig.Waiting() != 1 {
-		t.Fatalf("Waiting = %d", sig.Waiting())
-	}
-	e.Shutdown()
-	if e.LiveProcesses() != 0 {
-		t.Fatal("signal waiter not released")
 	}
 }
