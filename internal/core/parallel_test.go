@@ -1,147 +1,6 @@
 package core
 
-import (
-	"reflect"
-	"testing"
-
-	"repro/internal/fault"
-	"repro/internal/telemetry"
-)
-
-// captureSink records every telemetry event in order.
-type captureSink struct{ evs []telemetry.Event }
-
-func (c *captureSink) Emit(ev telemetry.Event) { c.evs = append(c.evs, ev) }
-
-// runWorkers executes one full run at the given worker count and
-// returns the Result plus the complete telemetry event stream.
-func runWorkers(t *testing.T, cfg Config, workers int) (*Result, []telemetry.Event) {
-	t.Helper()
-	cfg.Workers = workers
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatalf("NewSystem(workers=%d): %v", workers, err)
-	}
-	sink := &captureSink{}
-	s.AttachSink(sink)
-	res := s.Run()
-	return res, sink.evs
-}
-
-// assertIdentical fails unless the parallel run's Result and telemetry
-// stream match the serial reference exactly (bit-identical floats
-// included: DeepEqual compares float64 by value with no tolerance).
-func assertIdentical(t *testing.T, label string, refRes *Result, refEvs []telemetry.Event, res *Result, evs []telemetry.Event) {
-	t.Helper()
-	if !reflect.DeepEqual(refRes, res) {
-		t.Errorf("%s: Result diverges from serial\nserial:   %+v\nparallel: %+v", label, refRes, res)
-	}
-	if len(refEvs) != len(evs) {
-		t.Fatalf("%s: telemetry stream length %d, serial %d", label, len(evs), len(refEvs))
-	}
-	for i := range refEvs {
-		if refEvs[i] != evs[i] {
-			t.Fatalf("%s: telemetry event %d diverges\nserial:   %+v\nparallel: %+v", label, i, refEvs[i], evs[i])
-		}
-	}
-}
-
-// TestParallelMatchesSerial is the tentpole's contract: same seed ⇒
-// byte-identical Result and telemetry stream for every mode at workers
-// ∈ {1, 2, 8}. Workers=1 uses the dedicated serial path; 8 exceeds the
-// 4-board config, exercising the worker clamp.
-func TestParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full runs at three worker counts")
-	}
-	for _, mode := range Modes() {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			t.Parallel()
-			cfg := fastConfig(mode)
-			refRes, refEvs := runWorkers(t, cfg, 1)
-			if len(refEvs) == 0 {
-				t.Fatal("serial run emitted no telemetry")
-			}
-			for _, workers := range []int{2, 8} {
-				res, evs := runWorkers(t, cfg, workers)
-				assertIdentical(t, mode.String(), refRes, refEvs, res, evs)
-			}
-		})
-	}
-}
-
-// TestParallelMatchesSerialFaulted extends the contract to a run with
-// every fault kind firing: drops, degradations, level sticks and a
-// control outage all cross the compute/commit boundary.
-func TestParallelMatchesSerialFaulted(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full faulted runs at three worker counts")
-	}
-	cfg := fastConfig(PB)
-	cfg.Faults = faultSpec()
-	refRes, refEvs := runWorkers(t, cfg, 1)
-	if refRes.DroppedByFault == 0 {
-		t.Fatal("faulted reference run dropped nothing; spec no longer exercises drops")
-	}
-	for _, workers := range []int{2, 8} {
-		res, evs := runWorkers(t, cfg, workers)
-		assertIdentical(t, "faulted", refRes, refEvs, res, evs)
-	}
-}
-
-// TestParallelMatchesSerialBursty covers the second injector type
-// (Markov-modulated): its RNG draws also happen in compute phase A.
-func TestParallelMatchesSerialBursty(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full bursty runs at two worker counts")
-	}
-	cfg := fastConfig(PB)
-	cfg.BurstLength = 40
-	refRes, refEvs := runWorkers(t, cfg, 1)
-	res, evs := runWorkers(t, cfg, 4)
-	assertIdentical(t, "bursty", refRes, refEvs, res, evs)
-}
-
-// TestParallelRepeatable runs the same parallel configuration twice:
-// any scheduling-dependent behavior would diverge (and trip -race).
-func TestParallelRepeatable(t *testing.T) {
-	cfg := fastConfig(NPB)
-	cfg.WarmupCycles = 1000
-	cfg.MeasureCycles = 1000
-	res1, evs1 := runWorkers(t, cfg, 3)
-	res2, evs2 := runWorkers(t, cfg, 3)
-	assertIdentical(t, "repeat", res1, evs1, res2, evs2)
-}
-
-// TestParallelFaultAccounting checks the packet accounting of a
-// parallel faulted run against the serial reference: the inject,
-// deliver and fault-drop counters must agree exactly (the commit phase
-// replays drops through the same hook the serial path uses).
-func TestParallelFaultAccounting(t *testing.T) {
-	cfg := fastConfig(PB)
-	cfg.Faults = &fault.Spec{Events: []fault.Event{
-		{At: 3200, Kind: fault.KindLaserKill, Board: 1, Wavelength: 2, Dest: 3},
-	}}
-	counts := func(workers int) (inj, del, drop uint64) {
-		cfg.Workers = workers
-		s, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run()
-		return s.InjectedCount(), s.DeliveredCount(), s.DroppedByFault()
-	}
-	inj1, del1, drop1 := counts(1)
-	inj2, del2, drop2 := counts(2)
-	if inj1 != inj2 || del1 != del2 || drop1 != drop2 {
-		t.Errorf("counters diverge: serial (%d,%d,%d), parallel (%d,%d,%d)",
-			inj1, del1, drop1, inj2, del2, drop2)
-	}
-	if drop1 == 0 {
-		t.Error("laser kill dropped no packets")
-	}
-}
+import "testing"
 
 // TestWorkersValidation pins the config surface: negative counts are
 // rejected, 0/1 stay serial, and counts above Boards clamp.

@@ -1,24 +1,19 @@
 package core
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestPhaseProfileDeterminism runs the same configuration with the
-// profiler off and on (serial and parallel) and asserts (a) the
-// Results are bit-identical — the profiler must never perturb the
-// simulation — and (b) the profiler's series exist, cover every
-// flushed epoch/window, and are monotone (they accumulate).
+// TestPhaseProfileDeterminism runs profiled systems serial and
+// parallel and asserts the profiler's series exist, cover every flushed
+// epoch/window, and are monotone (they accumulate). That a profiled run
+// is bit-identical to an unprofiled one is the cell matrix's job (the
+// -prof twins in TestCells/profiler).
 func TestPhaseProfileDeterminism(t *testing.T) {
 	cfg := fastConfig(PB)
 	cfg.Pattern = "complement"
 	cfg.Load = 0.5
-	base, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, workers := range []int{1, 2, 4} {
 		c := cfg
 		c.Workers = workers
@@ -28,12 +23,8 @@ func TestPhaseProfileDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantWorkers := s.Workers() // before RunContext closes the pool
-		res, err := s.RunContext(t.Context())
-		if err != nil {
+		if _, err := s.RunContext(t.Context()); err != nil {
 			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base, res) {
-			t.Errorf("workers=%d: profiled Result differs from unprofiled serial run", workers)
 		}
 		pp := s.PhaseProfile()
 		if pp == nil {
@@ -91,54 +82,22 @@ func TestPhaseProfileDeterminism(t *testing.T) {
 	}
 }
 
-// TestPhaseProfileOffNoAllocs asserts the profiler's disabled path
-// (the default) keeps the steady-state cycle loop allocation-free —
-// the same invariant TestTelemetryOffStepNoAllocs holds for the
-// telemetry layer, now with the phase hooks compiled into the step.
+// TestPhaseProfileOffNoAllocs holds the profiler's disabled path (the
+// default) to the steady-state allocation budget, with the phase hooks
+// compiled into the step.
 func TestPhaseProfileOffNoAllocs(t *testing.T) {
-	cfg := fastConfig(PB)
-	cfg.Load = 0.5
-	// Stay in the warm-up phase for the whole test: measurement-phase
-	// latency sampling appends to a growing slice by design.
-	cfg.WarmupCycles = 1 << 30
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.PhaseProfile() != nil {
+	if s := assertStepAllocs(t, fastConfig(PB)); s.PhaseProfile() != nil {
 		t.Fatal("profiler enabled without Config.PhaseProfile")
-	}
-	// Controllers stay un-started: RC processes allocate protocol
-	// messages at window boundaries, outside the per-cycle path.
-	for i := 0; i < 20000; i++ {
-		s.Step()
-	}
-	allocs := testing.AllocsPerRun(2000, func() { s.Step() })
-	if allocs != 0 {
-		t.Errorf("phase-profile-off Step allocates %.2f/op, want 0", allocs)
 	}
 }
 
-// TestPhaseProfileOnStepNoAllocs pins the enabled steady-state cost:
-// the accumulators are fixed arrays and the flush pushes into
-// preallocated rings, so even the profiled cycle loop allocates
-// nothing between window boundaries.
+// TestPhaseProfileOnStepNoAllocs holds the enabled profiler to the same
+// budget: the accumulators are fixed arrays and the flush pushes into
+// preallocated rings.
 func TestPhaseProfileOnStepNoAllocs(t *testing.T) {
 	cfg := fastConfig(PB)
-	cfg.Load = 0.5
-	cfg.WarmupCycles = 1 << 30
 	cfg.PhaseProfile = true
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20000; i++ {
-		s.Step()
-	}
-	allocs := testing.AllocsPerRun(2000, func() { s.Step() })
-	if allocs != 0 {
-		t.Errorf("phase-profile-on Step allocates %.2f/op, want 0", allocs)
-	}
+	assertStepAllocs(t, cfg)
 }
 
 func TestPhaseAggregate(t *testing.T) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,16 +8,17 @@ import (
 	"repro/internal/fault"
 	"repro/internal/policy"
 	"repro/internal/power"
-	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
 // This file is the policy conformance battery: every policy registered
 // in internal/policy is pushed through the engine's core invariants —
-// worker-count determinism, faulted flit conservation, the supply-power
-// bound, and allocation-freedom of the steady-state paths. The test
-// list comes from policy.Names(), so registering a new policy enrolls
-// it here with no test changes.
+// faulted flit conservation, the supply-power bound, and the
+// steady-state allocation budget; the cell matrix runs each policy in
+// every mode, on the parallel engine in the B modes
+// (TestPolicyConformanceDeterminism), and faulted (TestCells). The lists
+// come from policy.Names(), so registering a new policy enrolls it with
+// no test changes.
 
 // conformanceConfig is the battery's reference operating point: the
 // fast 16-node system under enough load that every policy has both
@@ -30,40 +30,6 @@ func conformanceConfig(mode Mode, name string) Config {
 	cfg.Seed = 99
 	cfg.Policy = &policy.Spec{Name: name}
 	return cfg
-}
-
-// TestPolicyConformanceDeterminism runs every registered policy in all
-// four network modes and checks that worker counts 1, 2 and 8 are
-// bit-identical to the serial engine. Policies execute inside the RC
-// processes, which run in serial phases, so any divergence means a
-// policy broke the purity contract (internal randomness, wall-clock
-// input, or cross-board shared state).
-func TestPolicyConformanceDeterminism(t *testing.T) {
-	for _, name := range policy.Names() {
-		for _, mode := range Modes() {
-			name, mode := name, mode
-			t.Run(fmt.Sprintf("%s/%s", name, mode), func(t *testing.T) {
-				t.Parallel()
-				cfg := conformanceConfig(mode, name)
-				serial, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, workers := range []int{1, 2, 8} {
-					wcfg := cfg
-					wcfg.Workers = workers
-					got, err := Run(wcfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(serial, got) {
-						t.Fatalf("policy %s mode %s: Workers=%d diverged from serial:\nserial:  %+v\nworkers: %+v",
-							name, mode, workers, serial, got)
-					}
-				}
-			})
-		}
-	}
 }
 
 // conformanceFaultSpec injects a permanent laser kill plus transient
@@ -97,72 +63,21 @@ func TestPolicyConformanceFaultedConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			limit := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainLimitCycles
-			for s.Measurement().Phase() != stats.Done && s.Cycle() < limit {
-				s.Step()
-			}
-			s.SetInjectionRate(0)
-			for i := 0; i < 200000 && !s.Quiescent(); i++ {
-				s.Step()
-			}
-			if !s.Quiescent() {
-				t.Fatalf("policy %s: not quiescent after drain: injected %d delivered %d dropped %d",
-					name, s.InjectedCount(), s.DeliveredCount(), s.DroppedByFault())
-			}
-			if err := s.Fabric().CheckInvariants(); err != nil {
+			if err := drainConserves(s); err != nil {
 				t.Fatalf("policy %s: %v", name, err)
-			}
-			if supply, bound := s.Fabric().Meter().AvgSupplyMW(), s.Fabric().SupplyBoundMW(); supply > bound {
-				t.Fatalf("policy %s: supply %f exceeds all-top bound %f", name, supply, bound)
-			}
-			// Faulted runs must also be worker-independent: the policy sees
-			// identical observations regardless of sharding.
-			serial, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wcfg := cfg
-			wcfg.Workers = 8
-			par, err := Run(wcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(serial, par) {
-				t.Fatalf("policy %s: faulted run diverged between serial and Workers=8", name)
 			}
 		})
 	}
 }
 
-// TestPolicyConformanceStepNoAllocs repeats the telemetry-off
-// steady-state allocation gate for every policy: selecting a policy
-// must not perturb the allocation-free per-cycle hot path (the
-// oracle's profiling pre-pass runs inside NewSystem, before the loop
-// under test).
+// TestPolicyConformanceStepNoAllocs holds every policy to the
+// steady-state allocation budget: selecting a policy must not perturb
+// the per-cycle hot path (the oracle's profiling pre-pass runs inside
+// NewSystem, before the span measured).
 func TestPolicyConformanceStepNoAllocs(t *testing.T) {
 	for _, name := range policy.Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			cfg := conformanceConfig(PB, name)
-			// Stay in warm-up for the whole test: measurement-phase latency
-			// sampling appends to a growing slice by design. The margin must
-			// stay finite — the oracle's profiling pre-pass simulates
-			// WarmupCycles + MeasureCycles before the loop under test.
-			cfg.WarmupCycles = 100000
-			s, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Controllers stay un-started: window-boundary protocol messages
-			// are outside the per-cycle path under test (the policy-call
-			// paths get their own gate below).
-			for i := 0; i < 20000; i++ {
-				s.Step()
-			}
-			allocs := testing.AllocsPerRun(2000, func() { s.Step() })
-			if allocs != 0 {
-				t.Errorf("policy %s: telemetry-off Step allocates %.2f/op, want 0", name, allocs)
-			}
+			assertStepAllocs(t, conformanceConfig(PB, name))
 		})
 	}
 }
@@ -229,10 +144,7 @@ func TestPaperPolicyMatchesNilPolicy(t *testing.T) {
 	base.Pattern = traffic.Complement
 	base.Load = 0.4
 	base.Seed = 4242
-	want, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustRun(t, base)
 	for _, selector := range []string{"paper", " PAPER ", `{"name":"paper"}`} {
 		spec, err := policy.ParseSpec(selector)
 		if err != nil {
@@ -240,10 +152,7 @@ func TestPaperPolicyMatchesNilPolicy(t *testing.T) {
 		}
 		cfg := base
 		cfg.Policy = spec
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := mustRun(t, cfg)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("selector %q diverged from the nil-policy run:\nnil:  %+v\ngot:  %+v", selector, want, got)
 		}

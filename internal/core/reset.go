@@ -70,8 +70,8 @@ func (s *System) Reset(cfg Config) error {
 	}
 	// Tear down live execution state. The old worker pool is closed (a
 	// completed run's teardown already did; Close is idempotent), the old
-	// RC processes died with the previous run, and the engine and fabric
-	// rewind in place.
+	// RCs' pending callbacks go with the engine's event queue (no RC owns a
+	// goroutine), and the engine and fabric rewind in place.
 	if s.par != nil {
 		s.par.pool.Close()
 		s.par = nil

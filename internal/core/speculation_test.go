@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/fault"
@@ -34,7 +33,8 @@ func TestSpeculationDiscardPolicyFlip(t *testing.T) {
 	cfg.Load = 0.4
 	cfg.Seed = 99
 	cfg.Policy = &policy.Spec{Name: "greedy-off", OffMax: 1}
-	refRes, refEvs := runWorkers(t, cfg, 1)
+	run := cell{cfg: cfg, v: variant{workers: 1}}
+	refRes, refEvs := run.replay(t)
 	flips := 0
 	for _, ev := range refEvs {
 		if ev.Kind == telemetry.LaserLevel {
@@ -44,9 +44,12 @@ func TestSpeculationDiscardPolicyFlip(t *testing.T) {
 	if flips == 0 {
 		t.Fatal("greedy-off/OffMax=1 flipped no laser levels; scenario no longer adversarial")
 	}
-	for _, workers := range []int{2, 8} {
-		res, evs := runWorkers(t, cfg, workers)
-		assertIdentical(t, fmt.Sprintf("greedy-off workers=%d", workers), refRes, refEvs, res, evs)
+	for _, w := range []int{2, 8} {
+		run.v.workers = w
+		res, evs := run.replay(t)
+		if d := divergence(refRes, refEvs, res, evs); d != "" {
+			t.Errorf("greedy-off workers=%d vs serial: %s", w, d)
+		}
 	}
 }
 
@@ -69,13 +72,17 @@ func TestSpeculationDiscardFaultMidWindow(t *testing.T) {
 			{At: 4444, Kind: fault.KindLaserDegrade, Board: 0, Wavelength: 3, Dest: 2, Duration: 300},
 		},
 	}
-	refRes, refEvs := runWorkers(t, cfg, 1)
+	run := cell{cfg: cfg, v: variant{workers: 1}}
+	refRes, refEvs := run.replay(t)
 	if refRes.Faults.LaserKills == 0 {
 		t.Fatal("mid-window laser kill never applied; scenario no longer adversarial")
 	}
-	for _, workers := range []int{2, 8} {
-		res, evs := runWorkers(t, cfg, workers)
-		assertIdentical(t, fmt.Sprintf("mid-window fault workers=%d", workers), refRes, refEvs, res, evs)
+	for _, w := range []int{2, 8} {
+		run.v.workers = w
+		res, evs := run.replay(t)
+		if d := divergence(refRes, refEvs, res, evs); d != "" {
+			t.Errorf("mid-window fault workers=%d vs serial: %s", w, d)
+		}
 	}
 }
 
@@ -85,21 +92,21 @@ func TestSpeculationDiscardFaultMidWindow(t *testing.T) {
 // batches must rewind those streams and redraw under the new rate —
 // exactly what a serial system stepping past the call does. The
 // step-driven schedule changes the rate twice mid-run (mid-window both
-// times) and the full telemetry stream plus the packet counters must
+// times) and the full telemetry stream plus the final state must
 // match the serial reference at every worker count.
 func TestSetInjectionRateDiscardsStagedDraws(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full step-driven runs at three worker counts")
 	}
-	drive := func(workers int) ([]uint64, *captureSink) {
+	drive := func(workers int) (*Result, eventLog) {
 		cfg := fastConfig(PB)
 		cfg.Workers = workers
 		s, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink := &captureSink{}
-		s.AttachSink(sink)
+		var log eventLog
+		s.AttachSink(&log)
 		s.StepN(1234) // mid-window: the pipelined path now holds staged draws for cycle 1234
 		s.SetInjectionRate(0.09)
 		s.StepN(777)
@@ -109,27 +116,16 @@ func TestSetInjectionRateDiscardsStagedDraws(t *testing.T) {
 			s.Step()
 		}
 		s.Close()
-		return []uint64{s.Cycle(), s.InjectedCount(), s.DeliveredCount()}, sink
+		return s.result(s.Cycle(), false), log
 	}
-	refState, refSink := drive(1)
-	if len(refSink.evs) == 0 {
+	refRes, refLog := drive(1)
+	if len(refLog) == 0 {
 		t.Fatal("serial reference emitted no telemetry")
 	}
 	for _, workers := range []int{2, 8} {
-		state, sink := drive(workers)
-		label := fmt.Sprintf("workers=%d", workers)
-		for i, name := range []string{"cycle", "injected", "delivered"} {
-			if state[i] != refState[i] {
-				t.Errorf("%s: final %s %d, serial %d", label, name, state[i], refState[i])
-			}
-		}
-		if len(sink.evs) != len(refSink.evs) {
-			t.Fatalf("%s: %d telemetry events, serial %d", label, len(sink.evs), len(refSink.evs))
-		}
-		for i := range refSink.evs {
-			if sink.evs[i] != refSink.evs[i] {
-				t.Fatalf("%s: event %d diverges\nserial: %+v\ngot:    %+v", label, i, refSink.evs[i], sink.evs[i])
-			}
+		res, log := drive(workers)
+		if d := divergence(refRes, refLog, res, log); d != "" {
+			t.Errorf("workers=%d vs serial: %s", workers, d)
 		}
 	}
 }

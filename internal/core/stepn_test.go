@@ -87,7 +87,7 @@ func TestStepNStopsAtDone(t *testing.T) {
 
 // TestStepNChunkInvariance drives identical runs with one giant batch,
 // window-sized batches, and odd 97-cycle batches, on both engines. The
-// telemetry stream and the packet counters must be bit-identical in
+// telemetry stream and the final state must be bit-identical in
 // all cases: batch seams must not perturb the simulation, including
 // where they split an idle stretch the serial engine would otherwise
 // fast-forward in one piece, and where a single batch crosses the
@@ -98,7 +98,7 @@ func TestStepNChunkInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six full runs")
 	}
-	drive := func(workers int, chunk uint64) ([]uint64, *captureSink) {
+	drive := func(workers int, chunk uint64) (*Result, eventLog) {
 		cfg := fastConfig(PB)
 		cfg.InjectionRate = 0.002
 		cfg.Workers = workers
@@ -106,17 +106,17 @@ func TestStepNChunkInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink := &captureSink{}
-		s.AttachSink(sink)
+		var log eventLog
+		s.AttachSink(&log)
 		limit := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainLimitCycles
 		for s.Measurement().Phase() != stats.Done && s.Cycle() < limit {
 			s.StepN(chunk)
 		}
 		s.Close()
-		return []uint64{s.Cycle(), s.InjectedCount(), s.DeliveredCount()}, sink
+		return s.result(s.Cycle(), false), log
 	}
-	refState, refSink := drive(1, 10_000_000)
-	if len(refSink.evs) == 0 {
+	refRes, refLog := drive(1, 10_000_000)
+	if len(refLog) == 0 {
 		t.Fatal("reference run emitted no telemetry")
 	}
 	for _, workers := range []int{1, 4} {
@@ -124,20 +124,9 @@ func TestStepNChunkInvariance(t *testing.T) {
 			if workers == 1 && chunk == 10_000_000 {
 				continue // the reference itself
 			}
-			state, sink := drive(workers, chunk)
-			label := fmt.Sprintf("workers=%d chunk=%d", workers, chunk)
-			for i, name := range []string{"cycle", "injected", "delivered"} {
-				if state[i] != refState[i] {
-					t.Errorf("%s: final %s %d, reference %d", label, name, state[i], refState[i])
-				}
-			}
-			if len(sink.evs) != len(refSink.evs) {
-				t.Fatalf("%s: %d telemetry events, reference %d", label, len(sink.evs), len(refSink.evs))
-			}
-			for i := range refSink.evs {
-				if sink.evs[i] != refSink.evs[i] {
-					t.Fatalf("%s: event %d diverges\nref: %+v\ngot: %+v", label, i, refSink.evs[i], sink.evs[i])
-				}
+			res, log := drive(workers, chunk)
+			if d := divergence(refRes, refLog, res, log); d != "" {
+				t.Errorf("workers=%d chunk=%d vs reference: %s", workers, chunk, d)
 			}
 		}
 	}
@@ -212,13 +201,13 @@ func TestPhaseEventAtCycleZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &captureSink{}
-	s.AttachSink(sink)
+	var log eventLog
+	s.AttachSink(&log)
 	s.StepN(cfg.Window)
-	if len(sink.evs) == 0 {
+	if len(log) == 0 {
 		t.Fatal("no events in the first window")
 	}
-	if ev := sink.evs[0]; ev.Cycle != 0 || ev.Kind != telemetry.PhaseChange || ev.Label != "warmup" {
+	if ev := log[0]; ev.Cycle != 0 || ev.Kind != telemetry.PhaseChange || ev.Label != "warmup" {
 		t.Fatalf("first event = %+v, want {cycle 0, phase, warmup}", ev)
 	}
 }

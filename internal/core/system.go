@@ -104,8 +104,8 @@ type board struct {
 }
 
 // NewSystem validates the configuration and assembles the network; the
-// returned system is ready to step (the LS controllers start on the
-// first Step, StepN or Run).
+// returned system is already running (its LS controllers are engine
+// callbacks, scheduled at construction) and ready to step.
 func NewSystem(cfg Config) (*System, error) {
 	if cfg.MultiTier() {
 		return nil, fmt.Errorf("core: a System models one SRS tier; run multi-tier configs through Run/RunContext or NewHier")
@@ -658,8 +658,8 @@ func (s *System) Engine() *sim.Engine { return s.eng }
 // Fabric exposes the optical fabric.
 func (s *System) Fabric() *optical.Fabric { return s.fab }
 
-// Controllers exposes the LS controller system. Stepping starts it;
-// an explicit Start is harmless.
+// Controllers exposes the LS controller system, running since
+// construction; an explicit Start is a no-op.
 func (s *System) Controllers() *ctrl.System { return s.ctl }
 
 // Topology exposes the topology.

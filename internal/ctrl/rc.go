@@ -431,7 +431,7 @@ func (rc *RC) circulate(kind msgKind) {
 // to RecvRetries times, after which the circulation is given up — never
 // wedged.
 //
-// Ordering contract (ctrl_plane.golden pins it). An arrival and its
+// Ordering contract (core's cells.golden pins it). An arrival and its
 // consumption are two events: arrive queues the message and, if the RC
 // is waiting, schedules one zero-delay onConsume, which cancels the
 // timer and re-enters this loop — so each return to waiting re-arms the

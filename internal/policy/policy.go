@@ -12,13 +12,13 @@
 //
 // # Determinism contract
 //
-// Policies run inside the RC processes of the deterministic simulation
-// engine, in serial phases of the parallel engine. A policy must be a
+// Policies are called from the RCs' engine callbacks (no RC owns a
+// goroutine), in serial phases of the parallel engine. A policy must be a
 // pure function of its constructor parameters, its own accumulated
 // state, and the observations passed to it: no wall-clock time, no
 // map iteration, no randomness that is not derived from Params.Seed.
 // Any violation breaks the engine's bit-identical-across-workers
-// invariant, which the policy conformance suite checks for every
+// invariant, which internal/core's cell matrix checks for every
 // registered policy.
 //
 // # Safety contract
