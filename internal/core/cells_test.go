@@ -213,6 +213,12 @@ func cells(short bool) []cell {
 		}
 		return nil
 	}
+	reassigned := func(r *Result) error {
+		if r.Ctrl.Reassignments == 0 {
+			return errors.New("DBR moved no channel")
+		}
+		return nil
+	}
 	var (
 		plain  tweak
 		faults = tweak{"faults", func(c *Config) { c.Faults = faultSpec() }, func(r *Result) error {
@@ -305,6 +311,25 @@ func cells(short bool) []cell {
 	add(fast("TestTelemetryDeterminism", PB, c, 0.5, 99, plain), variant{workers: 1}, variant{workers: 1, obs: obsTelemetry})
 	prof := func(w int) variant { return variant{workers: w, prof: true, obs: obsNone} }
 	add(fast("TestCells/profiler", PB, c, 0.5, 1, plain), variant{workers: 1, obs: obsNone}, prof(1), prof(2), prof(4))
+	// Lasers that are dark at the start of the run: DBR on a cost-reduced
+	// array reaching for unpopulated ports; a kill and a level stick on
+	// lasers whose channels board 1 and 2 hold, the stuck one later granted
+	// to board 0; bursty tornado traffic whose packets park on a dark
+	// static-wavelength laser after its channel was lent out.
+	add(fast("TestCells/radius1", PB, c, 0.4, 5, tweak{"radius1", func(c *Config) { c.PortRadius = 1 }, reassigned}), ws(1, 2)...)
+	darkFaults := tweak{"darkfaults", func(c *Config) {
+		c.Faults = &fault.Spec{Events: []fault.Event{
+			{At: 200, Kind: fault.KindLevelStick, Board: 0, Wavelength: 2, Dest: 3, Level: 1},
+			{At: 300, Kind: fault.KindLaserKill, Board: 0, Wavelength: 3, Dest: 3},
+		}}
+	}, func(r *Result) error {
+		if r.Faults.LaserKills != 1 || r.Faults.LevelSticks != 1 {
+			return fmt.Errorf("fault schedule not applied: %+v", r.Faults)
+		}
+		return reassigned(r)
+	}}
+	add(fast("TestCells/darkfaults", PB, c, 0.4, 5, darkFaults), ws(1, 2)...)
+	add(fast("TestCells/fallback", PB, traffic.Tornado, 0.6, 5, tweak{"burst400", func(c *Config) { c.BurstLength = 400 }, reassigned}), ws(1, 2)...)
 	return cs
 }
 
