@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/flit"
@@ -499,5 +501,33 @@ func TestJainEdgeCases(t *testing.T) {
 	}
 	if got := jain([]uint64{10, 0, 0, 0}); got < 0.25-1e-12 || got > 0.25+1e-12 {
 		t.Fatalf("jain(single) = %v, want 0.25", got)
+	}
+}
+
+// TestFlat1024NodeFootprint builds the 1 024-node flat system (128 boards
+// of 8) and steps two R_w windows within a 150 MB heap. Its full laser
+// arrays hold B(B-1)² ≈ 2 M lasers, which fit only because a laser
+// exists once it is used.
+func TestFlat1024NodeFootprint(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("builds a 1 024-node system")
+	}
+	// Return what earlier tests left to the OS, so the heap measured is
+	// this system's.
+	debug.FreeOSMemory()
+	cfg := DefaultConfig(PB)
+	cfg.Boards, cfg.NodesPerBoard = 128, 8
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.StepN(2 * cfg.Window)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	heap := ms.HeapSys - ms.HeapReleased
+	t.Logf("HeapSys %d MB (%d MB returned to the OS) after %d cycles", ms.HeapSys>>20, ms.HeapReleased>>20, s.Cycle())
+	if heap > 150<<20 {
+		t.Errorf("heap %d MB, want < 150 MB", heap>>20)
 	}
 }

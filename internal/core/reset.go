@@ -2,7 +2,7 @@
 //
 // NewSystem's cost at scale is dominated by structures whose shape
 // depends only on the topology and the per-component capacities: the
-// fabric's channel/laser/transmitter slabs (O(B³) lasers), the engine,
+// fabric's channel/transmitter slabs and laser chunks, the engine,
 // and the packet block pool. Reset rewinds all of that in place and
 // then runs initRun — the per-run initialiser NewSystem itself ends
 // with — so a fleet that replays many runs on one topology (sweep

@@ -3,20 +3,10 @@ package ctrl
 import (
 	"slices"
 
+	"repro/internal/optical"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
-
-// laserSnap is a statistics snapshot of one laser over the previous
-// reconfiguration window.
-type laserSnap struct {
-	linkUtil float64
-	bufUtil  float64
-	queueLen int
-	// dropped counts packets dropped at the laser over the window
-	// (always 0 without fault injection).
-	dropped uint64
-}
 
 // msgKind distinguishes the two ring circulations of the DBR exchange.
 type msgKind uint8
@@ -89,9 +79,14 @@ type RC struct {
 	// nominal wake time); cycleStart is when its cycle began.
 	windows    uint64
 	cycleStart uint64
-	// snap is the window-snapshot scratch, reused across windows (each
-	// window's snapshot is fully consumed before the next one is taken).
-	snap [][]laserSnap
+	// snap is the window snapshot of this board's materialised lasers in
+	// (w, d) order, and snapAt[w] the index of wavelength w's first entry
+	// (snapAt[B] = len(snap)). Both are reused across windows: each
+	// window's snapshot is fully consumed before the next one is taken.
+	snap   []optical.WindowStats
+	snapAt []int
+	// held is lcHop's scratch list of the hop's lit lasers.
+	held []*optical.Laser
 	// chanObs is the Reconfigure-stage observation scratch handed to the
 	// policy, reused so the stage only allocates the assign map it
 	// publishes; bwCtx carries the topology/fabric callbacks, built once.
@@ -125,6 +120,7 @@ type RC struct {
 func newRC(s *System, board int) *RC {
 	rc := &RC{sys: s, board: board}
 	rc.chanObs = make([]policy.ChanObs, s.top.Boards())
+	rc.snapAt = make([]int, s.top.Boards()+1)
 	rc.bwCtx.StaticOwner = func(w int) int { return s.top.StaticOwner(rc.board, w) }
 	rc.bwCtx.LaserHealthy = func(src, w int) bool { return s.fab.LaserHealthy(src, w, rc.board) }
 	rc.onWake = rc.nextWindow
@@ -192,38 +188,28 @@ func (rc *RC) window() bool {
 	return false
 }
 
-// snapshotAndReset captures every local laser's window statistics into
-// rc.snap (indexed [w][d]) and resets the windows for the next R_w.
+// snapshotAndReset captures this board's window statistics into rc.snap
+// and starts the next window.
 func (rc *RC) snapshotAndReset() {
-	b := rc.sys.top.Boards()
-	// Idle lasers accrue window statistics lazily; bring this board's up
-	// to date before reading and resetting the windows (the snapshot only
-	// reads local lasers, and every board's RC flushes its own).
-	rc.sys.fab.FlushBoardStats(rc.board, rc.sys.eng.Now())
-	if rc.snap == nil {
-		rc.snap = make([][]laserSnap, b)
-		for w := 1; w < b; w++ {
-			rc.snap[w] = make([]laserSnap, b)
+	rc.snap = rc.sys.fab.TakeWindows(rc.board, rc.sys.eng.Now(), rc.snap[:0])
+	i := 0
+	for w := 1; w < len(rc.snapAt); w++ {
+		rc.snapAt[w] = i
+		for i < len(rc.snap) && rc.snap[i].W == w {
+			i++
 		}
 	}
-	snap := rc.snap
-	for w := 1; w < b; w++ {
-		for d := 0; d < b; d++ {
-			l := rc.sys.fab.Laser(rc.board, w, d)
-			if l == nil {
-				snap[w][d] = laserSnap{}
-				continue
-			}
-			snap[w][d] = laserSnap{
-				linkUtil: l.LinkWin.Utilization(),
-				bufUtil:  l.BufWin.Utilization(),
-				queueLen: l.QueueLen(),
-				dropped:  l.TakeDropWindow(),
-			}
-			l.LinkWin.Reset()
-			l.BufWin.Reset()
+}
+
+// snapOf returns the snapshot of laser (w, d): zero when the laser was
+// not materialised at the snapshot, as its statistics were the defaults.
+func (rc *RC) snapOf(w, d int) optical.WindowStats {
+	for _, st := range rc.snap[rc.snapAt[w]:rc.snapAt[w+1]] {
+		if st.D == d {
+			return st
 		}
 	}
+	return optical.WindowStats{}
 }
 
 // lcHop is one hop of the Power_Request along the LC chain: LC rc.lc
@@ -243,26 +229,22 @@ func (rc *RC) lcHop() {
 	}
 	relock := sys.fab.Config().RelockCycles
 	ladder := sys.fab.Config().Ladder
-	for d := 0; d < b; d++ {
-		l := sys.fab.Laser(rc.board, w, d)
-		if l == nil {
-			continue
-		}
-		if sys.fab.Channel(d, w).Holder() != rc.board {
-			continue // laser dark: channel driven by another board
-		}
+	// Only the lasers driving a channel are lit; the rest are dark.
+	rc.held = sys.fab.AppendHeldLasers(rc.held[:0], rc.board, w)
+	for _, l := range rc.held {
 		if l.Failed() {
 			continue // DPM leaves failed lasers alone until they recover
 		}
-		st := rc.snap[w][d]
+		d := l.Dest()
+		st := rc.snapOf(w, d)
 		obs := policy.LinkObs{
 			Wavelength: w,
 			Dest:       d,
 			Level:      l.Level(),
-			LinkUtil:   st.linkUtil,
-			BufUtil:    st.bufUtil,
-			QueueLen:   st.queueLen,
-			Dropped:    st.dropped,
+			LinkUtil:   st.LinkUtil,
+			BufUtil:    st.BufUtil,
+			QueueLen:   st.QueueLen,
+			Dropped:    st.Dropped,
 			LiveQueue:  l.QueueLen(),
 			Busy:       l.Busy(now),
 		}
@@ -517,19 +499,18 @@ func (rc *RC) fillEntries(m *boardMsg) {
 	for w := 1; w < b; w++ {
 		ch := sys.fab.Channel(m.origin, w)
 		if ch.Holder() == rc.board {
-			st := rc.snap[w][m.origin]
+			st := rc.snapOf(w, m.origin)
 			m.entries[w].holder = rc.board
-			m.entries[w].linkUtil = st.linkUtil
-			m.entries[w].bufUtil = st.bufUtil
-			m.entries[w].queueLen = st.queueLen
-			l := sys.fab.Laser(rc.board, w, m.origin)
-			m.entries[w].dead = l == nil || l.PermanentlyFailed()
+			m.entries[w].linkUtil = st.LinkUtil
+			m.entries[w].bufUtil = st.BufUtil
+			m.entries[w].queueLen = st.QueueLen
+			m.entries[w].dead = !sys.fab.CanHold(rc.board, w, m.origin) || sys.fab.Laser(rc.board, w, m.origin).PermanentlyFailed()
 		}
 		if sys.top.StaticOwner(m.origin, w) == rc.board {
-			st := rc.snap[w][m.origin]
-			m.entries[w].ownerDemand = st.bufUtil
-			m.entries[w].ownerQueue = st.queueLen
-			m.entries[w].ownerDrops = st.dropped
+			st := rc.snapOf(w, m.origin)
+			m.entries[w].ownerDemand = st.BufUtil
+			m.entries[w].ownerQueue = st.QueueLen
+			m.entries[w].ownerDrops = st.Dropped
 		}
 	}
 }

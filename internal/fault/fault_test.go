@@ -166,12 +166,14 @@ func TestScheduledKill(t *testing.T) {
 	in := mustInjector(t, f, 500, 1, &Spec{Events: []Event{
 		{At: 10, Kind: KindLaserKill, Board: 0, Wavelength: 1, Dest: 1},
 	}})
-	l := f.Laser(0, 1, 1)
+	// The laser is dark (board 2 drives channel (1, λ1)) and exists only
+	// once the fault strikes it.
 	in.Tick(5)
-	if l.Failed() {
-		t.Fatal("laser failed before schedule")
+	if f.Laser(0, 1, 1) != nil {
+		t.Fatal("dark laser materialised before its fault")
 	}
 	in.Tick(10)
+	l := f.Laser(0, 1, 1)
 	if !l.Failed() || !l.PermanentlyFailed() {
 		t.Fatal("laser not permanently failed at schedule")
 	}
@@ -247,8 +249,8 @@ func TestStickPinsLevel(t *testing.T) {
 		{At: 10, Kind: KindLevelStick, Board: 0, Wavelength: 1, Dest: 1, Level: 1, Duration: 30},
 		{At: 12, Kind: KindLevelStick, Board: 0, Wavelength: 1, Dest: 1, Level: 2, Duration: 5},
 	}})
-	l := f.Laser(0, 1, 1)
 	in.Tick(10)
+	l := f.Laser(0, 1, 1)
 	if !l.Stuck() || l.Level() != 1 {
 		t.Fatalf("stuck=%v level=%d", l.Stuck(), l.Level())
 	}

@@ -94,7 +94,7 @@ func New(fab *optical.Fabric, window, runSeed uint64, spec *Spec) (*Injector, er
 			if e.Board >= b || e.Dest >= b || e.Wavelength >= b {
 				return nil, fmt.Errorf("fault: event %d: laser (%d,λ%d→%d) out of range for %d boards", i, e.Board, e.Wavelength, e.Dest, b)
 			}
-			if fab.Laser(e.Board, e.Wavelength, e.Dest) == nil {
+			if !fab.CanHold(e.Board, e.Wavelength, e.Dest) {
 				return nil, fmt.Errorf("fault: event %d: laser (%d,λ%d→%d) is not populated", i, e.Board, e.Wavelength, e.Dest)
 			}
 			if e.Kind == KindLevelStick && !fab.Config().Ladder.Operating(e.Level) {
@@ -292,8 +292,7 @@ func (in *Injector) sweepDegrade(now uint64) {
 	for s := 0; s < in.boards; s++ {
 		for w := 1; w < in.boards; w++ {
 			for d := 0; d < in.boards; d++ {
-				l := in.fab.Laser(s, w, d)
-				if l == nil {
+				if !in.fab.CanHold(s, w, d) {
 					continue
 				}
 				if !in.degradeRng.Bernoulli(in.spec.LaserDegradeRate) {

@@ -127,6 +127,14 @@ func (c *Channel) Deliveries() uint64 { return c.deliveries }
 // Laser is one element of a transmitter's laser array: wavelength w at
 // board s, aimed at destination board d through port d.
 //
+// Lasers are materialised on first use. Of the B(B-1)² populated lasers
+// at most B(B-1) can be lit at once (one per channel), so a laser only
+// exists once its state can differ from the defaults: when it holds a
+// channel, when a packet is queued on it, or when a fault strikes it.
+// Until then Fabric.Laser returns nil for it and readers take the
+// defaults; the fault-state accessors (Failed, PermanentlyFailed, Stuck)
+// accept the nil *Laser and report a healthy laser.
+//
 // Lasers are ticked lazily: only lasers with queued packets or an
 // in-flight serialization sit on the fabric's active list and are
 // visited each cycle. An idle laser's window statistics are batched in
@@ -174,7 +182,11 @@ type Laser struct {
 	statsAt     uint64  // cycle through which LinkWin/BufWin are accounted
 	idleContrib float64 // mW currently counted in fab.idleLitMW
 	key         int     // canonical (s,w,d) order for the active list
+	next        *Laser  // the next materialised laser of transmitter (s, w), by ascending d
 }
+
+// Dest returns the laser's destination board.
+func (l *Laser) Dest() int { return l.d }
 
 // Level returns the laser's operating level (a ladder index; 0 = Off).
 func (l *Laser) Level() int { return l.level }
@@ -198,23 +210,15 @@ func (l *Laser) Transitions() uint64 { return l.transitions }
 func (l *Laser) Sent() uint64 { return l.sentPackets }
 
 // Failed reports whether the laser is currently failed (fault injection).
-func (l *Laser) Failed() bool { return l.failed }
+func (l *Laser) Failed() bool { return l != nil && l.failed }
 
 // PermanentlyFailed reports whether the laser is failed for good: it
 // drops packets routed to it instead of queueing them.
-func (l *Laser) PermanentlyFailed() bool { return l.permFailed }
+func (l *Laser) PermanentlyFailed() bool { return l != nil && l.permFailed }
 
 // Stuck reports whether the laser's DPM level is pinned (SetLevel is a
 // no-op).
-func (l *Laser) Stuck() bool { return l.stuck }
-
-// TakeDropWindow returns and resets the count of packets dropped at the
-// laser since the last call (the RC reads it once per window).
-func (l *Laser) TakeDropWindow() uint64 {
-	n := l.dropWin
-	l.dropWin = 0
-	return n
-}
+func (l *Laser) Stuck() bool { return l != nil && l.stuck }
 
 // SetLevel changes the operating point, paying the relock penalty when
 // the level actually changes. Changing to Off does not pay a penalty
@@ -254,8 +258,15 @@ type Fabric struct {
 	cfg Config
 
 	channels [][]*Channel // [d][w], w in 1..B-1 (index w, slot 0 unused)
-	lasers   [][][]*Laser // [s][w][d]; nil where s==d or w==0
-	txs      []*Transmitter
+	// heads[s*B+w] is the first materialised laser of transmitter (s, w);
+	// the rest follow through Laser.next in ascending d, so walking a
+	// board's heads in w order visits its lasers in canonical order. The
+	// structs live in the board's shard (boardShard.chunks).
+	heads []*Laser
+	// populated counts the lasers the arrays are built with, materialised
+	// or not.
+	populated int
+	txs       []*Transmitter
 
 	deliver [][]DeliverFunc // [d][w]
 
@@ -318,7 +329,22 @@ type boardShard struct {
 	// txPending has bit w-1 up exactly while transmitter w holds flits
 	// (Transmitter.pending > 0); tickBoardTx walks it.
 	txPending router.ActiveSet
-	_         [128 - 3*24 - 8]byte
+	// chunks holds the board's materialised lasers, used slots in all;
+	// chunks never move once allocated, so *Laser stays valid.
+	chunks [][]Laser
+	used   int
+	// winFrom is the cycle the board's current reconfiguration window
+	// began (its last TakeWindows; 0 before the first). A laser
+	// materialised mid-window accounts its statistics from here, as it
+	// would have had it existed all along.
+	winFrom uint64
+	_       [128 - 4*24 - 3*8]byte
+}
+
+// slot returns the board's i-th laser slot (chunks are of equal length).
+func (sh *boardShard) slot(i int) *Laser {
+	n := len(sh.chunks[0])
+	return &sh.chunks[i/n][i%n]
 }
 
 // SetDropHook registers the accounting path for packets discarded at
@@ -336,7 +362,9 @@ func (f *Fabric) SetAutoWake(level int) { f.autoWake = level }
 // Wakes returns the number of auto-wake events.
 func (f *Fabric) Wakes() uint64 { return f.wakes }
 
-// NewFabric builds the optical fabric for one cluster of the topology.
+// NewFabric builds the optical fabric for one cluster of the topology:
+// O(B²) channels and transmitters, and only the B(B-1) lasers of the
+// static RWA owners; every other laser is materialised on first use.
 // The engine parameter is unused (deliveries are not engine events); it
 // stays because the frozen benchmark/ harness passes one.
 func NewFabric(top *topology.Topology, _ *sim.Engine, cfg Config) (*Fabric, error) {
@@ -368,52 +396,16 @@ func NewFabric(top *topology.Topology, _ *sim.Engine, cfg Config) (*Fabric, erro
 			f.channels[d][w] = ch
 		}
 	}
-	// Lasers are laid out struct-of-arrays per source board: one
-	// contiguous slab holds every populated laser of board s, so the
-	// working set a single worker walks each cycle is dense instead of
-	// scattered across b² heap objects.
-	f.lasers = make([][][]*Laser, b)
-	for s := 0; s < b; s++ {
-		f.lasers[s] = make([][]*Laser, b)
-		populated := 0
-		for w := 1; w < b; w++ {
-			staticDst := ((s-w)%b + b) % b
-			f.lasers[s][w] = make([]*Laser, b)
-			for d := 0; d < b; d++ {
-				if d == s {
-					continue
-				}
-				if cfg.PortRadius > 0 && ringDistance(d, staticDst, b) > cfg.PortRadius {
-					continue // this port is not populated in the cost-reduced array
-				}
-				populated++
-			}
-		}
-		slab := make([]Laser, populated)
-		next := 0
-		for w := 1; w < b; w++ {
-			// The static destination of transmitter (s, w).
-			staticDst := ((s-w)%b + b) % b
-			for d := 0; d < b; d++ {
-				if d == s {
-					continue
-				}
-				if cfg.PortRadius > 0 && ringDistance(d, staticDst, b) > cfg.PortRadius {
-					continue
-				}
-				l := &slab[next]
-				next++
-				l.s, l.w, l.d = s, w, d
-				l.ladder = cfg.Ladder
-				l.level = cfg.DefaultLevel
-				l.fab = f
-				l.ch = f.channels[d][w]
-				l.key = (s*b+w)*b + d
-				f.lasers[s][w][d] = l
-				f.refreshIdle(l)
+	// Every board's array is the same up to rotation.
+	for w := 1; w < b; w++ {
+		for d := 0; d < b; d++ {
+			if f.CanHold(0, w, d) {
+				f.populated += b
 			}
 		}
 	}
+	f.heads = make([]*Laser, b*b)
+	f.materialiseStatic()
 	for s := 0; s < b; s++ {
 		// Per-board transmitter slabs: a board's b-1 transmitters are
 		// walked together by the board's worker every cycle.
@@ -430,12 +422,13 @@ func NewFabric(top *topology.Topology, _ *sim.Engine, cfg Config) (*Fabric, erro
 // Reset returns the fabric to its just-constructed state so a completed
 // run's fabric can host a fresh one without rebuilding the channel,
 // laser and transmitter slabs: channels revert to their static RWA
-// owners, lasers to the default level with empty queues and zeroed
-// statistics, transmitters to empty reassembly buffers, and the
-// delivery heap, power meter and idle aggregate to zero. Attached
-// sink and drop hook are detached (the next run re-attaches its
-// own). All slab and queue backing arrays are retained, so the reset
-// fabric runs without reallocating its steady-state structures.
+// owners, only the static owners' lasers stay materialised (at the
+// default level with empty queues and zeroed statistics), transmitters
+// revert to empty reassembly buffers, and the delivery heap, power meter
+// and idle aggregate to zero. Attached sink and drop hook are detached
+// (the next run re-attaches its own). All slab, laser chunk and queue
+// backing arrays are retained, so the reset fabric runs without
+// reallocating its steady-state structures.
 func (f *Fabric) Reset() {
 	f.assertSerialPhase("Reset")
 	b := f.top.Boards()
@@ -459,41 +452,17 @@ func (f *Fabric) Reset() {
 		sh.deact = sh.deact[:0]
 		sh.txFlits = 0
 		clear(sh.txPending)
-	}
-	// Rebuild the idle-laser supply aggregate from zero with the same
-	// per-laser refreshIdle sequence NewFabric runs, so the float value is
-	// bit-identical to a fresh construction.
-	f.idleLitMW = 0
-	for s := 0; s < b; s++ {
-		for w := 1; w < b; w++ {
-			for d := 0; d < b; d++ {
-				l := f.lasers[s][w][d]
-				if l == nil {
-					continue
-				}
-				l.level = f.cfg.DefaultLevel
-				l.disabledUntil = 0
-				l.busyUntil = 0
-				for i := range l.queue {
-					l.queue[i] = nil
-				}
-				l.queue = l.queue[:0]
-				l.LinkWin.Reset()
-				l.BufWin.Reset()
-				l.transitions = 0
-				l.sentPackets = 0
-				l.busyCycles = 0
-				l.failed = false
-				l.permFailed = false
-				l.stuck = false
-				l.dropWin = 0
-				l.active = false
-				l.statsAt = 0
-				l.idleContrib = 0
-				f.refreshIdle(l)
-			}
+		// Release every packet still queued; the slots and their queue
+		// backing arrays are reused by the next materialisations.
+		for i := range sh.used {
+			clear(sh.slot(i).queue)
 		}
+		sh.used = 0
+		sh.winFrom = 0
 	}
+	clear(f.heads)
+	f.idleLitMW = 0
+	f.materialiseStatic()
 	for _, tx := range f.txs {
 		for v := range tx.vcs {
 			vc := &tx.vcs[v]
@@ -542,6 +511,49 @@ func (f *Fabric) Reset() {
 	}
 }
 
+// materialiseStatic materialises the static owners' lasers, the lit
+// ones, and folds their supply power into the idle aggregate in
+// canonical (s, w, d) order. The other lasers are dark and add nothing,
+// so the float sum is the one an exhaustive scan would produce.
+func (f *Fabric) materialiseStatic() {
+	b := f.top.Boards()
+	for s := 0; s < b; s++ {
+		for w := 1; w < b; w++ {
+			f.refreshIdle(f.laser(s, w, ((s-w)%b+b)%b))
+		}
+	}
+}
+
+// laser returns laser (s, w, d), materialising it with the default state
+// first if it does not exist yet. The caller guarantees CanHold(s, w, d).
+// Materialisation touches only board s's shard and heads, so a board's
+// worker may materialise during the parallel compute phase; it adds no
+// supply power (a laser that drives a channel is already materialised).
+func (f *Fabric) laser(s, w, d int) *Laser {
+	p := f.find(s, w, d)
+	if l := *p; l != nil && l.d == d {
+		return l
+	}
+	b := f.top.Boards()
+	sh := &f.shards[s]
+	if n := max(b-1, 16); sh.used == len(sh.chunks)*n {
+		sh.chunks = append(sh.chunks, make([]Laser, n))
+	}
+	l := sh.slot(sh.used)
+	sh.used++
+	*l = Laser{
+		s: s, w: w, d: d,
+		ladder: f.cfg.Ladder, fab: f, ch: f.channels[d][w],
+		level:   f.cfg.DefaultLevel,
+		queue:   l.queue[:0],
+		statsAt: sh.winFrom,
+		key:     (s*b+w)*b + d,
+		next:    *p,
+	}
+	*p = l
+	return l
+}
+
 // litIdleMW returns the supply power an idle laser currently draws: its
 // level's power when it is lit (drives its channel) and operating, and
 // not already accounted per-cycle via the active list.
@@ -584,31 +596,72 @@ func (f *Fabric) syncStats(l *Laser, now uint64) {
 	}
 }
 
-// FlushStats brings every laser's LinkWin/BufWin up to date through
-// cycle now-1. Callers that read or reset the windows directly (tests)
-// must flush first; active lasers are already current. Per-board
-// readers (the RC snapshot) should use FlushBoardStats instead — each
-// board's controller reads only its own lasers, and a global flush per
-// board per window would scan the O(B³) laser population B times.
+// FlushStats brings every materialised laser's LinkWin/BufWin up to
+// date through cycle now-1. Callers that read or reset the windows
+// directly (tests) must flush first; active lasers are already current.
+// The RC snapshot uses TakeWindows instead, which flushes one board.
 func (f *Fabric) FlushStats(now uint64) {
-	for s := range f.lasers {
-		f.FlushBoardStats(s, now)
-	}
-}
-
-// FlushBoardStats brings board s's lasers' LinkWin/BufWin up to date
-// through cycle now-1. Sync is additive and integer-exact, so flushing
-// boards independently (each RC its own, at the window boundary) yields
-// the same window values as a global flush.
-func (f *Fabric) FlushBoardStats(s int, now uint64) {
-	b := f.top.Boards()
-	for w := 1; w < b; w++ {
-		for d := 0; d < b; d++ {
-			if l := f.lasers[s][w][d]; l != nil && !l.active {
+	for _, l := range f.heads {
+		for ; l != nil; l = l.next {
+			if !l.active {
 				f.syncStats(l, now)
 			}
 		}
 	}
+}
+
+// WindowStats is one laser's statistics over a closed reconfiguration
+// window.
+type WindowStats struct {
+	W, D     int
+	LinkUtil float64 // Link_util: share of the window spent transmitting
+	BufUtil  float64 // Buffer_util: mean queue occupancy / capacity
+	QueueLen int     // packets queued at the window's close
+	// Dropped counts packets dropped at the laser over the window (always
+	// 0 without fault injection).
+	Dropped uint64
+}
+
+// TakeWindows closes board s's reconfiguration window at cycle now. It
+// brings the board's window statistics up to date through now-1, appends
+// one WindowStats per materialised laser to buf in canonical (w, d)
+// order, and starts every laser's next window at now. A laser missing
+// from buf was still implicit and has the default statistics (all zero);
+// one materialised later starts its window at now too. Sync is additive
+// and integer-exact, so closing boards independently (each RC its own)
+// yields the window values a global flush would.
+func (f *Fabric) TakeWindows(s int, now uint64, buf []WindowStats) []WindowStats {
+	b := f.top.Boards()
+	for _, l := range f.heads[s*b+1 : (s+1)*b] {
+		for ; l != nil; l = l.next {
+			if !l.active {
+				f.syncStats(l, now)
+			}
+			buf = append(buf, WindowStats{
+				W: l.w, D: l.d,
+				LinkUtil: l.LinkWin.Utilization(),
+				BufUtil:  l.BufWin.Utilization(),
+				QueueLen: len(l.queue),
+				Dropped:  l.dropWin,
+			})
+			l.LinkWin.Reset()
+			l.BufWin.Reset()
+			l.dropWin = 0
+		}
+	}
+	f.shards[s].winFrom = now
+	return buf
+}
+
+// AppendHeldLasers appends to buf the lasers of transmitter (s, w) that
+// drive their channel, in ascending destination order, and returns it.
+func (f *Fabric) AppendHeldLasers(buf []*Laser, s, w int) []*Laser {
+	for l := f.heads[s*f.top.Boards()+w]; l != nil; l = l.next {
+		if l.ch.holder == s {
+			buf = append(buf, l)
+		}
+	}
+	return buf
 }
 
 // activateLaser puts a laser on its board's active list (no-op when
@@ -648,14 +701,32 @@ func (f *Fabric) Config() Config { return f.cfg }
 // Channel returns the incoming channel (d, w).
 func (f *Fabric) Channel(d, w int) *Channel { return f.channels[d][w] }
 
-// Laser returns laser (s, w, d), or nil when s == d or the port is not
-// populated (PortRadius-limited arrays).
-func (f *Fabric) Laser(s, w, d int) *Laser { return f.lasers[s][w][d] }
+// Laser returns laser (s, w, d), or nil when it is not materialised:
+// s == d, the port is not populated (PortRadius-limited arrays; see
+// CanHold), or the laser still has its default state.
+func (f *Fabric) Laser(s, w, d int) *Laser {
+	if l := *f.find(s, w, d); l != nil && l.d == d {
+		return l
+	}
+	return nil
+}
+
+// find returns the link of transmitter (s, w)'s laser list that holds
+// laser (s, w, d), or where it would be inserted.
+func (f *Fabric) find(s, w, d int) **Laser {
+	p := &f.heads[s*f.top.Boards()+w]
+	for *p != nil && (*p).d < d {
+		p = &(*p).next
+	}
+	return p
+}
 
 // CanHold reports whether board s could drive channel (d, w): its
-// transmitter w must have a laser aimed at d.
+// transmitter w must have a laser aimed at d, i.e. d is another board
+// within PortRadius of the transmitter's static destination.
 func (f *Fabric) CanHold(s, w, d int) bool {
-	return s != d && f.lasers[s][w][d] != nil
+	b := f.top.Boards()
+	return s != d && (f.cfg.PortRadius == 0 || ringDistance(d, ((s-w)%b+b)%b, b) <= f.cfg.PortRadius)
 }
 
 // ringDistance is the circular distance between boards a and b.
@@ -684,17 +755,7 @@ func (f *Fabric) Meter() *power.Meter { return f.meter }
 // universal upper bound the conservation and conformance suites check
 // AvgSupplyMW against.
 func (f *Fabric) SupplyBoundMW() float64 {
-	populated := 0
-	for _, byWavelength := range f.lasers {
-		for _, byDest := range byWavelength {
-			for _, l := range byDest {
-				if l != nil {
-					populated++
-				}
-			}
-		}
-	}
-	return float64(populated) * f.cfg.Ladder.MW(f.cfg.Ladder.Top())
+	return float64(f.populated) * f.cfg.Ladder.MW(f.cfg.Ladder.Top())
 }
 
 // EnableMetering starts (or stops) power integration; the measurement
@@ -717,7 +778,7 @@ func (f *Fabric) Reassign(d, w, newHolder int, level int, now uint64) error {
 	if !f.CanHold(newHolder, w, d) {
 		return fmt.Errorf("optical: board %d has no laser for channel (%d,λ%d) (PortRadius-limited array)", newHolder, d, w)
 	}
-	old := f.lasers[ch.holder][w][d]
+	old := f.Laser(ch.holder, w, d)
 	if len(old.queue) > 0 {
 		return fmt.Errorf("optical: channel (%d,λ%d): holder %d still has %d queued packets", d, w, ch.holder, len(old.queue))
 	}
@@ -728,7 +789,7 @@ func (f *Fabric) Reassign(d, w, newHolder int, level int, now uint64) error {
 		f.sink.Emit(telemetry.Event{Cycle: now, Kind: telemetry.ChannelReassign,
 			Board: newHolder, Wavelength: w, Dest: d, From: oldHolder, To: newHolder})
 	}
-	nl := f.lasers[newHolder][w][d]
+	nl := f.laser(newHolder, w, d)
 	if !f.cfg.Ladder.Operating(level) {
 		level = f.cfg.DefaultLevel
 	}
@@ -758,10 +819,10 @@ func (f *Fabric) Reassign(d, w, newHolder int, level int, now uint64) error {
 // its queue until RestoreLaser.
 func (f *Fabric) FailLaser(s, w, d int, permanent bool, now uint64) {
 	f.assertSerialPhase("FailLaser")
-	l := f.lasers[s][w][d]
-	if l == nil {
+	if !f.CanHold(s, w, d) {
 		panic(fmt.Sprintf("optical: FailLaser(%d,λ%d→%d): no such laser", s, w, d))
 	}
+	l := f.laser(s, w, d)
 	l.failed = true
 	if permanent {
 		l.permFailed = true
@@ -782,10 +843,10 @@ func (f *Fabric) FailLaser(s, w, d int, permanent bool, now uint64) {
 // re-acquire the returning source).
 func (f *Fabric) RestoreLaser(s, w, d int, now uint64) {
 	f.assertSerialPhase("RestoreLaser")
-	l := f.lasers[s][w][d]
-	if l == nil {
+	if !f.CanHold(s, w, d) {
 		panic(fmt.Sprintf("optical: RestoreLaser(%d,λ%d→%d): no such laser", s, w, d))
 	}
+	l := f.laser(s, w, d)
 	l.failed = false
 	l.permFailed = false
 	if l.Operating() {
@@ -800,10 +861,10 @@ func (f *Fabric) RestoreLaser(s, w, d int, now uint64) {
 // is silently ignored (a stuck DPM actuator).
 func (f *Fabric) StickLaser(s, w, d, level int, now uint64) {
 	f.assertSerialPhase("StickLaser")
-	l := f.lasers[s][w][d]
-	if l == nil {
+	if !f.CanHold(s, w, d) {
 		panic(fmt.Sprintf("optical: StickLaser(%d,λ%d→%d): no such laser", s, w, d))
 	}
+	l := f.laser(s, w, d)
 	if !f.cfg.Ladder.Operating(level) {
 		panic(fmt.Sprintf("optical: StickLaser(%d,λ%d→%d): level %d is not an operating level", s, w, d, level))
 	}
@@ -814,22 +875,19 @@ func (f *Fabric) StickLaser(s, w, d, level int, now uint64) {
 
 // UnstickLaser releases a stuck laser's DPM actuator.
 func (f *Fabric) UnstickLaser(s, w, d int) {
-	l := f.lasers[s][w][d]
-	if l == nil {
+	if !f.CanHold(s, w, d) {
 		panic(fmt.Sprintf("optical: UnstickLaser(%d,λ%d→%d): no such laser", s, w, d))
 	}
-	l.stuck = false
+	if l := f.Laser(s, w, d); l != nil {
+		l.stuck = false
+	}
 }
 
 // LaserHealthy reports whether board s has a live (populated, not
 // failed) laser for channel (d, w). It refines CanHold for fault-aware
 // callers: only healthy candidates are worth re-allocating a channel to.
 func (f *Fabric) LaserHealthy(s, w, d int) bool {
-	if s == d {
-		return false
-	}
-	l := f.lasers[s][w][d]
-	return l != nil && !l.failed
+	return f.CanHold(s, w, d) && !f.Laser(s, w, d).Failed()
 }
 
 // HoldersToward returns the wavelengths board s currently holds toward
@@ -844,7 +902,7 @@ func (f *Fabric) HoldersToward(s, d int) []int {
 // paths pass a reused scratch buffer to avoid a per-packet allocation.
 func (f *Fabric) AppendHoldersToward(buf []int, s, d int) []int {
 	for w := 1; w < f.top.Boards(); w++ {
-		if f.channels[d][w].holder == s && !f.lasers[s][w][d].failed {
+		if f.channels[d][w].holder == s && !f.Laser(s, w, d).failed {
 			buf = append(buf, w)
 		}
 	}
@@ -1079,23 +1137,20 @@ type BoardStats struct {
 // BoardStats fills st with board s's transmit-side aggregate. When
 // levelCounts is non-nil, each held channel's current level is
 // histogrammed into it (index = ladder level, 0 = Off); levels beyond
-// its length are dropped. The scan is O(B²) per board, intended to run
+// its length are dropped. The walk visits the board's materialised
+// lasers (an implicit one is dark, idle and healthy, and adds nothing),
 // once per reconfiguration window, not per cycle.
 func (f *Fabric) BoardStats(s int, st *BoardStats, levelCounts []int) {
 	*st = BoardStats{}
 	b := f.top.Boards()
-	for w := 1; w < b; w++ {
-		for d := 0; d < b; d++ {
-			l := f.lasers[s][w][d]
-			if l == nil {
-				continue
-			}
+	for _, l := range f.heads[s*b+1 : (s+1)*b] {
+		for ; l != nil; l = l.next {
 			st.Queued += len(l.queue)
 			st.TxBusyCycles += l.busyCycles
 			if l.failed {
 				st.Failed++
 			}
-			if f.channels[d][w].holder != s {
+			if l.ch.holder != s {
 				continue
 			}
 			st.Held++
@@ -1127,18 +1182,22 @@ func (f *Fabric) CheckInvariants() error {
 			}
 		}
 	}
-	// Every flow must have at least a static queue to accumulate into and
-	// per-laser queues must respect capacity.
-	for s := 0; s < b; s++ {
+	// Every holder's laser is materialised, each transmitter's lasers are
+	// ordered by destination, and per-laser queues respect capacity.
+	for d := 0; d < b; d++ {
 		for w := 1; w < b; w++ {
-			for d := 0; d < b; d++ {
-				l := f.lasers[s][w][d]
-				if l == nil {
-					continue
-				}
-				if len(l.queue) > f.cfg.QueueCap {
-					return fmt.Errorf("laser (%d,λ%d→%d) queue %d exceeds capacity %d", s, w, d, len(l.queue), f.cfg.QueueCap)
-				}
+			if h := f.channels[d][w].holder; f.Laser(h, w, d) == nil {
+				return fmt.Errorf("channel (%d,λ%d): holder %d's laser is not materialised", d, w, h)
+			}
+		}
+	}
+	for _, l := range f.heads {
+		for ; l != nil; l = l.next {
+			if l.next != nil && l.next.d <= l.d {
+				return fmt.Errorf("transmitter (%d,λ%d): laser →%d follows →%d", l.s, l.w, l.next.d, l.d)
+			}
+			if len(l.queue) > f.cfg.QueueCap {
+				return fmt.Errorf("laser (%d,λ%d→%d) queue %d exceeds capacity %d", l.s, l.w, l.d, len(l.queue), f.cfg.QueueCap)
 			}
 		}
 	}
@@ -1179,7 +1238,7 @@ func (f *Fabric) CheckIndex() error {
 // (scheduled at start+ser+prop ≥ busyUntil), and buffered transmitter
 // flits are counted per shard as they arrive. The idle fast-forward
 // gate calls this between every analytic stretch, so the scan must not
-// scale with the O(B³) laser population.
+// scale with the laser population.
 func (f *Fabric) Quiescent(now uint64) bool {
 	if len(f.delHeap) > 0 {
 		return false

@@ -99,10 +99,12 @@ func (t *Transmitter) tick(now uint64) {
 		if dst == t.s {
 			panic(fmt.Sprintf("optical: tx(%d,λ%d): intra-board packet %v reached the optical domain", t.s, t.w, p))
 		}
-		laser := t.f.lasers[t.s][t.w][dst]
-		if laser == nil {
+		if !t.f.CanHold(t.s, t.w, dst) {
 			panic(fmt.Sprintf("optical: tx(%d,λ%d): packet for board %d routed to an unpopulated laser port", t.s, t.w, dst))
 		}
+		// A fallback onto a dark laser materialises it: it is about to
+		// hold a packet.
+		laser := t.f.laser(t.s, t.w, dst)
 		if laser.permFailed {
 			// The laser is permanently dead and routing had no surviving
 			// alternative: drop the packet rather than wedge the VC, and
