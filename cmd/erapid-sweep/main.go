@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -254,8 +255,8 @@ func parseLoads(s string) ([]float64, error) {
 	}
 	var ls []float64
 	for _, tok := range splitList(s) {
-		var v float64
-		if _, err := fmt.Sscanf(tok, "%g", &v); err != nil {
+		v, err := strconv.ParseFloat(tok, 64)
+		if err != nil {
 			return nil, fmt.Errorf("bad load %q", tok)
 		}
 		ls = append(ls, v)

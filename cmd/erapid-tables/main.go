@@ -1,11 +1,9 @@
 // Command erapid-tables prints the paper's static artifacts: Table 1
-// (network parameters and per-level optical link power), the Fig. 3
-// design-space comparison as a measured per-window time series, and an
-// optional electrical-mesh baseline comparison.
+// (network parameters and per-level optical link power) and the Fig. 3
+// design-space comparison as a measured per-window time series.
 //
 //	erapid-tables                 # Table 1
 //	erapid-tables -designspace    # Fig. 3 time series
-//	erapid-tables -mesh           # electrical 8x8 mesh baseline
 package main
 
 import (
@@ -14,15 +12,11 @@ import (
 	"os"
 
 	erapid "repro"
-	"repro/internal/electrical"
 	"repro/internal/report"
 )
 
 func main() {
-	var (
-		designspace = flag.Bool("designspace", false, "run the Fig. 3 design-space time series")
-		mesh        = flag.Bool("mesh", false, "run the electrical mesh baseline comparison")
-	)
+	designspace := flag.Bool("designspace", false, "run the Fig. 3 design-space time series")
 	flag.Parse()
 
 	report.Table1(os.Stdout)
@@ -30,10 +24,6 @@ func main() {
 	if *designspace {
 		fmt.Println()
 		runDesignSpace()
-	}
-	if *mesh {
-		fmt.Println()
-		runMesh()
 	}
 }
 
@@ -87,32 +77,4 @@ func runDesignSpace() {
 		fmt.Println()
 	}
 	fmt.Println("  (NP modes hold supply power flat; P modes scale it down once idle windows elapse.)")
-}
-
-func runMesh() {
-	fmt.Println("Electrical 8x8 mesh baseline (same Spider-style routers, no optical SRS):")
-	for _, rate := range []float64{0.002, 0.006, 0.012} {
-		cfg := electrical.DefaultConfig()
-		cfg.Rate = rate
-		res, err := electrical.Run(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("  rate %.3f pkt/node/cyc: accepted %.5f, latency %.0f cycles (p95 %.0f)\n",
-			rate, res.Throughput, res.AvgLatency, res.P95Latency)
-	}
-	fmt.Println("  E-RAPID at the same loads (uniform, NP-NB):")
-	for _, rate := range []float64{0.002, 0.006, 0.012} {
-		cfg := erapid.DefaultConfig(erapid.NPNB)
-		cfg.InjectionRate = rate
-		cfg.Load = 0
-		res, err := erapid.Run(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("  rate %.3f pkt/node/cyc: accepted %.5f, latency %.0f cycles (p95 %.0f)\n",
-			rate, res.Throughput, res.AvgLatency, res.P95Latency)
-	}
 }

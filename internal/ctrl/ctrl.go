@@ -72,12 +72,6 @@ type Config struct {
 	LCHopCycles uint64
 	// ComputeCycles is the Reconfigure-stage computation time.
 	ComputeCycles uint64
-	// WakeLevel is the ladder level an Off laser wakes to; 0 selects the
-	// ladder bottom.
-	WakeLevel int
-	// AcquireLevel is the ladder level a newly acquired laser starts at;
-	// 0 selects the ladder top (acquired channels serve congested flows).
-	AcquireLevel int
 	// MaxHold caps how many incoming channels of one destination a single
 	// source board may hold (0 = unlimited, i.e. B-1). The paper's
 	// complement-traffic results plateau near 4× the static bandwidth,
@@ -110,8 +104,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ctrl: window must be >= 1, got %d", c.Window)
 	case c.RingHopCycles < 1 || c.LCHopCycles < 1:
 		return fmt.Errorf("ctrl: hop latencies must be >= 1")
-	case c.WakeLevel < 0 || c.AcquireLevel < 0:
-		return fmt.Errorf("ctrl: wake/acquire levels must be >= 0 (0 = auto)")
 	case c.Thresholds.LMin > c.Thresholds.LMax:
 		return fmt.Errorf("ctrl: LMin %v > LMax %v", c.Thresholds.LMin, c.Thresholds.LMax)
 	case c.Thresholds.BMin > c.Thresholds.BMax:
@@ -141,8 +133,6 @@ func DefaultConfig(powerAware, bandwidthReconfig bool) Config {
 		RingHopCycles:     4,
 		LCHopCycles:       2,
 		ComputeCycles:     4,
-		WakeLevel:         0, // ladder bottom
-		AcquireLevel:      0, // ladder top
 		MaxHold:           4,
 	}
 }
@@ -264,16 +254,6 @@ func NewSystem(top *topology.Topology, fab *optical.Fabric, eng *sim.Engine, cfg
 		return nil, err
 	}
 	ladder := fab.Config().Ladder
-	if cfg.WakeLevel == 0 {
-		cfg.WakeLevel = ladder.Bottom()
-	}
-	if cfg.AcquireLevel == 0 {
-		cfg.AcquireLevel = ladder.Top()
-	}
-	if !ladder.Operating(cfg.WakeLevel) || !ladder.Operating(cfg.AcquireLevel) {
-		return nil, fmt.Errorf("ctrl: wake level %d / acquire level %d not operating points of the ladder (top %d)",
-			cfg.WakeLevel, cfg.AcquireLevel, ladder.Top())
-	}
 	s := &System{top: top, fab: fab, eng: eng, cfg: cfg}
 	for b := 0; b < top.Boards(); b++ {
 		rc := newRC(s, b)
@@ -296,7 +276,8 @@ func NewSystem(top *topology.Topology, fab *optical.Fabric, eng *sim.Engine, cfg
 		s.rcs = append(s.rcs, rc)
 	}
 	if cfg.PowerAware {
-		fab.SetAutoWake(cfg.WakeLevel)
+		// An Off laser wakes to the ladder bottom.
+		fab.SetAutoWake(ladder.Bottom())
 	}
 	for _, rc := range s.rcs {
 		rc.nextWindow()

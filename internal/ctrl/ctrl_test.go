@@ -98,8 +98,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Window = 0 },
 		func(c *Config) { c.RingHopCycles = 0 },
 		func(c *Config) { c.LCHopCycles = 0 },
-		func(c *Config) { c.WakeLevel = -1 },
-		func(c *Config) { c.AcquireLevel = -1 },
 		func(c *Config) { c.Thresholds.LMin = 0.95 },
 		func(c *Config) { c.Thresholds.BMin = 0.5 },
 	}
@@ -296,7 +294,8 @@ func TestDPMWakeOnDemand(t *testing.T) {
 	if laser.Level() != 0 {
 		t.Fatal("setup: laser not off")
 	}
-	// Traffic arrives: the laser must wake (to WakeLevel) and deliver.
+	// Traffic arrives: the laser must wake (to the ladder bottom) and
+	// deliver.
 	delivered := false
 	r.fab.SetDeliver(0, w, func(p *flit.Packet, now uint64) { delivered = true })
 	r.run(400, 800, r.pumpTrickle(1, w, 0, 200))
@@ -443,10 +442,11 @@ func TestMaxHoldCapsAcquisition(t *testing.T) {
 	}
 }
 
+// Acquired channels serve congested flows, so an acquired laser starts
+// at the ladder top.
 func TestAcquiredLaserStartsAtAcquireLevel(t *testing.T) {
-	cfg := dbrConfig(300)
-	cfg.AcquireLevel = 1 // force acquisitions to start at the bottom rate
-	r := newRig(t, 4, cfg)
+	r := newRig(t, 4, dbrConfig(300))
+	top := r.fab.Config().Ladder.Top()
 	wStatic := r.top.Wavelength(0, 2)
 	r.run(0, 700, r.pumpFlow(0, wStatic, 2))
 	held := r.fab.HoldersToward(0, 2)
@@ -457,8 +457,8 @@ func TestAcquiredLaserStartsAtAcquireLevel(t *testing.T) {
 		if w == wStatic {
 			continue
 		}
-		if lvl := r.fab.Laser(0, w, 2).Level(); lvl != 1 {
-			t.Fatalf("acquired laser (0,λ%d→2) level = %d, want 1", w, lvl)
+		if lvl := r.fab.Laser(0, w, 2).Level(); lvl != top {
+			t.Fatalf("acquired laser (0,λ%d→2) level = %d, want the ladder top %d", w, lvl, top)
 		}
 	}
 }

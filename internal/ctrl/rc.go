@@ -340,7 +340,7 @@ func (rc *RC) linkResponse() {
 			continue
 		}
 		wasReclaim := newHolder == sys.top.StaticOwner(rc.board, w)
-		if err := sys.fab.Reassign(rc.board, w, newHolder, sys.cfg.AcquireLevel, now); err != nil {
+		if err := sys.fab.Reassign(rc.board, w, newHolder, now); err != nil {
 			// The holder accumulated traffic between snapshot and apply;
 			// leave the channel in place this window.
 			sys.ctr.FailedMoves++

@@ -21,7 +21,6 @@ func newFabric(t *testing.T, boards int) *optical.Fabric {
 		QueueCap:       16,
 		VCs:            2,
 		FlitsPerPacket: 8,
-		DefaultLevel:   3,
 	})
 	if err != nil {
 		t.Fatal(err)

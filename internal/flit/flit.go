@@ -75,11 +75,6 @@ type Packet struct {
 	// Meta carries control payload for Control packets.
 	Meta any
 
-	// RouteState is scratch space for routing layers that keep per-packet
-	// state across hops (e.g. dateline-crossing bits on tori). The E-RAPID
-	// optical fabric does not use it.
-	RouteState uint8
-
 	// slab is the packet's flit storage, filled by Flitize. It is reused
 	// every time the packet is (re-)serialized onto a link, and survives
 	// packet recycling, so the steady-state flit path allocates nothing.

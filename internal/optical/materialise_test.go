@@ -27,7 +27,7 @@ func TestMaterialiseOnFirstHold(t *testing.T) {
 	if f.Laser(3, 1, 0) != nil {
 		t.Fatal("dark laser materialised at construction")
 	}
-	if err := f.Reassign(0, 1, 3, 3, 100); err != nil {
+	if err := f.Reassign(0, 1, 3, 100); err != nil {
 		t.Fatal(err)
 	}
 	if got := materialised(f); got != 8*7+1 {
@@ -37,7 +37,7 @@ func TestMaterialiseOnFirstHold(t *testing.T) {
 		t.Fatalf("acquiring laser = %+v, want materialised with one relock", l)
 	}
 	// Handing the channel back materialises nothing: both lasers exist.
-	if err := f.Reassign(0, 1, 1, 3, 300); err != nil {
+	if err := f.Reassign(0, 1, 1, 300); err != nil {
 		t.Fatal(err)
 	}
 	if got := materialised(f); got != 8*7+1 {
@@ -59,10 +59,10 @@ func TestMidWindowMaterialisationStats(t *testing.T) {
 	run(f, eng, 100, 150)
 	// Channels (0, λ2) and (2, λ2) are statically driven by boards 2 and
 	// 0; hand them to boards 3 and 1, whose lasers for them are dark.
-	if err := f.Reassign(0, 2, 3, 3, 150); err != nil {
+	if err := f.Reassign(0, 2, 3, 150); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Reassign(2, 2, 1, 3, 150); err != nil {
+	if err := f.Reassign(2, 2, 1, 150); err != nil {
 		t.Fatal(err)
 	}
 	sendPacket(f.Transmitter(3, 2), mkPkt(1, 3, 0), 0, 200)
@@ -98,7 +98,7 @@ func TestMidWindowMaterialisationStats(t *testing.T) {
 func TestResetMatchesNewFabric(t *testing.T) {
 	f, eng := newTestFabric(t, 4)
 	f.EnableMetering(true)
-	if err := f.Reassign(0, 2, 3, 1, 10); err != nil {
+	if err := f.Reassign(0, 2, 3, 10); err != nil {
 		t.Fatal(err)
 	}
 	f.FailLaser(1, 1, 3, true, 20)

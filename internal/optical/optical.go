@@ -48,10 +48,9 @@ type Config struct {
 	FlitsPerPacket int
 	// Ladder is the set of link operating points; nil selects the paper's
 	// three-level ladder (2.5/3.3/5 Gbps).
+	// Every laser starts at the ladder top, where non-power-aware networks
+	// keep it.
 	Ladder *power.Ladder
-	// DefaultLevel is the initial (and, for non-power-aware networks,
-	// permanent) laser operating level; 0 selects the ladder top.
-	DefaultLevel int
 	// PortRadius limits each transmitter's laser array to destinations
 	// within the given ring distance of its static destination (the
 	// paper's "cost-effective design alternatives that provide limited
@@ -73,21 +72,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("optical: VCs = %d, need >= 1", c.VCs)
 	case c.FlitsPerPacket < 1:
 		return fmt.Errorf("optical: FlitsPerPacket = %d, need >= 1", c.FlitsPerPacket)
-	case c.Ladder != nil && !c.Ladder.Operating(c.DefaultLevel):
-		return fmt.Errorf("optical: DefaultLevel %d is not an operating level of the ladder", c.DefaultLevel)
 	case c.PortRadius < 0:
 		return fmt.Errorf("optical: PortRadius must be >= 0 (0 = full array)")
 	}
 	return nil
 }
 
-// normalize fills the ladder and default-level defaults.
+// normalize fills the ladder default.
 func (c Config) normalize() Config {
 	if c.Ladder == nil {
 		c.Ladder = power.PaperLadder()
-	}
-	if c.DefaultLevel == 0 {
-		c.DefaultLevel = c.Ladder.Top()
 	}
 	return c
 }
@@ -372,9 +366,6 @@ func NewFabric(top *topology.Topology, _ *sim.Engine, cfg Config) (*Fabric, erro
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if !cfg.Ladder.Operating(cfg.DefaultLevel) {
-		return nil, fmt.Errorf("optical: DefaultLevel %d is not an operating level", cfg.DefaultLevel)
-	}
 	b := top.Boards()
 	f := &Fabric{top: top, cfg: cfg, meter: power.NewMeter(cfg.CycleNS)}
 	f.shards = make([]boardShard, b)
@@ -544,7 +535,7 @@ func (f *Fabric) laser(s, w, d int) *Laser {
 	*l = Laser{
 		s: s, w: w, d: d,
 		ladder: f.cfg.Ladder, fab: f, ch: f.channels[d][w],
-		level:   f.cfg.DefaultLevel,
+		level:   f.cfg.Ladder.Top(),
 		queue:   l.queue[:0],
 		statsAt: sh.winFrom,
 		key:     (s*b+w)*b + d,
@@ -765,8 +756,9 @@ func (f *Fabric) EnableMetering(on bool) { f.meterEnabled = on }
 // Reassign atomically moves channel (d, w) to a new holder. The departing
 // holder's laser must be idle with an empty queue; callers (the DBR
 // policy) guarantee this by only re-allocating under-utilized channels.
-// The acquiring laser starts at the given level with a relock window.
-func (f *Fabric) Reassign(d, w, newHolder int, level int, now uint64) error {
+// The acquiring laser starts at the ladder top (acquired channels serve
+// congested flows) with a relock window.
+func (f *Fabric) Reassign(d, w, newHolder int, now uint64) error {
 	f.assertSerialPhase("Reassign")
 	ch := f.channels[d][w]
 	if newHolder == d {
@@ -790,9 +782,7 @@ func (f *Fabric) Reassign(d, w, newHolder int, level int, now uint64) error {
 			Board: newHolder, Wavelength: w, Dest: d, From: oldHolder, To: newHolder})
 	}
 	nl := f.laser(newHolder, w, d)
-	if !f.cfg.Ladder.Operating(level) {
-		level = f.cfg.DefaultLevel
-	}
+	level := f.cfg.Ladder.Top()
 	prev := nl.level
 	if prev != level {
 		nl.SetLevel(level, now, f.cfg.RelockCycles)

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/flit"
-	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -18,7 +17,6 @@ func testConfig() Config {
 		QueueCap:       16,
 		VCs:            2,
 		FlitsPerPacket: 8,
-		DefaultLevel:   3, // ladder top (5 Gbps)
 	}
 }
 
@@ -214,7 +212,7 @@ func TestReassignMovesHolderAndRoutes(t *testing.T) {
 	if owner == 0 {
 		t.Fatal("test setup: extra channel already owned by board 0")
 	}
-	if err := f.Reassign(2, wExtra, 0, 3, 0); err != nil {
+	if err := f.Reassign(2, wExtra, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	ws := f.HoldersToward(0, 2)
@@ -256,7 +254,7 @@ func TestReassignRejectsBusyHolder(t *testing.T) {
 	f.Laser(1, w, 0).SetLevel(0, 0, 65)
 	sendPacket(f.Transmitter(1, w), mkPkt(1, 1, 0), 0, 0)
 	run(f, eng, 0, 5)
-	if err := f.Reassign(0, w, 2, 3, 5); err == nil {
+	if err := f.Reassign(0, w, 2, 5); err == nil {
 		t.Fatal("Reassign with queued packets did not error")
 	}
 	if f.Channel(0, w).Holder() != 1 {
@@ -266,7 +264,7 @@ func TestReassignRejectsBusyHolder(t *testing.T) {
 
 func TestReassignToDestinationRejected(t *testing.T) {
 	f, _ := newTestFabric(t, 4)
-	if err := f.Reassign(2, 1, 2, 3, 0); err == nil {
+	if err := f.Reassign(2, 1, 2, 0); err == nil {
 		t.Fatal("assigning a channel to its own destination did not error")
 	}
 }
@@ -274,7 +272,7 @@ func TestReassignToDestinationRejected(t *testing.T) {
 func TestReassignSameHolderNoop(t *testing.T) {
 	f, _ := newTestFabric(t, 4)
 	h := f.Channel(0, 1).Holder()
-	if err := f.Reassign(0, 1, h, 3, 0); err != nil {
+	if err := f.Reassign(0, 1, h, 0); err != nil {
 		t.Fatal(err)
 	}
 	if f.Laser(h, 1, 0).Transitions() != 0 {
@@ -399,7 +397,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.QueueCap = 0 },
 		func(c *Config) { c.VCs = 0 },
 		func(c *Config) { c.FlitsPerPacket = 0 },
-		func(c *Config) { c.Ladder = power.PaperLadder(); c.DefaultLevel = 9 },
 	}
 	for i, mutate := range bad {
 		cfg := testConfig()
@@ -429,7 +426,7 @@ func TestPortRadiusLimitsArray(t *testing.T) {
 		t.Fatal("CanHold true for unpopulated port")
 	}
 	// Reassigning a channel to a board without the port must fail.
-	if err := f.Reassign(3, 1, 0, 3, 0); err == nil {
+	if err := f.Reassign(3, 1, 0, 0); err == nil {
 		t.Fatal("Reassign to unpopulated port accepted")
 	}
 	// Every static assignment still exists (radius 0 from itself).
@@ -469,7 +466,7 @@ func TestReassignStormProperty(t *testing.T) {
 				continue
 			}
 			now += 70
-			_ = fab.Reassign(d, w, holder, 3, now) // errors are fine; state must stay valid
+			_ = fab.Reassign(d, w, holder, now) // errors are fine; state must stay valid
 		}
 		if fab.CheckInvariants() != nil {
 			return false

@@ -57,13 +57,6 @@ type CreditSink interface {
 // ports over time.
 type RouteFunc func(p *flit.Packet) int
 
-// VCClassFunc restricts which output VC a packet may be allocated on a
-// given output port. Returning a negative class allows any VC; a
-// non-negative class c restricts allocation to VCs v with v % classes ==
-// c, where classes is the ClassCount of the config. Deadlock-avoidance
-// schemes (e.g. dateline routing on rings/tori) are built on this hook.
-type VCClassFunc func(p *flit.Packet, outPort int) int
-
 // Config parameterizes a router.
 type Config struct {
 	Name    string
@@ -75,11 +68,6 @@ type Config struct {
 	BufDepth int
 	// Route computes the output port for each packet.
 	Route RouteFunc
-	// VCClass, when non-nil, restricts output VC allocation per packet
-	// (see VCClassFunc). ClassCount gives the number of classes and must
-	// divide the downstream VC count on every connected output.
-	VCClass    VCClassFunc
-	ClassCount int
 }
 
 func (c Config) validate() error {
@@ -92,8 +80,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("router %q: need buffer depth >=1, got %d", c.Name, c.BufDepth)
 	case c.Route == nil:
 		return fmt.Errorf("router %q: nil route function", c.Name)
-	case c.VCClass != nil && c.ClassCount < 1:
-		return fmt.Errorf("router %q: VCClass requires ClassCount >= 1", c.Name)
 	}
 	return nil
 }
@@ -133,8 +119,6 @@ type inVC struct {
 	stageReady uint64
 	outPort    int
 	outVC      int
-	// vcClass restricts the VA stage (-1 = any VC).
-	vcClass int
 }
 
 type outVCState struct {
@@ -291,7 +275,7 @@ func (r *Router) Reset() {
 			vc.buf = vc.buf[:0]
 			vc.stage = vcIdle
 			vc.stageReady = 0
-			vc.outPort, vc.outVC, vc.vcClass = 0, 0, 0
+			vc.outPort, vc.outVC = 0, 0
 		}
 		r.rrInVC[p] = 0
 		r.portBuf[p], r.portActive[p] = 0, 0
@@ -464,10 +448,6 @@ func (r *Router) routeCompute(now uint64) {
 					panic(fmt.Sprintf("router %q: route for %v returned invalid port %d", r.cfg.Name, head.f.Packet, out))
 				}
 				vc.outPort = out
-				vc.vcClass = -1
-				if r.cfg.VCClass != nil {
-					vc.vcClass = r.cfg.VCClass(head.f.Packet, out)
-				}
 				vc.stage = vcWaitVC
 				vc.stageReady = now + 1 // RC occupies this cycle
 				r.activeVCs++
@@ -514,17 +494,17 @@ func (r *Router) vcAllocate(now uint64) {
 			}
 			r.reqSubset = sub
 			out := r.outs[op]
-			// Grant each request the first admissible free output VC,
-			// round-robin across requesters for fairness across cycles.
+			// Grant each request the first free output VC, round-robin
+			// across requesters for fairness across cycles.
 			granted := 0
 			for ri := 0; ri < len(sub); ri++ {
 				rq := sub[(ri+out.rrIn)%len(sub)]
-				ivc := r.ins[rq.inPort][rq.inVC]
-				v := r.freeOutVC(out, ivc.vcClass)
+				v := freeOutVC(out)
 				if v < 0 {
 					continue
 				}
 				out.vcs[v] = outVCState{allocated: true, inPort: rq.inPort, inVC: rq.inVC, credits: out.vcs[v].credits}
+				ivc := r.ins[rq.inPort][rq.inVC]
 				ivc.outVC = v
 				ivc.stage = vcActive
 				ivc.stageReady = now + 1 // VA occupies this cycle
@@ -540,19 +520,14 @@ func (r *Router) vcAllocate(now uint64) {
 	}
 }
 
-// freeOutVC returns a free output VC admissible for the given class
-// (-1 = any), scanning from the output's round-robin pointer, or -1.
-func (r *Router) freeOutVC(out *outPort, class int) int {
+// freeOutVC returns a free output VC, scanning from the output's
+// round-robin pointer, or -1.
+func freeOutVC(out *outPort) int {
 	n := len(out.vcs)
 	for dv := 0; dv < n; dv++ {
-		v := (out.rrVC + dv) % n
-		if out.vcs[v].allocated {
-			continue
+		if v := (out.rrVC + dv) % n; !out.vcs[v].allocated {
+			return v
 		}
-		if class >= 0 && v%r.cfg.ClassCount != class {
-			continue
-		}
-		return v
 	}
 	return -1
 }

@@ -412,51 +412,6 @@ func TestFlitConservationRandomized(t *testing.T) {
 	}
 }
 
-func TestVCClassRestriction(t *testing.T) {
-	// Two VC classes over 4 output VCs: class 0 may use VCs {0,2}, class 1
-	// {1,3}. Packets carry their class in RouteState.
-	r := MustNew(Config{
-		Name: "classes", Inputs: 2, Outputs: 1, VCs: 2, BufDepth: 4,
-		Route:      func(p *flit.Packet) int { return 0 },
-		VCClass:    func(p *flit.Packet, out int) int { return int(p.RouteState) },
-		ClassCount: 2,
-	})
-	c := &collector{router: r, port: 0}
-	r.ConnectOutput(0, OutputLink{Sink: c, FlitCycles: 1, DownVCs: 4, DownDepth: 8})
-	s0 := newSender(r, 0, 2, 4)
-	s1 := newSender(r, 1, 2, 4)
-	for i := 0; i < 6; i++ {
-		p0 := mkPacket(100+i, 0, 0)
-		p0.RouteState = 0
-		s0.enqueuePacket(p0, i%2)
-		p1 := mkPacket(200+i, 1, 0)
-		p1.RouteState = 1
-		s1.enqueuePacket(p1, i%2)
-	}
-	runCycles(r, []*sender{s0, s1}, 3000)
-	if len(c.packets) != 12 {
-		t.Fatalf("delivered %d packets, want 12", len(c.packets))
-	}
-	for _, f := range c.flits {
-		class := int(f.Packet.RouteState)
-		if f.VC%2 != class {
-			t.Fatalf("packet of class %d left on VC %d", class, f.VC)
-		}
-	}
-}
-
-func TestVCClassValidation(t *testing.T) {
-	_, err := New(Config{
-		Name: "bad", Inputs: 1, Outputs: 1, VCs: 1, BufDepth: 1,
-		Route:   func(p *flit.Packet) int { return 0 },
-		VCClass: func(p *flit.Packet, out int) int { return 0 },
-		// ClassCount missing
-	})
-	if err == nil {
-		t.Fatal("VCClass without ClassCount accepted")
-	}
-}
-
 func BenchmarkRouterTickIdle(b *testing.B) {
 	r := MustNew(Config{
 		Name: "idle", Inputs: 15, Outputs: 15, VCs: 2, BufDepth: 1,
