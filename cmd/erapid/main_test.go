@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,6 +17,9 @@ import (
 // tests (see runCLI).
 func TestMain(m *testing.M) {
 	if os.Getenv("ERAPID_TEST_MAIN") == "1" {
+		// Drop the -test.* flags so main parses (and -h lists) only the
+		// command's own.
+		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 		main()
 		return
 	}
@@ -102,6 +106,24 @@ func TestTraceJourneyGolden(t *testing.T) {
 	got := runCLI(t, "-boards", "4", "-nodes", "4", "-warmup", "2000", "-measure", "2000", "-trace", "-journey", "2")
 	if !bytes.Equal(got, want) {
 		t.Errorf("-trace -journey output differs from testdata/trace_journey.golden:\n%s", got)
+	}
+}
+
+// TestHelpGolden pins the -h flag listing byte-for-byte, minus its
+// first line, which carries the binary's path.
+func TestHelpGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/help.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-h")
+	cmd.Env = append(os.Environ(), "ERAPID_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("erapid -h: %v\n%s", err, out)
+	}
+	if _, got, _ := bytes.Cut(out, []byte("\n")); !bytes.Equal(got, want) {
+		t.Errorf("erapid -h output differs from testdata/help.golden:\n%s", got)
 	}
 }
 
