@@ -156,6 +156,9 @@ func Scenarios(base core.Config) []sweep.Scenario {
 }
 
 func pickScenarios(all []sweep.Scenario, names []string) ([]sweep.Scenario, error) {
+	if len(names) == 0 {
+		return nil, errors.New("no scenarios given")
+	}
 	var out []sweep.Scenario
 	for _, name := range names {
 		found := false

@@ -32,16 +32,15 @@ import (
 
 func main() {
 	var (
-		figure    = flag.String("figure", "all", "which figure to regenerate: 5, 6 or all")
-		patterns  = flag.String("patterns", "", "comma-separated pattern list (overrides -figure)")
-		modes     = flag.String("modes", "NP-NB,P-NB,NP-B,P-B", "comma-separated mode list")
-		loads     = flag.String("loads", "", "comma-separated loads (default 0.1..0.9)")
-		csvPath   = flag.String("csv", "", "write full results as CSV to this file")
-		svgDir    = flag.String("svg", "", "write one SVG chart per (figure, metric) into this directory")
-		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS/run-workers)")
-		runWork   = flag.Int("run-workers", 1, "intra-run worker threads per simulation (board-sharded, bit-identical to 1)")
-		progress  = flag.Duration("progress-interval", 0, "minimum time between progress lines (0 = every point)")
-		phaseProf = flag.Bool("phase-profile", false, "profile per-worker phase times across all runs and print a shard-imbalance summary")
+		figure   = flag.String("figure", "all", "which figure to regenerate: 5, 6 or all")
+		patterns = flag.String("patterns", "", "comma-separated pattern list (overrides -figure)")
+		modes    = flag.String("modes", "NP-NB,P-NB,NP-B,P-B", "comma-separated mode list")
+		loads    = flag.String("loads", "", "comma-separated loads (default 0.1..0.9)")
+		csvPath  = flag.String("csv", "", "write full results as CSV to this file")
+		svgDir   = flag.String("svg", "", "write one SVG chart per (figure, metric) into this directory")
+		workers  = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS/run-workers)")
+		runWork  = flag.Int("run-workers", 1, "intra-run worker threads per simulation (board-sharded, bit-identical to 1)")
+		progress = flag.Duration("progress-interval", 0, "minimum time between progress lines (0 = every point)")
 	)
 	profFlags := prof.AddFlags()
 	shape := prof.AddConfigFlags("random seed",
@@ -102,20 +101,15 @@ func main() {
 	// so concurrent finishers never double-print. The final point always
 	// prints.
 	var lastPrint atomic.Int64
-	var phaseAgg *core.PhaseAggregate
-	if *phaseProf {
-		phaseAgg = &core.PhaseAggregate{}
-	}
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "running %d simulations (%d patterns x %d modes x %d loads)...\n",
 		total, len(pats), len(ms), len(ls))
 	series, sweepErr := erapid.SweepContext(ctx, sweep.Request{
-		Base:         base,
-		Patterns:     pats,
-		Modes:        ms,
-		Loads:        ls,
-		Workers:      sweepWorkers,
-		PhaseProfile: phaseAgg,
+		Base:     base,
+		Patterns: pats,
+		Modes:    ms,
+		Loads:    ls,
+		Workers:  sweepWorkers,
 		OnResult: func(s sweep.Series, p sweep.Point) {
 			n := done.Inc()
 			if *progress > 0 && n < uint64(total) {
@@ -161,11 +155,6 @@ func main() {
 	}
 	fmt.Println()
 	report.Summary(os.Stdout, series)
-
-	if phaseAgg != nil {
-		fmt.Fprintf(os.Stderr, "\naggregated over %d runs:\n", phaseAgg.Runs())
-		core.FormatPhaseReport(os.Stderr, phaseAgg.Report())
-	}
 
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
@@ -221,7 +210,11 @@ func writeSVGs(dir string, pats []string, series []sweep.Series) error {
 
 func pickPatterns(figure, override string) ([]string, error) {
 	if override != "" {
-		return splitList(override), nil
+		pats := splitList(override)
+		if len(pats) == 0 {
+			return nil, errors.New("no patterns given")
+		}
+		return pats, nil
 	}
 	switch figure {
 	case "5":
@@ -260,6 +253,9 @@ func parseLoads(s string) ([]float64, error) {
 			return nil, fmt.Errorf("bad load %q", tok)
 		}
 		ls = append(ls, v)
+	}
+	if len(ls) == 0 {
+		return nil, errors.New("no loads given")
 	}
 	return ls, nil
 }

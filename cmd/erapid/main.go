@@ -53,9 +53,6 @@ func main() {
 		eventsOut  = flag.String("events-out", "", "stream telemetry events as JSON Lines to this file")
 		perfetto   = flag.String("perfetto", "", "write a Chrome trace_event JSON (Perfetto-loadable) to this file")
 		dashboard  = flag.String("dashboard", "", "write a per-window HTML dashboard to this file")
-
-		phaseProf    = flag.Bool("phase-profile", false, "record per-worker, per-phase wall time and print a shard-imbalance report (bit-identical results)")
-		phaseProfOut = flag.String("phase-profile-out", "", "write the phase profiler's per-epoch series as JSON Lines (implies -phase-profile)")
 	)
 	profFlags := prof.AddFlags()
 	shape := prof.AddConfigFlags("random seed",
@@ -118,7 +115,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cfg.PhaseProfile = *phaseProf || *phaseProfOut != ""
 	if *faults != "" {
 		spec, err := erapid.LoadFaultSpec(*faults)
 		if err != nil {
@@ -156,7 +152,6 @@ func main() {
 			{*journey > 0, "-journey"},
 			{*perfetto != "", "-perfetto"},
 			{*dashboard != "", "-dashboard"},
-			{cfg.PhaseProfile, "-phase-profile"},
 		} {
 			if bad.set {
 				fmt.Fprintf(os.Stderr, "%s is not supported with -tiers (flat runs only)\n", bad.name)
@@ -216,15 +211,6 @@ func main() {
 		printHierResult(res, cfg)
 	} else {
 		printResult(res, cfg)
-	}
-	if pp := runner.PhaseProfile(); pp != nil {
-		fmt.Fprintln(os.Stderr)
-		core.FormatPhaseReport(os.Stderr, pp.Report())
-		if *phaseProfOut != "" {
-			export(*phaseProfOut, func(f *os.File) error {
-				return pp.Registry().WriteMetricsJSONL(f)
-			})
-		}
 	}
 	if stageRec != nil {
 		fmt.Println("\nLock-Step protocol trace (cycle, board, stage):")

@@ -123,15 +123,6 @@ type Config struct {
 	// Boards) cores. Any value produces bit-identical results: same seed,
 	// same Result, same telemetry stream.
 	Workers int `json:",omitempty"`
-
-	// PhaseProfile enables the engine's phase profiler: per-worker,
-	// per-phase wall time and barrier-wait time recorded once per epoch
-	// (see System.PhaseProfile). Like Workers it is an execution knob,
-	// not part of the simulated model, so it stays out of the canonical
-	// JSON and the content digest — but unlike Workers it is excluded
-	// from serialization entirely: wall-clock profiles are meaningless
-	// to replay.
-	PhaseProfile bool `json:"-"`
 }
 
 // DefaultConfig returns the paper's 64-node operating point for a mode.

@@ -20,11 +20,10 @@ package core
 import "repro/internal/traffic"
 
 // ffEligible reports whether the system as configured may ever
-// fast-forward: recorders that observe every cycle (telemetry windows,
-// the phase profiler) and the fault injector's per-cycle tick all need
-// real cycles.
+// fast-forward: telemetry windows observe every cycle and the fault
+// injector ticks every cycle, so both need real cycles.
 func (s *System) ffEligible() bool {
-	return s.faults == nil && s.telemetry == nil && s.phaseProf == nil
+	return s.faults == nil && s.telemetry == nil
 }
 
 // fastForward advances the system analytically through up to n cycles

@@ -154,7 +154,6 @@ func NewHier(cfg Config) (*Hier, error) {
 	if t0.Policy != nil {
 		rackCfg.Policy = t0.Policy
 	}
-	rackCfg.PhaseProfile = false
 	h.rackCfg = rackCfg
 
 	// Tier-1 fabric: racks as boards, carrying the inter-rack share
@@ -175,7 +174,6 @@ func NewHier(cfg Config) (*Hier, error) {
 		fabCfg.Policy = t1.Policy
 	}
 	fabCfg.Seed = deriveSeed(cfg.Seed, 1, 0)
-	fabCfg.PhaseProfile = false
 	h.fabCfg = fabCfg
 
 	if err := rackCfg.Validate(); err != nil {

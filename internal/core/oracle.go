@@ -37,7 +37,6 @@ func oracleProfile(cfg Config, ladder *power.Ladder) (*policy.Profile, error) {
 	pcfg := cfg
 	pcfg.Faults = nil
 	pcfg.Workers = 0
-	pcfg.PhaseProfile = false
 	pcfg.Policy = nil
 	cc := pcfg.ctrlConfig()
 	profilers := make([]*policy.Profiler, cfg.Boards)

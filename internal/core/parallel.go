@@ -317,54 +317,37 @@ func (s *System) commitCycle(now uint64) {
 // state no parallel phase reads, and the injector streams it is
 // pipelined against are read by no one else, so the interleavings are
 // race-free and order-equivalent to the serial step.
-//
-// Profiling hooks (pp.start/add*/barrier) are nil-receiver no-ops when
-// Config.PhaseProfile is off — the disabled cost is a handful of
-// predicted nil-check branches per cycle and zero allocations, and
-// pp.barrier degenerates to exactly pool.Barrier().
 func (s *System) epochBody(id int) {
 	par := s.par
-	pp := s.phaseProf
 	lo, hi := par.shardLo[id], par.shardHi[id]
 	now := par.now
 	if id == 0 {
-		t0 := pp.start()
 		s.stepHead(now)
-		pp.addSerial(id, t0)
 	}
 	if !par.entrySkipDraw {
 		// Worker 0 draws its own shard after the head; the others draw
 		// theirs concurrently with it.
-		t0 := pp.start()
 		for bi := lo; bi < hi; bi++ {
 			s.drawBoard(bi)
 		}
-		pp.addDraw(id, t0)
 	}
-	pp.barrier(par.pool, id)
+	par.pool.Barrier()
 	if id == 0 {
-		t0 := pp.start()
 		s.admit(now)
 		par.computing = true
-		pp.addSerial(id, t0)
 	}
-	pp.barrier(par.pool, id)
+	par.pool.Barrier()
 	for {
 		// Parallel section: tick cycle `now`, then speculatively pre-draw
 		// cycle now+1 while worker 0's serial section is still pending.
-		t0 := pp.start()
 		for bi := lo; bi < hi; bi++ {
 			s.tickBoardCompute(bi, now)
 		}
-		pp.addTick(id, t0)
-		t0 = pp.start()
 		for bi := lo; bi < hi; bi++ {
 			s.drawBoardSpec(bi)
 		}
-		pp.addDraw(id, t0)
-		pp.barrier(par.pool, id)
+		par.pool.Barrier()
 		if id == 0 {
-			t0 := pp.start()
 			par.computing = false
 			s.commitCycle(now)
 			par.now = now + 1
@@ -374,9 +357,8 @@ func (s *System) epochBody(id int) {
 				s.admit(par.now)
 				par.computing = true
 			}
-			pp.addSerial(id, t0)
 		}
-		pp.barrier(par.pool, id)
+		par.pool.Barrier()
 		if par.stop {
 			return
 		}
@@ -405,8 +387,5 @@ func (s *System) stepEpoch(n uint64) uint64 {
 	par.specHave = true
 	par.specFor = par.now
 	s.nextCycle = par.now
-	// The Epoch join happens-before this flush, so the workers' phase
-	// accumulators are visible here (nil-safe no-op when profiling off).
-	s.phaseProf.flush(par.now)
 	return par.now - 1
 }

@@ -89,7 +89,6 @@ func (s *System) Reset(cfg Config) error {
 	s.tel = nil
 	s.sinks = nil
 	s.telemetry = nil
-	s.phaseProf = nil
 	for _, bd := range s.boards {
 		bd.ibi.Reset()
 		for _, sink := range bd.ejects {
@@ -131,9 +130,8 @@ type Runner struct {
 	// (AttachSink, EnableTelemetry); RunContext consumes them.
 	sinks  []telemetry.Sink
 	telCfg *TelemetryConfig
-	// tels and phase are what the last run collected.
-	tels  []HierTelemetry
-	phase *PhaseProfile
+	// tels is what the last run collected.
+	tels []HierTelemetry
 }
 
 // AttachSink streams the next run's telemetry events into sink; a
@@ -155,10 +153,6 @@ func (r *Runner) EnableTelemetry(tc TelemetryConfig) {
 // "tier0/rack<i>/" or "tier1/"). Nil unless EnableTelemetry preceded
 // the run.
 func (r *Runner) Telemetries() []HierTelemetry { return r.tels }
-
-// PhaseProfile returns the last run's phase profiler, or nil when
-// Config.PhaseProfile was false (always, for hierarchical runs).
-func (r *Runner) PhaseProfile() *PhaseProfile { return r.phase }
 
 // system returns a system assembled for cfg: the pooled one reset in
 // place when structurally compatible, a fresh construction otherwise.
@@ -189,7 +183,7 @@ func (r *Runner) system(cfg Config) (*System, error) {
 // hierarchical engine: R rack subsystems plus the inter-rack fabric,
 // aggregated into one Result with a per-tier breakdown (Result.Tiers).
 func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	r.tels, r.phase = nil, nil
+	r.tels = nil
 	defer func() { r.sinks, r.telCfg = nil, nil }()
 	if cfg.MultiTier() {
 		h, err := NewHier(cfg)
@@ -208,9 +202,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	for _, sink := range r.sinks {
 		sys.AttachSink(sink)
 	}
-	res, err := sys.RunContext(ctx)
-	r.phase = sys.phaseProf
-	return res, err
+	return sys.RunContext(ctx)
 }
 
 // Run is RunContext without cancellation.

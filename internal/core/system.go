@@ -73,10 +73,6 @@ type System struct {
 	sinks []telemetry.Sink
 	// telemetry is the per-window metrics collector (EnableTelemetry).
 	telemetry *Telemetry
-	// phaseProf records per-worker phase/barrier wall time; nil unless
-	// Config.PhaseProfile — the nil check is the entire disabled cost
-	// (see phaseprof.go).
-	phaseProf *PhaseProfile
 	// lastPhase tracks measurement phase transitions for PhaseChange
 	// events (-1 = none emitted yet).
 	lastPhase int
@@ -157,8 +153,7 @@ func newSystem(cfg Config, newPol func(board int) policy.Policy) (*System, error
 // pre-pass on the same seed and traffic, which is deterministic, so the
 // main run stays bit-identical across worker counts), the measurement,
 // the fault injector, the traffic injectors, and the parallel stepper
-// and phase profiler when configured. It is the only place any of these
-// is created.
+// when configured. It is the only place any of these is created.
 func (s *System) initRun(cfg Config, newPol func(board int) policy.Policy) error {
 	cc := cfg.ctrlConfig()
 	if newPol != nil {
@@ -199,10 +194,6 @@ func (s *System) initRun(cfg Config, newPol func(board int) policy.Policy) error
 	}
 	if cfg.Workers > 1 {
 		s.enableParallel(cfg.Workers)
-	}
-	if cfg.PhaseProfile {
-		// After enableParallel: the profiler snapshots the shard layout.
-		s.enablePhaseProfile()
 	}
 	return nil
 }
@@ -491,18 +482,12 @@ func (s *System) stepHead(now uint64) {
 // systems step through stepEpoch instead (Step and RunContext
 // dispatch).
 func (s *System) step(now uint64) {
-	pp := s.phaseProf
-	t0 := pp.start()
 	s.stepHead(now)
-	pp.addSerial(0, t0)
-	t0 = pp.start()
 	s.injectAll(now)
-	pp.addDraw(0, t0)
 	// Active-set scheduling: visit the components that have work in the
 	// same deterministic order as an exhaustive scan would — every NIC in
 	// node order first, then board by board (a workless component's Tick
 	// is a no-op, so skipping it changes nothing).
-	t0 = pp.start()
 	for _, bd := range s.boards {
 		tickSources(bd.nicSet, bd.nics, now)
 	}
@@ -510,14 +495,8 @@ func (s *System) step(now uint64) {
 		bd.tickRxIBI(now)
 	}
 	s.fab.Tick(now)
-	pp.addTick(0, t0)
-	t0 = pp.start()
 	if s.telemetry != nil {
 		s.telemetry.observe(now)
-	}
-	pp.addSerial(0, t0)
-	if pp != nil && (now+1)%pp.window == 0 {
-		pp.flush(now + 1)
 	}
 	s.cycle = now
 }

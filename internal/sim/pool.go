@@ -1,36 +1,35 @@
 package sim
 
 import (
+	"context"
 	"runtime"
+	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Pool is a fixed crew of worker goroutines for board-sharded cycle
-// stepping. It offers two dispatch granularities:
+// stepping. Epoch hands every member a long-lived body that covers many
+// cycles, with Barrier as the in-epoch phase separator, so the channel
+// park/wake cost is paid once per epoch instead of once per phase.
 //
-//   - Run partitions an index range into contiguous shards and executes
-//     them concurrently (one pool handoff per call);
-//   - Epoch hands every member a long-lived body that covers many
-//     cycles, with Barrier as the in-epoch phase separator, so the
-//     channel park/wake cost is paid once per epoch instead of once per
-//     phase.
+// The calling goroutine is member 0 and works alongside the helpers,
+// so a pool of W workers spawns W-1 goroutines. The goroutines persist
+// across calls (no per-call goroutine churn). Each helper carries the
+// pprof label worker=<id>, so a CPU profile splits the work by member
+// (go tool pprof -tagfocus 'worker=^1$'); member 0 keeps the caller's
+// labels.
 //
-// In both modes the calling goroutine is member 0 and works alongside
-// the helpers, so a pool of W workers spawns W-1 goroutines. The
-// goroutines persist across calls (no per-call goroutine churn).
-//
-// Determinism contract: neither mode says anything about the order
-// members execute in, only that every index (Run) or member id (Epoch)
-// is covered exactly once and that all work happens-before the call
-// returns. Callers that need deterministic output must make shards
-// write disjoint state (plus per-shard outboxes drained later in a
-// canonical order), which is exactly how the core compute/commit engine
-// uses it.
+// Determinism contract: Epoch says nothing about the order members
+// execute in, only that every member id is covered exactly once and
+// that all work happens-before the call returns. Callers that need
+// deterministic output must make members write disjoint state (plus
+// per-shard outboxes drained later in a canonical order), which is
+// exactly how the core compute/commit engine uses it.
 type Pool struct {
 	workers int
-	tasks   []chan poolTask
+	tasks   []chan func(id int)
 	wg      sync.WaitGroup
 
 	// Sense-reversing barrier state for Epoch phases. arrived counts
@@ -50,14 +49,6 @@ type Pool struct {
 	spins int
 }
 
-type poolTask struct {
-	fn     func(int)
-	lo, hi int
-	// epoch, when non-nil, overrides fn: the helper calls epoch(lo) once
-	// (lo carries the member id) and the body paces itself with Barrier.
-	epoch func(id int)
-}
-
 // NewPool creates a pool of the given total width (including the calling
 // goroutine). Widths below 1 are treated as 1; a width-1 pool runs
 // everything inline and spawns nothing.
@@ -65,30 +56,29 @@ func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{workers: workers, tasks: make([]chan poolTask, workers-1)}
+	p := &Pool{workers: workers, tasks: make([]chan func(id int), workers-1)}
 	p.cond.L = &p.mu
 	if runtime.GOMAXPROCS(0) > 1 {
 		p.spins = barrierSpins
 	}
 	for i := range p.tasks {
-		ch := make(chan poolTask, 1)
+		ch := make(chan func(id int), 1)
 		p.tasks[i] = ch
-		go p.work(ch)
+		go p.work(i+1, ch)
 	}
 	return p
 }
 
-func (p *Pool) work(ch chan poolTask) {
-	for t := range ch {
-		if t.epoch != nil {
-			t.epoch(t.lo)
-		} else {
-			for i := t.lo; i < t.hi; i++ {
-				t.fn(i)
-			}
+// work is helper id's loop: it runs each epoch body it is handed, under
+// the label worker=<id> for its whole life.
+func (p *Pool) work(id int, ch chan func(id int)) {
+	labels := pprof.Labels("worker", strconv.Itoa(id))
+	pprof.Do(context.Background(), labels, func(context.Context) {
+		for body := range ch {
+			body(id)
+			p.wg.Done()
 		}
-		p.wg.Done()
-	}
+	})
 }
 
 // Workers returns the pool's total width (1 for a nil pool).
@@ -97,44 +87,6 @@ func (p *Pool) Workers() int {
 		return 1
 	}
 	return p.workers
-}
-
-// Run invokes fn(i) exactly once for every i in [0, n), splitting the
-// range into up to Workers contiguous shards. It blocks until every
-// shard has finished. A nil or width-1 pool (or n <= 1) runs inline on
-// the calling goroutine.
-func (p *Pool) Run(n int, fn func(i int)) {
-	w := 1
-	if p != nil {
-		w = p.workers
-	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	// Shard k gets n/w indices, the first n%w shards one extra. Helpers
-	// take the high shards; the caller works shard 0 itself.
-	q, r := n/w, n%w
-	p.wg.Add(w - 1)
-	hi := n
-	for k := w - 1; k >= 1; k-- {
-		sz := q
-		if k < r {
-			sz++
-		}
-		lo := hi - sz
-		p.tasks[k-1] <- poolTask{fn: fn, lo: lo, hi: hi}
-		hi = lo
-	}
-	for i := 0; i < hi; i++ {
-		fn(i)
-	}
-	p.wg.Wait()
 }
 
 // Epoch runs body(id) concurrently on every pool member — the calling
@@ -152,8 +104,8 @@ func (p *Pool) Epoch(body func(id int)) {
 		return
 	}
 	p.wg.Add(len(p.tasks))
-	for i, ch := range p.tasks {
-		ch <- poolTask{epoch: body, lo: i + 1}
+	for _, ch := range p.tasks {
+		ch <- body
 	}
 	body(0)
 	p.wg.Wait()
@@ -224,22 +176,8 @@ func (p *Pool) Barrier() {
 	p.mu.Unlock()
 }
 
-// TimedBarrier is Barrier plus a wall-clock measurement: it returns
-// the nanoseconds this member spent waiting at the rendezvous (zero
-// for a nil or width-1 pool, which does not wait). It is the profiling
-// variant the core phase profiler calls when enabled; the plain
-// Barrier stays free of time syscalls for the profiler-off hot path.
-func (p *Pool) TimedBarrier() int64 {
-	if p == nil || p.workers <= 1 {
-		return 0
-	}
-	t0 := time.Now()
-	p.Barrier()
-	return int64(time.Since(t0))
-}
-
 // Close releases the pool's helper goroutines. A closed pool still
-// accepts Run and Epoch calls but executes them inline (and Barrier
+// accepts Epoch calls but executes them inline (and Barrier
 // becomes a no-op). Close is idempotent.
 func (p *Pool) Close() {
 	if p == nil {

@@ -1,48 +1,24 @@
 package sim
 
 import (
+	"bytes"
+	"runtime/pprof"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
 
-func TestPoolCoversEveryIndexExactlyOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 4, 8} {
-		for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 32, 100} {
-			p := NewPool(workers)
-			visits := make([]int32, n)
-			p.Run(n, func(i int) { atomic.AddInt32(&visits[i], 1) })
-			for i, v := range visits {
-				if v != 1 {
-					t.Errorf("workers=%d n=%d: index %d visited %d times", workers, n, i, v)
-				}
-			}
-			p.Close()
-		}
-	}
-}
-
+// TestPoolReuseAcrossRuns dispatches many epochs through one pool: the
+// helpers persist across calls and run every body they are handed.
 func TestPoolReuseAcrossRuns(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	var total int64
+	var total atomic.Int64
 	for round := 0; round < 100; round++ {
-		p.Run(17, func(i int) { atomic.AddInt64(&total, int64(i)) })
+		p.Epoch(func(id int) { total.Add(int64(id)) })
 	}
-	want := int64(100 * 17 * 16 / 2)
-	if total != want {
-		t.Fatalf("total = %d, want %d", total, want)
-	}
-}
-
-func TestPoolWorkersExceedIndices(t *testing.T) {
-	p := NewPool(8)
-	defer p.Close()
-	visits := make([]int32, 3)
-	p.Run(3, func(i int) { atomic.AddInt32(&visits[i], 1) })
-	for i, v := range visits {
-		if v != 1 {
-			t.Errorf("index %d visited %d times", i, v)
-		}
+	if want := int64(100 * (0 + 1 + 2 + 3)); total.Load() != want {
+		t.Fatalf("total = %d, want %d", total.Load(), want)
 	}
 }
 
@@ -51,20 +27,13 @@ func TestPoolNilAndClosed(t *testing.T) {
 	if got := nilPool.Workers(); got != 1 {
 		t.Errorf("nil pool Workers() = %d, want 1", got)
 	}
-	ran := 0
-	nilPool.Run(5, func(i int) { ran++ })
-	if ran != 5 {
-		t.Errorf("nil pool ran %d indices, want 5", ran)
-	}
 	nilPool.Close() // must not panic
 
 	p := NewPool(4)
 	p.Close()
 	p.Close() // idempotent
-	ran = 0
-	p.Run(5, func(i int) { ran++ })
-	if ran != 5 {
-		t.Errorf("closed pool ran %d indices, want 5", ran)
+	if got := p.Workers(); got != 1 {
+		t.Errorf("closed pool Workers() = %d, want 1", got)
 	}
 }
 
@@ -166,40 +135,20 @@ func TestPoolEpochNilAndClosed(t *testing.T) {
 	}
 }
 
-// TestPoolTimedBarrier checks the profiling barrier variant: it must
-// synchronize exactly like Barrier (full-width rendezvous) while
-// returning a non-negative wait, zero on degenerate pools.
-func TestPoolTimedBarrier(t *testing.T) {
-	var nilPool *Pool
-	if ns := nilPool.TimedBarrier(); ns != 0 {
-		t.Errorf("nil pool TimedBarrier = %d, want 0", ns)
+// TestPoolWorkerLabels checks that every helper goroutine carries the
+// pprof label worker=<id>, which is what lets a CPU profile split the
+// engine's phases by member.
+func TestPoolWorkerLabels(t *testing.T) {
+	p := NewPool(3)
+	defer p.Close()
+	p.Epoch(func(int) {}) // every helper has started and set its label
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
 	}
-	one := NewPool(1)
-	if ns := one.TimedBarrier(); ns != 0 {
-		t.Errorf("width-1 pool TimedBarrier = %d, want 0", ns)
-	}
-	one.Close()
-
-	const phases = 50
-	for _, workers := range []int{2, 4} {
-		p := NewPool(workers)
-		var inPhase atomic.Int64
-		waits := make([]int64, workers)
-		p.Epoch(func(id int) {
-			for ph := 0; ph < phases; ph++ {
-				inPhase.Add(1)
-				waits[id] += p.TimedBarrier()
-				if got, want := inPhase.Load(), int64(workers)*int64(ph+1); got != want {
-					t.Errorf("workers=%d phase %d: progress sum %d, want %d", workers, ph, got, want)
-				}
-				p.Barrier()
-			}
-		})
-		for id, ns := range waits {
-			if ns < 0 {
-				t.Errorf("workers=%d: member %d accumulated negative wait %d", workers, id, ns)
-			}
+	for _, want := range []string{`# labels: {"worker":"1"}`, `# labels: {"worker":"2"}`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("goroutine profile lacks %s:\n%s", want, buf.String())
 		}
-		p.Close()
 	}
 }

@@ -69,11 +69,6 @@ type Request struct {
 	// nil — other workers are still writing the shared points array, so a
 	// snapshot cannot be passed without copying under the lock.
 	OnResult func(Series, Point)
-	// PhaseProfile, if set, enables the engine's phase profiler on every
-	// run (Results stay bit-identical) and merges each run's per-worker
-	// phase report into the aggregate for a sweep-wide load-imbalance
-	// summary.
-	PhaseProfile *core.PhaseAggregate
 }
 
 // forEachJob calls fn once per job index in [0, n), in ascending
@@ -145,7 +140,7 @@ func RunContext(ctx context.Context, req Request) ([]Series, error) {
 		cfg.Mode = s.Mode
 		cfg.Pattern = s.Pattern
 		cfg.Load = req.Loads[pi]
-		res, err := runPoint(ctx, runner, cfg, req.PhaseProfile)
+		res, err := runner.RunContext(ctx, cfg)
 		pt := Point{Load: cfg.Load, Result: res, Err: err}
 		mu.Lock()
 		s.Points[pi] = pt
@@ -172,22 +167,6 @@ func RunContext(ctx context.Context, req Request) ([]Series, error) {
 		}
 	}
 	return series, errors.Join(errs...)
-}
-
-// runPoint executes one sweep point through the worker's pooled
-// runner, merging the run's phase report into the aggregate when phase
-// profiling is requested. PhaseProfile is excluded from the config's
-// canonical digest, so profiled and unprofiled runs of the same point
-// stay interchangeable.
-func runPoint(ctx context.Context, r *core.Runner, cfg core.Config, agg *core.PhaseAggregate) (*core.Result, error) {
-	if agg != nil {
-		cfg.PhaseProfile = true
-	}
-	res, err := r.RunContext(ctx, cfg)
-	if pp := r.PhaseProfile(); pp != nil && agg != nil {
-		agg.Add(pp.Report())
-	}
-	return res, err
 }
 
 // SaturationLoad estimates the saturation point of a series: the lowest
