@@ -325,6 +325,10 @@ func cells(short bool) []cell {
 	}}
 	add(fast("TestCells/darkfaults", PB, c, 0.4, 5, darkFaults), ws(1, 2)...)
 	add(fast("TestCells/fallback", PB, traffic.Tornado, 0.6, 5, tweak{"burst400", func(c *Config) { c.BurstLength = 400 }, reassigned}), ws(1, 2)...)
+	// The idle regime: long stretches with nothing in flight, where DPM
+	// turns lasers down or off between sparse injections.
+	add(fast("TestCells/idle", PB, u, 0.02, 1, plain), ws(1, 2)...)
+	add(fast("TestCells/idle", PB, u, 0.002, 1, plain), ws(1, 2)...)
 	return cs
 }
 
