@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -249,8 +250,8 @@ func parseLoads(s string) ([]float64, error) {
 	var ls []float64
 	for _, tok := range splitList(s) {
 		v, err := strconv.ParseFloat(tok, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad load %q", tok)
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("bad load %q (want a finite load > 0)", tok)
 		}
 		ls = append(ls, v)
 	}

@@ -61,8 +61,9 @@ func TestParseLoads(t *testing.T) {
 	}
 
 	// Every token must parse whole: trailing garbage is an error, not a
-	// silently truncated load.
-	for _, bad := range []string{"0.7x", "0.3,0.7x", "x", "0.3;0.7", "0.5 0.6", ",", " , "} {
+	// silently truncated load. A load must also be finite and positive.
+	for _, bad := range []string{"0.7x", "0.3,0.7x", "x", "0.3;0.7", "0.5 0.6", ",", " , ",
+		"NaN", "Inf", "0", "-0.5"} {
 		if ls, err := parseLoads(bad); err == nil {
 			t.Errorf("parseLoads(%q) = %v, want an error", bad, ls)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ctrl"
 	"repro/internal/fault"
@@ -312,6 +313,8 @@ func (c Config) Validate() error {
 	add := func(field, format string, args ...any) {
 		errs = append(errs, FieldError{Field: field, Msg: fmt.Sprintf(format, args...)})
 	}
+	// finite is false for NaN, which passes every < and > test.
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 	top, err := topology.NewSRS(c.Boards, c.NodesPerBoard)
 	if err != nil {
@@ -328,17 +331,17 @@ func (c Config) Validate() error {
 	if c.PacketBytes < 1 || c.FlitBytes < 1 {
 		add("PacketBytes", "invalid packet format (%dB packets, %dB flits)", c.PacketBytes, c.FlitBytes)
 	}
-	if c.CycleNS <= 0 || c.LaserQueueCap < 1 {
+	if !finite(c.CycleNS) || c.CycleNS <= 0 || c.LaserQueueCap < 1 {
 		add("CycleNS", "invalid optical parameters (CycleNS=%v LaserQueueCap=%d)", c.CycleNS, c.LaserQueueCap)
 	}
 	if c.Window < 1 {
 		add("Window", "window must be >= 1")
 	}
-	if c.Load < 0 || (c.Load == 0 && c.InjectionRate == 0) {
+	if !finite(c.Load) || c.Load < 0 || (c.Load == 0 && c.InjectionRate == 0) {
 		add("Load", "need Load > 0 or explicit InjectionRate")
 	}
-	if c.InjectionRate < 0 {
-		add("InjectionRate", "InjectionRate must be >= 0")
+	if !finite(c.InjectionRate) || c.InjectionRate < 0 {
+		add("InjectionRate", "InjectionRate must be finite and >= 0")
 	}
 	if c.MeasureCycles < 1 {
 		add("MeasureCycles", "MeasureCycles must be >= 1")
@@ -349,10 +352,10 @@ func (c Config) Validate() error {
 	if c.PowerLevels == 1 || c.PowerLevels < 0 {
 		add("PowerLevels", "PowerLevels must be 0 (default), or >= 2; got %d", c.PowerLevels)
 	}
-	if c.BurstLength < 0 || (c.BurstLength > 0 && c.BurstLength < 1) {
+	if !finite(c.BurstLength) || c.BurstLength < 0 || (c.BurstLength > 0 && c.BurstLength < 1) {
 		add("BurstLength", "BurstLength must be 0 (Bernoulli) or >= 1 cycle")
 	}
-	if c.BurstDuty < 0 || c.BurstDuty > 1 {
+	if !(c.BurstDuty >= 0 && c.BurstDuty <= 1) {
 		add("BurstDuty", "BurstDuty must be in [0,1]")
 	}
 	if c.Workers < 0 {

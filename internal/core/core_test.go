@@ -474,6 +474,30 @@ func TestBurstyValidationInCore(t *testing.T) {
 	if _, err := NewSystem(cfg); err == nil {
 		t.Fatal("duty > 1 accepted")
 	}
+	// NaN fails every < and > test, so each field must reject it (and
+	// ±Inf) explicitly.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"Load=NaN", func(c *Config) { c.Load = nan }},
+		{"Load=+Inf", func(c *Config) { c.Load = inf }},
+		{"InjectionRate=NaN", func(c *Config) { c.InjectionRate = nan }},
+		{"InjectionRate=+Inf", func(c *Config) { c.InjectionRate = inf }},
+		{"BurstLength=NaN", func(c *Config) { c.BurstLength = nan }},
+		{"BurstLength=+Inf", func(c *Config) { c.BurstLength = inf }},
+		{"BurstDuty=NaN", func(c *Config) { c.BurstLength, c.BurstDuty = 100, nan }},
+		{"CycleNS=NaN", func(c *Config) { c.CycleNS = nan }},
+		{"CycleNS=+Inf", func(c *Config) { c.CycleNS = inf }},
+		{"CycleNS=-Inf", func(c *Config) { c.CycleNS = -inf }},
+	} {
+		cfg := fastConfig(NPNB)
+		tc.edit(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
 }
 
 func TestFairnessIndex(t *testing.T) {

@@ -40,10 +40,9 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	for {
 		// Step in epochs that run to the next reconfiguration-window
 		// boundary (or the cycle limit). On a parallel system that is one
-		// pool dispatch per epoch instead of per cycle; on a serial system
-		// it gives the idle fast-forward a full window to consume. Both
-		// paths check measurement Done after each cycle, so all modes stop
-		// on the same cycle.
+		// pool dispatch per epoch instead of per cycle. Both engines check
+		// measurement Done after each cycle, so all modes stop on the same
+		// cycle.
 		n := window - s.nextCycle%window
 		if rem := limit + 1 - s.nextCycle; rem < n {
 			n = rem

@@ -12,8 +12,8 @@ import (
 
 // This file pins the StepN stepping contract at its edges: the no-op
 // batch, batches that cross measurement-phase and run-limit
-// boundaries, batch-size invariance (including fast-forward stretches
-// split at batch seams), and stepping past Done. Every case runs on
+// boundaries, batch-size invariance (including idle stretches split at
+// batch seams), and stepping past Done. Every case runs on
 // both the serial and the pipelined engine, which must agree exactly.
 
 // TestStepNZero pins the no-op batch: StepN(0) returns the last
@@ -89,11 +89,10 @@ func TestStepNStopsAtDone(t *testing.T) {
 // window-sized batches, and odd 97-cycle batches, on both engines. The
 // telemetry stream and the final state must be bit-identical in
 // all cases: batch seams must not perturb the simulation, including
-// where they split an idle stretch the serial engine would otherwise
-// fast-forward in one piece, and where a single batch crosses the
-// warmup/measure/drain boundaries that per-window stepping hits
-// exactly. The low injection rate keeps the system idle often enough
-// that the fast-forward path genuinely engages.
+// where they fall inside an idle stretch with nothing in flight, and
+// where a single batch crosses the warmup/measure/drain boundaries that
+// per-window stepping hits exactly. The low injection rate keeps the
+// system idle for most of the run, so many seams land in such stretches.
 func TestStepNChunkInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six full runs")
@@ -191,9 +190,9 @@ func TestNewSystemReadyToStep(t *testing.T) {
 	}
 }
 
-// TestPhaseEventAtCycleZero: cycle 0 is stepped, never fast-forwarded,
-// so a quiet serial run's first event is the warm-up phase at cycle 0
-// (no engine event sits at t = 0 to force the step).
+// TestPhaseEventAtCycleZero: a quiet serial run's first event is the
+// warm-up phase change, emitted while stepping cycle 0, before any
+// injection or LS control event (none is scheduled at t = 0).
 func TestPhaseEventAtCycleZero(t *testing.T) {
 	cfg := fastConfig(PB)
 	cfg.Load = 0.02

@@ -45,9 +45,6 @@ type System struct {
 	// freePkts recycles delivered packets (and their flit slabs) so the
 	// steady-state injection path allocates nothing.
 	freePkts []*flit.Packet
-	// ffStates is the idle fast-forward's reusable per-node injector
-	// state snapshot buffer (see fastforward.go); nil until first used.
-	ffStates []traffic.State
 	// pktBlock serves pool misses in 256-packet chunks: when offered load
 	// exceeds saturation the in-flight population grows every cycle, and
 	// chunking amortizes that growth to two allocations per chunk.
@@ -479,15 +476,14 @@ func (s *System) stepHead(now uint64) {
 }
 
 // step advances the whole system by one cycle, serially. Parallel
-// systems step through stepEpoch instead (Step and RunContext
-// dispatch).
+// systems step through stepEpoch instead (StepN dispatches).
 func (s *System) step(now uint64) {
 	s.stepHead(now)
 	s.injectAll(now)
 	// Active-set scheduling: visit the components that have work in the
 	// same deterministic order as an exhaustive scan would — every NIC in
-	// node order first, then board by board (a workless component's Tick
-	// is a no-op, so skipping it changes nothing).
+	// node order first, then board by board (the Tick of a component with
+	// no work is a no-op, so skipping it changes nothing).
 	for _, bd := range s.boards {
 		tickSources(bd.nicSet, bd.nics, now)
 	}
@@ -518,12 +514,6 @@ func (bd *board) tickRxIBI(now uint64) {
 	if bd.ibi.HasWork() {
 		bd.ibi.Tick(now)
 	}
-}
-
-// workless reports whether no electrical component of the board has
-// anything to do (queued credits count as work).
-func (bd *board) workless() bool {
-	return bd.nicSet.Empty() && bd.rxSet.Empty() && !bd.ibi.HasWork()
 }
 
 // AttachSink adds a telemetry sink to the unified event pipeline:
@@ -569,25 +559,14 @@ func (s *System) SetInjectionRate(rate float64) {
 // cycle just simulated. It is the building block for custom drivers
 // (e.g. the design-space time-series example); Run steps parallel
 // systems in window-sized epochs instead, amortizing the pool dispatch.
-func (s *System) Step() uint64 {
-	if s.par != nil {
-		return s.stepEpoch(1)
-	}
-	now := s.nextCycle
-	s.step(now)
-	s.nextCycle++
-	return now
-}
+func (s *System) Step() uint64 { return s.StepN(1) }
 
 // StepN advances the system up to n cycles (stopping early if the
 // measurement reaches Done) and returns the last cycle simulated. On a
 // parallel system the whole batch is one pool epoch — one worker
 // dispatch for all n cycles — which is how Run steps between window
 // boundaries; custom drivers that don't need per-cycle control should
-// prefer it over calling Step n times. A serial system fast-forwards
-// analytically through provably idle stretches of the batch (see
-// fastforward.go); the result is bit-identical to stepping every
-// cycle.
+// prefer it over calling Step n times.
 func (s *System) StepN(n uint64) uint64 {
 	if n == 0 {
 		return s.cycle
@@ -595,14 +574,8 @@ func (s *System) StepN(n uint64) uint64 {
 	if s.par != nil {
 		return s.stepEpoch(n)
 	}
-	end := s.nextCycle + n
-	ff := s.ffEligible()
-	for s.nextCycle < end {
-		if ff && s.fastForward(end-s.nextCycle) > 0 {
-			continue
-		}
-		now := s.nextCycle
-		s.step(now)
+	for end := s.nextCycle + n; s.nextCycle < end; {
+		s.step(s.nextCycle)
 		s.nextCycle++
 		if s.meas.Phase() == stats.Done {
 			break

@@ -967,10 +967,10 @@ func (f *Fabric) DeliverDue(now uint64) {
 // FastForwardIdle accounts n cycles on a quiescent fabric without
 // ticking: the only per-cycle effect a Tick has when nothing is queued,
 // busy or in flight is the idle-power sample, which is replayed here
-// with the same per-cycle float operations (addition order is part of
-// the determinism contract, so this must not collapse to one
-// multiplication). Callers guarantee Quiescent(now) for the whole
-// stretch; serial phase only.
+// with the same per-cycle float operations. No engine path calls it; it
+// remains only for the benchmark's optical.ff_idle_ns_per_cycle metric
+// until that metric is replaced (ROADMAP item 1c). Callers guarantee
+// Quiescent(now) for the whole stretch; serial phase only.
 func (f *Fabric) FastForwardIdle(n uint64) {
 	f.assertSerialPhase("FastForwardIdle")
 	if !f.meterEnabled {
@@ -1226,9 +1226,9 @@ func (f *Fabric) CheckIndex() error {
 // active list (tickBoardLasers' retention condition), a serialization
 // busy past now always has its delivery still pending in delHeap
 // (scheduled at start+ser+prop ≥ busyUntil), and buffered transmitter
-// flits are counted per shard as they arrive. The idle fast-forward
-// gate calls this between every analytic stretch, so the scan must not
-// scale with the laser population.
+// flits are counted per shard as they arrive. No engine path calls it;
+// like FastForwardIdle it remains only for the benchmark's
+// optical.ff_idle_ns_per_cycle metric until ROADMAP item 1c.
 func (f *Fabric) Quiescent(now uint64) bool {
 	if len(f.delHeap) > 0 {
 		return false

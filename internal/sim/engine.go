@@ -248,15 +248,6 @@ func (e *Engine) RunUntil(limit Time) Time {
 	return e.now
 }
 
-// NextEventTime returns the time of the next pending event and true, or
-// (0, false) when the calendar is empty.
-func (e *Engine) NextEventTime() (Time, bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
-}
-
 // Stop halts Run/RunUntil after the current event completes. Further
 // Step calls return false. Stop is how measurement drivers end open-ended
 // simulations (e.g. "run until all labelled packets drain").

@@ -10,7 +10,7 @@ func TestEngineStartsAtZero(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("Now() = %d, want 0", e.Now())
 	}
-	if _, ok := e.NextEventTime(); ok {
+	if len(e.events) != 0 {
 		t.Fatal("fresh engine has a pending event")
 	}
 }
@@ -144,22 +144,6 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 	if e.Step() {
 		t.Fatal("Step ran an event on a stopped engine")
-	}
-}
-
-func TestNextEventTime(t *testing.T) {
-	e := NewEngine()
-	if _, ok := e.NextEventTime(); ok {
-		t.Fatal("NextEventTime reported an event on empty calendar")
-	}
-	id := e.After(7, func() {})
-	e.After(9, func() {})
-	if at, ok := e.NextEventTime(); !ok || at != 7 {
-		t.Fatalf("NextEventTime = (%d,%v), want (7,true)", at, ok)
-	}
-	e.Cancel(id)
-	if at, ok := e.NextEventTime(); !ok || at != 9 {
-		t.Fatalf("NextEventTime after cancel = (%d,%v), want (9,true)", at, ok)
 	}
 }
 

@@ -263,26 +263,6 @@ func (m *Measurement) Advance(cycle uint64) {
 	}
 }
 
-// NextBoundary returns the next cycle at which Advance can change
-// phase, when that cycle is a pure function of the clock: the
-// Warmup→Measure edge and the Measure→Drain edge. In Drain the
-// transition depends on packet accounting rather than the clock (and in
-// Done there is none), so ok is false. Callers fast-forwarding through
-// provably idle stretches use this to stop short of any cycle where
-// Advance might act. In Done, Advance never acts again, so no clock
-// boundary constrains the caller at all.
-func (m *Measurement) NextBoundary() (cycle uint64, ok bool) {
-	switch m.phase {
-	case Warmup:
-		return m.warmupCycles, true
-	case Measure:
-		return m.measureStart + m.measureCycles, true
-	case Done:
-		return ^uint64(0), true
-	}
-	return 0, false
-}
-
 // OnInject records a packet injection. It reports whether the packet
 // should be labeled.
 func (m *Measurement) OnInject(cycle uint64) (label bool) {
