@@ -53,6 +53,22 @@ func main() {
 		logOn     = flag.Bool("log", true, "structured JSON request/job logs on stderr")
 	)
 	flag.Parse()
+	// A negative value is a typo, not a setting: service.Options would
+	// read -queue -5 as the default and -job-timeout -1s as no limit,
+	// and -drain -1s would force-cancel running jobs at once.
+	var bad string
+	switch {
+	case *queueCap < 0:
+		bad = fmt.Sprintf("-queue %d", *queueCap)
+	case *timeout < 0:
+		bad = fmt.Sprintf("-job-timeout %v", *timeout)
+	case *drainFor < 0:
+		bad = fmt.Sprintf("-drain %v", *drainFor)
+	}
+	if bad != "" {
+		fmt.Fprintf(os.Stderr, "erapid-serve: %s: must not be negative\n", bad)
+		os.Exit(2)
+	}
 
 	var logger *slog.Logger
 	if *logOn {

@@ -10,31 +10,48 @@ import (
 // one running job (the writer, on the simulation hot path) and any
 // number of HTTP streaming subscribers (readers).
 //
-// The writer appends under a mutex into a fixed ring and never blocks
-// on readers: a subscriber that falls more than cap(ring) events
-// behind skips ahead and is told how many events it missed, so a slow
-// or stalled client can never wedge or slow a simulation beyond the
-// cost of the mutex. Readers block on a condition variable until new
-// events arrive or the log closes.
+// The writer appends under a mutex into a ring of capacity events and
+// never blocks on readers: a subscriber that falls more than capacity
+// events behind skips ahead and is told how many events it missed, so
+// a slow or stalled client can never wedge or slow a simulation beyond
+// the cost of the mutex. Readers block on a condition variable until
+// new events arrive or the log closes.
+//
+// The ring's storage is allocated in chunks as writes first reach
+// them, so a job holds memory for the events it emitted, not for
+// capacity; once the ring wraps, the chunks are reused.
 type eventLog struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	ring   []telemetry.Event
-	seq    uint64 // total events ever appended
-	closed bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	chunks   [][]telemetry.Event // eventChunk slots each; the last may be shorter
+	capacity uint64
+	seq      uint64 // total events ever appended
+	closed   bool
 }
+
+// eventChunk is the number of ring slots allocated at a time (80 KB).
+const eventChunk = 1024
 
 // newEventLog creates a log retaining the last capacity events.
 func newEventLog(capacity int) *eventLog {
-	l := &eventLog{ring: make([]telemetry.Event, capacity)}
+	l := &eventLog{capacity: uint64(capacity)}
 	l.cond = sync.NewCond(&l.mu)
 	return l
+}
+
+// slot returns the ring slot of sequence number s.
+func (l *eventLog) slot(s uint64) *telemetry.Event {
+	i := s % l.capacity
+	return &l.chunks[i/eventChunk][i%eventChunk]
 }
 
 // Emit implements telemetry.Sink.
 func (l *eventLog) Emit(ev telemetry.Event) {
 	l.mu.Lock()
-	l.ring[l.seq%uint64(len(l.ring))] = ev
+	if i := l.seq % l.capacity; i/eventChunk == uint64(len(l.chunks)) {
+		l.chunks = append(l.chunks, make([]telemetry.Event, min(eventChunk, l.capacity-i)))
+	}
+	*l.slot(l.seq) = ev
 	l.seq++
 	l.mu.Unlock()
 	l.cond.Broadcast()
@@ -71,7 +88,7 @@ func (l *eventLog) next(from uint64, buf []telemetry.Event) (batch []telemetry.E
 		}
 	}
 	start := from
-	if window := uint64(len(l.ring)); l.seq > window && start < l.seq-window {
+	if window := l.capacity; l.seq > window && start < l.seq-window {
 		skipped = l.seq - window - start
 		start = l.seq - window
 	}
@@ -81,8 +98,7 @@ func (l *eventLog) next(from uint64, buf []telemetry.Event) (batch []telemetry.E
 	}
 	batch = buf[:0]
 	for i := uint64(0); i < n; i++ {
-		s := start + i
-		batch = append(batch, l.ring[s%uint64(len(l.ring))])
+		batch = append(batch, *l.slot(start + i))
 	}
 	return batch, start + n, skipped, l.closed
 }

@@ -52,7 +52,7 @@ type Options struct {
 	// runtime.GOMAXPROCS(0), the same budget rule as sweep.RunContext.
 	Workers int
 	// QueueCap bounds jobs queued behind the workers; a full queue
-	// rejects new submissions with 503. 0 means 64.
+	// rejects new submissions with 503. 0 or negative means 64.
 	QueueCap int
 	// JobTimeout, when positive, bounds each job's wall-clock run time;
 	// a timed-out run fails with the metrics of its completed prefix.
@@ -60,8 +60,9 @@ type Options struct {
 	// CacheCap bounds the content-addressed result cache; 0 means 256,
 	// negative disables caching.
 	CacheCap int
-	// EventCap is how many telemetry events each job's log retains for
-	// streaming clients; 0 means 65536.
+	// EventCap is how many telemetry events each job's log retains at
+	// most for streaming clients; the log's memory grows with the events
+	// a job emits, up to this bound. 0 or negative means 65536.
 	EventCap int
 	// MaxBody bounds request bodies in bytes; 0 means 1 MiB.
 	MaxBody int64
@@ -75,7 +76,7 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.QueueCap == 0 {
+	if o.QueueCap <= 0 {
 		o.QueueCap = 64
 	}
 	if o.CacheCap == 0 {
@@ -84,7 +85,7 @@ func (o Options) withDefaults() Options {
 	if o.CacheCap < 0 {
 		o.CacheCap = 0 // disables
 	}
-	if o.EventCap == 0 {
+	if o.EventCap <= 0 {
 		o.EventCap = 1 << 16
 	}
 	if o.MaxBody == 0 {

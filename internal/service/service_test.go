@@ -361,7 +361,27 @@ func TestQueueFull(t *testing.T) {
 	waitDone(t, s, blocker.ID)
 }
 
-// TestJobTimeout: a job exceeding the per-job budget fails with a
+// TestNegativeOptionsMeanDefaults: a negative QueueCap or EventCap is
+// read as 0, the default, and the server runs jobs with it.
+func TestNegativeOptionsMeanDefaults(t *testing.T) {
+	s := New(Options{Workers: 1, QueueCap: -1, EventCap: -1})
+	defer shutdown(t, s)
+	if s.opts.QueueCap != 64 || s.opts.EventCap != 1<<16 {
+		t.Fatalf("QueueCap %d, EventCap %d, want the defaults 64 and 65536", s.opts.QueueCap, s.opts.EventCap)
+	}
+	v, err := s.SubmitRun(fastCfg(core.PB, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job := waitDone(t, s, v.ID); job.State != StateDone {
+		t.Fatalf("state %s (error %q), want done", job.State, job.Error)
+	}
+	if len(jobEvents(t, s, v.ID)) == 0 {
+		t.Fatal("job streamed no events")
+	}
+}
+
+// TestJobTimeout:a job exceeding the per-job budget fails with a
 // partial result.
 func TestJobTimeout(t *testing.T) {
 	s := New(Options{Workers: 1, JobTimeout: 100 * time.Millisecond})

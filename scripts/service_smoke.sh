@@ -10,7 +10,8 @@
 #      names, no duplicate families, cumulative histogram buckets)
 #   5. verify the admin listener repeats /metrics and serves pprof
 #   6. verify structured 400s for invalid configs
-#   7. SIGTERM and verify the server drains and exits
+#   7. run 24 more uncached jobs and bound the peak resident set
+#   8. SIGTERM and verify the server drains and exits
 #
 # Usage: scripts/service_smoke.sh [addr] [admin-addr]
 #        (defaults 127.0.0.1:18080 and 127.0.0.1:18081)
@@ -158,6 +159,32 @@ fields = {f["field"] for f in e["fields"]}
 assert {"Load", "Window"} <= fields, e
 print("validation errors verified:", sorted(fields))
 '
+
+# Memory: 24 more uncached runs (distinct seeds), each waited for. Their
+# finished jobs keep their event logs, so the peak resident set bounds
+# what a log costs. A log allocated at its full 65536-event ring
+# (80 B each, 5.2 MB per job) would put the server near 140 MB; one
+# that holds only the ~15k events a run emits stays near 40 MB.
+IDS=()
+for i in $(seq 1 24); do
+  IDS+=("$(curl -fsS -d "${CFG%\}},\"Seed\":$((100 + i))}" "http://$ADDR/v1/runs" | python3 -c '
+import sys, json
+j = json.load(sys.stdin)
+assert not j.get("cached"), j
+print(j["id"])
+')")
+done
+for id in "${IDS[@]}"; do
+  curl -fsSN "http://$ADDR/v1/jobs/$id/events?kinds=phase" >/dev/null
+  curl -fsS "http://$ADDR/v1/jobs/$id" | python3 -c \
+    'import sys, json; j = json.load(sys.stdin); assert j["state"] == "done", j'
+done
+HWM_KB=$(awk '/^VmHWM:/ {print $2}' "/proc/$SERVE_PID/status")
+echo "peak RSS after ${#IDS[@]} more runs: $((HWM_KB / 1024)) MB"
+if [ "$HWM_KB" -gt $((80 * 1024)) ]; then
+  echo "erapid-serve peak RSS ${HWM_KB} kB exceeds 80 MB" >&2
+  exit 1
+fi
 
 # SIGTERM → graceful drain and exit.
 kill -TERM "$SERVE_PID"
