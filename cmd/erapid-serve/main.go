@@ -1,140 +1,7 @@
-// Command erapid-serve runs the simulator as a long-lived HTTP job
-// service: submit configurations, stream their live telemetry, and
-// fetch deterministic results — identical configs are answered from a
-// content-addressed cache without re-simulating.
-//
-//	erapid-serve -addr 127.0.0.1:8080
-//
-//	curl -s localhost:8080/v1/runs -d '{"mode":"P-B","load":0.7}'
-//	curl -s localhost:8080/v1/jobs/j000001
-//	curl -sN localhost:8080/v1/jobs/j000001/events
-//	curl -s -X DELETE localhost:8080/v1/jobs/j000001
-//	curl -s localhost:8080/metrics
-//
-// Observability: /metrics serves the Prometheus text exposition (job
-// throughput, queue wait and run-duration histograms, cache hit/miss,
-// queue depth, Go runtime stats); every request carries an
-// X-Request-Id and is logged as one structured JSON line on stderr
-// (disable with -log=false). An optional -admin-addr listener (keep it
-// on loopback) repeats /metrics and adds net/http/pprof under
-// /debug/pprof/.
-//
-// SIGINT/SIGTERM drain gracefully: intake stops (503), queued jobs are
-// cancelled, running jobs finish (or are cancelled at their next
-// reconfiguration-window boundary when -drain expires).
+// Command erapid-serve runs the simulator as an HTTP job service (see
+// internal/cli's serveCmd for the API and its flags).
 package main
 
-import (
-	"context"
-	"errors"
-	"flag"
-	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
+import "repro/internal/cli"
 
-	"repro/internal/prof"
-	"repro/internal/service"
-)
-
-func main() {
-	var (
-		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
-		adminAddr = flag.String("admin-addr", "", "optional admin listen address serving /metrics and /debug/pprof/ (keep on loopback)")
-		workers   = flag.Int("workers", 0, "concurrently running jobs (0 = GOMAXPROCS)")
-		queueCap  = flag.Int("queue", 64, "jobs queued beyond the running ones before submissions get 503")
-		timeout   = flag.Duration("job-timeout", 0, "per-job wall-clock limit (0 = none)")
-		cacheCap  = flag.Int("cache", 256, "content-addressed result cache entries (-1 disables)")
-		drainFor  = flag.Duration("drain", 30*time.Second, "graceful drain budget on SIGTERM before running jobs are force-cancelled")
-		logOn     = flag.Bool("log", true, "structured JSON request/job logs on stderr")
-	)
-	flag.Parse()
-	// A negative value is a typo, not a setting: service.Options would
-	// read -queue -5 as the default and -job-timeout -1s as no limit,
-	// and -drain -1s would force-cancel running jobs at once.
-	var bad string
-	switch {
-	case *queueCap < 0:
-		bad = fmt.Sprintf("-queue %d", *queueCap)
-	case *timeout < 0:
-		bad = fmt.Sprintf("-job-timeout %v", *timeout)
-	case *drainFor < 0:
-		bad = fmt.Sprintf("-drain %v", *drainFor)
-	}
-	if bad != "" {
-		fmt.Fprintf(os.Stderr, "erapid-serve: %s: must not be negative\n", bad)
-		os.Exit(2)
-	}
-
-	var logger *slog.Logger
-	if *logOn {
-		logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	}
-	srv := service.New(service.Options{
-		Workers:    *workers,
-		QueueCap:   *queueCap,
-		JobTimeout: *timeout,
-		CacheCap:   *cacheCap,
-		Logger:     logger,
-	})
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	fmt.Printf("erapid-serve listening on http://%s (%d workers)\n", ln.Addr(), srv.Workers())
-
-	var adminSrv *http.Server
-	if *adminAddr != "" {
-		adminLn, err := net.Listen("tcp", *adminAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		mux := prof.AdminMux()
-		mux.Handle("GET /metrics", srv.MetricsHandler())
-		adminSrv = &http.Server{Handler: mux}
-		fmt.Printf("erapid-serve admin on http://%s (/metrics, /debug/pprof/)\n", adminLn.Addr())
-		go func() { _ = adminSrv.Serve(adminLn) }()
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-serveErr:
-		if !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	case <-ctx.Done():
-	}
-	stop()
-
-	// Drain the job queue first so in-flight event streams complete,
-	// then shut the HTTP listener down.
-	fmt.Fprintln(os.Stderr, "erapid-serve: draining (running jobs finish, queued jobs cancel)")
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), *drainFor)
-	defer cancelDrain()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "erapid-serve: drain budget expired; running jobs were force-cancelled")
-	}
-	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelHTTP()
-	if err := httpSrv.Shutdown(httpCtx); err != nil {
-		_ = httpSrv.Close()
-	}
-	if adminSrv != nil {
-		_ = adminSrv.Close()
-	}
-	fmt.Fprintln(os.Stderr, "erapid-serve: stopped")
-}
+func main() { cli.Serve() }

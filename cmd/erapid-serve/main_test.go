@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"flag"
 	"os"
 	"os/exec"
 	"testing"
@@ -16,9 +15,6 @@ import (
 // of the tests.
 func TestMain(m *testing.M) {
 	if os.Getenv("ERAPID_SERVE_TEST_MAIN") == "1" {
-		// Drop the -test.* flags so main parses (and -h lists) only the
-		// command's own.
-		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 		main()
 		return
 	}
@@ -52,10 +48,11 @@ func TestHelpGolden(t *testing.T) {
 	}
 }
 
-// TestNegativeFlagsExit2: a negative -queue, -job-timeout or -drain
-// exits 2 with a message naming the flag, before the server listens.
+// TestNegativeFlagsExit2: a negative -workers, -queue, -job-timeout or
+// -drain exits 2 with a message naming the flag, before the server listens.
 func TestNegativeFlagsExit2(t *testing.T) {
 	for _, args := range [][]string{
+		{"-workers", "-1"},
 		{"-queue", "-5"},
 		{"-job-timeout", "-1s"},
 		{"-drain", "-1s"},

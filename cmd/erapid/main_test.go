@@ -2,35 +2,45 @@ package main
 
 import (
 	"bytes"
-	"flag"
+	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
 
 // TestMain lets the test binary stand in for the erapid command: with
 // ERAPID_TEST_MAIN=1 it runs main() on its arguments instead of the
-// tests (see runCLI).
+// tests (see erapidCmd).
 func TestMain(m *testing.M) {
 	if os.Getenv("ERAPID_TEST_MAIN") == "1" {
-		// Drop the -test.* flags so main parses (and -h lists) only the
-		// command's own.
-		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 		main()
 		return
 	}
 	os.Exit(m.Run())
 }
 
+// erapidCmd returns the erapid command with args, killed if it is still
+// running after 60 s.
+func erapidCmd(t *testing.T, args ...string) *exec.Cmd {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	t.Cleanup(cancel)
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "ERAPID_TEST_MAIN=1")
+	return cmd
+}
+
 // runCLI executes the erapid command with args and returns its stdout.
 func runCLI(t *testing.T, args ...string) []byte {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "ERAPID_TEST_MAIN=1")
+	cmd := erapidCmd(t, args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -109,57 +119,82 @@ func TestTraceJourneyGolden(t *testing.T) {
 	}
 }
 
-// TestHelpGolden pins the -h flag listing byte-for-byte, minus its
-// first line, which carries the binary's path.
+// TestHelpGolden pins the -h flag listing of erapid and of each
+// subcommand byte-for-byte, minus its first line: erapid's synopsis, or
+// a subcommand's "Usage of erapid <name>:".
 func TestHelpGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/help.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(os.Args[0], "-h")
-	cmd.Env = append(os.Environ(), "ERAPID_TEST_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("erapid -h: %v\n%s", err, out)
-	}
-	if _, got, _ := bytes.Cut(out, []byte("\n")); !bytes.Equal(got, want) {
-		t.Errorf("erapid -h output differs from testdata/help.golden:\n%s", got)
+	for _, sub := range []string{"", "sweep", "compare", "tables", "verify"} {
+		name, golden := "erapid", "testdata/help.golden"
+		if sub != "" {
+			name, golden = sub, "testdata/help-"+sub+".golden"
+		}
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := erapidCmd(t, strings.Fields(sub+" -h")...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("erapid %s -h: %v\n%s", sub, err, out)
+			}
+			if _, got, _ := bytes.Cut(out, []byte("\n")); !bytes.Equal(got, want) {
+				t.Errorf("erapid %s -h output differs from %s:\n%s", sub, golden, got)
+			}
+		})
 	}
 }
 
-func TestParseTiers(t *testing.T) {
-	got, err := parseTiers("rack=8x8,count=16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []core.TierSpec{{Boards: 8, NodesPerBoard: 8}, {Boards: 16}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("parseTiers = %+v, want %+v", got, want)
-	}
-
-	// Key order is free.
-	got, err = parseTiers("count=4,rack=2x3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = []core.TierSpec{{Boards: 2, NodesPerBoard: 3}, {Boards: 4}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("parseTiers = %+v, want %+v", got, want)
-	}
-
-	for _, bad := range []string{
-		"",
-		"rack=8x8",
-		"count=16",
-		"rack=8,count=16",
-		"rack=8x,count=16",
-		"rack=ax8,count=16",
-		"rack=8x8,count=b",
-		"rack=8x8;count=16",
-		"rack=8x8,count=16,depth=2",
+// TestGolden pins the stdout of Table 1 and of the Fig. 3 design-space
+// time series byte-for-byte.
+func TestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"testdata/table1.golden", []string{"tables"}},
+		{"testdata/designspace.golden", []string{"tables", "-designspace"}},
 	} {
-		if _, err := parseTiers(bad); err == nil {
-			t.Errorf("parseTiers(%q) accepted", bad)
+		want, err := os.ReadFile(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runCLI(t, tc.args...); !bytes.Equal(got, want) {
+			t.Errorf("erapid %v output differs from %s:\n%s", tc.args, tc.golden, got)
+		}
+	}
+}
+
+// TestBadInputExit2: a leftover argument, an unknown subcommand, a
+// negative worker count and a sweep point that cannot run are bad
+// input: each exits 2 with a message naming it, before anything runs.
+func TestBadInputExit2(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-boards", "4", "-nodes", "4", "complement", "-pattern", "butterfly"}, `unexpected argument "complement"`},
+		{[]string{"tables", "extra"}, `unexpected argument "extra"`},
+		{[]string{"verify", "-quick", "extra"}, `unexpected argument "extra"`},
+		{[]string{"swep"}, "sweep|compare|tables|verify"},
+		{[]string{"serve"}, "erapid-serve"},
+		{[]string{"-workers", "-1"}, "-workers -1"},
+		{[]string{"compare", "-workers", "-3", "-quick", "-boards", "4", "-nodes", "4", "-scenarios", "headline", "-policies", "paper"}, "-workers -3"},
+		{[]string{"verify", "-workers", "-2", "-quick"}, "-workers -2"},
+		{[]string{"sweep", "-workers", "-1", "-quick", "-boards", "4", "-nodes", "4", "-patterns", "uniform", "-modes", "P-B", "-loads", "0.3"}, "-workers -1"},
+		{[]string{"sweep", "-run-workers", "-1", "-quick", "-boards", "4", "-nodes", "4", "-patterns", "uniform", "-modes", "P-B", "-loads", "0.3"}, "-run-workers -1"},
+		{[]string{"sweep", "-patterns", "uniform,complemnt", "-modes", "P-B,NP-NB", "-loads", "0.3,0.5", "-quick", "-boards", "4", "-nodes", "4"}, `patterns[1]: P-B/complemnt`},
+		{[]string{"sweep", "-loads", "0.3,1.5", "-quick", "-boards", "4", "-nodes", "4", "-patterns", "uniform", "-modes", "P-B"}, `bad load "1.5"`},
+	} {
+		cmd := erapidCmd(t, tc.args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("erapid %v: %v, want exit status 2", tc.args, err)
+		}
+		if !strings.Contains(stderr.String(), tc.want) || strings.Contains(stderr.String(), "running") || stdout.Len() > 0 {
+			t.Errorf("erapid %v: stderr does not name %q, or something ran:\n%s%s", tc.args, tc.want, stdout.Bytes(), stderr.Bytes())
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package claims encodes the quantitative claims of the paper's
 // evaluation (Sec. 4.2) as executable checks: each claim runs the
 // simulations it needs and reports the measured quantity next to the
-// paper's figure. cmd/erapid-verify prints the table; EXPERIMENTS.md
+// paper's figure. `erapid verify` prints the table; EXPERIMENTS.md
 // records a full run.
 //
 // Pass criteria are deliberately directional ("shape") rather than

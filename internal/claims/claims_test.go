@@ -42,7 +42,7 @@ func TestPairRunner(t *testing.T) {
 }
 
 // TestKeyClaimsQuick verifies the two headline claims end-to-end with the
-// quick schedule (the full set runs in cmd/erapid-verify; these two are
+// quick schedule (the full set runs in `erapid verify`; these two are
 // the paper's core story and must always reproduce).
 func TestKeyClaimsQuick(t *testing.T) {
 	if testing.Short() {

@@ -33,6 +33,7 @@ import (
 	"fmt"
 
 	"repro/internal/ctrl"
+	"repro/internal/rng"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -84,18 +85,12 @@ type TierResult struct {
 	Truncated         bool `json:",omitempty"`
 }
 
-// splitmix64 is the SplitMix64 output function: a bijective mixer with
-// good avalanche, used to derive independent subsystem seeds.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// deriveSeed maps (run seed, tier, instance) to a subsystem seed.
+// deriveSeed maps (run seed, tier, instance) to a subsystem seed
+// through two SplitMix64 outputs.
 func deriveSeed(seed, tier, idx uint64) uint64 {
-	return splitmix64(splitmix64(seed^(tier+1)*0xa3c59ac2f1234567) + idx)
+	s := seed ^ (tier+1)*0xa3c59ac2f1234567
+	s = rng.SplitMix64(&s) + idx
+	return rng.SplitMix64(&s)
 }
 
 // Hier is the plan of a hierarchical (multi-tier) simulation: the

@@ -8,7 +8,7 @@
 // "Think Green — Turn Off The Lights" (arXiv:2112.02083), a predictive
 // EWMA trend follower, and a static oracle planned from a profiling
 // pre-pass — register themselves alongside it and are compared on
-// power × latency × availability by the erapid-compare harness.
+// power × latency × availability by the `erapid compare` harness.
 //
 // # Determinism contract
 //

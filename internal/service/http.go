@@ -166,21 +166,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var ve core.ValidationError
-	if len(doc.Patterns) == 0 {
-		ve = append(ve, core.FieldError{Field: "patterns", Msg: "at least one traffic pattern is required"})
-	}
-	for i, p := range doc.Patterns {
-		c := cfg
-		c.Pattern = p
-		// The base already validated, so any failure here is the pattern.
-		if err := c.Validate(); err != nil {
-			ve = append(ve, core.FieldError{Field: fmt.Sprintf("patterns[%d]", i), Msg: err.Error()})
-		}
-	}
 	modes := make([]core.Mode, 0, len(doc.Modes))
-	if len(doc.Modes) == 0 {
-		ve = append(ve, core.FieldError{Field: "modes", Msg: "at least one mode is required (NP-NB, P-NB, NP-B, P-B)"})
-	}
 	for i, m := range doc.Modes {
 		mode, err := core.ParseMode(m)
 		if err != nil {
@@ -189,25 +175,22 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		modes = append(modes, mode)
 	}
-	if len(doc.Loads) == 0 {
-		ve = append(ve, core.FieldError{Field: "loads", Msg: "at least one offered load is required"})
+	req := sweep.Request{
+		Base:     cfg,
+		Patterns: doc.Patterns,
+		Modes:    modes,
+		Loads:    doc.Loads,
 	}
-	for i, l := range doc.Loads {
-		if !(l > 0 && l <= 1) {
-			ve = append(ve, core.FieldError{Field: fmt.Sprintf("loads[%d]", i), Msg: fmt.Sprintf("offered load must be in (0,1], got %v", l)})
-		}
+	var axes core.ValidationError
+	if errors.As(req.Validate(), &axes) {
+		ve = append(ve, axes...)
 	}
 	if len(ve) > 0 {
 		writeError(w, http.StatusBadRequest, ve)
 		return
 	}
 
-	view, err := s.submitSweep(sweep.Request{
-		Base:     cfg,
-		Patterns: doc.Patterns,
-		Modes:    modes,
-		Loads:    doc.Loads,
-	}, RequestIDFrom(r.Context()))
+	view, err := s.submitSweep(req, RequestIDFrom(r.Context()))
 	if err != nil {
 		writeSubmitError(w, err)
 		return

@@ -10,6 +10,7 @@ package service
 import (
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -143,23 +144,7 @@ func newServerMetrics(workers int) *serverMetrics {
 func (m *serverMetrics) httpRequest(route string, code int, seconds float64) {
 	m.httpSeconds.Observe(seconds)
 	m.reg.Counter(telemetry.PromName("erapid_http_requests_total",
-		"route", route, "code", itoa(code))).Inc()
-}
-
-// itoa is strconv.Itoa for the tiny status-code domain without the
-// import noise elsewhere.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 && i > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+		"route", route, "code", strconv.Itoa(code))).Inc()
 }
 
 // updateRuntime refreshes the Go runtime gauges and advances the GC

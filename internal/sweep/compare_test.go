@@ -23,7 +23,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // (complement pairs boards one-to-one, so most wavelength channels
 // carry nothing), and under a fault schedule that kills a laser the
 // complement flow 1 -> 6 actually uses. Cycle counts match
-// erapid-compare -quick.
+// erapid compare -quick.
 func compareScenarios() []sweep.Scenario {
 	base := core.DefaultConfig(core.PB)
 	base.Seed = 1

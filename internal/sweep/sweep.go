@@ -71,6 +71,56 @@ type Request struct {
 	OnResult func(Series, Point)
 }
 
+// Validate checks a request before anything runs: every axis names at
+// least one value, every (pattern, mode) point is a valid Config over
+// Base, and every load passes CheckLoad. It returns nil or a
+// core.ValidationError whose fields locate each fault by axis and index
+// ("patterns[1]", "loads[0]").
+func (r Request) Validate() error {
+	var ve core.ValidationError
+	add := func(field, msg string) { ve = append(ve, core.FieldError{Field: field, Msg: msg}) }
+	if len(r.Patterns) == 0 {
+		add("patterns", "at least one traffic pattern is required")
+	}
+	if len(r.Modes) == 0 {
+		add("modes", "at least one mode is required (NP-NB, P-NB, NP-B, P-B)")
+	}
+	if len(r.Loads) == 0 {
+		add("loads", "at least one offered load is required")
+	}
+	for i, pat := range r.Patterns {
+		for _, mode := range r.Modes {
+			cfg := r.Base
+			cfg.Pattern, cfg.Mode = pat, mode
+			var point core.ValidationError
+			if errors.As(cfg.Validate(), &point) {
+				for _, f := range point {
+					add(fmt.Sprintf("patterns[%d]", i), fmt.Sprintf("%s/%s: %v", mode, pat, f))
+				}
+				break // one mode names the fault; the others would repeat it
+			}
+		}
+	}
+	for i, l := range r.Loads {
+		if err := CheckLoad(l); err != nil {
+			add(fmt.Sprintf("loads[%d]", i), err.Error())
+		}
+	}
+	if len(ve) > 0 {
+		return ve
+	}
+	return nil
+}
+
+// CheckLoad rejects an offered load outside (0, 1]: a fraction of the
+// uniform network capacity.
+func CheckLoad(l float64) error {
+	if !(l > 0 && l <= 1) {
+		return fmt.Errorf("offered load must be in (0,1], got %v", l)
+	}
+	return nil
+}
+
 // forEachJob calls fn once per job index in [0, n), in ascending
 // dispatch order, from up to workers goroutines (<= 0 means
 // GOMAXPROCS; never more than n). Each goroutine owns one pooled

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -144,6 +145,33 @@ func TestSaturationLoad(t *testing.T) {
 func TestEmptyRequest(t *testing.T) {
 	if got, _ := RunContext(context.Background(), Request{Base: fastBase()}); got != nil {
 		t.Fatalf("empty request produced %v", got)
+	}
+}
+
+// TestRequestValidate: Validate passes a runnable request and locates
+// each fault by axis and index: an empty axis, a (pattern, mode) point
+// Config.Validate rejects, and a load outside (0, 1].
+func TestRequestValidate(t *testing.T) {
+	ok := Request{Base: fastBase(), Patterns: []string{traffic.Uniform}, Modes: []core.Mode{core.PB}, Loads: []float64{0.5, 1}}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid request: %v", err)
+	}
+	for _, tc := range []struct {
+		req  Request
+		want []string
+	}{
+		{Request{Base: fastBase()}, []string{"patterns", "modes", "loads"}},
+		{Request{
+			Base:     fastBase(),
+			Patterns: []string{traffic.Uniform, "complemnt"},
+			Modes:    []core.Mode{core.PB, core.NPNB},
+			Loads:    []float64{0.3, 1.5, 0},
+		}, []string{"patterns[1]", "loads[1]", "loads[2]"}},
+	} {
+		var ve core.ValidationError
+		if err := tc.req.Validate(); !errors.As(err, &ve) || !reflect.DeepEqual(ve.Fields(), tc.want) {
+			t.Errorf("Validate() = %v, want fields %v", err, tc.want)
+		}
 	}
 }
 
