@@ -12,7 +12,7 @@ import (
 )
 
 // Counter is a monotonically increasing uint64, safe for concurrent
-// use (cmd/erapid-sweep increments one from several worker
+// use (`erapid sweep` increments one from several worker
 // goroutines).
 type Counter struct {
 	v atomic.Uint64
