@@ -118,11 +118,12 @@ type Config struct {
 	// service cache distinguishes runs by policy.
 	Policy *policy.Spec `json:"Policy,omitempty"`
 
-	// Workers is the intra-run worker count for board-sharded parallel
-	// stepping. 0 and 1 select the serial engine (the default); larger
-	// values run the compute phase of each cycle on up to min(Workers,
-	// Boards) cores. Any value produces bit-identical results: same seed,
-	// same Result, same telemetry stream.
+	// Workers is the intra-run worker count: the cycle loop splits the
+	// boards into that many shards. 0 and 1 select one shard, stepped on
+	// the calling goroutine (the default); larger values run the compute
+	// part of each cycle on up to min(Workers, Boards) cores. Any value
+	// produces bit-identical results: same seed, same Result, same
+	// telemetry stream.
 	Workers int `json:",omitempty"`
 }
 

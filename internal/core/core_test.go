@@ -241,7 +241,7 @@ func TestIntraBoardDelivery(t *testing.T) {
 	}
 	s.nics[1].Enqueue(p)
 	for now := uint64(0); now < 300 && p.ReceivedAt == 0; now++ {
-		s.step(now)
+		s.Step()
 	}
 	if p.ReceivedAt == 0 {
 		t.Fatal("intra-board packet never delivered")

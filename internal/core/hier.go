@@ -3,7 +3,7 @@
 //
 // The engine decomposes a two-tier system into R+1 independent SRS
 // subsystems, each simulated by the existing cycle engine with all of
-// its machinery (flit slab, active sets, epoch-parallel stepping,
+// its machinery (flit slab, active sets, the sharded cycle loop,
 // pooled Reset reuse) intact:
 //
 //   - R tier-0 rack instances (B boards × D nodes) carry the intra-rack

@@ -72,10 +72,7 @@ func (s *System) Reset(cfg Config) error {
 	// completed run's teardown already did; Close is idempotent), the old
 	// RCs' pending callbacks go with the engine's event queue (no RC owns a
 	// goroutine), and the engine and fabric rewind in place.
-	if s.par != nil {
-		s.par.pool.Close()
-		s.par = nil
-	}
+	s.par.pool.Close()
 	s.eng.Reset()
 	s.fab.Reset()
 	// Clear per-run accounting and attachments, then rewind the electrical

@@ -39,10 +39,9 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	var cancelled error
 	for {
 		// Step in epochs that run to the next reconfiguration-window
-		// boundary (or the cycle limit). On a parallel system that is one
-		// pool dispatch per epoch instead of per cycle. Both engines check
-		// measurement Done after each cycle, so all modes stop on the same
-		// cycle.
+		// boundary (or the cycle limit): one pool dispatch per epoch
+		// instead of per cycle. The loop checks measurement Done after
+		// each cycle, so every worker count stops on the same cycle.
 		n := window - s.nextCycle%window
 		if rem := limit + 1 - s.nextCycle; rem < n {
 			n = rem

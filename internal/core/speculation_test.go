@@ -10,20 +10,19 @@ import (
 	"repro/internal/traffic"
 )
 
-// This file attacks the pipelined engine's speculative draw phase with
-// the adversarial serial-phase decisions that could expose it: policy
-// level flips and fault strikes that land on a cycle whose injections
-// were already pre-drawn during the previous cycle's parallel section,
-// and explicit injector mutations between epochs that must rewind the
-// staged draws. In every case the pipelined run must reproduce the
-// unpipelined (workers=1) Result and telemetry stream byte for byte.
+// This file attacks the sharded commit with the serial-phase decisions
+// that land between its compute parts: policy level flips and fault
+// strikes mid-window, and injection-rate changes between StepN batches.
+// In every case the w2 and w8 runs must reproduce the one-shard (w1)
+// Result and telemetry stream byte for byte.
 
 // TestSpeculationDiscardPolicyFlip runs the most flip-happy policy
 // configuration — greedy-off with OffMax=1 shuts down every
 // momentarily idle laser at each DPM decision point, so level moves
 // land mid-window at LC-chain times throughout the run — and checks
-// that the pipelined engine, whose draw phase speculates straight past
-// those serial-phase decisions, stays bit-identical to the serial one.
+// that the sharded commit, which replays the deferred side effects of
+// cycles those serial-head decisions reshape, stays bit-identical to
+// one shard.
 func TestSpeculationDiscardPolicyFlip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full runs at three worker counts")
@@ -55,11 +54,9 @@ func TestSpeculationDiscardPolicyFlip(t *testing.T) {
 
 // TestSpeculationDiscardFaultMidWindow schedules laser faults at
 // cycles that are not window boundaries, so each strike lands in the
-// serial head of a cycle whose injector draws were staged
-// speculatively one cycle earlier — the injections were drawn for a
-// laser that is dead by the time they are admitted. The pipelined
-// engine must deliver, drop and account them exactly as the serial
-// engine does.
+// serial head between two sharded compute parts, and the drops it
+// causes go through the per-board logs. The sharded engine must
+// deliver, drop and account every packet exactly as one shard does.
 func TestSpeculationDiscardFaultMidWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full faulted runs at three worker counts")
@@ -86,14 +83,12 @@ func TestSpeculationDiscardFaultMidWindow(t *testing.T) {
 	}
 }
 
-// TestSetInjectionRateDiscardsStagedDraws drives the explicit discard
-// path: on a pipelined system every StepN leaves the next cycle's
-// injections speculatively staged, and SetInjectionRate between
-// batches must rewind those streams and redraw under the new rate —
-// exactly what a serial system stepping past the call does. The
-// step-driven schedule changes the rate twice mid-run (mid-window both
-// times) and the full telemetry stream plus the final state must
-// match the serial reference at every worker count.
+// TestSetInjectionRateDiscardsStagedDraws changes the injection rate
+// between StepN batches: the next cycle's draws, made in its serial
+// head, must use the new rate at every worker count. The step-driven
+// schedule changes the rate twice mid-run (mid-window both times) and
+// the full telemetry stream plus the final state must match the
+// one-shard reference at every worker count.
 func TestSetInjectionRateDiscardsStagedDraws(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full step-driven runs at three worker counts")
@@ -107,7 +102,7 @@ func TestSetInjectionRateDiscardsStagedDraws(t *testing.T) {
 		}
 		var log eventLog
 		s.AttachSink(&log)
-		s.StepN(1234) // mid-window: the pipelined path now holds staged draws for cycle 1234
+		s.StepN(1234) // mid-window
 		s.SetInjectionRate(0.09)
 		s.StepN(777)
 		s.SetInjectionRate(0.004)
@@ -120,7 +115,7 @@ func TestSetInjectionRateDiscardsStagedDraws(t *testing.T) {
 	}
 	refRes, refLog := drive(1)
 	if len(refLog) == 0 {
-		t.Fatal("serial reference emitted no telemetry")
+		t.Fatal("one-shard reference emitted no telemetry")
 	}
 	for _, workers := range []int{2, 8} {
 		res, log := drive(workers)

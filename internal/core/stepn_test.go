@@ -13,8 +13,8 @@ import (
 // This file pins the StepN stepping contract at its edges: the no-op
 // batch, batches that cross measurement-phase and run-limit
 // boundaries, batch-size invariance (including idle stretches split at
-// batch seams), and stepping past Done. Every case runs on
-// both the serial and the pipelined engine, which must agree exactly.
+// batch seams), and stepping past Done. Every case runs at one shard
+// and at several, which must agree exactly.
 
 // TestStepNZero pins the no-op batch: StepN(0) returns the last
 // simulated cycle and advances nothing — no cycle, no injector draw,
@@ -49,8 +49,8 @@ func TestStepNZero(t *testing.T) {
 }
 
 // TestStepNStopsAtDone checks that a batch far larger than the run
-// stops early when the measurement reaches Done — and that the serial
-// and pipelined engines stop on the identical cycle.
+// stops early when the measurement reaches Done — and that one shard
+// and four stop on the identical cycle.
 func TestStepNStopsAtDone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full runs at two worker counts")
@@ -81,12 +81,12 @@ func TestStepNStopsAtDone(t *testing.T) {
 		stopAt[workers] = last
 	}
 	if stopAt[1] != stopAt[4] {
-		t.Errorf("serial stopped at cycle %d, pipelined at %d; engines must agree", stopAt[1], stopAt[4])
+		t.Errorf("one shard stopped at cycle %d, four at %d; shard counts must agree", stopAt[1], stopAt[4])
 	}
 }
 
 // TestStepNChunkInvariance drives identical runs with one giant batch,
-// window-sized batches, and odd 97-cycle batches, on both engines. The
+// window-sized batches, and odd 97-cycle batches, at two shard counts. The
 // telemetry stream and the final state must be bit-identical in
 // all cases: batch seams must not perturb the simulation, including
 // where they fall inside an idle stretch with nothing in flight, and

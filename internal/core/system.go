@@ -37,9 +37,8 @@ type System struct {
 	nics      []*link.PacketSource // indexed by global node id
 	nextPkt   flit.PacketID
 
-	// par is the parallel-stepping state (worker pool and per-board
-	// outboxes); nil on serial systems (Workers <= 1), which keeps the
-	// serial step on the exact pre-parallel code path.
+	// par is the cycle loop's state: the worker pool, the board shards
+	// and, with more than one shard, the per-board outboxes.
 	par *parState
 
 	// freePkts recycles delivered packets (and their flit slabs) so the
@@ -85,10 +84,10 @@ type board struct {
 	// wavelength.
 	rxSources []*link.PacketSource // index w-1
 	// nicSet and rxSet index nics and rxSources by HasWork. They are
-	// allocated per board: during a parallel tick phase only the board's
-	// own worker touches them (NIC.Tick, rx.Tick, and the credits its IBI
+	// allocated per board: during a compute part only the board's own
+	// worker touches them (NIC.Tick, rx.Tick, and the credits its IBI
 	// returns), so no two workers ever write one word; Enqueue happens in
-	// the serial phases (admission, DeliverDue).
+	// the serial head (admission, DeliverDue).
 	nicSet, rxSet router.ActiveSet
 	rrW           int // tie-break rotation for route choices
 	// routeWS is the board's reusable route-choice wavelength scratch
@@ -149,8 +148,8 @@ func newSystem(cfg Config, newPol func(board int) policy.Policy) (*System, error
 // config selecting oracle-static first runs a serial, healthy profiling
 // pre-pass on the same seed and traffic, which is deterministic, so the
 // main run stays bit-identical across worker counts), the measurement,
-// the fault injector, the traffic injectors, and the parallel stepper
-// when configured. It is the only place any of these is created.
+// the fault injector, the traffic injectors, and the cycle loop's pool
+// and shards. It is the only place any of these is created.
 func (s *System) initRun(cfg Config, newPol func(board int) policy.Policy) error {
 	cc := cfg.ctrlConfig()
 	if newPol != nil {
@@ -189,9 +188,7 @@ func (s *System) initRun(cfg Config, newPol func(board int) policy.Policy) error
 	if err := s.buildInjectors(); err != nil {
 		return err
 	}
-	if cfg.Workers > 1 {
-		s.enableParallel(cfg.Workers)
-	}
+	s.newCycleLoop(cfg.Workers)
 	return nil
 }
 
@@ -227,13 +224,13 @@ func (s *System) assemble() {
 			nic.OnDequeue = func(p *flit.Packet, now uint64) {
 				p.NetworkAt = now
 				if s.tel != nil {
-					if par := s.par; par != nil && par.computing {
-						// Compute phase: record just the packet ID in the source
-						// board's outbox (cycle and board are implied by the
-						// commit point and the outbox index); the commit drains
-						// boards in ascending order, which reproduces the serial
-						// all-NICs node-order stream.
-						ob := &par.outboxes[p.SrcBoard]
+					if obs := s.par.outboxes; obs != nil {
+						// Sharded compute part: record just the packet ID in the
+						// source board's outbox (cycle and board are implied by
+						// the commit point and the outbox index); the commit
+						// drains boards in ascending order, which reproduces the
+						// one-shard all-NICs node-order stream.
+						ob := &obs[p.SrcBoard]
 						ob.netEnter = append(ob.netEnter, uint64(p.ID))
 					} else {
 						s.tel.Emit(telemetry.Event{Cycle: now, Kind: telemetry.PacketNetEnter, Packet: uint64(p.ID), Board: p.SrcBoard, Wavelength: -1, Dest: -1})
@@ -352,15 +349,15 @@ func (s *System) routeFunc(bd *board) router.RouteFunc {
 	}
 }
 
-// onDeliver is the ejection callback. During a parallel compute phase
-// it only buffers the delivery in the destination board's outbox (the
+// onDeliver is the ejection callback. During a sharded compute part it
+// only buffers the delivery in the destination board's outbox (the
 // shared measurement, stats and telemetry state it feeds is
-// order-sensitive); the commit phase replays the outboxes through
-// deliverNow in canonical board order, which is exactly the order the
-// serial per-board IBI ticks produce deliveries in.
+// order-sensitive); the commit replays the outboxes through deliverNow
+// in ascending board order, which is exactly the order one shard's
+// per-board IBI ticks produce deliveries in.
 func (s *System) onDeliver(p *flit.Packet, now uint64) {
-	if par := s.par; par != nil && par.computing {
-		ob := &par.outboxes[p.DstBoard]
+	if obs := s.par.outboxes; obs != nil {
+		ob := &obs[p.DstBoard]
 		ob.delivered = append(ob.delivered, pendingDeliver{p: p, at: now})
 		return
 	}
@@ -368,7 +365,7 @@ func (s *System) onDeliver(p *flit.Packet, now uint64) {
 }
 
 // deliverNow stamps a delivered packet and feeds the measurement; it
-// always runs in a serial phase.
+// never runs concurrently with another worker.
 func (s *System) deliverNow(p *flit.Packet, now uint64) {
 	p.ReceivedAt = now
 	s.delivered++
@@ -405,7 +402,10 @@ func (s *System) onFaultDrop(p *flit.Packet, now uint64) {
 	}
 }
 
-// injectAll steps every node's Bernoulli process for one cycle.
+// injectAll steps every node's injection process for one cycle and
+// admits each packet drawn, in global node order: packet IDs, labeling,
+// pool recycling and the inject event all happen here, in the serial
+// head.
 func (s *System) injectAll(now uint64) {
 	for n, inj := range s.injectors {
 		if dst, ok := inj.Step(); ok {
@@ -414,10 +414,7 @@ func (s *System) injectAll(now uint64) {
 	}
 }
 
-// injectOne admits one packet from node n to dst: packet IDs, labeling,
-// pool recycling and the inject event all happen here, in global node
-// order — serially in both stepping modes (the parallel path only draws
-// the RNG decisions concurrently).
+// injectOne admits one packet from node n to dst.
 func (s *System) injectOne(n, dst int, now uint64) {
 	s.nextPkt++
 	var p *flit.Packet
@@ -445,9 +442,9 @@ func (s *System) injectOne(n, dst int, now uint64) {
 	s.nics[n].Enqueue(p)
 }
 
-// stepHead is the serial head of a cycle, identical in both stepping
-// modes: control-plane engine events, due optical deliveries, fault
-// strikes, measurement phase advance and the metering switch.
+// stepHead opens the serial head of a cycle: control-plane engine
+// events, due optical deliveries, fault strikes, measurement phase
+// advance and the metering switch.
 func (s *System) stepHead(now uint64) {
 	s.eng.RunUntil(now)
 	// Completed optical transmissions enqueue into the rx sources before
@@ -473,28 +470,6 @@ func (s *System) stepHead(now uint64) {
 	case stats.Drain, stats.Done:
 		s.fab.EnableMetering(false)
 	}
-}
-
-// step advances the whole system by one cycle, serially. Parallel
-// systems step through stepEpoch instead (StepN dispatches).
-func (s *System) step(now uint64) {
-	s.stepHead(now)
-	s.injectAll(now)
-	// Active-set scheduling: visit the components that have work in the
-	// same deterministic order as an exhaustive scan would — every NIC in
-	// node order first, then board by board (the Tick of a component with
-	// no work is a no-op, so skipping it changes nothing).
-	for _, bd := range s.boards {
-		tickSources(bd.nicSet, bd.nics, now)
-	}
-	for _, bd := range s.boards {
-		bd.tickRxIBI(now)
-	}
-	s.fab.Tick(now)
-	if s.telemetry != nil {
-		s.telemetry.observe(now)
-	}
-	s.cycle = now
 }
 
 // tickSources ticks the members of set, in ascending order. A Tick never
@@ -538,13 +513,8 @@ func (s *System) AttachSink(sink telemetry.Sink) {
 
 // SetInjectionRate changes every node's mean injection rate mid-run
 // (phased-load experiments such as the Fig. 3 design-space demo). rate
-// is in packets/node/cycle. On a parallel system any speculatively
-// staged draws were made under the old rate, so they are discarded
-// first: the injector streams rewind to their pre-draw snapshots and
-// the next epoch redraws the cycle at the new rate — exactly what a
-// serial system stepping past this call would do.
+// is in packets/node/cycle; it applies from the next cycle stepped.
 func (s *System) SetInjectionRate(rate float64) {
-	s.invalidateSpec()
 	for _, src := range s.injectors {
 		switch inj := src.(type) {
 		case *traffic.Injector:
@@ -557,31 +527,27 @@ func (s *System) SetInjectionRate(rate float64) {
 
 // Step advances the whole system by exactly one cycle and returns the
 // cycle just simulated. It is the building block for custom drivers
-// (e.g. the design-space time-series example); Run steps parallel
-// systems in window-sized epochs instead, amortizing the pool dispatch.
+// (e.g. the design-space time-series example); Run steps in
+// window-sized batches instead, amortizing the pool dispatch.
 func (s *System) Step() uint64 { return s.StepN(1) }
 
 // StepN advances the system up to n cycles (stopping early if the
-// measurement reaches Done) and returns the last cycle simulated. On a
-// parallel system the whole batch is one pool epoch — one worker
-// dispatch for all n cycles — which is how Run steps between window
-// boundaries; custom drivers that don't need per-cycle control should
-// prefer it over calling Step n times.
+// measurement reaches Done) and returns the last cycle simulated. The
+// whole batch is one pool epoch — one worker dispatch for all n cycles
+// — which is how Run steps between window boundaries; custom drivers
+// that don't need per-cycle control should prefer it over calling Step
+// n times.
 func (s *System) StepN(n uint64) uint64 {
 	if n == 0 {
 		return s.cycle
 	}
-	if s.par != nil {
-		return s.stepEpoch(n)
-	}
-	for end := s.nextCycle + n; s.nextCycle < end; {
-		s.step(s.nextCycle)
-		s.nextCycle++
-		if s.meas.Phase() == stats.Done {
-			break
-		}
-	}
-	return s.nextCycle - 1
+	par := s.par
+	par.now = s.nextCycle
+	par.end = s.nextCycle + n
+	par.stop = false
+	par.pool.Epoch(par.body)
+	s.nextCycle = par.now
+	return par.now - 1
 }
 
 // Cycle returns the last simulated cycle.

@@ -283,9 +283,9 @@ type Fabric struct {
 	delHeap []delivery
 	delSeq  uint64
 
-	// par holds the deferred side-effect logs for parallel board ticking;
-	// nil on serial fabrics (the serial hot path pays one nil check per
-	// deferral point).
+	// par holds the deferred side-effect logs for sharded board ticking;
+	// nil when one caller ticks every board (the direct path pays one nil
+	// check per deferral point).
 	par *fabPar
 
 	meter        *power.Meter
@@ -983,27 +983,36 @@ func (f *Fabric) FastForwardIdle(n uint64) {
 }
 
 // Tick advances transmitters and lasers one cycle and samples statistics
-// and power. Call exactly once per cycle. Only transmitters holding
-// flits and lasers on the active list are visited; lasers that go idle
-// drop off the list and their statistics and supply power are carried
-// forward in bulk (syncStats, idleLitMW).
+// and power: the cycle loop's fabric steps over every board at once.
+// Call exactly once per cycle. Only transmitters holding flits and
+// lasers on the active list are visited; lasers that go idle drop off
+// the list and their statistics and supply power are carried forward in
+// bulk (syncStats, idleLitMW).
 func (f *Fabric) Tick(now uint64) {
 	f.DeliverDue(now)
-	nb := len(f.shards)
-	for s := 0; s < nb; s++ {
+	f.BeginBoardTick()
+	f.TickBoards(0, len(f.shards), now)
+	f.CommitBoardTick(now)
+}
+
+// TickBoards advances the transmitters of boards [lo, hi), then their
+// active lasers, one cycle. Between BeginBoardTick and CommitBoardTick
+// disjoint board ranges may tick concurrently when the per-board logs
+// are on (EnableParallel); the idle-power sample and the deactivation
+// refreshes wait for CommitBoardTick.
+func (f *Fabric) TickBoards(lo, hi int, now uint64) {
+	p := f.par
+	for s := lo; s < hi; s++ {
+		if p != nil {
+			p.logs[s].cur = phaseTx
+		}
 		f.tickBoardTx(s, now)
 	}
-	for s := 0; s < nb; s++ {
+	for s := lo; s < hi; s++ {
+		if p != nil {
+			p.logs[s].cur = phaseLaser
+		}
 		f.tickBoardLasers(s, now)
-	}
-	if f.meterEnabled {
-		f.meter.AddCycleMW(f.idleLitMW, false)
-		f.meter.Observe(1)
-	}
-	// Lasers deactivated this cycle were metered by tickLaser above; they
-	// join the idle aggregate only from the next cycle on.
-	for s := 0; s < nb; s++ {
-		f.flushDeact(s)
 	}
 }
 

@@ -1,13 +1,17 @@
-// Parallel board ticking: the fabric side of the two-phase
-// compute/commit cycle engine.
+// Sharded board ticking: the fabric side of the cycle loop.
 //
-// During the compute phase each board is ticked by exactly one worker
-// (TickBoard). Board-local state — transmitter reassembly buffers, laser
-// queues and windows, the board's active list, channel busy times (a
-// channel has exactly one holder board, and holders only change in the
-// serial control phase) — is mutated in place. Every side effect that
-// touches shared, order-sensitive state is instead recorded in the
-// board's log, segregated by the shared target it will be applied to:
+// A cycle's fabric work is BeginBoardTick, then TickBoards over each
+// shard's board range [lo, hi), then CommitBoardTick. When one caller
+// ticks every board (Tick, or a one-shard system) the per-board logs are
+// off and every side effect applies where it happens, so that sequence
+// is the plain serial tick. With the logs on (EnableParallel), disjoint
+// shards tick concurrently: board-local state — transmitter reassembly
+// buffers, laser queues and windows, the board's active list, channel
+// busy times (a channel has exactly one holder board, and holders only
+// change in the serial control phase) — is mutated in place, and every
+// side effect that touches shared, order-sensitive state is recorded in
+// the board's log, segregated by the shared target it will be applied
+// to:
 //
 //   - telemetry events and drop-hook calls feed ONE ordered stream
 //     (the sink; the drop hook emits into it from the core layer) — so
@@ -27,10 +31,11 @@
 // cache-line-padded struct per board so two workers never write the
 // same line. CommitBoardTick replays them in canonical order — all
 // boards' tx sub-phase logs in ascending board order, then all laser
-// sub-phase logs, then the cycle's idle-power sample, then the deferred
-// deactivation refreshes — which is exactly the order the serial Tick
-// produces those effects in, so the committed state and the emitted
-// event stream are bit-identical to a serial run. Distinct targets
+// sub-phase logs — which is exactly the order a single caller ticking
+// every board produces those effects in, then takes the cycle's
+// idle-power sample and runs the deactivation refreshes directly, for
+// every board. The committed state and the emitted event stream are
+// therefore bit-identical whatever the shard count. Distinct targets
 // (telemetry stream, idle aggregate, meter, delivery heap, wake
 // counter) never observe each other mid-cycle, so segregating them by
 // kind commutes with the serial interleaving per board.
@@ -46,7 +51,6 @@ import (
 const (
 	phaseTx = iota
 	phaseLaser
-	phaseDeact
 	numPhases
 )
 
@@ -119,47 +123,55 @@ func (f *Fabric) deferring() *fabPar {
 	return nil
 }
 
-// EnableParallel allocates the per-board side-effect logs for parallel
-// board ticking. Call once, before the first TickBoard.
-func (f *Fabric) EnableParallel() {
-	f.par = &fabPar{logs: make([]boardLog, f.top.Boards())}
-}
-
-// BeginBoardTick enters the compute phase: until CommitBoardTick, every
-// shared side effect is deferred into per-board logs and the per-board
-// TickBoard calls may run concurrently (one worker per board at most).
-func (f *Fabric) BeginBoardTick() {
-	if f.par == nil {
-		panic("optical: BeginBoardTick without EnableParallel")
+// EnableParallel turns the per-board side-effect logs on or off. With
+// them on, TickBoards calls on disjoint board ranges may run
+// concurrently between BeginBoardTick and CommitBoardTick; with them
+// off, one caller must tick every board. Serial phase only.
+func (f *Fabric) EnableParallel(on bool) {
+	switch {
+	case !on:
+		f.par = nil
+	case f.par == nil:
+		f.par = &fabPar{logs: make([]boardLog, f.top.Boards())}
 	}
-	f.par.computing = true
 }
 
-// TickBoard advances one board's transmitters and active lasers one
-// cycle during the compute phase. Unlike the serial Tick it does not
-// drain due deliveries (the driver does that in its serial head) and
-// does not sample idle power (CommitBoardTick does, after replaying the
-// laser logs).
-func (f *Fabric) TickBoard(s int, now uint64) {
-	lg := &f.par.logs[s]
-	lg.cur = phaseTx
-	f.tickBoardTx(s, now)
-	lg.cur = phaseLaser
-	f.tickBoardLasers(s, now)
-	lg.cur = phaseDeact
-	f.flushDeact(s)
+// BeginBoardTick opens a cycle's board ticks: until CommitBoardTick,
+// every shared side effect is deferred into the per-board logs when
+// they are on.
+func (f *Fabric) BeginBoardTick() {
+	if f.par != nil {
+		f.par.computing = true
+	}
 }
 
-// CommitBoardTick exits the compute phase and replays every board's
-// deferred side effects in the serial Tick's order: tx sub-phases in
-// ascending board order, laser sub-phases in ascending board order, the
-// cycle's idle-power sample, then the deactivation refreshes. Within a
-// board's sub-phase each shared target receives its records in the
-// order they were produced; targets are mutually independent, so
-// draining them back-to-back is order-equivalent to the serial
-// interleaving.
+// CommitBoardTick closes a cycle's board ticks: it replays the
+// per-board logs when they are on, then samples the cycle's idle power
+// and refreshes the idle contribution of the lasers that went idle this
+// cycle, board by board.
 func (f *Fabric) CommitBoardTick(now uint64) {
-	p := f.par
+	if p := f.par; p != nil {
+		f.replayLogs(p, now)
+	}
+	if f.meterEnabled {
+		f.meter.AddCycleMW(f.idleLitMW, false)
+		f.meter.Observe(1)
+	}
+	// Lasers deactivated this cycle were metered by tickLaser; they join
+	// the idle aggregate only from the next cycle on.
+	for s := range f.shards {
+		f.flushDeact(s)
+	}
+}
+
+// replayLogs ends the compute phase and replays every board's deferred
+// side effects in the order a single caller produces them: tx
+// sub-phases in ascending board order, then laser sub-phases in
+// ascending board order. Within a board's sub-phase each shared target
+// receives its records in the order they were produced; targets are
+// mutually independent, so draining them back-to-back is
+// order-equivalent to the serial interleaving.
+func (f *Fabric) replayLogs(p *fabPar, now uint64) {
 	p.computing = false
 	for s := range p.logs {
 		lg := &p.logs[s]
@@ -188,13 +200,6 @@ func (f *Fabric) CommitBoardTick(now uint64) {
 		lg.deliver = lg.deliver[:0]
 		f.wakes += lg.wakes
 		lg.wakes = 0
-	}
-	if f.meterEnabled {
-		f.meter.AddCycleMW(f.idleLitMW, false)
-		f.meter.Observe(1)
-	}
-	for s := range p.logs {
-		f.drainIdle(&p.logs[s], phaseDeact)
 	}
 }
 

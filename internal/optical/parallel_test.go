@@ -169,7 +169,7 @@ func TestCommitReplayMatchesSerialOrder(t *testing.T) {
 	for name, order := range orders {
 		t.Run(name, func(t *testing.T) {
 			pf, peng, prec := loadedFabric(t, boards)
-			pf.EnableParallel()
+			pf.EnableParallel(true)
 			pi := 0
 			for now := uint64(0); now < cycles; now++ {
 				peng.RunUntil(now)
@@ -177,7 +177,7 @@ func TestCommitReplayMatchesSerialOrder(t *testing.T) {
 				injectDue(pf, top, sched, &pi, now)
 				pf.BeginBoardTick()
 				for _, s := range order(now) {
-					pf.TickBoard(s, now)
+					pf.TickBoards(s, s+1, now)
 				}
 				pf.CommitBoardTick(now)
 			}
@@ -217,7 +217,7 @@ func BenchmarkOutboxCommit(b *testing.B) {
 	const boards = 8
 	top := topology.MustNewSRS(boards, 4)
 	f, eng, _ := loadedFabric(b, boards)
-	f.EnableParallel()
+	f.EnableParallel(true)
 	// Pre-build every injection's flit stream so the timed loop measures
 	// only the compute+commit machinery, not packet construction.
 	sched := trafficSchedule(boards, uint64(b.N))
@@ -248,7 +248,7 @@ func BenchmarkOutboxCommit(b *testing.B) {
 		}
 		f.BeginBoardTick()
 		for s := 0; s < boards; s++ {
-			f.TickBoard(s, now)
+			f.TickBoards(s, s+1, now)
 		}
 		f.CommitBoardTick(now)
 	}

@@ -56,14 +56,6 @@ func (s *Stream) Derive(ids ...uint64) *Stream {
 	return New(Mix(append([]uint64{s.s[0], s.s[3]}, ids...)...))
 }
 
-// State returns the stream's internal xoshiro256** state, for
-// snapshot/restore of speculative draws. The returned value is a copy.
-func (s *Stream) State() [4]uint64 { return s.s }
-
-// SetState restores a state previously captured with State. The stream
-// then reproduces exactly the sequence it produced after the snapshot.
-func (s *Stream) SetState(st [4]uint64) { s.s = st }
-
 // Uint64 returns the next 64 random bits.
 func (s *Stream) Uint64() uint64 {
 	r := bits.RotateLeft64(s.s[1]*5, 7) * 9

@@ -10,7 +10,9 @@ import (
 )
 
 // Pool is a fixed crew of worker goroutines for board-sharded cycle
-// stepping. Epoch hands every member a long-lived body that covers many
+// stepping: every core System steps its cycle loop through one, of
+// width 1 (no goroutines, Barrier a no-op) unless it has several
+// shards. Epoch hands every member a long-lived body that covers many
 // cycles, with Barrier as the in-epoch phase separator, so the channel
 // park/wake cost is paid once per epoch instead of once per phase.
 //
@@ -26,7 +28,9 @@ import (
 // that all work happens-before the call returns. Callers that need
 // deterministic output must make members write disjoint state (plus
 // per-shard outboxes drained later in a canonical order), which is
-// exactly how the core compute/commit engine uses it.
+// exactly how the core cycle loop uses it. A closed pool runs only
+// member 0, so a caller that shards its work by member id must first
+// fold every shard into member 0's.
 type Pool struct {
 	workers int
 	tasks   []chan func(id int)

@@ -297,22 +297,6 @@ func NewInjector(src int, rate float64, p Pattern, master *rng.Stream) *Injector
 	}
 }
 
-// State is an opaque snapshot of an injection source's stochastic state:
-// the RNG stream plus any modulation state (the bursty ON/OFF flag). A
-// source restored to a saved state replays exactly the decisions it made
-// after the snapshot, which is what lets the engine discard speculative
-// pre-draws and replay them under changed parameters.
-type State struct {
-	rng [4]uint64
-	on  bool
-}
-
-// Save returns a snapshot of the injector's stochastic state.
-func (in *Injector) Save() State { return State{rng: in.rng.State()} }
-
-// Restore rewinds the injector to a previously saved state.
-func (in *Injector) Restore(st State) { in.rng.SetState(st.rng) }
-
 // Step advances one cycle. It returns (dst, true) when a packet is
 // injected this cycle.
 func (in *Injector) Step() (dst int, inject bool) {
@@ -331,10 +315,6 @@ func (in *Injector) Step() (dst int, inject bool) {
 type Source interface {
 	// Step advances one cycle, returning (dst, true) on injection.
 	Step() (dst int, inject bool)
-	// Save snapshots the source's stochastic state; Restore rewinds to a
-	// saved snapshot so the same decisions replay deterministically.
-	Save() State
-	Restore(State)
 }
 
 // BurstyInjector is a two-state Markov-modulated Bernoulli process: the
@@ -400,16 +380,6 @@ func (b *BurstyInjector) SetMean(mean float64) {
 	}
 	b.Mean = mean
 	b.pOn = pOn
-}
-
-// Save implements Source: the snapshot captures both the RNG stream and
-// the Markov ON/OFF state, which together determine every future draw.
-func (b *BurstyInjector) Save() State { return State{rng: b.rng.State(), on: b.on} }
-
-// Restore implements Source.
-func (b *BurstyInjector) Restore(st State) {
-	b.rng.SetState(st.rng)
-	b.on = st.on
 }
 
 // Step implements Source.
