@@ -123,8 +123,6 @@ type inVC struct {
 
 type outVCState struct {
 	allocated bool
-	inPort    int
-	inVC      int
 	credits   int
 }
 
@@ -154,9 +152,6 @@ type Counters struct {
 	CreditStall uint64 // SA requests suppressed for lack of credits
 }
 
-// vaReq is one input VC waiting for an output VC this cycle.
-type vaReq struct{ inPort, inVC, out int }
-
 // nomination is one input port's SA stage-1 winner.
 type nomination struct{ inPort, inVC, out int }
 
@@ -167,15 +162,18 @@ type nomination struct{ inPort, inVC, out int }
 // The router keeps O(1) activity counters (buffered flits, non-idle VCs,
 // pending credits) so each pipeline stage — and, via HasWork, the whole
 // Tick — can be skipped when it provably has nothing to do, and an
-// ActiveSet per stage so a stage that does run visits only the ports
-// that can take part in it. Sets are walked in ascending order, which is
+// ActiveSet per stage so a stage that does run visits only the ports or
+// VCs that can take part in it. Sets are walked in ascending order, which is
 // the exhaustive scan's order, so arbitration outcomes are bit-identical
 // to it: no stage adds a member to the set it is walking, and whatever
 // arrives during a Tick is stamped > now.
+//
+// Input VC v of port p is vcs[p*VCs+v]; the VC-level sets use the same
+// numbering, so their ascending walk is the (port, VC) scan order.
 type Router struct {
 	cfg  Config
-	ins  [][]*inVC // [port][vc]
-	outs []*outPort
+	vcs  []inVC
+	outs []outPort
 	// inputCreditSinks receive credits for freed input buffer slots.
 	inputCreditSinks []CreditSink
 	rrInVC           []int // per input port: round-robin over VCs for SA stage 1
@@ -184,23 +182,21 @@ type Router struct {
 	// Activity counters for stage skipping.
 	bufTotal   int   // flits buffered across all input VCs
 	activeVCs  int   // input VCs with stage != vcIdle
-	portBuf    []int // per input port: flits buffered
 	portActive []int // per input port: VCs with stage != vcIdle
 	vaWaiting  int   // input VCs in vcWaitVC
 	credTotal  int   // immature credit entries across all outputs
 
-	// Stage indexes: bit p is up exactly while the counter or list it
-	// indexes is non-empty.
-	bufPorts    ActiveSet // input ports with portBuf > 0 (RC)
-	activePorts ActiveSet // input ports with portActive > 0 (VA gather, SA stage 1)
-	credOuts    ActiveSet // outputs with pendingCredits (credit absorption)
+	// Stage indexes: a bit is up exactly while the state it names holds.
+	rcCand      ActiveSet   // input VCs that are idle with a buffered head (RC)
+	activePorts ActiveSet   // input ports with portActive > 0 (SA stage 1)
+	vaWait      []ActiveSet // per output: input VCs in vcWaitVC routed to it (VA)
+	vaOuts      ActiveSet   // outputs whose vaWait is non-empty (VA)
+	credOuts    ActiveSet   // outputs with pendingCredits (credit absorption)
 
-	// Per-tick scratch buffers (no steady-state allocation). reqOuts and
-	// nomOuts are the outputs named by this cycle's VA requests and SA
-	// nominations; each is emptied by the loop that serves it.
-	reqScratch []vaReq
-	reqSubset  []vaReq
-	reqOuts    ActiveSet
+	// Per-tick scratch buffers (no steady-state allocation). nomOuts is
+	// the outputs named by this cycle's SA nominations, emptied by the
+	// loop that serves them.
+	vaSub      []int // one output's mature VA requests
 	nomScratch []nomination
 	nomOuts    ActiveSet
 	saBest     []int // per output: index into nomScratch of the SA winner
@@ -213,38 +209,34 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	r := &Router{cfg: cfg}
-	// The per-VC and per-port state lives in two contiguous slabs so one
+	// The per-VC, per-output and buffer state lives in flat slabs so one
 	// router's working set — which a single worker owns under parallel
 	// stepping — stays cache-local instead of scattered across the heap.
-	vcSlab := make([]inVC, cfg.Inputs*cfg.VCs)
-	r.ins = make([][]*inVC, cfg.Inputs)
-	for p := range r.ins {
-		r.ins[p] = make([]*inVC, cfg.VCs)
-		for v := range r.ins[p] {
-			iv := &vcSlab[p*cfg.VCs+v]
-			// Buffers hold at most BufDepth flits (the credit protocol
-			// enforces it), so full pre-sizing removes all growth allocs.
-			iv.buf = make([]bufEntry, 0, cfg.BufDepth)
-			r.ins[p][v] = iv
-		}
+	// Buffers hold at most BufDepth flits (the credit protocol enforces
+	// it), so each VC's window of the buffer slab never grows.
+	nvc, d := cfg.Inputs*cfg.VCs, cfg.BufDepth
+	r.vcs = make([]inVC, nvc)
+	bufSlab := make([]bufEntry, nvc*d)
+	for i := range r.vcs {
+		r.vcs[i].buf = bufSlab[i*d : i*d : (i+1)*d]
 	}
-	outSlab := make([]outPort, cfg.Outputs)
-	r.outs = make([]*outPort, cfg.Outputs)
-	for p := range r.outs {
-		r.outs[p] = &outSlab[p]
-	}
+	r.outs = make([]outPort, cfg.Outputs)
 	r.inputCreditSinks = make([]CreditSink, cfg.Inputs)
 	r.rrInVC = make([]int, cfg.Inputs)
-	r.portBuf = make([]int, cfg.Inputs)
 	r.portActive = make([]int, cfg.Inputs)
-	r.bufPorts, r.activePorts = NewActiveSet(cfg.Inputs), NewActiveSet(cfg.Inputs)
-	r.credOuts, r.reqOuts, r.nomOuts = NewActiveSet(cfg.Outputs), NewActiveSet(cfg.Outputs), NewActiveSet(cfg.Outputs)
+	r.rcCand, r.activePorts = NewActiveSet(nvc), NewActiveSet(cfg.Inputs)
+	w := len(r.rcCand)
+	waitSlab := make(ActiveSet, cfg.Outputs*w)
+	r.vaWait = make([]ActiveSet, cfg.Outputs)
+	for o := range r.vaWait {
+		r.vaWait[o] = waitSlab[o*w : (o+1)*w : (o+1)*w]
+	}
+	r.vaOuts, r.credOuts, r.nomOuts = NewActiveSet(cfg.Outputs), NewActiveSet(cfg.Outputs), NewActiveSet(cfg.Outputs)
 	r.saBest = make([]int, cfg.Outputs)
 	r.saCount = make([]int, cfg.Outputs)
 	// Scratch capacities are bounded by the request populations (every
 	// input VC at once for VA, one nomination per input for SA).
-	r.reqScratch = make([]vaReq, 0, cfg.Inputs*cfg.VCs)
-	r.reqSubset = make([]vaReq, 0, cfg.Inputs*cfg.VCs)
+	r.vaSub = make([]int, 0, nvc)
 	r.nomScratch = make([]nomination, 0, cfg.Inputs)
 	return r, nil
 }
@@ -267,23 +259,22 @@ func (r *Router) Name() string { return r.cfg.Name }
 // and input credit sinks stay attached, so a wired router can be reused
 // across runs without reconstruction.
 func (r *Router) Reset() {
-	for p := range r.ins {
-		for _, vc := range r.ins[p] {
-			for i := range vc.buf {
-				vc.buf[i] = bufEntry{}
-			}
-			vc.buf = vc.buf[:0]
-			vc.stage = vcIdle
-			vc.stageReady = 0
-			vc.outPort, vc.outVC = 0, 0
-		}
-		r.rrInVC[p] = 0
-		r.portBuf[p], r.portActive[p] = 0, 0
+	for i := range r.vcs {
+		vc := &r.vcs[i]
+		clear(vc.buf)
+		*vc = inVC{buf: vc.buf[:0]}
 	}
-	clear(r.bufPorts)
+	clear(r.rrInVC)
+	clear(r.portActive)
+	clear(r.rcCand)
 	clear(r.activePorts)
+	for _, w := range r.vaWait {
+		clear(w)
+	}
+	clear(r.vaOuts)
 	clear(r.credOuts)
-	for _, op := range r.outs {
+	for o := range r.outs {
+		op := &r.outs[o]
 		for v := range op.vcs {
 			op.vcs[v] = outVCState{credits: op.link.DownDepth}
 		}
@@ -310,7 +301,7 @@ func (r *Router) ConnectOutput(p int, link OutputLink) {
 	if link.FlitCycles == 0 {
 		link.FlitCycles = 1
 	}
-	op := r.outs[p]
+	op := &r.outs[p]
 	op.link = link
 	op.vcs = make([]outVCState, link.DownVCs)
 	for v := range op.vcs {
@@ -341,14 +332,16 @@ func (s inputSink) PutFlit(f *flit.Flit, readyAt uint64) {
 	if f.VC < 0 || f.VC >= r.cfg.VCs {
 		panic(fmt.Sprintf("router %q: flit on invalid VC %d at input %d", r.cfg.Name, f.VC, s.port))
 	}
-	vc := r.ins[s.port][f.VC]
+	i := s.port*r.cfg.VCs + f.VC
+	vc := &r.vcs[i]
 	if len(vc.buf) >= r.cfg.BufDepth {
 		panic(fmt.Sprintf("router %q: input %d VC %d overflow (credit protocol violated)", r.cfg.Name, s.port, f.VC))
 	}
 	vc.buf = append(vc.buf, bufEntry{f: f, readyAt: readyAt})
+	if vc.stage == vcIdle {
+		r.rcCand.Add(i)
+	}
 	r.bufTotal++
-	r.portBuf[s.port]++
-	r.bufPorts.Add(s.port)
 	r.ctr.FlitsIn++
 }
 
@@ -363,7 +356,7 @@ type creditSink struct {
 
 // PutCredit returns one downstream buffer slot on the given VC.
 func (s creditSink) PutCredit(vc int, readyAt uint64) {
-	op := s.r.outs[s.port]
+	op := &s.r.outs[s.port]
 	op.pendingCredits = append(op.pendingCredits, creditEntry{vc: vc, readyAt: readyAt})
 	s.r.credTotal++
 	s.r.credOuts.Add(s.port)
@@ -406,7 +399,7 @@ func (r *Router) absorbCredits(now uint64) {
 	for wi, word := range r.credOuts {
 		for ; word != 0; word &= word - 1 {
 			o := wi<<6 | bits.TrailingZeros64(word)
-			op := r.outs[o]
+			op := &r.outs[o]
 			kept := op.pendingCredits[:0]
 			for _, ce := range op.pendingCredits {
 				if ce.readyAt <= now {
@@ -429,32 +422,32 @@ func (r *Router) absorbCredits(now uint64) {
 
 // routeCompute starts the RC stage for idle VCs whose head flit arrived.
 func (r *Router) routeCompute(now uint64) {
-	for wi, word := range r.bufPorts {
+	for wi, word := range r.rcCand {
 		for ; word != 0; word &= word - 1 {
-			p := wi<<6 | bits.TrailingZeros64(word)
-			for v, vc := range r.ins[p] {
-				if vc.stage != vcIdle || len(vc.buf) == 0 {
-					continue
-				}
-				head := vc.buf[0]
-				if head.readyAt > now {
-					continue
-				}
-				if !head.f.IsHead() {
-					panic(fmt.Sprintf("router %q: non-head flit %v at idle VC %d.%d", r.cfg.Name, head.f, p, v))
-				}
-				out := r.cfg.Route(head.f.Packet)
-				if out < 0 || out >= r.cfg.Outputs {
-					panic(fmt.Sprintf("router %q: route for %v returned invalid port %d", r.cfg.Name, head.f.Packet, out))
-				}
-				vc.outPort = out
-				vc.stage = vcWaitVC
-				vc.stageReady = now + 1 // RC occupies this cycle
-				r.activeVCs++
-				r.portActive[p]++
-				r.activePorts.Add(p)
-				r.vaWaiting++
+			i := wi<<6 | bits.TrailingZeros64(word)
+			vc := &r.vcs[i]
+			head := vc.buf[0]
+			if head.readyAt > now {
+				continue
 			}
+			if !head.f.IsHead() {
+				panic(fmt.Sprintf("router %q: non-head flit %v at idle VC %d.%d", r.cfg.Name, head.f, i/r.cfg.VCs, i%r.cfg.VCs))
+			}
+			out := r.cfg.Route(head.f.Packet)
+			if out < 0 || out >= r.cfg.Outputs {
+				panic(fmt.Sprintf("router %q: route for %v returned invalid port %d", r.cfg.Name, head.f.Packet, out))
+			}
+			vc.outPort = out
+			vc.stage = vcWaitVC
+			vc.stageReady = now + 1 // RC occupies this cycle
+			r.rcCand.Remove(i)
+			r.vaWait[out].Add(i)
+			r.vaOuts.Add(out)
+			p := i / r.cfg.VCs
+			r.activeVCs++
+			r.portActive[p]++
+			r.activePorts.Add(p)
+			r.vaWaiting++
 		}
 	}
 }
@@ -462,58 +455,52 @@ func (r *Router) routeCompute(now uint64) {
 // vcAllocate grants free output VCs to waiting headers, one per output
 // VC per cycle, with round-robin priority across input VCs.
 //
-// Requests are gathered in one pass over the inputs (in (port, VC) order,
-// matching the per-output scan of the exhaustive version) into persistent
-// scratch buffers, then outputs are served in ascending order. A grant on
-// one output never changes another output's request set or round-robin
-// state, so the arbitration outcome is identical to scanning all inputs
-// once per output.
+// Outputs with waiters are served in ascending order, each over its
+// mature waiters in (port, VC) order — the per-output scan of the
+// exhaustive version. A grant on one output never changes another
+// output's waiters or round-robin state, and within one output's turn
+// grants only allocate, so once freeOutVC finds no free VC the rest of
+// the turn would find none either.
 func (r *Router) vcAllocate(now uint64) {
-	reqs := r.reqScratch[:0]
-	for wi, word := range r.activePorts {
+	for wi, word := range r.vaOuts {
 		for ; word != 0; word &= word - 1 {
-			p := wi<<6 | bits.TrailingZeros64(word)
-			for v, vc := range r.ins[p] {
-				if vc.stage == vcWaitVC && vc.stageReady <= now {
-					reqs = append(reqs, vaReq{inPort: p, inVC: v, out: vc.outPort})
-					r.reqOuts.Add(vc.outPort)
+			o := wi<<6 | bits.TrailingZeros64(word)
+			wait := r.vaWait[o]
+			sub := r.vaSub[:0]
+			for wj, w := range wait {
+				for ; w != 0; w &= w - 1 {
+					if i := wj<<6 | bits.TrailingZeros64(w); r.vcs[i].stageReady <= now {
+						sub = append(sub, i)
+					}
 				}
 			}
-		}
-	}
-	r.reqScratch = reqs
-	for wi, word := range r.reqOuts {
-		r.reqOuts[wi] = 0
-		for ; word != 0; word &= word - 1 {
-			op := wi<<6 | bits.TrailingZeros64(word)
-			sub := r.reqSubset[:0]
-			for _, rq := range reqs {
-				if rq.out == op {
-					sub = append(sub, rq)
-				}
+			r.vaSub = sub
+			if len(sub) == 0 {
+				continue
 			}
-			r.reqSubset = sub
-			out := r.outs[op]
+			out := &r.outs[o]
 			// Grant each request the first free output VC, round-robin
 			// across requesters for fairness across cycles.
 			granted := 0
-			for ri := 0; ri < len(sub); ri++ {
-				rq := sub[(ri+out.rrIn)%len(sub)]
+			for ri := range sub {
 				v := freeOutVC(out)
 				if v < 0 {
-					continue
+					break
 				}
-				out.vcs[v] = outVCState{allocated: true, inPort: rq.inPort, inVC: rq.inVC, credits: out.vcs[v].credits}
-				ivc := r.ins[rq.inPort][rq.inVC]
+				i := sub[(ri+out.rrIn)%len(sub)]
+				out.vcs[v].allocated = true
+				ivc := &r.vcs[i]
 				ivc.outVC = v
 				ivc.stage = vcActive
 				ivc.stageReady = now + 1 // VA occupies this cycle
+				wait.Remove(i)
 				r.vaWaiting--
 				granted++
 			}
-			if granted < len(sub) {
-				r.ctr.VAStalls += uint64(len(sub) - granted)
+			if wait.Empty() {
+				r.vaOuts.Remove(o)
 			}
+			r.ctr.VAStalls += uint64(len(sub) - granted)
 			out.rrVC = (out.rrVC + 1) % len(out.vcs)
 			out.rrIn = (out.rrIn + 1) % r.cfg.Inputs
 		}
@@ -542,14 +529,18 @@ func (r *Router) switchAllocateAndTraverse(now uint64) {
 	for wi, word := range r.activePorts {
 		for ; word != 0; word &= word - 1 {
 			p := wi<<6 | bits.TrailingZeros64(word)
-			for dv := 0; dv < nvc; dv++ {
-				v := (r.rrInVC[p] + dv) % nvc
-				vc := r.ins[p][v]
-				if r.saEligible(vc, now) {
+			vcs := r.vcs[p*nvc : (p+1)*nvc]
+			for v, n := r.rrInVC[p], 0; n < nvc; n++ {
+				next := v + 1
+				if next == nvc {
+					next = 0
+				}
+				if vc := &vcs[v]; r.saEligible(vc, now) {
 					noms = append(noms, nomination{inPort: p, inVC: v, out: vc.outPort})
-					r.rrInVC[p] = (v + 1) % nvc
+					r.rrInVC[p] = next
 					break
 				}
+				v = next
 			}
 		}
 	}
@@ -566,7 +557,7 @@ func (r *Router) switchAllocateAndTraverse(now uint64) {
 		if r.saCount[op] == 0 {
 			r.saBest[op] = i
 		} else {
-			out := r.outs[op]
+			out := &r.outs[op]
 			// Priority: smallest (inPort - rrIn) mod Inputs wins.
 			cur := noms[r.saBest[op]]
 			curKey := ((cur.inPort - out.rrIn) + r.cfg.Inputs) % r.cfg.Inputs
@@ -602,7 +593,7 @@ func (r *Router) saEligible(vc *inVC, now uint64) bool {
 	if vc.buf[0].readyAt > now {
 		return false
 	}
-	out := r.outs[vc.outPort]
+	out := &r.outs[vc.outPort]
 	if out.nextFreeAt > now {
 		return false
 	}
@@ -615,16 +606,14 @@ func (r *Router) saEligible(vc *inVC, now uint64) bool {
 
 // traverse moves the head flit of (inPort, inVC) onto its output channel.
 func (r *Router) traverse(inPort, inVC int, now uint64) {
-	vc := r.ins[inPort][inVC]
+	i := inPort*r.cfg.VCs + inVC
+	vc := &r.vcs[i]
 	entry := vc.buf[0]
 	copy(vc.buf, vc.buf[1:])
 	vc.buf = vc.buf[:len(vc.buf)-1]
 	r.bufTotal--
-	if r.portBuf[inPort]--; r.portBuf[inPort] == 0 {
-		r.bufPorts.Remove(inPort)
-	}
 
-	out := r.outs[vc.outPort]
+	out := &r.outs[vc.outPort]
 	f := entry.f
 	f.VC = vc.outVC
 	out.vcs[vc.outVC].credits--
@@ -644,9 +633,13 @@ func (r *Router) traverse(inPort, inVC int, now uint64) {
 	}
 
 	if f.IsTail() {
-		// Release the output VC and the input VC.
+		// Release the output VC and the input VC; a next packet's head
+		// already buffered becomes an RC candidate for the next cycle.
 		out.vcs[vc.outVC].allocated = false
 		vc.stage = vcIdle
+		if len(vc.buf) > 0 {
+			r.rcCand.Add(i)
+		}
 		r.activeVCs--
 		if r.portActive[inPort]--; r.portActive[inPort] == 0 {
 			r.activePorts.Remove(inPort)
@@ -663,28 +656,51 @@ func (r *Router) Quiescent() bool { return r.bufTotal == 0 && r.activeVCs == 0 }
 // and every ActiveSet bit agrees with the state it summarizes; tests
 // call it between Ticks. It returns the first disagreement found.
 func (r *Router) CheckIndex() error {
-	for p := range r.ins {
-		buf, act := 0, 0
-		for _, vc := range r.ins[p] {
+	buf, waiting := 0, 0
+	for p := range r.portActive {
+		act := 0
+		for i := p * r.cfg.VCs; i < (p+1)*r.cfg.VCs; i++ {
+			vc := &r.vcs[i]
 			buf += len(vc.buf)
+			if cand := vc.stage == vcIdle && len(vc.buf) > 0; r.rcCand.Has(i) != cand {
+				return fmt.Errorf("router %q: VC %d (stage %d, %d flits) RC-candidate bit %v, want %v", r.cfg.Name, i, vc.stage, len(vc.buf), r.rcCand.Has(i), cand)
+			}
+			if vc.stage == vcWaitVC {
+				waiting++
+				if !r.vaWait[vc.outPort].Has(i) {
+					return fmt.Errorf("router %q: VC %d waits for output %d but is not in its VA waiters", r.cfg.Name, i, vc.outPort)
+				}
+			}
 			if vc.stage != vcIdle {
 				act++
 			}
-		}
-		if buf != r.portBuf[p] || r.bufPorts.Has(p) != (buf > 0) {
-			return fmt.Errorf("router %q: input %d holds %d flits, portBuf %d, bit %v", r.cfg.Name, p, buf, r.portBuf[p], r.bufPorts.Has(p))
 		}
 		if act != r.portActive[p] || r.activePorts.Has(p) != (act > 0) {
 			return fmt.Errorf("router %q: input %d has %d non-idle VCs, portActive %d, bit %v", r.cfg.Name, p, act, r.portActive[p], r.activePorts.Has(p))
 		}
 	}
-	for o, op := range r.outs {
-		if r.credOuts.Has(o) != (len(op.pendingCredits) > 0) {
-			return fmt.Errorf("router %q: output %d has %d pending credits, bit %v", r.cfg.Name, o, len(op.pendingCredits), r.credOuts.Has(o))
+	if buf != r.bufTotal || waiting != r.vaWaiting {
+		return fmt.Errorf("router %q: %d flits buffered and %d VCs waiting for VA, counters %d and %d", r.cfg.Name, buf, waiting, r.bufTotal, r.vaWaiting)
+	}
+	members := 0
+	for o := range r.outs {
+		n := 0
+		for _, w := range r.vaWait[o] {
+			n += bits.OnesCount64(w)
+		}
+		members += n
+		if r.vaOuts.Has(o) != (n > 0) {
+			return fmt.Errorf("router %q: output %d has %d VA waiters, bit %v", r.cfg.Name, o, n, r.vaOuts.Has(o))
+		}
+		if r.credOuts.Has(o) != (len(r.outs[o].pendingCredits) > 0) {
+			return fmt.Errorf("router %q: output %d has %d pending credits, bit %v", r.cfg.Name, o, len(r.outs[o].pendingCredits), r.credOuts.Has(o))
 		}
 	}
-	if !r.reqOuts.Empty() || !r.nomOuts.Empty() {
-		return fmt.Errorf("router %q: request/nomination scratch sets not emptied", r.cfg.Name)
+	if members != waiting {
+		return fmt.Errorf("router %q: VA waiter sets hold %d VCs, %d are waiting", r.cfg.Name, members, waiting)
+	}
+	if !r.nomOuts.Empty() {
+		return fmt.Errorf("router %q: nomination scratch set not emptied", r.cfg.Name)
 	}
 	return nil
 }
