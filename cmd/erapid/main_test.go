@@ -95,13 +95,23 @@ func TestConfigFileAndFlags(t *testing.T) {
 	}
 
 	runCLI(t, "-dump-config", path("d.json"))
-	def := core.DefaultConfig(core.PB)
-	def.Workers = 1 // the -workers default
-	if err := core.SaveConfig(path("e.json"), def); err != nil {
+	if err := core.SaveConfig(path("e.json"), core.DefaultConfig(core.PB)); err != nil {
 		t.Fatal(err)
 	}
 	if d, e := read("d.json"), read("e.json"); !bytes.Equal(d, e) {
 		t.Errorf("flag-only config changed:\n%s\nvs\n%s", d, e)
+	}
+
+	// A file from before the intra-run worker count was removed still
+	// carries "Workers"; it runs exactly as the file without the key.
+	old := bytes.Replace(read("a.json"), []byte("{"), []byte(`{"Workers":4,`), 1)
+	if err := os.WriteFile(path("w.json"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	short := []string{"-warmup", "500", "-measure", "500"}
+	if a, w := runCLI(t, append([]string{"-config", path("a.json")}, short...)...),
+		runCLI(t, append([]string{"-config", path("w.json")}, short...)...); !bytes.Equal(a, w) {
+		t.Errorf("a config carrying Workers ran differently:\n%s\nvs\n%s", w, a)
 	}
 }
 
@@ -177,11 +187,9 @@ func TestBadInputExit2(t *testing.T) {
 		{[]string{"verify", "-quick", "extra"}, `unexpected argument "extra"`},
 		{[]string{"swep"}, "sweep|compare|tables|verify"},
 		{[]string{"serve"}, "erapid-serve"},
-		{[]string{"-workers", "-1"}, "-workers -1"},
 		{[]string{"compare", "-workers", "-3", "-quick", "-boards", "4", "-nodes", "4", "-scenarios", "headline", "-policies", "paper"}, "-workers -3"},
 		{[]string{"verify", "-workers", "-2", "-quick"}, "-workers -2"},
 		{[]string{"sweep", "-workers", "-1", "-quick", "-boards", "4", "-nodes", "4", "-patterns", "uniform", "-modes", "P-B", "-loads", "0.3"}, "-workers -1"},
-		{[]string{"sweep", "-run-workers", "-1", "-quick", "-boards", "4", "-nodes", "4", "-patterns", "uniform", "-modes", "P-B", "-loads", "0.3"}, "-run-workers -1"},
 		{[]string{"sweep", "-patterns", "uniform,complemnt", "-modes", "P-B,NP-NB", "-loads", "0.3,0.5", "-quick", "-boards", "4", "-nodes", "4"}, `patterns[1]: P-B/complemnt`},
 		{[]string{"sweep", "-loads", "0.3,1.5", "-quick", "-boards", "4", "-nodes", "4", "-patterns", "uniform", "-modes", "P-B"}, `bad load "1.5"`},
 	} {

@@ -168,15 +168,11 @@ func (f *flags) quick(usage string) {
 	}
 }
 
-// runWorkers binds Config.Workers, the intra-run worker threads.
-func (f *flags) runWorkers(name, usage string) { f.count(&f.cfg.Workers, name, 1, usage) }
-
 // run binds the flags of one simulation run and -config.
 func (f *flags) run() {
 	f.topology()
 	f.seed("random seed")
 	f.policy("reconfiguration policy: a name (paper, greedy-off, ewma, oracle-static) or a JSON spec like {\"name\":\"ewma\",\"alpha\":0.2}")
-	f.runWorkers("workers", "intra-run worker threads (board-sharded; any count is bit-identical to 1)")
 	f.convert("mode", "P-B", "network mode: NP-NB, P-NB, NP-B or P-B", func(v string) (err error) {
 		f.cfg.Mode, err = core.ParseMode(v)
 		return err

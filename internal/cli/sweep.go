@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -32,7 +31,6 @@ func sweepCmd(args []string) error {
 	f.seed("random seed")
 	f.policy("reconfiguration policy for every run: a name (paper, greedy-off, ewma, oracle-static) or a JSON spec")
 	f.quick("shorter warm-up/measurement (coarser, ~5x faster)")
-	f.runWorkers("run-workers", "intra-run worker threads per simulation (board-sharded, bit-identical to 1)")
 	f.profile()
 	var (
 		figure   = f.String("figure", "all", "which figure to regenerate: 5, 6 or all")
@@ -44,7 +42,7 @@ func sweepCmd(args []string) error {
 		workers  int
 		progress = f.Duration("progress-interval", 0, "minimum time between progress lines (0 = every point)")
 	)
-	f.count(&workers, "workers", 0, "concurrent simulations (0 = GOMAXPROCS/run-workers)")
+	f.count(&workers, "workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	stop, err := f.parse(args)
 	if err != nil {
 		return err
@@ -62,12 +60,6 @@ func sweepCmd(args []string) error {
 	ls, err := parseLoads(*loads)
 	if err != nil {
 		return usageError{err}
-	}
-	// Budget the two parallelism levels against the machine: each of the
-	// -workers concurrent simulations spins up -run-workers threads, so
-	// the sweep default shrinks to keep the product near the core count.
-	if runWork := f.cfg.Workers; workers == 0 && runWork > 1 {
-		workers = max(runtime.GOMAXPROCS(0)/runWork, 1)
 	}
 	total := len(pats) * len(ms) * len(ls)
 	// done is a telemetry counter: sweep workers finish points

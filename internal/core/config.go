@@ -117,14 +117,6 @@ type Config struct {
 	// unchanged. Any other policy participates in the digest, so the
 	// service cache distinguishes runs by policy.
 	Policy *policy.Spec `json:"Policy,omitempty"`
-
-	// Workers is the intra-run worker count: the cycle loop splits the
-	// boards into that many shards. 0 and 1 select one shard, stepped on
-	// the calling goroutine (the default); larger values run the compute
-	// part of each cycle on up to min(Workers, Boards) cores. Any value
-	// produces bit-identical results: same seed, same Result, same
-	// telemetry stream.
-	Workers int `json:",omitempty"`
 }
 
 // DefaultConfig returns the paper's 64-node operating point for a mode.
@@ -358,9 +350,6 @@ func (c Config) Validate() error {
 	}
 	if !(c.BurstDuty >= 0 && c.BurstDuty <= 1) {
 		add("BurstDuty", "BurstDuty must be in [0,1]")
-	}
-	if c.Workers < 0 {
-		add("Workers", "Workers must be >= 0 (0 or 1 = serial); got %d", c.Workers)
 	}
 	if top != nil {
 		if _, err := traffic.NewGrouped(c.Pattern, top.TotalNodes(), top.NodesPerBoard()); err != nil {

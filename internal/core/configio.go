@@ -113,14 +113,11 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 }
 
 // Digest returns a stable content address for the simulation this
-// configuration describes: the hex SHA-256 of the canonical JSON with
-// execution-only fields (Workers — any worker count is bit-identical)
-// zeroed. Two configs with equal digests produce byte-identical
-// Results; the service layer uses this as its result-cache key.
+// configuration describes: the hex SHA-256 of the canonical JSON. Two
+// configs with equal digests produce byte-identical Results; the
+// service layer uses this as its result-cache key.
 func (c Config) Digest() string {
-	n := c.normalized()
-	n.Workers = 0
-	data, err := json.Marshal(n)
+	data, err := c.CanonicalJSON()
 	if err != nil {
 		// Config marshaling is total over the struct's field types; an
 		// error here means the type itself changed incompatibly.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -158,12 +159,23 @@ func TestConfigDigest(t *testing.T) {
 	if cfg.Digest() != d {
 		t.Fatal("digest not stable across calls")
 	}
-	// Workers is execution-only: any worker count simulates
-	// bit-identically, so it must not change the content address.
-	par := cfg
-	par.Workers = 8
-	if par.Digest() != d {
-		t.Error("Workers changed the digest")
+	// A document from before the intra-run worker count was removed
+	// still carries "Workers": it parses and validates, and it is the
+	// same simulation as the document without the key.
+	fast := fastConfig(PB)
+	doc, err := fast.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := ParseConfig(bytes.Replace(doc, []byte("{"), []byte(`{"Workers":4,`), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oldDoc, err := old.CanonicalJSON(); err != nil || !bytes.Equal(oldDoc, doc) || old.Digest() != fast.Digest() {
+		t.Errorf("a document carrying Workers canonicalizes to %s (%v), want %s", oldDoc, err, doc)
+	}
+	if a, b := mustRun(t, fast), mustRun(t, old); !reflect.DeepEqual(a, b) {
+		t.Errorf("a document carrying Workers ran differently:\n%+v\nvs\n%+v", b, a)
 	}
 	// Anything that changes the simulation changes the digest.
 	for name, mutate := range map[string]func(*Config){
@@ -203,5 +215,24 @@ func TestParseConfigValidation(t *testing.T) {
 	}
 	if _, err := ParseConfig([]byte(`not json`)); err == nil {
 		t.Error("malformed JSON accepted")
+	}
+}
+
+// TestWorkersValidation: Workers, the removed intra-run worker count,
+// is no longer validated. A document carrying it at any value, the once
+// rejected -1 included, parses and validates to the config of the
+// document without it.
+func TestWorkersValidation(t *testing.T) {
+	want, err := ParseConfig([]byte(`{"schema_version":1,"Mode":"NP-B","Load":0.3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []string{"-1", "0", "8"} {
+		got, err := ParseConfig([]byte(`{"schema_version":1,"Mode":"NP-B","Load":0.3,"Workers":` + w + `}`))
+		if err != nil {
+			t.Errorf("Workers=%s: %v", w, err)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("Workers=%s parsed to %+v, want %+v", w, got, want)
+		}
 	}
 }

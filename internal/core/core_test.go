@@ -545,7 +545,6 @@ func TestFlat1024NodeFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.StepN(2 * cfg.Window)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

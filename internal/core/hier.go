@@ -3,8 +3,8 @@
 //
 // The engine decomposes a two-tier system into R+1 independent SRS
 // subsystems, each simulated by the existing cycle engine with all of
-// its machinery (flit slab, active sets, the sharded cycle loop,
-// pooled Reset reuse) intact:
+// its machinery (flit slab, active sets, the cycle loop, pooled Reset
+// reuse) intact:
 //
 //   - R tier-0 rack instances (B boards × D nodes) carry the intra-rack
 //     share of the workload, fIntra = (B·D−1)/(N−1) of a uniform load;
@@ -23,8 +23,8 @@
 // natural next refinement.
 //
 // Determinism: subsystems run sequentially with seeds derived from the
-// run seed by a splitmix64 chain, and each subsystem is bit-identical
-// across worker counts, so the whole hierarchical run is too.
+// run seed by a splitmix64 chain, and each subsystem is deterministic,
+// so the whole hierarchical run is too.
 package core
 
 import (

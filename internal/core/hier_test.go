@@ -25,7 +25,7 @@ func hierTestConfig(racks, boards, nodes int) Config {
 
 // TestSingleTierV2Identity: a v2 document with one tier describes the
 // same simulation as its flat v1 form — bit-identical Result and
-// telemetry stream, across every mode and worker count. This is the
+// telemetry stream, across every mode. This is the
 // schema-migration safety property: wrapping an existing config in a
 // single-entry tiers array changes nothing.
 func TestSingleTierV2Identity(t *testing.T) {
@@ -42,33 +42,30 @@ func TestSingleTierV2Identity(t *testing.T) {
 		return res, tel.Recorder().Events()
 	}
 	for _, mode := range Modes() {
-		for _, workers := range []int{1, 2, 8} {
-			flat := DefaultConfig(mode)
-			flat.Boards = 4
-			flat.NodesPerBoard = 2
-			flat.Load = 0.4
-			flat.Window = 500
-			flat.WarmupCycles = 1000
-			flat.MeasureCycles = 1000
-			flat.Workers = workers
+		flat := DefaultConfig(mode)
+		flat.Boards = 4
+		flat.NodesPerBoard = 2
+		flat.Load = 0.4
+		flat.Window = 500
+		flat.WarmupCycles = 1000
+		flat.MeasureCycles = 1000
 
-			v2 := flat
-			v2.Boards = 0
-			v2.NodesPerBoard = 0
-			v2.Tiers = []TierSpec{{Boards: 4, NodesPerBoard: 2}}
+		v2 := flat
+		v2.Boards = 0
+		v2.NodesPerBoard = 0
+		v2.Tiers = []TierSpec{{Boards: 4, NodesPerBoard: 2}}
 
-			if got, want := v2.Digest(), flat.Digest(); got != want {
-				t.Fatalf("%s/w%d: single-tier v2 digest %s != flat digest %s", mode, workers, got, want)
-			}
-			resFlat, evFlat := runOnce(flat)
-			resV2, evV2 := runOnce(v2)
-			if !reflect.DeepEqual(resFlat, resV2) {
-				t.Errorf("%s/w%d: single-tier v2 result differs from flat:\nflat: %+v\nv2:   %+v", mode, workers, resFlat, resV2)
-			}
-			if !reflect.DeepEqual(evFlat, evV2) {
-				t.Errorf("%s/w%d: single-tier v2 telemetry stream differs from flat (%d vs %d events)",
-					mode, workers, len(evFlat), len(evV2))
-			}
+		if got, want := v2.Digest(), flat.Digest(); got != want {
+			t.Fatalf("%s: single-tier v2 digest %s != flat digest %s", mode, got, want)
+		}
+		resFlat, evFlat := runOnce(flat)
+		resV2, evV2 := runOnce(v2)
+		if !reflect.DeepEqual(resFlat, resV2) {
+			t.Errorf("%s: single-tier v2 result differs from flat:\nflat: %+v\nv2:   %+v", mode, resFlat, resV2)
+		}
+		if !reflect.DeepEqual(evFlat, evV2) {
+			t.Errorf("%s: single-tier v2 telemetry stream differs from flat (%d vs %d events)",
+				mode, len(evFlat), len(evV2))
 		}
 	}
 }
@@ -124,7 +121,6 @@ func TestHierSmoke16x8x8(t *testing.T) {
 	}
 	t.Parallel()
 	cfg := hierTestConfig(16, 8, 8)
-	cfg.Workers = 8
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -190,34 +186,6 @@ func approxEqual(a, b float64) bool {
 		s = b
 	}
 	return d <= 1e-9*s
-}
-
-// TestHierDeterminismWorkers: the 1k-node hierarchical run is
-// bit-identical across intra-run worker counts, like the flat engine.
-func TestHierDeterminismWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1k-node hierarchical run")
-	}
-	t.Parallel()
-	cfg := hierTestConfig(16, 8, 8)
-	cfg.WarmupCycles = 1000
-	cfg.MeasureCycles = 1000
-
-	cfg.Workers = 1
-	r1, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("workers=1: %v", err)
-	}
-	cfg.Workers = 8
-	r8, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("workers=8: %v", err)
-	}
-	// Workers is an execution knob: mask it out of the comparison the
-	// same way Digest does.
-	if !reflect.DeepEqual(r1, r8) {
-		t.Errorf("hierarchical run not bit-identical across workers:\nw1: %+v\nw8: %+v", r1, r8)
-	}
 }
 
 // TestHierRunnerReuse: consecutive hierarchical jobs through one

@@ -27,16 +27,15 @@ func policyParams(cfg Config, cc ctrl.Config, ladder *power.Ladder, board int, s
 }
 
 // oracleProfile runs the oracle-static profiling pre-pass: the same
-// topology, traffic, seed and reconfiguration windows, but serial,
-// healthy (faults stripped — the oracle plans for the intended
-// workload, not a particular failure trace), and under hold-everything
-// Profiler policies that accumulate per-laser demand and per-channel
-// occupancy over warm-up plus measurement. The averaged statistics
+// topology, traffic, seed and reconfiguration windows, but healthy
+// (faults stripped — the oracle plans for the intended workload, not a
+// particular failure trace), and under hold-everything Profiler
+// policies that accumulate per-laser demand and per-channel occupancy
+// over warm-up plus measurement. The averaged statistics
 // become the Profile the oracle plans its fixed allocation from.
 func oracleProfile(cfg Config, ladder *power.Ladder) (*policy.Profile, error) {
 	pcfg := cfg
 	pcfg.Faults = nil
-	pcfg.Workers = 0
 	pcfg.Policy = nil
 	cc := pcfg.ctrlConfig()
 	profilers := make([]*policy.Profiler, cfg.Boards)

@@ -24,7 +24,7 @@ import (
 // fields are exactly those baked into retained slabs at construction:
 // the topology, the electrical router shape, the packet format and the
 // optical fabric parameters. Everything else — mode, policy, window,
-// workload, seed, faults, measurement spans, workers — is per-run
+// workload, seed, faults, measurement spans — is per-run
 // state that Reset rebuilds.
 func resetIncompat(old, cfg Config) string {
 	switch {
@@ -44,7 +44,7 @@ func resetIncompat(old, cfg Config) string {
 // ResetCompatible reports whether cfg can be applied to this system by
 // Reset: the topology and every slab-shaping parameter must match the
 // system's current configuration. Mode, policy, window, workload,
-// seed, faults, measurement spans and worker count may all differ.
+// seed, faults and measurement spans may all differ.
 func (s *System) ResetCompatible(cfg Config) bool {
 	return resetIncompat(s.cfg, cfg) == ""
 }
@@ -68,11 +68,9 @@ func (s *System) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	// Tear down live execution state. The old worker pool is closed (a
-	// completed run's teardown already did; Close is idempotent), the old
-	// RCs' pending callbacks go with the engine's event queue (no RC owns a
-	// goroutine), and the engine and fabric rewind in place.
-	s.par.pool.Close()
+	// Tear down live execution state: the old RCs' pending callbacks go
+	// with the engine's event queue (no RC owns a goroutine), and the
+	// engine and fabric rewind in place.
 	s.eng.Reset()
 	s.fab.Reset()
 	// Clear per-run accounting and attachments, then rewind the electrical

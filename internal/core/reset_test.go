@@ -1,6 +1,13 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/policy"
+	"repro/internal/telemetry"
+	"repro/internal/traffic"
+)
 
 // TestResetIncompatible pins the structural-compatibility boundary:
 // slab-shaping fields reject, per-run fields accept.
@@ -10,7 +17,6 @@ func TestResetIncompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	reject := []struct {
 		label  string
 		mutate func(*Config)
@@ -36,12 +42,77 @@ func TestResetIncompatible(t *testing.T) {
 	accept.Mode = NPNB
 	accept.Window = cfg.Window * 2
 	accept.Seed = 42
-	accept.Workers = 2
 	if !s.ResetCompatible(accept) {
 		t.Error("per-run field changes reported incompatible")
 	}
 	if err := s.Reset(accept); err != nil {
 		t.Errorf("per-run field changes rejected: %v", err)
 	}
-	s.Close()
+}
+
+// The two tests below are named for the speculative draw pipeline whose
+// discard paths their scenarios were built to attack. Each now runs its
+// scenario on a System Reset from a completed run of the plain fast
+// config, which must reproduce the fresh run byte for byte.
+
+// TestSpeculationDiscardPolicyFlip: greedy-off with OffMax=1 shuts down
+// every momentarily idle laser at each DPM decision point, so level
+// moves land mid-window throughout the run.
+func TestSpeculationDiscardPolicyFlip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full runs")
+	}
+	cfg := fastConfig(PB)
+	cfg.Pattern, cfg.Load, cfg.Seed = traffic.Complement, 0.4, 99
+	cfg.Policy = &policy.Spec{Name: "greedy-off", OffMax: 1}
+	run := cell{cfg: cfg}
+	refRes, refEvs := run.replay(t)
+	flips := 0
+	for _, ev := range refEvs {
+		if ev.Kind == telemetry.LaserLevel {
+			flips++
+		}
+	}
+	if flips == 0 {
+		t.Fatal("greedy-off/OffMax=1 flipped no laser levels; scenario no longer adversarial")
+	}
+	res, evs := run.replayAfter(t, fastConfig(PB))
+	if d := divergence(refRes, refEvs, res, evs); d != "" {
+		t.Errorf("greedy-off after Reset vs fresh: %s", d)
+	}
+}
+
+// TestSpeculationDiscardFaultMidWindow: laser faults strike at cycles
+// that are not window boundaries, and the run must deliver, drop and
+// account every packet as the fresh run does.
+func TestSpeculationDiscardFaultMidWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full runs")
+	}
+	cfg := fastConfig(PB)
+	cfg.Faults = &fault.Spec{
+		Seed: 5,
+		Events: []fault.Event{
+			{At: 3737, Kind: fault.KindLaserKill, Board: 2, Wavelength: 1, Dest: 0},
+			{At: 4444, Kind: fault.KindLaserDegrade, Board: 0, Wavelength: 3, Dest: 2, Duration: 300},
+		},
+	}
+	run := cell{cfg: cfg}
+	refRes, refEvs := run.replay(t)
+	if refRes.Faults.LaserKills == 0 {
+		t.Fatal("mid-window laser kill never applied; scenario no longer adversarial")
+	}
+	res, evs := run.replayAfter(t, fastConfig(PB))
+	if d := divergence(refRes, refEvs, res, evs); d != "" {
+		t.Errorf("mid-window faults after Reset vs fresh: %s", d)
+	}
+}
+
+// replayAfter runs c as replay does, but on a System Reset from a
+// completed run of prev.
+func (c cell) replayAfter(t *testing.T, prev Config) (*Result, eventLog) {
+	t.Helper()
+	var log eventLog
+	res, _ := c.run(t, resetAfterRun(t, prev, c.config()), &log)
+	return res, log
 }

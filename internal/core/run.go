@@ -38,10 +38,9 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	var now uint64
 	var cancelled error
 	for {
-		// Step in epochs that run to the next reconfiguration-window
-		// boundary (or the cycle limit): one pool dispatch per epoch
-		// instead of per cycle. The loop checks measurement Done after
-		// each cycle, so every worker count stops on the same cycle.
+		// Step in batches that run to the next reconfiguration-window
+		// boundary (or the cycle limit); StepN checks measurement Done
+		// after each cycle.
 		n := window - s.nextCycle%window
 		if rem := limit + 1 - s.nextCycle; rem < n {
 			n = rem
@@ -65,7 +64,6 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		}
 	}
 	res := s.result(now, truncated)
-	s.Close() // release the worker pool: the run is complete
 	if cancelled != nil {
 		return res, &CancelledError{Window: (now + 1) / window, Cycle: now + 1, Cause: cancelled}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -13,23 +12,50 @@ import (
 // This file pins the StepN stepping contract at its edges: the no-op
 // batch, batches that cross measurement-phase and run-limit
 // boundaries, batch-size invariance (including idle stretches split at
-// batch seams), and stepping past Done. Every case runs at one shard
-// and at several, which must agree exactly.
+// batch seams), stepping past Done, and Close between batches.
+
+// subtests names the System a case runs on, by the names the cases had
+// when the second ran on two workers: workers=1 is fresh, workers=2 is
+// Reset from a completed run.
+var subtests = []struct {
+	name  string
+	reset bool
+}{{"workers=1", false}, {"workers=2", true}}
+
+// newSubtestSystem makes a System for cfg as the subtest says.
+func newSubtestSystem(t *testing.T, cfg Config, reset bool) *System {
+	t.Helper()
+	if reset {
+		return resetAfterRun(t, cfg, cfg)
+	}
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// resetAfterRun returns a System that completed a run of prev and was
+// then Reset to cfg.
+func resetAfterRun(t *testing.T, prev, cfg Config) *System {
+	t.Helper()
+	s, err := NewSystem(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if err := s.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // TestStepNZero pins the no-op batch: StepN(0) returns the last
-// simulated cycle and advances nothing — no cycle, no injector draw,
-// no pool dispatch.
+// simulated cycle and advances nothing — no cycle, no injector draw.
 func TestStepNZero(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := fastConfig(PB)
-			cfg.Workers = workers
-			s, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+	for _, st := range subtests {
+		t.Run(st.name, func(t *testing.T) {
+			s := newSubtestSystem(t, fastConfig(PB), st.reset)
 			if got := s.StepN(5); got != 4 {
 				t.Fatalf("StepN(5) from cold = %d, want 4 (cycles 0..4)", got)
 			}
@@ -49,58 +75,48 @@ func TestStepNZero(t *testing.T) {
 }
 
 // TestStepNStopsAtDone checks that a batch far larger than the run
-// stops early when the measurement reaches Done — and that one shard
-// and four stop on the identical cycle.
+// stops early when the measurement reaches Done, on the cycle Run
+// stops on.
 func TestStepNStopsAtDone(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full runs at two worker counts")
+		t.Skip("two full runs")
 	}
 	cfg := fastConfig(PB)
 	const huge = 10_000_000
-	stopAt := make(map[int]uint64)
-	for _, workers := range []int{1, 4} {
-		wcfg := cfg
-		wcfg.Workers = workers
-		s, err := NewSystem(wcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last := s.StepN(huge)
-		s.Close()
-		if s.Measurement().Phase() != stats.Done {
-			t.Fatalf("workers=%d: StepN(%d) returned at cycle %d in phase %v, want Done",
-				workers, huge, last, s.Measurement().Phase())
-		}
-		if last >= huge-1 {
-			t.Fatalf("workers=%d: StepN(%d) consumed the whole batch (cycle %d) instead of stopping at Done",
-				workers, huge, last)
-		}
-		if got := s.Cycle(); got != last {
-			t.Errorf("workers=%d: StepN returned %d but Cycle() = %d", workers, last, got)
-		}
-		stopAt[workers] = last
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stopAt[1] != stopAt[4] {
-		t.Errorf("one shard stopped at cycle %d, four at %d; shard counts must agree", stopAt[1], stopAt[4])
+	last := s.StepN(huge)
+	if s.Measurement().Phase() != stats.Done {
+		t.Fatalf("StepN(%d) returned at cycle %d in phase %v, want Done", huge, last, s.Measurement().Phase())
+	}
+	if last >= huge-1 {
+		t.Fatalf("StepN(%d) consumed the whole batch (cycle %d) instead of stopping at Done", huge, last)
+	}
+	if got := s.Cycle(); got != last {
+		t.Errorf("StepN returned %d but Cycle() = %d", last, got)
+	}
+	if r := mustRun(t, cfg); r.Cycles != last {
+		t.Errorf("StepN stopped at cycle %d, Run at cycle %d", last, r.Cycles)
 	}
 }
 
 // TestStepNChunkInvariance drives identical runs with one giant batch,
-// window-sized batches, and odd 97-cycle batches, at two shard counts. The
-// telemetry stream and the final state must be bit-identical in
-// all cases: batch seams must not perturb the simulation, including
-// where they fall inside an idle stretch with nothing in flight, and
-// where a single batch crosses the warmup/measure/drain boundaries that
-// per-window stepping hits exactly. The low injection rate keeps the
-// system idle for most of the run, so many seams land in such stretches.
+// window-sized batches, and odd 97-cycle batches. The telemetry stream
+// and the final state must be bit-identical in all cases: batch seams
+// must not perturb the simulation, including where they fall inside an
+// idle stretch with nothing in flight, and where a single batch crosses
+// the warmup/measure/drain boundaries that per-window stepping hits
+// exactly. The low injection rate keeps the system idle for most of the
+// run, so many seams land in such stretches.
 func TestStepNChunkInvariance(t *testing.T) {
 	if testing.Short() {
-		t.Skip("six full runs")
+		t.Skip("three full runs")
 	}
-	drive := func(workers int, chunk uint64) (*Result, eventLog) {
+	drive := func(chunk uint64) (*Result, eventLog) {
 		cfg := fastConfig(PB)
 		cfg.InjectionRate = 0.002
-		cfg.Workers = workers
 		s, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -111,23 +127,74 @@ func TestStepNChunkInvariance(t *testing.T) {
 		for s.Measurement().Phase() != stats.Done && s.Cycle() < limit {
 			s.StepN(chunk)
 		}
-		s.Close()
 		return s.result(s.Cycle(), false), log
 	}
-	refRes, refLog := drive(1, 10_000_000)
+	refRes, refLog := drive(10_000_000)
 	if len(refLog) == 0 {
 		t.Fatal("reference run emitted no telemetry")
 	}
-	for _, workers := range []int{1, 4} {
-		for _, chunk := range []uint64{97, 500, 10_000_000} {
-			if workers == 1 && chunk == 10_000_000 {
-				continue // the reference itself
+	for _, chunk := range []uint64{97, 500} {
+		res, log := drive(chunk)
+		if d := divergence(refRes, refLog, res, log); d != "" {
+			t.Errorf("chunk=%d vs reference: %s", chunk, d)
+		}
+	}
+}
+
+// TestSetInjectionRateDiscardsStagedDraws changes the injection rate
+// between StepN batches, mid-window both times: the draws of the next
+// cycle must use the new rate whatever the batch shape, so the batched
+// run and one stepped a cycle at a time emit the same telemetry stream
+// and end in the same state, and each rate shows in the injections of
+// its stretch.
+func TestSetInjectionRateDiscardsStagedDraws(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full step-driven runs")
+	}
+	drive := func(batched bool) (*Result, eventLog) {
+		cfg := fastConfig(PB)
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log eventLog
+		s.AttachSink(&log)
+		steps := func(n uint64) {
+			if batched {
+				s.StepN(n)
+				return
 			}
-			res, log := drive(workers, chunk)
-			if d := divergence(refRes, refLog, res, log); d != "" {
-				t.Errorf("workers=%d chunk=%d vs reference: %s", workers, chunk, d)
+			for range n {
+				s.Step()
 			}
 		}
+		steps(1234) // mid-window
+		s.SetInjectionRate(0.09)
+		steps(777)
+		s.SetInjectionRate(0.004)
+		limit := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainLimitCycles
+		for s.Measurement().Phase() != stats.Done && s.Cycle() < limit {
+			s.Step()
+		}
+		return s.result(s.Cycle(), false), log
+	}
+	refRes, refLog := drive(true)
+	var high, low int // injections in [1234, 2011) and [2011, 2788)
+	for _, ev := range refLog {
+		if ev.Kind == telemetry.PacketInject && ev.Cycle >= 1234 && ev.Cycle < 2788 {
+			if ev.Cycle < 2011 {
+				high++
+			} else {
+				low++
+			}
+		}
+	}
+	if high < 10*low {
+		t.Fatalf("%d injections at rate 0.09, %d at 0.004 over as many cycles: a rate change did not take effect", high, low)
+	}
+	res, log := drive(false)
+	if d := divergence(refRes, refLog, res, log); d != "" {
+		t.Errorf("stepped a cycle at a time vs in batches: %s", d)
 	}
 }
 
@@ -137,16 +204,10 @@ func TestStepNChunkInvariance(t *testing.T) {
 // panicking or breaking packet conservation, so custom drivers may
 // overrun the schedule harmlessly.
 func TestStepPastDone(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, st := range subtests {
+		t.Run(st.name, func(t *testing.T) {
 			cfg := fastConfig(PB)
-			cfg.Workers = workers
-			s, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+			s := newSubtestSystem(t, cfg, st.reset)
 			limit := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainLimitCycles
 			for s.Measurement().Phase() != stats.Done && s.Cycle() < limit {
 				s.StepN(cfg.Window)
@@ -174,19 +235,42 @@ func TestStepPastDone(t *testing.T) {
 // TestNewSystemReadyToStep: a constructed system is running — stepping
 // it through two windows runs the LS protocol with no further set-up.
 func TestNewSystemReadyToStep(t *testing.T) {
-	for _, workers := range []int{1, 2} {
+	cfg := fastConfig(PB)
+	cfg.Pattern = "complement"
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StepN(2*cfg.Window + 1)
+	if got := s.Controllers().Counters(); got.Windows != 2*uint64(cfg.Boards) || got.BandwidthCyles == 0 {
+		t.Errorf("after two windows ctrl counters = %+v", got)
+	}
+}
+
+// TestCloseMidRunSteps pins that Close is a no-op: a run that is
+// stepped, closed and stepped on is bit-identical to the same steps
+// uninterrupted — Result and event stream.
+func TestCloseMidRunSteps(t *testing.T) {
+	drive := func(close bool) (*Result, eventLog) {
 		cfg := fastConfig(PB)
-		cfg.Pattern = "complement"
-		cfg.Workers = workers
+		cfg.Boards, cfg.NodesPerBoard = 8, 8
 		s, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.StepN(2*cfg.Window + 1)
-		s.Close()
-		if got := s.Controllers().Counters(); got.Windows != 2*uint64(cfg.Boards) || got.BandwidthCyles == 0 {
-			t.Errorf("workers=%d: after two windows ctrl counters = %+v", workers, got)
+		var log eventLog
+		s.AttachSink(&log)
+		s.StepN(300)
+		if close {
+			s.Close()
 		}
+		now := s.StepN(2000)
+		return s.result(now, false), log
+	}
+	refRes, refLog := drive(false)
+	res, log := drive(true)
+	if d := divergence(refRes, refLog, res, log); d != "" {
+		t.Errorf("closed mid-run vs uninterrupted: %s", d)
 	}
 }
 
@@ -211,12 +295,12 @@ func TestPhaseEventAtCycleZero(t *testing.T) {
 	}
 }
 
-// TestSerialSystemOwnsNoGoroutines: a Workers <= 1 system starts no
-// goroutine at any point of its life, so one that is stepped by hand and
-// dropped leaks nothing; a parallel system's pool is gone after Close.
+// TestSerialSystemOwnsNoGoroutines: a system starts no goroutine at
+// any point of its life, so one that is stepped by hand and dropped
+// leaks nothing.
 func TestSerialSystemOwnsNoGoroutines(t *testing.T) {
-	// Closed pools' workers (earlier tests', and this test's own at
-	// workers=2) need a moment to exit: let the baseline settle first.
+	// Goroutines of earlier tests may still be exiting: let the baseline
+	// settle first.
 	base := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		time.Sleep(time.Millisecond)
@@ -231,28 +315,18 @@ func TestSerialSystemOwnsNoGoroutines(t *testing.T) {
 			t.Fatalf("%s: %d goroutines, want <= %d", when, n, base)
 		}
 	}
-	for _, workers := range []int{0, 1, 2} {
-		cfg := fastConfig(PB)
-		cfg.Workers = workers
-		s, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial := func(when string) {
-			if workers <= 1 {
-				check(fmt.Sprintf("workers=%d %s", workers, when))
-			}
-		}
-		s.StepN(3 * cfg.Window)
-		serial("after 3 windows")
-		s.Run()
-		serial("after Run")
-		if err := s.Reset(cfg); err != nil {
-			t.Fatal(err)
-		}
-		s.StepN(cfg.Window)
-		serial("after Reset + 1 window")
-		s.Close()
-		check(fmt.Sprintf("workers=%d after Close", workers))
+	cfg := fastConfig(PB)
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	s.StepN(3 * cfg.Window)
+	check("after 3 windows")
+	s.Run()
+	check("after Run")
+	if err := s.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	s.StepN(cfg.Window)
+	check("after Reset + 1 window")
 }

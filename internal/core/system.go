@@ -37,10 +37,6 @@ type System struct {
 	nics      []*link.PacketSource // indexed by global node id
 	nextPkt   flit.PacketID
 
-	// par is the cycle loop's state: the worker pool, the board shards
-	// and, with more than one shard, the per-board outboxes.
-	par *parState
-
 	// freePkts recycles delivered packets (and their flit slabs) so the
 	// steady-state injection path allocates nothing.
 	freePkts []*flit.Packet
@@ -83,15 +79,13 @@ type board struct {
 	// rxSources re-inject optically received packets into the IBI, one per
 	// wavelength.
 	rxSources []*link.PacketSource // index w-1
-	// nicSet and rxSet index nics and rxSources by HasWork. They are
-	// allocated per board: during a compute part only the board's own
-	// worker touches them (NIC.Tick, rx.Tick, and the credits its IBI
-	// returns), so no two workers ever write one word; Enqueue happens in
-	// the serial head (admission, DeliverDue).
+	// nicSet and rxSet index nics and rxSources by HasWork: Enqueue
+	// (admission, DeliverDue) raises a bit, and a source that runs out of
+	// work clears its own.
 	nicSet, rxSet router.ActiveSet
 	rrW           int // tie-break rotation for route choices
 	// routeWS is the board's reusable route-choice wavelength scratch
-	// buffer; per board so concurrent IBI ticks never share it.
+	// buffer.
 	routeWS []int
 }
 
@@ -145,11 +139,10 @@ func newSystem(cfg Config, newPol func(board int) policy.Policy) (*System, error
 
 // initRun builds the per-run state of a freshly allocated or rewound
 // system: the LS controllers (the policy may differ run to run; a
-// config selecting oracle-static first runs a serial, healthy profiling
-// pre-pass on the same seed and traffic, which is deterministic, so the
-// main run stays bit-identical across worker counts), the measurement,
-// the fault injector, the traffic injectors, and the cycle loop's pool
-// and shards. It is the only place any of these is created.
+// config selecting oracle-static first runs a healthy profiling pre-pass
+// on the same seed and traffic, which is deterministic), the
+// measurement, the fault injector and the traffic injectors. It is the
+// only place any of these is created.
 func (s *System) initRun(cfg Config, newPol func(board int) policy.Policy) error {
 	cc := cfg.ctrlConfig()
 	if newPol != nil {
@@ -188,7 +181,6 @@ func (s *System) initRun(cfg Config, newPol func(board int) policy.Policy) error
 	if err := s.buildInjectors(); err != nil {
 		return err
 	}
-	s.newCycleLoop(cfg.Workers)
 	return nil
 }
 
@@ -224,17 +216,7 @@ func (s *System) assemble() {
 			nic.OnDequeue = func(p *flit.Packet, now uint64) {
 				p.NetworkAt = now
 				if s.tel != nil {
-					if obs := s.par.outboxes; obs != nil {
-						// Sharded compute part: record just the packet ID in the
-						// source board's outbox (cycle and board are implied by
-						// the commit point and the outbox index); the commit
-						// drains boards in ascending order, which reproduces the
-						// one-shard all-NICs node-order stream.
-						ob := &obs[p.SrcBoard]
-						ob.netEnter = append(ob.netEnter, uint64(p.ID))
-					} else {
-						s.tel.Emit(telemetry.Event{Cycle: now, Kind: telemetry.PacketNetEnter, Packet: uint64(p.ID), Board: p.SrcBoard, Wavelength: -1, Dest: -1})
-					}
+					s.tel.Emit(telemetry.Event{Cycle: now, Kind: telemetry.PacketNetEnter, Packet: uint64(p.ID), Board: p.SrcBoard, Wavelength: -1, Dest: -1})
 				}
 			}
 			nic.TrackIn(bd.nicSet, n)
@@ -349,24 +331,9 @@ func (s *System) routeFunc(bd *board) router.RouteFunc {
 	}
 }
 
-// onDeliver is the ejection callback. During a sharded compute part it
-// only buffers the delivery in the destination board's outbox (the
-// shared measurement, stats and telemetry state it feeds is
-// order-sensitive); the commit replays the outboxes through deliverNow
-// in ascending board order, which is exactly the order one shard's
-// per-board IBI ticks produce deliveries in.
+// onDeliver is the ejection callback: it stamps a delivered packet and
+// feeds the measurement.
 func (s *System) onDeliver(p *flit.Packet, now uint64) {
-	if obs := s.par.outboxes; obs != nil {
-		ob := &obs[p.DstBoard]
-		ob.delivered = append(ob.delivered, pendingDeliver{p: p, at: now})
-		return
-	}
-	s.deliverNow(p, now)
-}
-
-// deliverNow stamps a delivered packet and feeds the measurement; it
-// never runs concurrently with another worker.
-func (s *System) deliverNow(p *flit.Packet, now uint64) {
 	p.ReceivedAt = now
 	s.delivered++
 	if s.meas.Phase() == stats.Measure {
@@ -404,7 +371,7 @@ func (s *System) onFaultDrop(p *flit.Packet, now uint64) {
 
 // injectAll steps every node's injection process for one cycle and
 // admits each packet drawn, in global node order: packet IDs, labeling,
-// pool recycling and the inject event all happen here, in the serial
+// pool recycling and the inject event all happen here, in the cycle's
 // head.
 func (s *System) injectAll(now uint64) {
 	for n, inj := range s.injectors {
@@ -442,7 +409,7 @@ func (s *System) injectOne(n, dst int, now uint64) {
 	s.nics[n].Enqueue(p)
 }
 
-// stepHead opens the serial head of a cycle: control-plane engine
+// stepHead opens the head of a cycle: control-plane engine
 // events, due optical deliveries, fault strikes, measurement phase
 // advance and the metering switch.
 func (s *System) stepHead(now uint64) {
@@ -491,6 +458,29 @@ func (bd *board) tickRxIBI(now uint64) {
 	}
 }
 
+// step simulates cycle now on the calling goroutine: the head
+// (stepHead, then packet admission in global node order), every board's
+// NICs, every board's receive sources and IBI router, the fabric's
+// transmitters and lasers (TickBoards), and last the telemetry observer.
+// Only components with work are visited, in the order an exhaustive
+// scan would visit them (the Tick of a component with no work is a
+// no-op, so skipping it changes nothing).
+func (s *System) step(now uint64) {
+	s.stepHead(now)
+	s.injectAll(now)
+	for _, bd := range s.boards {
+		tickSources(bd.nicSet, bd.nics, now)
+	}
+	for _, bd := range s.boards {
+		bd.tickRxIBI(now)
+	}
+	s.fab.TickBoards(now)
+	if s.telemetry != nil {
+		s.telemetry.observe(now)
+	}
+	s.cycle = now
+}
+
 // AttachSink adds a telemetry sink to the unified event pipeline:
 // packet lifecycle (inject, net-enter, laser enqueue/transmit, optical
 // arrive, deliver), DBR reassignments, DPM level transitions, LS stage
@@ -527,28 +517,32 @@ func (s *System) SetInjectionRate(rate float64) {
 
 // Step advances the whole system by exactly one cycle and returns the
 // cycle just simulated. It is the building block for custom drivers
-// (e.g. the design-space time-series example); Run steps in
-// window-sized batches instead, amortizing the pool dispatch.
+// (e.g. the design-space time-series example).
 func (s *System) Step() uint64 { return s.StepN(1) }
 
 // StepN advances the system up to n cycles (stopping early if the
-// measurement reaches Done) and returns the last cycle simulated. The
-// whole batch is one pool epoch — one worker dispatch for all n cycles
-// — which is how Run steps between window boundaries; custom drivers
-// that don't need per-cycle control should prefer it over calling Step
-// n times.
+// measurement reaches Done) and returns the last cycle simulated. It
+// always simulates at least one cycle when n > 0, so a driver may step
+// past Done one cycle per call. Run steps in window-sized batches.
 func (s *System) StepN(n uint64) uint64 {
 	if n == 0 {
 		return s.cycle
 	}
-	par := s.par
-	par.now = s.nextCycle
-	par.end = s.nextCycle + n
-	par.stop = false
-	par.pool.Epoch(par.body)
-	s.nextCycle = par.now
-	return par.now - 1
+	end := s.nextCycle + n
+	for {
+		now := s.nextCycle
+		s.step(now)
+		s.nextCycle = now + 1
+		if s.nextCycle >= end || s.meas.Phase() == stats.Done {
+			return now
+		}
+	}
 }
+
+// Close is a no-op, kept so drivers written against the earlier
+// multi-threaded engine still compile: a System owns no goroutine or
+// other resource that needs releasing.
+func (s *System) Close() {}
 
 // Cycle returns the last simulated cycle.
 func (s *System) Cycle() uint64 { return s.cycle }

@@ -88,19 +88,12 @@ func (c Config) normalize() Config {
 
 // Channel is one incoming wavelength at one destination board: the fiber
 // segment from the couplers into receiver (d, w).
-//
-// Channels of one destination live in a contiguous slab, but adjacent
-// channels are driven — and their busyUntil written, from the compute
-// phase — by different holder boards, i.e. different workers; the pad
-// rounds the struct to a full cache line so those writes never share
-// one.
 type Channel struct {
 	d, w      int
 	holder    int
 	busyUntil uint64
 	// deliveries counts packets received on this channel.
 	deliveries uint64
-	_          [64 - 5*8]byte
 }
 
 // Holder returns the board currently driving the channel.
@@ -237,7 +230,7 @@ func (l *Laser) SetLevel(level int, now, relockCycles uint64) {
 	if l.fab != nil {
 		l.fab.refreshIdle(l)
 		if l.fab.sink != nil {
-			l.fab.emit(l.s, evOp{kind: telemetry.LaserLevel, w: int32(l.w), d: int32(l.d), from: int32(from), to: int32(level)}, now)
+			l.fab.sink.Emit(telemetry.Event{Cycle: now, Kind: telemetry.LaserLevel, Board: l.s, Wavelength: l.w, Dest: l.d, From: from, To: level})
 		}
 	}
 }
@@ -265,13 +258,11 @@ type Fabric struct {
 	deliver [][]DeliverFunc // [d][w]
 
 	// shards holds the per-board mutable tick state (active and
-	// deferred-deactivation lists), one padded struct per board so the
-	// slice headers two workers rewrite every cycle never share a cache
-	// line. shards[s].active holds, in canonical (w, d) order, every
-	// laser of board s with queued packets or an in-flight
-	// serialization. Only these are ticked. Iterating boards in
-	// ascending order visits lasers in exactly the canonical (s, w, d)
-	// order the exhaustive scan used.
+	// deferred-deactivation lists), one struct per board.
+	// shards[s].active holds, in canonical (w, d) order, every laser of
+	// board s with queued packets or an in-flight serialization. Only
+	// these are ticked. Iterating boards in ascending order visits lasers
+	// in exactly the canonical (s, w, d) order the exhaustive scan used.
 	shards []boardShard
 	// idleLitMW is the summed supply power of lit, operating lasers that
 	// are NOT on the active list; it is added to the meter in one call per
@@ -282,11 +273,6 @@ type Fabric struct {
 	// optical transmissions awaiting delivery; DeliverDue drains it.
 	delHeap []delivery
 	delSeq  uint64
-
-	// par holds the deferred side-effect logs for sharded board ticking;
-	// nil when one caller ticks every board (the direct path pays one nil
-	// check per deferral point).
-	par *fabPar
 
 	meter        *power.Meter
 	meterEnabled bool
@@ -310,15 +296,13 @@ type Fabric struct {
 // boardShard is one board's per-tick mutable list state: the active
 // lasers and the lasers leaving the active list within a Tick (their
 // idle-aggregate refresh is deferred past the cycle's idle-power
-// sample). The pad keeps adjacent boards' slice headers — rewritten by
-// different workers every cycle under parallel stepping — on disjoint
-// cache lines.
+// sample).
 type boardShard struct {
 	active []*Laser
 	deact  []*Laser
 	// txFlits counts flits buffered across this board's transmitter
-	// reassembly buffers, maintained by the shard's owner so Quiescent
-	// needs no O(B²) transmitter scan.
+	// reassembly buffers, maintained as flits arrive and leave so
+	// Quiescent needs no O(B²) transmitter scan.
 	txFlits int
 	// txPending has bit w-1 up exactly while transmitter w holds flits
 	// (Transmitter.pending > 0); tickBoardTx walks it.
@@ -332,7 +316,6 @@ type boardShard struct {
 	// materialised mid-window accounts its statistics from here, as it
 	// would have had it existed all along.
 	winFrom uint64
-	_       [128 - 4*24 - 3*8]byte
 }
 
 // slot returns the board's i-th laser slot (chunks are of equal length).
@@ -399,7 +382,7 @@ func NewFabric(top *topology.Topology, _ *sim.Engine, cfg Config) (*Fabric, erro
 	f.materialiseStatic()
 	for s := 0; s < b; s++ {
 		// Per-board transmitter slabs: a board's b-1 transmitters are
-		// walked together by the board's worker every cycle.
+		// walked together every cycle.
 		txSlab := make([]Transmitter, b-1)
 		for w := 1; w < b; w++ {
 			tx := &txSlab[w-1]
@@ -421,7 +404,6 @@ func NewFabric(top *topology.Topology, _ *sim.Engine, cfg Config) (*Fabric, erro
 // backing arrays are retained, so the reset fabric runs without
 // reallocating its steady-state structures.
 func (f *Fabric) Reset() {
-	f.assertSerialPhase("Reset")
 	b := f.top.Boards()
 	for d := 0; d < b; d++ {
 		for w := 1; w < b; w++ {
@@ -476,30 +458,6 @@ func (f *Fabric) Reset() {
 	f.wakes = 0
 	f.sink = nil
 	f.dropHook = nil
-	if p := f.par; p != nil {
-		p.computing = false
-		for i := range p.logs {
-			lg := &p.logs[i]
-			for j := range lg.txEvents {
-				lg.txEvents[j].p = nil
-			}
-			lg.txEvents = lg.txEvents[:0]
-			for j := range lg.laserEvents {
-				lg.laserEvents[j].p = nil
-			}
-			lg.laserEvents = lg.laserEvents[:0]
-			for ph := range lg.idle {
-				lg.idle[ph] = lg.idle[ph][:0]
-			}
-			lg.meter = lg.meter[:0]
-			for j := range lg.deliver {
-				lg.deliver[j].p = nil
-			}
-			lg.deliver = lg.deliver[:0]
-			lg.wakes = 0
-			lg.cur = 0
-		}
-	}
 }
 
 // materialiseStatic materialises the static owners' lasers, the lit
@@ -517,9 +475,8 @@ func (f *Fabric) materialiseStatic() {
 
 // laser returns laser (s, w, d), materialising it with the default state
 // first if it does not exist yet. The caller guarantees CanHold(s, w, d).
-// Materialisation touches only board s's shard and heads, so a board's
-// worker may materialise during the parallel compute phase; it adds no
-// supply power (a laser that drives a channel is already materialised).
+// Materialisation adds no supply power (a laser that drives a channel is
+// already materialised).
 func (f *Fabric) laser(s, w, d int) *Laser {
 	p := f.find(s, w, d)
 	if l := *p; l != nil && l.d == d {
@@ -557,22 +514,14 @@ func (f *Fabric) litIdleMW(l *Laser) float64 {
 
 // refreshIdle re-derives one laser's contribution to the idle-laser
 // supply aggregate after any change to its level, holder or active
-// status. During a parallel compute phase the (order-sensitive) float
-// update of the shared aggregate is deferred to the commit replay; the
-// delta itself is computed here, at the same semantic point as the
-// serial path, so the replayed addition sequence is bit-identical.
+// status.
 func (f *Fabric) refreshIdle(l *Laser) {
 	c := f.litIdleMW(l)
 	if c == l.idleContrib {
 		return
 	}
-	delta := c - l.idleContrib
+	f.idleLitMW += c - l.idleContrib
 	l.idleContrib = c
-	if p := f.deferring(); p != nil {
-		p.logs[l.s].addIdle(delta)
-		return
-	}
-	f.idleLitMW += delta
 }
 
 // syncStats fills in the idle span [l.statsAt, now) of a laser's window
@@ -759,7 +708,6 @@ func (f *Fabric) EnableMetering(on bool) { f.meterEnabled = on }
 // The acquiring laser starts at the ladder top (acquired channels serve
 // congested flows) with a relock window.
 func (f *Fabric) Reassign(d, w, newHolder int, now uint64) error {
-	f.assertSerialPhase("Reassign")
 	ch := f.channels[d][w]
 	if newHolder == d {
 		return fmt.Errorf("optical: cannot assign channel (%d,λ%d) to its own destination", d, w)
@@ -808,7 +756,6 @@ func (f *Fabric) Reassign(d, w, newHolder int, now uint64) error {
 // the transmitter drop packets routed to it; a transient failure holds
 // its queue until RestoreLaser.
 func (f *Fabric) FailLaser(s, w, d int, permanent bool, now uint64) {
-	f.assertSerialPhase("FailLaser")
 	if !f.CanHold(s, w, d) {
 		panic(fmt.Sprintf("optical: FailLaser(%d,λ%d→%d): no such laser", s, w, d))
 	}
@@ -832,7 +779,6 @@ func (f *Fabric) FailLaser(s, w, d int, permanent bool, now uint64) {
 // the relock penalty before transmitting again (the receiver must
 // re-acquire the returning source).
 func (f *Fabric) RestoreLaser(s, w, d int, now uint64) {
-	f.assertSerialPhase("RestoreLaser")
 	if !f.CanHold(s, w, d) {
 		panic(fmt.Sprintf("optical: RestoreLaser(%d,λ%d→%d): no such laser", s, w, d))
 	}
@@ -850,7 +796,6 @@ func (f *Fabric) RestoreLaser(s, w, d int, now uint64) {
 // UnstickLaser, every SetLevel — DPM decisions, reassignment relevels —
 // is silently ignored (a stuck DPM actuator).
 func (f *Fabric) StickLaser(s, w, d, level int, now uint64) {
-	f.assertSerialPhase("StickLaser")
 	if !f.CanHold(s, w, d) {
 		panic(fmt.Sprintf("optical: StickLaser(%d,λ%d→%d): no such laser", s, w, d))
 	}
@@ -970,9 +915,8 @@ func (f *Fabric) DeliverDue(now uint64) {
 // with the same per-cycle float operations. No engine path calls it; it
 // remains only for the benchmark's optical.ff_idle_ns_per_cycle metric
 // until that metric is replaced (ROADMAP item 1c). Callers guarantee
-// Quiescent(now) for the whole stretch; serial phase only.
+// Quiescent(now) for the whole stretch.
 func (f *Fabric) FastForwardIdle(n uint64) {
-	f.assertSerialPhase("FastForwardIdle")
 	if !f.meterEnabled {
 		return
 	}
@@ -982,37 +926,34 @@ func (f *Fabric) FastForwardIdle(n uint64) {
 	}
 }
 
-// Tick advances transmitters and lasers one cycle and samples statistics
-// and power: the cycle loop's fabric steps over every board at once.
-// Call exactly once per cycle. Only transmitters holding flits and
-// lasers on the active list are visited; lasers that go idle drop off
-// the list and their statistics and supply power are carried forward in
-// bulk (syncStats, idleLitMW).
+// Tick is one fabric cycle on its own: DeliverDue, then TickBoards.
+// Call exactly once per cycle. A core System splits the two, delivering
+// in the head of its cycle and ticking after its IBI routers.
 func (f *Fabric) Tick(now uint64) {
 	f.DeliverDue(now)
-	f.BeginBoardTick()
-	f.TickBoards(0, len(f.shards), now)
-	f.CommitBoardTick(now)
+	f.TickBoards(now)
 }
 
-// TickBoards advances the transmitters of boards [lo, hi), then their
-// active lasers, one cycle. Between BeginBoardTick and CommitBoardTick
-// disjoint board ranges may tick concurrently when the per-board logs
-// are on (EnableParallel); the idle-power sample and the deactivation
-// refreshes wait for CommitBoardTick.
-func (f *Fabric) TickBoards(lo, hi int, now uint64) {
-	p := f.par
-	for s := lo; s < hi; s++ {
-		if p != nil {
-			p.logs[s].cur = phaseTx
-		}
+// TickBoards advances every board's transmitters, then every board's
+// active lasers, one cycle, and samples statistics and power. Only
+// transmitters holding flits and lasers on the active list are visited;
+// lasers that go idle drop off the list and their statistics and supply
+// power are carried forward in bulk (syncStats, idleLitMW).
+func (f *Fabric) TickBoards(now uint64) {
+	for s := range f.shards {
 		f.tickBoardTx(s, now)
 	}
-	for s := lo; s < hi; s++ {
-		if p != nil {
-			p.logs[s].cur = phaseLaser
-		}
+	for s := range f.shards {
 		f.tickBoardLasers(s, now)
+	}
+	if f.meterEnabled {
+		f.meter.AddCycleMW(f.idleLitMW, false)
+		f.meter.Observe(1)
+	}
+	// Lasers deactivated this cycle were metered by tickLaser; they join
+	// the idle aggregate only from the next cycle on.
+	for s := range f.shards {
+		f.flushDeact(s)
 	}
 }
 
@@ -1067,15 +1008,9 @@ func (f *Fabric) tickLaser(l *Laser, now uint64) {
 	lit := ch.holder == l.s && !l.failed
 	if lit && l.level == 0 && len(l.queue) > 0 && f.cfg.Ladder.Operating(f.autoWake) {
 		l.SetLevel(f.autoWake, now, f.cfg.RelockCycles)
-		if dp := f.deferring(); dp != nil {
-			dp.logs[l.s].wakes++
-		} else {
-			f.wakes++
-		}
+		f.wakes++
 	}
-	// Try to start a transmission. Writing ch.busyUntil from the compute
-	// phase is race-free: a channel is driven by exactly one holder board
-	// (l.s here), and holders only change in the serial control phase.
+	// Try to start a transmission.
 	if lit && len(l.queue) > 0 && l.Operating() &&
 		!l.Disabled(now) && !l.Busy(now) && !ch.Busy(now) {
 		p := l.queue[0]
@@ -1083,17 +1018,12 @@ func (f *Fabric) tickLaser(l *Laser, now uint64) {
 		l.queue[len(l.queue)-1] = nil
 		l.queue = l.queue[:len(l.queue)-1]
 		if f.sink != nil {
-			f.emit(l.s, evOp{kind: telemetry.PacketLaserTransmit, w: int32(l.w), d: int32(l.d), p: p}, now)
+			f.sink.Emit(telemetry.Event{Cycle: now, Kind: telemetry.PacketLaserTransmit, Packet: uint64(p.ID), Board: l.s, Wavelength: l.w, Dest: l.d})
 		}
 		ser := f.cfg.Ladder.SerializationCycles(p.Bits(), l.level, f.cfg.CycleNS)
 		l.busyUntil = now + ser
 		ch.busyUntil = now + ser
-		if dp := f.deferring(); dp != nil {
-			lg := &dp.logs[l.s]
-			lg.deliver = append(lg.deliver, delOp{p: p, at: now + ser + f.cfg.PropCycles, w: int32(l.w), d: int32(l.d)})
-		} else {
-			f.pushDelivery(now+ser+f.cfg.PropCycles, l.d, l.w, p)
-		}
+		f.pushDelivery(now+ser+f.cfg.PropCycles, l.d, l.w, p)
 		l.sentPackets++
 	}
 	busy := l.Busy(now)
@@ -1104,12 +1034,7 @@ func (f *Fabric) tickLaser(l *Laser, now uint64) {
 	l.BufWin.AddN(uint64(len(l.queue)), uint64(f.cfg.QueueCap))
 	l.statsAt = now + 1
 	if f.meterEnabled && lit && l.Operating() {
-		if dp := f.deferring(); dp != nil {
-			lg := &dp.logs[l.s]
-			lg.meter = append(lg.meter, meterOp{mw: f.cfg.Ladder.MW(l.level), busy: busy})
-		} else {
-			f.meter.AddCycleMW(f.cfg.Ladder.MW(l.level), busy)
-		}
+		f.meter.AddCycleMW(f.cfg.Ladder.MW(l.level), busy)
 	}
 }
 

@@ -111,7 +111,7 @@ func (t *Transmitter) tick(now uint64) {
 			// free the reassembly buffer.
 			laser.dropWin++
 			if t.f.dropHook != nil {
-				t.f.emit(t.s, evOp{kind: telemetry.PacketDropFault, p: p}, now)
+				t.f.dropHook(p, now)
 			}
 			n := len(vc.entries)
 			for i := range vc.entries {
@@ -133,7 +133,7 @@ func (t *Transmitter) tick(now uint64) {
 		laser.queue = append(laser.queue, p)
 		t.f.activateLaser(laser, now)
 		if t.f.sink != nil {
-			t.f.emit(t.s, evOp{kind: telemetry.PacketLaserEnqueue, w: int32(t.w), d: int32(dst), p: p}, now)
+			t.f.sink.Emit(telemetry.Event{Cycle: now, Kind: telemetry.PacketLaserEnqueue, Packet: uint64(p.ID), Board: t.s, Wavelength: t.w, Dest: dst})
 		}
 		n := len(vc.entries)
 		vc.entries = vc.entries[:0]

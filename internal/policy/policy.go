@@ -13,13 +13,13 @@
 // # Determinism contract
 //
 // Policies are called from the RCs' engine callbacks (no RC owns a
-// goroutine), in serial phases of the parallel engine. A policy must be a
-// pure function of its constructor parameters, its own accumulated
-// state, and the observations passed to it: no wall-clock time, no
-// map iteration, no randomness that is not derived from Params.Seed.
-// Any violation breaks the engine's bit-identical-across-workers
-// invariant, which internal/core's cell matrix checks for every
-// registered policy.
+// goroutine), in the head of a cycle before any component ticks. A
+// policy must be a pure function of its constructor parameters, its own
+// accumulated state, and the observations passed to it: no wall-clock
+// time, no map iteration, no randomness that is not derived from
+// Params.Seed.
+// Any violation breaks the engine's same-seed ⇒ same-bytes invariant,
+// which internal/core's cell matrix checks for every registered policy.
 //
 // # Safety contract
 //

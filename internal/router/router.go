@@ -210,8 +210,8 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{cfg: cfg}
 	// The per-VC, per-output and buffer state lives in flat slabs so one
-	// router's working set — which a single worker owns under parallel
-	// stepping — stays cache-local instead of scattered across the heap.
+	// router's working set stays cache-local instead of scattered across
+	// the heap.
 	// Buffers hold at most BufDepth flits (the credit protocol enforces
 	// it), so each VC's window of the buffer slab never grows.
 	nvc, d := cfg.Inputs*cfg.VCs, cfg.BufDepth
