@@ -111,8 +111,10 @@ type CancelledError = core.CancelledError
 func ParseConfig(data []byte) (Config, error) { return core.ParseConfig(data) }
 
 // TierSpec describes one level of a hierarchical topology in
-// Config.Tiers: entry 0 is the intra-rack SRS, entry 1 the inter-rack
-// WDM fabric. A flat (single-SRS) Config leaves Tiers nil.
+// Config.Tiers: entry 0 is the intra-rack SRS (Boards × NodesPerBoard),
+// entry 1 the inter-rack WDM fabric (Boards counts racks). A flat
+// Config leaves Tiers nil, and a one-entry array is read as the flat
+// form. Each tier's wavelength count is Boards−1, fixed by the SRS RWA.
 type TierSpec = core.TierSpec
 
 // TierResult is one level of Result.Tiers, the per-tier breakdown of

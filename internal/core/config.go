@@ -16,6 +16,9 @@ import (
 // schema v2. Tier 0 is the rack building block (an SRS of Boards ×
 // NodesPerBoard); tier 1 is the inter-rack fabric, where Boards counts
 // racks and NodesPerBoard is derived (0) or the full rack population.
+// Each tier's usable wavelength count is fixed by the SRS RWA at
+// Boards−1; documents may still spell it as "Wavelengths" (see
+// UnmarshalJSON).
 type TierSpec struct {
 	// Boards is the element count joined by this tier's SRS: E-RAPID
 	// boards at tier 0, whole racks at tier 1.
@@ -23,9 +26,6 @@ type TierSpec struct {
 	// NodesPerBoard is the endpoints per element. Required at tier 0;
 	// at tier 1 it must be 0 (derived) or tier-0 Boards×NodesPerBoard.
 	NodesPerBoard int `json:",omitempty"`
-	// Wavelengths is the usable WDM channel count. The SRS RWA fixes it
-	// at Boards−1; 0 means derived, any other value is rejected.
-	Wavelengths int `json:",omitempty"`
 	// Window is this tier's reconfiguration period R_w in cycles; 0
 	// inherits Config.Window. Tiers reconfigure independently.
 	Window uint64 `json:",omitempty"`
@@ -37,9 +37,8 @@ type TierSpec struct {
 // Config describes one simulation run. The zero value is not valid; use
 // DefaultConfig and override fields.
 type Config struct {
-	// Topology: C clusters (the evaluation uses 1), B boards, D nodes per
-	// board. The paper's 64-node system is R(1,8,8).
-	Clusters      int
+	// Topology: B boards of D nodes in one cluster (C = 1, the only
+	// value the paper evaluates). The paper's 64-node system is R(1,8,8).
 	Boards        int
 	NodesPerBoard int
 
@@ -73,9 +72,10 @@ type Config struct {
 	Window  uint64 // R_w (2000)
 	MaxHold int    // max channels one source may hold toward one board (4)
 	// PowerLevels is the number of operating points on the DPM ladder.
-	// 3 (the default) selects the paper's published ladder; other values
-	// interpolate between 2.5 and 5 Gbps using the component power model
-	// (the paper's "more power levels" future-work hypothesis).
+	// 3 (the default; 0 means the same) selects the paper's published
+	// ladder; other values interpolate between 2.5 and 5 Gbps using the
+	// component power model (the paper's "more power levels"
+	// future-work hypothesis).
 	PowerLevels int
 	// PortRadius limits each transmitter's laser array to destinations
 	// within the given ring distance of its static port (0 = full array);
@@ -122,7 +122,6 @@ type Config struct {
 // DefaultConfig returns the paper's 64-node operating point for a mode.
 func DefaultConfig(mode Mode) Config {
 	return Config{
-		Clusters:      1,
 		Boards:        8,
 		NodesPerBoard: 8,
 
@@ -167,43 +166,22 @@ func (c Config) Racks() int {
 	return 1
 }
 
-// tierShapes converts the tier specs to topology tiers.
-func (c Config) tierShapes() []topology.Tier {
-	out := make([]topology.Tier, len(c.Tiers))
-	for i, t := range c.Tiers {
-		out[i] = topology.Tier{Boards: t.Boards, Nodes: t.NodesPerBoard}
-	}
-	return out
-}
-
-// hier validates the tier shapes and returns the hierarchical topology.
-func (c Config) hier() (*topology.Hier, error) {
-	c = c.tiersApplied()
-	if len(c.Tiers) == 0 {
-		return topology.NewHier(topology.Tier{Boards: c.Boards, Nodes: c.NodesPerBoard})
-	}
-	return topology.NewHier(c.tierShapes()...)
-}
-
 // tiersApplied folds the Tiers array onto the flat topology fields:
 // a single collapsible entry becomes the flat v1 form (so a v1 document
 // and its single-tier v2 equivalent are one configuration, with one
 // Digest), and for a real hierarchy the flat fields are synced to tier
 // 0 with the derived per-tier values canonicalized away. It is
-// idempotent; UnmarshalJSON, Validate, normalized and the engine entry
-// points all apply it, so hand-constructed configs behave like parsed
-// ones.
+// idempotent; UnmarshalJSON, Validate and normalized all apply it, so
+// hand-constructed configs behave like parsed ones.
 func (c Config) tiersApplied() Config {
 	if len(c.Tiers) == 0 {
+		c.Tiers = nil // "tiers":[] is the flat system too
 		return c
 	}
 	tiers := append([]TierSpec(nil), c.Tiers...)
 	c.Tiers = tiers
 	for i := range tiers {
 		t := &tiers[i]
-		if t.Boards > 0 && t.Wavelengths == t.Boards-1 {
-			t.Wavelengths = 0 // derived by the SRS RWA
-		}
 		if t.Window == c.Window {
 			t.Window = 0 // inherited
 		}
@@ -214,18 +192,13 @@ func (c Config) tiersApplied() Config {
 			tiers[1].NodesPerBoard = 0 // derived rack population
 		}
 		// The tier array is authoritative; mirror tier 0 onto the flat
-		// fields so legacy accessors see the rack shape.
-		c.Clusters = 1
+		// fields, which describe one rack.
 		c.Boards = tiers[0].Boards
 		c.NodesPerBoard = tiers[0].NodesPerBoard
 		return c
 	}
-	// One tier: fold onto the flat fields when nothing non-flat remains.
+	// One tier is the flat system.
 	t := tiers[0]
-	if t.Wavelengths != 0 {
-		return c // invalid wavelength override; Validate reports it
-	}
-	c.Clusters = 1
 	c.Boards = t.Boards
 	c.NodesPerBoard = t.NodesPerBoard
 	if t.Window != 0 {
@@ -244,15 +217,9 @@ func (c Config) validateTiers(add func(field, format string, args ...any)) {
 	if len(c.Tiers) == 0 {
 		return
 	}
-	if len(c.Tiers) == 1 {
-		// Only a non-collapsible entry survives tiersApplied.
-		add("Tiers[0].Wavelengths", "the SRS RWA fixes usable wavelengths at boards-1 = %d; got %d (use 0 for derived)",
-			c.Tiers[0].Boards-1, c.Tiers[0].Wavelengths)
-		return
-	}
-	if len(c.Tiers) > topology.MaxTiers {
-		add("Tiers", "%d tiers requested; the simulator assembles at most %d (racks under one inter-rack fabric)",
-			len(c.Tiers), topology.MaxTiers)
+	if len(c.Tiers) > 2 {
+		add("Tiers", "%d tiers requested; the simulator assembles at most 2 (racks under one inter-rack fabric)",
+			len(c.Tiers))
 		return
 	}
 	t0, t1 := c.Tiers[0], c.Tiers[1]
@@ -262,19 +229,11 @@ func (c Config) validateTiers(add func(field, format string, args ...any)) {
 	if t0.NodesPerBoard < 1 {
 		add("Tiers[0].NodesPerBoard", "need >= 1 node per board, got %d", t0.NodesPerBoard)
 	}
-	if t0.Wavelengths != 0 {
-		add("Tiers[0].Wavelengths", "the SRS RWA fixes usable wavelengths at boards-1 = %d; got %d (use 0 for derived)",
-			t0.Boards-1, t0.Wavelengths)
-	}
 	if t1.Boards < 2 {
 		add("Tiers[1].Boards", "need >= 2 racks for an inter-rack fabric, got %d", t1.Boards)
 	}
 	if rack := t0.Boards * t0.NodesPerBoard; t1.NodesPerBoard != 0 && rack > 0 {
 		add("Tiers[1].NodesPerBoard", "nodes per rack is derived from tier 0 (= %d); got %d (use 0)", rack, t1.NodesPerBoard)
-	}
-	if t1.Wavelengths != 0 {
-		add("Tiers[1].Wavelengths", "the SRS RWA fixes usable wavelengths at racks-1 = %d; got %d (use 0 for derived)",
-			t1.Boards-1, t1.Wavelengths)
 	}
 	for i := range c.Tiers {
 		if t := c.Tiers[i]; t.Window == 0 && c.Window < 1 {
@@ -312,9 +271,6 @@ func (c Config) Validate() error {
 	top, err := topology.NewSRS(c.Boards, c.NodesPerBoard)
 	if err != nil {
 		add("Topology", "%v", err)
-	}
-	if c.Clusters != 1 {
-		add("Clusters", "the simulator assembles one cluster (C=1) as in the paper's evaluation; got C=%d", c.Clusters)
 	}
 	c.validateTiers(add)
 	if c.VCs < 1 || c.BufDepth < 1 || c.FlitCyclesElec < 1 || c.EjectDepth < 1 {
@@ -364,6 +320,20 @@ func (c Config) Validate() error {
 	if err := c.Policy.Validate(); err != nil {
 		add("Policy", "%v", err)
 	}
+	// The rate checks read fields validated above. Each subsystem of a
+	// hierarchy carries one share of the rate; a flat system has one
+	// share, fIntra = 1.
+	if len(errs) == 0 {
+		field, f := "Load", c.intraFraction()
+		if c.InjectionRate > 0 {
+			field = "InjectionRate"
+		}
+		if rate := c.Rate() * math.Max(f, 1-f); rate > 1 {
+			add(field, "injection rate %v exceeds 1 packet/node/cycle", rate)
+		} else if duty := c.normalized().BurstDuty; c.BurstLength > 0 && rate/duty > 1 {
+			add("BurstDuty", "ON-state rate %v (rate %v / duty %v) exceeds 1 packet/node/cycle", rate/duty, rate, duty)
+		}
+	}
 	if len(errs) > 0 {
 		return errs
 	}
@@ -378,17 +348,6 @@ func (c Config) PolicyName() string {
 		return p.CanonicalName()
 	}
 	return ""
-}
-
-// topology validates the configuration and returns its (flat, tier-0)
-// topology. Multi-tier configurations assemble per-tier topologies
-// through hier() instead.
-func (c Config) topology() (*topology.Topology, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	c = c.tiersApplied()
-	return topology.NewSRS(c.Boards, c.NodesPerBoard)
 }
 
 // FlitsPerPacket returns the packet length in flits.
@@ -427,13 +386,13 @@ func (c Config) Capacity() float64 {
 		return elecBound
 	}
 	// Hierarchy: the offered load splits into the intra-rack share
-	// fIntra = (n0−1)/(N−1) carried by each rack's SRS and the
-	// inter-rack share carried by the tier-1 fabric. Each tier's
-	// optical bound divides by the share it carries; whichever resource
-	// saturates first binds, exactly as in the flat formula.
+	// fIntra carried by each rack's SRS and the inter-rack share carried
+	// by the tier-1 fabric. Each tier's optical bound divides by the
+	// share it carries; whichever resource saturates first binds,
+	// exactly as in the flat formula.
 	n0 := float64(n)
 	N := n0 * float64(c.Racks())
-	fIntra := (n0 - 1) / (N - 1)
+	fIntra := c.intraFraction()
 	// Tier-0 bound for traffic uniform within the rack, scaled by fIntra.
 	opt0 := (n0 - 1) / (d * d * serHigh) / fIntra
 	// Tier-1: per rack pair, n0 nodes send an n0/(N−n0) share of their
@@ -450,14 +409,21 @@ func (c Config) Capacity() float64 {
 	return bound
 }
 
-// ladder builds the DPM operating-point ladder for the configuration.
+// intraFraction is fIntra = (n0−1)/(N−1), the share of a uniform load
+// that stays within its source's rack of n0 = Boards×NodesPerBoard
+// nodes, where N = Racks()×n0; 1 for a flat system. c is tiersApplied.
+func (c Config) intraFraction() float64 {
+	n0 := float64(c.Boards * c.NodesPerBoard)
+	return (n0 - 1) / (n0*float64(c.Racks()) - 1)
+}
+
+// ladder builds the DPM operating-point ladder for the normalized
+// configuration.
 func (c Config) ladder() (*power.Ladder, error) {
-	switch c.PowerLevels {
-	case 0, 3:
+	if c.PowerLevels == 3 {
 		return power.PaperLadder(), nil
-	default:
-		return power.InterpolatedLadder(c.PowerLevels)
 	}
+	return power.InterpolatedLadder(c.PowerLevels)
 }
 
 // ctrlConfig derives the controller configuration for the mode.

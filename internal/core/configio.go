@@ -32,14 +32,17 @@ func (c Config) SchemaVersion() int {
 }
 
 // MarshalJSON implements json.Marshaler: the canonical schema with a
-// schema_version tag and the Mode stored as its paper label ("P-B").
+// schema_version tag, the cluster count C = 1 (kept so canonical bytes
+// and digests match documents written when it was a field) and the Mode
+// stored as its paper label ("P-B").
 func (c Config) MarshalJSON() ([]byte, error) {
 	type bare Config // avoid recursion
 	return json.Marshal(struct {
 		SchemaVersion int `json:"schema_version"`
+		Clusters      int
 		bare
 		Mode string
-	}{c.SchemaVersion(), bare(c), c.Mode.String()})
+	}{c.SchemaVersion(), 1, bare(c), c.Mode.String()})
 }
 
 // UnmarshalJSON implements json.Unmarshaler, accepting both the numeric
@@ -65,6 +68,30 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 				Msg:   fmt.Sprintf("version %d not supported (this build reads versions 1..%d)", v, SchemaVersion),
 			}}
 		}
+	}
+	// Two keys have one legal value and are not fields: "Clusters"
+	// (C = 1) and a tier's "Wavelengths" (0 or Boards−1, fixed by the
+	// SRS RWA). A document may spell either; any other value is an error.
+	var fixed struct {
+		C     *int                        `json:"Clusters"`
+		Tiers []struct{ Wavelengths int } `json:"tiers"`
+	}
+	if err := json.Unmarshal(data, &fixed); err != nil {
+		return err
+	}
+	var errs ValidationError
+	if fixed.C != nil && *fixed.C != 1 {
+		errs = append(errs, FieldError{Field: "Clusters",
+			Msg: fmt.Sprintf("the simulator assembles one cluster (C=1) as in the paper's evaluation; got C=%d", *fixed.C)})
+	}
+	for i, t := range fixed.Tiers {
+		if b := aux.Tiers[i].Boards; t.Wavelengths != 0 && (b < 1 || t.Wavelengths != b-1) {
+			errs = append(errs, FieldError{Field: fmt.Sprintf("Tiers[%d].Wavelengths", i),
+				Msg: fmt.Sprintf("the SRS RWA fixes usable wavelengths at Boards-1 = %d; got %d (use 0 for derived)", b-1, t.Wavelengths)})
+		}
+	}
+	if len(errs) > 0 {
+		return errs
 	}
 	*c = Config(aux.bare).tiersApplied()
 	if len(aux.Mode) == 0 {
@@ -93,14 +120,26 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 // normalized returns a copy with the encoding-irrelevant degrees of
 // freedom collapsed: an empty fault spec behaves bit-identically to a
 // nil one, the paper-baseline policy spec bit-identically to no policy
-// at all, and a single-tier Tiers array bit-identically to the flat v1
-// fields — so the canonical form drops all three.
+// at all, a single-tier Tiers array bit-identically to the flat v1
+// fields, PowerLevels 0 to the paper's 3, and BurstDuty 0 to its 0.5
+// default (or to 0 when BurstLength is 0 and the duty is unused) — so
+// the canonical form drops each. The engine runs only normalized
+// configs.
 func (c Config) normalized() Config {
 	c = c.tiersApplied()
 	if c.Faults != nil && c.Faults.Empty() {
 		c.Faults = nil
 	}
 	c.Policy = c.Policy.Canonical()
+	if c.PowerLevels == 0 {
+		c.PowerLevels = 3
+	}
+	switch {
+	case c.BurstLength == 0:
+		c.BurstDuty = 0
+	case c.BurstDuty == 0:
+		c.BurstDuty = 0.5
+	}
 	return c
 }
 

@@ -92,7 +92,6 @@ func TestCapacityFormula(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
-		func(c *Config) { c.Clusters = 2 },
 		func(c *Config) { c.Boards = 1 },
 		func(c *Config) { c.VCs = 0 },
 		func(c *Config) { c.Load = 0; c.InjectionRate = 0 },
@@ -100,10 +99,17 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.MeasureCycles = 0 },
 		func(c *Config) { c.MaxHold = -1 },
 		func(c *Config) { c.Pattern = traffic.Complement; c.NodesPerBoard = 3 },
+		func(c *Config) { c.InjectionRate = 1.5 },
+		// The mean rate is fine, but the ON state would need 0.9·N_c/0.01 > 1.
+		func(c *Config) { c.BurstLength, c.BurstDuty, c.Load = 100, 0.01, 0.9 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(NPNB)
 		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("mutation %d: Validate accepted the config", i)
+			continue
+		}
 		if _, err := NewSystem(cfg); err == nil {
 			t.Errorf("mutation %d: config accepted", i)
 		}

@@ -33,6 +33,7 @@ func FuzzConfigIO(f *testing.F) {
 	f.Add([]byte(`{"tiers":[{"Boards":4,"NodesPerBoard":2,"Window":500},{"Boards":4,"Window":4000,"Policy":{"name":"ewma","alpha":0.2}}]}`))
 	f.Add([]byte(`{"tiers":[{"Boards":8},{"Boards":3,"NodesPerBoard":64}],"Mode":"NP-B"}`))
 	f.Add([]byte(`{"tiers":[{"Boards":2,"NodesPerBoard":1},{"Boards":2},{"Boards":2}]}`))
+	f.Add([]byte(`{"Clusters":1,"tiers":[{"Boards":4,"NodesPerBoard":2,"Wavelengths":3},{"Boards":3,"Wavelengths":2}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := DefaultConfig(PB)
 		if err := json.Unmarshal(data, &cfg); err != nil {

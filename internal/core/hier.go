@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/ctrl"
 	"repro/internal/rng"
-	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -94,14 +93,13 @@ func deriveSeed(seed, tier, idx uint64) uint64 {
 }
 
 // Hier is the plan of a hierarchical (multi-tier) simulation: the
-// validated topology and the derived per-rack and fabric subsystem
+// validated configuration and the derived per-rack and fabric subsystem
 // configurations. Runner.RunContext builds one per multi-tier run and
 // executes it on its pooled subsystems.
 type Hier struct {
 	cfg     Config
-	top     *topology.Hier
 	rackCfg Config // per-rack template; Seed is set per instance
-	fabCfg  Config // tier-1 fabric
+	fabCfg  Config // tier-1 fabric: racks as boards
 }
 
 // HierTelemetry hands back one subsystem's collector after a run,
@@ -118,21 +116,17 @@ type HierTelemetry struct {
 // runs. Flat configurations are rejected — run them through NewSystem;
 // Runner.RunContext dispatches automatically.
 func NewHier(cfg Config) (*Hier, error) {
-	cfg = cfg.tiersApplied()
 	if !cfg.MultiTier() {
 		return nil, fmt.Errorf("core: NewHier needs a multi-tier config (len(Tiers) >= 2); use NewSystem for flat systems")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	top, err := cfg.hier()
-	if err != nil {
-		return nil, err
-	}
-	h := &Hier{cfg: cfg, top: top}
+	cfg = cfg.normalized()
+	h := &Hier{cfg: cfg}
 
 	rate := cfg.Rate()
-	fIntra := top.IntraFraction()
+	fIntra := cfg.intraFraction()
 	t0, t1 := cfg.Tiers[0], cfg.Tiers[1]
 
 	// Per-rack template: the flat fields already mirror tier 0. The
@@ -156,8 +150,8 @@ func NewHier(cfg Config) (*Hier, error) {
 	// destination, so every packet crosses the fabric).
 	fabCfg := cfg
 	fabCfg.Tiers = nil
-	fabCfg.Boards = top.Racks()
-	fabCfg.NodesPerBoard = top.RackNodes()
+	fabCfg.Boards = cfg.Racks()
+	fabCfg.NodesPerBoard = cfg.Boards * cfg.NodesPerBoard
 	fabCfg.Pattern = traffic.Remote
 	fabCfg.Load = 0
 	fabCfg.InjectionRate = rate * (1 - fIntra)
@@ -231,10 +225,10 @@ func (h *Hier) run(ctx context.Context, r *Runner) (*Result, error) {
 	if r.rack == nil {
 		r.rack, r.fab = new(Runner), new(Runner)
 	}
-	n := float64(h.top.TotalNodes())
+	n := float64(h.cfg.Racks() * h.cfg.Boards * h.cfg.NodesPerBoard)
 	all, tier0, tier1 := fold{n: n}, fold{n: n}, fold{n: n}
 	var cancelled *CancelledError
-	for i := 0; i < h.top.Racks() && cancelled == nil; i++ {
+	for i := 0; i < h.cfg.Racks() && cancelled == nil; i++ {
 		cfg := h.rackCfg
 		cfg.Seed = deriveSeed(h.cfg.Seed, 0, uint64(i))
 		sr, err := r.runSub(ctx, r.rack, cfg, 0, i)

@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 )
 
 // hierTestConfig returns a small, fast two-tier configuration: racks
@@ -250,25 +254,119 @@ func TestNewSystemRejectsMultiTier(t *testing.T) {
 }
 
 // TestTierValidationErrors: invalid tier fields surface as structured
-// ValidationError entries indexed Tiers[i].Field.
+// ValidationError entries indexed Tiers[i].Field, and the schema's
+// fixed-value keys are accepted only at their one legal value.
 func TestTierValidationErrors(t *testing.T) {
-	cfg := hierTestConfig(2, 4, 2)
-	cfg.Tiers[1].Wavelengths = 7
-	err := cfg.Validate()
-	if err == nil {
-		t.Fatal("Validate accepted an invalid tier wavelength override")
-	}
-	ve, ok := err.(ValidationError)
-	if !ok {
-		t.Fatalf("error type %T, want ValidationError", err)
-	}
-	found := false
-	for _, fe := range ve {
-		if fe.Field == "Tiers[1].Wavelengths" {
-			found = true
+	for _, c := range []struct{ doc, field string }{
+		{`{"tiers":[{"Boards":4,"NodesPerBoard":2},{"Boards":3,"Wavelengths":7}]}`, "Tiers[1].Wavelengths"},
+		{`{"tiers":[{"Boards":4,"NodesPerBoard":2,"Wavelengths":4},{"Boards":3}]}`, "Tiers[0].Wavelengths"},
+		{`{"tiers":[{"Boards":4,"NodesPerBoard":2,"Wavelengths":2}]}`, "Tiers[0].Wavelengths"},
+		{`{"Clusters":2}`, "Clusters"},
+		{`{"tiers":[{"Boards":4,"NodesPerBoard":2},{"Boards":1}]}`, "Tiers[1].Boards"},
+		{`{"tiers":[{"Boards":4,"NodesPerBoard":2},{"Boards":3,"NodesPerBoard":7}]}`, "Tiers[1].NodesPerBoard"},
+	} {
+		_, err := ParseConfig([]byte(c.doc))
+		var ve ValidationError
+		if !errors.As(err, &ve) {
+			t.Errorf("%s: error %v, want a ValidationError", c.doc, err)
+			continue
+		}
+		if fields := ve.Fields(); !slices.Contains(fields, c.field) {
+			t.Errorf("%s: fields %v, want %s", c.doc, fields, c.field)
 		}
 	}
-	if !found {
-		t.Errorf("no Tiers[1].Wavelengths field error in %v", ve)
+	for _, doc := range []string{
+		`{"Clusters":1,"tiers":[{"Boards":4,"NodesPerBoard":2,"Wavelengths":3},{"Boards":3,"Wavelengths":2}]}`,
+		`{"tiers":[{"Boards":4,"NodesPerBoard":2,"Wavelengths":0},{"Boards":3,"NodesPerBoard":8}]}`,
+	} {
+		if _, err := ParseConfig([]byte(doc)); err != nil {
+			t.Errorf("%s: %v", doc, err)
+		}
+	}
+}
+
+// TestHierSingleTier: a one-entry tiers array is the flat system, one
+// rack of 64 nodes that keeps the whole uniform load.
+func TestHierSingleTier(t *testing.T) {
+	cfg, err := ParseConfig([]byte(`{"tiers":[{"Boards":8,"NodesPerBoard":8}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.MultiTier() || cfg.Racks() != 1 || cfg.Boards*cfg.NodesPerBoard != 64 {
+		t.Fatalf("single-tier config: tiers=%d racks=%d nodes=%d", len(cfg.Tiers), cfg.Racks(), cfg.Boards*cfg.NodesPerBoard)
+	}
+	if f := cfg.intraFraction(); f != 1 {
+		t.Fatalf("intraFraction = %v, want 1 for a flat system", f)
+	}
+	if s := topology.MustNewSRS(cfg.Boards, cfg.NodesPerBoard).String(); s != "R(1,8,8)" {
+		t.Fatalf("topology = %q", s)
+	}
+	if _, err := NewHier(cfg); err == nil {
+		t.Fatal("NewHier accepted a single-tier config")
+	}
+}
+
+// TestHierTwoTier: 16 racks of 8×8 plan 16 rack subsystems and one
+// fabric of racks-as-boards, 16 × 64 = 1024 nodes in all.
+func TestHierTwoTier(t *testing.T) {
+	cfg := DefaultConfig(PB)
+	cfg.Tiers = []TierSpec{{Boards: 8, NodesPerBoard: 8}, {Boards: 16}}
+	h, err := NewHier(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rack, fab := h.rackCfg, h.fabCfg
+	if cfg.Racks() != 16 || rack.Boards != 8 || rack.NodesPerBoard != 8 {
+		t.Fatalf("racks=%d rack shape %d×%d", cfg.Racks(), rack.Boards, rack.NodesPerBoard)
+	}
+	// The fabric simulates racks as boards: 16 boards × 64 endpoints, 15
+	// usable wavelengths under the same w(s,d) = (s-d) mod B rule.
+	if fab.Boards != 16 || fab.NodesPerBoard != 64 || fab.Boards*fab.NodesPerBoard != 1024 {
+		t.Fatalf("fabric %d×%d", fab.Boards, fab.NodesPerBoard)
+	}
+	l1 := topology.MustNewSRS(fab.Boards, fab.NodesPerBoard)
+	if l1.Wavelengths() != 15 {
+		t.Fatalf("fabric %s: W=%d, want 15", l1, l1.Wavelengths())
+	}
+	if w := l1.Wavelength(3, 1); w != 2 {
+		t.Fatalf("fabric Wavelength(3,1) = %d, want 2", w)
+	}
+	// Intra fraction: (64-1)/(1024-1), and the two shares split the rate.
+	want := 63.0 / 1023.0
+	if f := h.cfg.intraFraction(); math.Abs(f-want) > 1e-15 {
+		t.Fatalf("intraFraction = %v, want %v", f, want)
+	}
+	if r := cfg.Rate(); rack.InjectionRate != r*want || fab.InjectionRate != r*(1-want) {
+		t.Fatalf("shares %v + %v of rate %v", rack.InjectionRate, fab.InjectionRate, r)
+	}
+}
+
+// TestHierValidation: NewHier rejects every shape the two-tier engine
+// cannot assemble, and accepts an explicit tier-1 NodesPerBoard equal
+// to the derived rack size.
+func TestHierValidation(t *testing.T) {
+	hier := func(tiers ...TierSpec) error {
+		cfg := DefaultConfig(PB)
+		cfg.Tiers = tiers
+		_, err := NewHier(cfg)
+		return err
+	}
+	if err := hier(); err == nil {
+		t.Error("NewHier with no tiers should fail")
+	}
+	if err := hier(TierSpec{Boards: 4, NodesPerBoard: 4}, TierSpec{Boards: 4}, TierSpec{Boards: 4}); err == nil {
+		t.Error("3 tiers should fail")
+	}
+	if err := hier(TierSpec{Boards: 1, NodesPerBoard: 4}, TierSpec{Boards: 4}); err == nil {
+		t.Error("tier-0 boards < 2 should fail")
+	}
+	if err := hier(TierSpec{Boards: 4, NodesPerBoard: 4}, TierSpec{Boards: 1}); err == nil {
+		t.Error("tier-1 racks < 2 should fail")
+	}
+	if err := hier(TierSpec{Boards: 4, NodesPerBoard: 4}, TierSpec{Boards: 8, NodesPerBoard: 16}); err != nil {
+		t.Errorf("matching explicit tier-1 nodes: %v", err)
+	}
+	if err := hier(TierSpec{Boards: 4, NodesPerBoard: 4}, TierSpec{Boards: 8, NodesPerBoard: 17}); err == nil {
+		t.Error("mismatched tier-1 nodes should fail")
 	}
 }

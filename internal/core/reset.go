@@ -19,16 +19,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// resetIncompat reports which structural aspect of the configuration
-// changed, or "" when cfg can be applied by Reset. The structural
-// fields are exactly those baked into retained slabs at construction:
-// the topology, the electrical router shape, the packet format and the
-// optical fabric parameters. Everything else — mode, policy, window,
+// resetIncompat reports which structural aspect of the normalized
+// configuration changed, or "" when cfg can be applied by Reset. The
+// structural fields are exactly those baked into retained slabs at
+// construction: the topology, the electrical router shape, the packet
+// format and the optical fabric parameters. Everything else — mode, policy, window,
 // workload, seed, faults, measurement spans — is per-run
 // state that Reset rebuilds.
 func resetIncompat(old, cfg Config) string {
 	switch {
-	case cfg.Clusters != old.Clusters, cfg.Boards != old.Boards, cfg.NodesPerBoard != old.NodesPerBoard:
+	case cfg.Boards != old.Boards, cfg.NodesPerBoard != old.NodesPerBoard:
 		return "topology"
 	case cfg.VCs != old.VCs, cfg.BufDepth != old.BufDepth, cfg.FlitCyclesElec != old.FlitCyclesElec, cfg.EjectDepth != old.EjectDepth:
 		return "electrical router shape"
@@ -46,7 +46,7 @@ func resetIncompat(old, cfg Config) string {
 // system's current configuration. Mode, policy, window, workload,
 // seed, faults and measurement spans may all differ.
 func (s *System) ResetCompatible(cfg Config) bool {
-	return resetIncompat(s.cfg, cfg) == ""
+	return resetIncompat(s.cfg, cfg.normalized()) == ""
 }
 
 // Reset rewinds the system to the state a fresh NewSystem(cfg) would
@@ -62,7 +62,8 @@ func (s *System) ResetCompatible(cfg Config) bool {
 // abandoned. The subsequent run is bit-identical to one on a fresh
 // system with the same config.
 func (s *System) Reset(cfg Config) error {
-	if reason := resetIncompat(s.cfg, cfg); reason != "" {
+	norm := cfg.normalized()
+	if reason := resetIncompat(s.cfg, norm); reason != "" {
 		return fmt.Errorf("core: Reset: %s changed, which requires reconstruction; use NewSystem", reason)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -101,7 +102,7 @@ func (s *System) Reset(cfg Config) error {
 	for i := range s.deliveredPerNode {
 		s.deliveredPerNode[i] = 0
 	}
-	return s.initRun(cfg, nil)
+	return s.initRun(norm, nil)
 }
 
 // Runner executes simulation runs back-to-back, transparently reusing

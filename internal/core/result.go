@@ -51,8 +51,9 @@ type Result struct {
 	// Wakes counts DLS wake-on-demand events.
 	Wakes uint64
 
-	// Cycles is the total simulated length; Truncated marks runs whose
-	// drain phase hit the limit (deeply saturated points).
+	// Cycles is the index of the last simulated cycle: a run of cycles
+	// 0..N reports N. Truncated marks runs whose drain phase hit the
+	// limit (deeply saturated points).
 	Cycles    uint64
 	Truncated bool
 	Injected  uint64

@@ -106,10 +106,11 @@ func NewSystem(cfg Config) (*System, error) {
 // newPol optionally overrides the per-board policy (the oracle
 // pre-pass's profilers).
 func newSystem(cfg Config, newPol func(board int) policy.Policy) (*System, error) {
-	top, err := cfg.topology()
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.normalized()
+	top := topology.MustNewSRS(cfg.Boards, cfg.NodesPerBoard)
 	eng := sim.NewEngine()
 	ladder, err := cfg.ladder()
 	if err != nil {
@@ -282,17 +283,10 @@ func (s *System) buildInjectors() error {
 		return err
 	}
 	rate := cfg.Rate()
-	if rate > 1 {
-		return fmt.Errorf("core: injection rate %v exceeds 1 packet/node/cycle", rate)
-	}
 	s.injectors = s.injectors[:0]
 	for n := 0; n < s.top.TotalNodes(); n++ {
 		if cfg.BurstLength > 0 {
-			duty := cfg.BurstDuty
-			if duty == 0 {
-				duty = 0.5
-			}
-			s.injectors = append(s.injectors, traffic.NewBurstyInjector(n, rate, duty, cfg.BurstLength, pattern, master))
+			s.injectors = append(s.injectors, traffic.NewBurstyInjector(n, rate, cfg.BurstDuty, cfg.BurstLength, pattern, master))
 		} else {
 			s.injectors = append(s.injectors, traffic.NewInjector(n, rate, pattern, master))
 		}

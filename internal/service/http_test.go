@@ -199,6 +199,27 @@ func TestHTTPValidationErrors(t *testing.T) {
 			t.Errorf("fields %v missing %s", e.Fields, want)
 		}
 	}
+
+	// Configs whose injectors could not be built are rejected at submit,
+	// as is a cluster count other than the one the schema allows.
+	for doc, field := range map[string]string{
+		`{"BurstLength":100,"BurstDuty":0.01,"Load":0.9}`: "BurstDuty",
+		`{"InjectionRate":1.5}`:                           "InjectionRate",
+		`{"Clusters":2}`:                                  "Clusters",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", doc, resp.StatusCode)
+		}
+		e := decodeError(t, resp.Body)
+		resp.Body.Close()
+		if len(e.Fields) != 1 || e.Fields[0].Field != field {
+			t.Errorf("%s: fields %v, want %s", doc, e.Fields, field)
+		}
+	}
 }
 
 // TestHTTPSweep: sweep submission validates its axes and returns one

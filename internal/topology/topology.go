@@ -23,6 +23,28 @@ type Topology struct {
 	nodes  int // nodes per board
 }
 
+// NewSRS builds the one-cluster SRS topology: B boards × D nodes per
+// board, fully connected through the optical super-highway. A
+// hierarchy's racks and its inter-rack fabric are each one SRS.
+func NewSRS(boards, nodes int) (*Topology, error) {
+	switch {
+	case boards < 2:
+		return nil, fmt.Errorf("topology: boards = %d, need >= 2 (SRS requires at least two boards)", boards)
+	case nodes < 1:
+		return nil, fmt.Errorf("topology: nodes per board = %d, need >= 1", nodes)
+	}
+	return &Topology{boards: boards, nodes: nodes}, nil
+}
+
+// MustNewSRS is NewSRS for static configurations known to be valid.
+func MustNewSRS(boards, nodes int) *Topology {
+	t, err := NewSRS(boards, nodes)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 // Boards returns B, the boards per cluster.
 func (t *Topology) Boards() int { return t.boards }
 

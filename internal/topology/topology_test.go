@@ -23,6 +23,29 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+func TestNewSRSValidation(t *testing.T) {
+	cases := []struct {
+		b, d int
+		ok   bool
+	}{
+		{4, 4, true},
+		{8, 8, true},
+		{2, 1, true},
+		{1, 4, false},
+		{4, 0, false},
+		{0, 0, false},
+	}
+	for _, c := range cases {
+		top, err := NewSRS(c.b, c.d)
+		if (err == nil) != c.ok {
+			t.Errorf("NewSRS(%d,%d) error = %v, want ok=%v", c.b, c.d, err, c.ok)
+		}
+		if err == nil && top.TotalNodes() != c.b*c.d {
+			t.Errorf("NewSRS(%d,%d).TotalNodes() = %d, want %d", c.b, c.d, top.TotalNodes(), c.b*c.d)
+		}
+	}
+}
+
 func TestPaperWavelengthExamples(t *testing.T) {
 	// Paper Sec 2.1, R(1,4,4): board 1 -> board 0 uses λ1^(1); the reverse,
 	// board 0 -> board 1, uses λ3^(0).
