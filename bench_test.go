@@ -1,20 +1,15 @@
 package erapid
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (Sec. 4). Each figure bench simulates the paper's 64-node
-// system for the four network modes at representative loads and reports
-// the headline comparison as benchmark metrics; the full 9-point load
-// sweeps (the complete figures) are regenerated by `erapid sweep` and
-// recorded in EXPERIMENTS.md.
+// Benchmark harness: the ablations of EXPERIMENTS.md, each a knob the
+// paper fixes or names as future work, and the telemetry overhead gate.
+// The paper's own tables and figures are not benchmarks: `erapid tables
+// [-designspace]` and `erapid sweep` generate them, and `erapid verify`
+// checks the paper's claims against them.
 //
-// The benches use a shortened measurement schedule so the whole suite
-// finishes in minutes; shapes (who wins, by what factor) are unaffected.
+// The ablations use a shortened measurement schedule so the whole suite
+// finishes in seconds; shapes (who wins, by what factor) are unaffected.
 
-import (
-	"testing"
-
-	"repro/internal/power"
-)
+import "testing"
 
 // benchConfig is the 64-node paper system with a shortened schedule.
 func benchConfig(mode Mode) Config {
@@ -35,105 +30,6 @@ func runPoint(b *testing.B, mode Mode, pattern string, load float64) *Result {
 		b.Fatal(err)
 	}
 	return res
-}
-
-// figureBench runs NP-NB, P-NB, NP-B and P-B at a mid and a high load for
-// one traffic pattern and reports throughput gain and power ratios of the
-// reconfigured modes against the static baseline.
-func figureBench(b *testing.B, pattern string) {
-	for i := 0; i < b.N; i++ {
-		base := runPoint(b, NPNB, pattern, 0.9)
-		pnb := runPoint(b, PNB, pattern, 0.9)
-		npb := runPoint(b, NPB, pattern, 0.9)
-		pb := runPoint(b, PB, pattern, 0.9)
-
-		if i == b.N-1 { // report once, from the final iteration
-			b.ReportMetric(npb.Throughput/base.Throughput, "thr-gain:NP-B")
-			b.ReportMetric(pb.Throughput/base.Throughput, "thr-gain:P-B")
-			b.ReportMetric(npb.PowerDynamicMW/base.PowerDynamicMW, "pwr-ratio:NP-B")
-			b.ReportMetric(pb.PowerDynamicMW/base.PowerDynamicMW, "pwr-ratio:P-B")
-			b.ReportMetric(pnb.PowerDynamicMW/base.PowerDynamicMW, "pwr-ratio:P-NB")
-			b.ReportMetric(base.Throughput, "thr:NP-NB")
-		}
-	}
-}
-
-// BenchmarkFigure5Uniform regenerates the uniform-traffic panel of
-// Fig. 5: NP-NB ≈ NP-B; P-NB/P-B trade a few percent of throughput for
-// 16-50% power.
-func BenchmarkFigure5Uniform(b *testing.B) { figureBench(b, Uniform) }
-
-// BenchmarkFigure5Complement regenerates the complement-traffic panel of
-// Fig. 5: the static network saturates at very low load; NP-B/P-B gain
-// ~4x throughput at ~4x/3x dynamic power.
-func BenchmarkFigure5Complement(b *testing.B) { figureBench(b, Complement) }
-
-// BenchmarkFigure6Butterfly regenerates the butterfly panel of Fig. 6.
-func BenchmarkFigure6Butterfly(b *testing.B) { figureBench(b, Butterfly) }
-
-// BenchmarkFigure6Shuffle regenerates the perfect-shuffle panel of
-// Fig. 6.
-func BenchmarkFigure6Shuffle(b *testing.B) { figureBench(b, Shuffle) }
-
-// BenchmarkTable1LinkPower regenerates Table 1's per-level link power
-// from the analytic component model and reports the published totals.
-func BenchmarkTable1LinkPower(b *testing.B) {
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for _, l := range []power.Level{power.Low, power.Mid, power.High} {
-			sink += power.ScaledMW(power.Table1[l])
-		}
-	}
-	_ = sink
-	b.ReportMetric(power.LinkMW(power.Low), "mW:2.5G")
-	b.ReportMetric(power.LinkMW(power.Mid), "mW:3.3G")
-	b.ReportMetric(power.LinkMW(power.High), "mW:5G")
-}
-
-// BenchmarkFigure3DesignSpace reproduces the design-space behaviour of
-// Fig. 3 as measurable quantities: with a phased low→high→low load, the
-// P-B network's supply power tracks utilization while NP-NB's stays
-// flat.
-func BenchmarkFigure3DesignSpace(b *testing.B) {
-	run := func(mode Mode) (minP, maxP float64) {
-		cfg := DefaultConfig(mode)
-		cfg.Boards, cfg.NodesPerBoard = 4, 4
-		cfg.Window = 1000
-		cfg.InjectionRate = 0.002 // phase 1: light
-		cfg.Load = 0
-		s, err := NewSystem(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fab := s.Fabric()
-		fab.EnableMetering(true)
-		minP, maxP = 1e18, 0
-		sample := func(cycles int) {
-			fab.Meter().Reset()
-			for i := 0; i < cycles; i++ {
-				s.Step()
-			}
-			p := fab.Meter().AvgSupplyMW()
-			if p < minP {
-				minP = p
-			}
-			if p > maxP {
-				maxP = p
-			}
-		}
-		sample(8000) // settle + light phase
-		sample(4000)
-		return minP, maxP
-	}
-	for i := 0; i < b.N; i++ {
-		minStatic, maxStatic := run(NPNB)
-		minPB, maxPB := run(PB)
-		if i == b.N-1 {
-			b.ReportMetric(maxStatic-minStatic, "mW-span:NP-NB")
-			b.ReportMetric(maxPB, "mW-max:P-B")
-			b.ReportMetric(minPB, "mW-min:P-B")
-		}
-	}
 }
 
 // BenchmarkAblationMaxHold sweeps the DBR re-allocation cap: the

@@ -175,9 +175,11 @@ func TestGolden(t *testing.T) {
 }
 
 // TestBadInputExit2: a leftover argument, an unknown subcommand, a
-// negative worker count and a sweep point that cannot run are bad
-// input: each exits 2 with a message naming it, before anything runs.
+// negative worker count, a sweep point that cannot run and an invalid
+// config to -dump-config are bad input: each exits 2 with a message
+// naming it, before anything runs or is written.
 func TestBadInputExit2(t *testing.T) {
+	dump := filepath.Join(t.TempDir(), "dump.json")
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -192,6 +194,8 @@ func TestBadInputExit2(t *testing.T) {
 		{[]string{"sweep", "-workers", "-1", "-quick", "-boards", "4", "-nodes", "4", "-patterns", "uniform", "-modes", "P-B", "-loads", "0.3"}, "-workers -1"},
 		{[]string{"sweep", "-patterns", "uniform,complemnt", "-modes", "P-B,NP-NB", "-loads", "0.3,0.5", "-quick", "-boards", "4", "-nodes", "4"}, `patterns[1]: P-B/complemnt`},
 		{[]string{"sweep", "-loads", "0.3,1.5", "-quick", "-boards", "4", "-nodes", "4", "-patterns", "uniform", "-modes", "P-B"}, `bad load "1.5"`},
+		{[]string{"-load", "-1", "-dump-config", dump}, "Load: need Load > 0"},
+		{[]string{"-boards", "1", "-dump-config", dump}, "boards = 1, need >= 2"},
 	} {
 		cmd := erapidCmd(t, tc.args...)
 		var stdout, stderr bytes.Buffer
@@ -203,6 +207,9 @@ func TestBadInputExit2(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), tc.want) || strings.Contains(stderr.String(), "running") || stdout.Len() > 0 {
 			t.Errorf("erapid %v: stderr does not name %q, or something ran:\n%s%s", tc.args, tc.want, stdout.Bytes(), stderr.Bytes())
+		}
+		if _, err := os.Stat(dump); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("erapid %v: wrote %s (stat: %v)", tc.args, dump, err)
 		}
 	}
 }

@@ -163,11 +163,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 // SRS tier; multi-tier configs run through Run, RunContext or a Runner.
 func NewSystem(cfg Config) (*System, error) { return core.NewSystem(cfg) }
 
-// HierTelemetry identifies one subsystem's telemetry in
-// Runner.Telemetries: the tier, the instance index within the tier, and
-// the series prefix ("tier0/rack3/", "tier1/"; "" for a flat run).
-type HierTelemetry = core.HierTelemetry
-
 // PatternNames lists every supported traffic pattern.
 func PatternNames() []string { return traffic.Names() }
 

@@ -48,6 +48,10 @@ func runCmd(args []string) error {
 	cfg := f.cfg
 
 	if *dump != "" {
+		// A saved config must load: write only one every run accepts.
+		if err := cfg.Validate(); err != nil {
+			return usageError{err}
+		}
 		if err := core.SaveConfig(*dump, cfg); err != nil {
 			return err
 		}
@@ -152,20 +156,20 @@ func runCmd(args []string) error {
 		{*metricsOut, func(w io.Writer) error {
 			// One JSONL stream; a hierarchical run's tierN/rackM/ series
 			// prefixes keep every subsystem's metrics distinguishable.
-			for _, ht := range tels {
-				if err := ht.T.Registry().WriteMetricsJSONL(w); err != nil {
+			for _, tel := range tels {
+				if err := tel.Registry().WriteMetricsJSONL(w); err != nil {
 					return err
 				}
 			}
 			return nil
 		}},
 		{*perfetto, func(w io.Writer) error {
-			return telemetry.WriteChromeTrace(w, tels[0].T.Recorder().Events(), tels[0].T.Registry(), cfg.CycleNS, cfg.Boards)
+			return telemetry.WriteChromeTrace(w, tels[0].Recorder().Events(), tels[0].Registry(), cfg.CycleNS, cfg.Boards)
 		}},
 		{*dashboard, func(w io.Writer) error {
 			title := fmt.Sprintf("E-RAPID %s, %s traffic, load %.2f — reconfiguration dashboard",
 				res.Mode, res.Pattern, res.Load)
-			return report.WriteDashboard(w, title, tels[0].T.Registry())
+			return report.WriteDashboard(w, title, tels[0].Registry())
 		}},
 	} {
 		if out.path == "" {

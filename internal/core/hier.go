@@ -102,16 +102,6 @@ type Hier struct {
 	fabCfg  Config // tier-1 fabric: racks as boards
 }
 
-// HierTelemetry hands back one subsystem's collector after a run,
-// labeled by tier and instance; its series names carry Prefix. A flat
-// run has a single entry (tier 0, instance 0).
-type HierTelemetry struct {
-	Tier     int
-	Instance int // rack index at tier 0; 0 at tier 1
-	Prefix   string
-	T        *Telemetry
-}
-
 // NewHier validates a multi-tier configuration and plans its subsystem
 // runs. Flat configurations are rejected — run them through NewSystem;
 // Runner.RunContext dispatches automatically.
@@ -198,16 +188,14 @@ func (r *Runner) runSub(ctx context.Context, sub *Runner, cfg Config, tier, inst
 	sub.sinks = r.sinks
 	if r.telCfg != nil {
 		tc := *r.telCfg
-		tc.Prefix = fmt.Sprintf("tier%d/", tier)
+		tc.prefix = fmt.Sprintf("tier%d/", tier)
 		if tier == 0 {
-			tc.Prefix = fmt.Sprintf("tier%d/rack%d/", tier, inst)
+			tc.prefix = fmt.Sprintf("tier%d/rack%d/", tier, inst)
 		}
 		sub.telCfg = &tc
 	}
 	res, err := sub.RunContext(ctx, cfg)
-	for _, ht := range sub.tels {
-		r.tels = append(r.tels, HierTelemetry{Tier: tier, Instance: inst, Prefix: ht.Prefix, T: ht.T})
-	}
+	r.tels = append(r.tels, sub.tels...)
 	sr := subRun{res: res, nodes: cfg.Boards * cfg.NodesPerBoard}
 	if res != nil {
 		sr.supplyBound = sub.sys.fab.SupplyBoundMW()

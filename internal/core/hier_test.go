@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -210,8 +211,9 @@ func TestHierRunnerReuse(t *testing.T) {
 	}
 }
 
-// TestHierTelemetryPrefixes: per-subsystem collectors come back
-// labeled, with every series name carrying its tier/instance prefix.
+// TestHierTelemetryPrefixes: per-subsystem collectors come back in
+// subsystem order, with every series name carrying its tier/instance
+// prefix.
 func TestHierTelemetryPrefixes(t *testing.T) {
 	cfg := hierTestConfig(2, 4, 2)
 	var r Runner
@@ -220,23 +222,19 @@ func TestHierTelemetryPrefixes(t *testing.T) {
 		t.Fatal(err)
 	}
 	tels := r.Telemetries()
-	if len(tels) != 3 {
-		t.Fatalf("len(Telemetries) = %d, want 3 (2 racks + fabric)", len(tels))
-	}
 	want := []string{"tier0/rack0/", "tier0/rack1/", "tier1/"}
-	for i, ht := range tels {
-		if ht.Prefix != want[i] {
-			t.Errorf("telemetry %d prefix = %q, want %q", i, ht.Prefix, want[i])
+	if len(tels) != len(want) {
+		t.Fatalf("len(Telemetries) = %d, want %d (2 racks + fabric)", len(tels), len(want))
+	}
+	for i, tel := range tels {
+		names := tel.Registry().SeriesNames()
+		if len(names) == 0 {
+			t.Errorf("telemetry %d: no series", i)
 		}
-		found := false
-		for _, name := range ht.T.Registry().SeriesNames() {
-			if len(name) >= len(ht.Prefix) && name[:len(ht.Prefix)] == ht.Prefix {
-				found = true
-				break
+		for _, name := range names {
+			if !strings.HasPrefix(name, want[i]) {
+				t.Errorf("telemetry %d: series %q lacks prefix %q", i, name, want[i])
 			}
-		}
-		if !found {
-			t.Errorf("telemetry %d: no series carries prefix %q", i, ht.Prefix)
 		}
 	}
 }

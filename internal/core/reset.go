@@ -127,7 +127,7 @@ type Runner struct {
 	sinks  []telemetry.Sink
 	telCfg *TelemetryConfig
 	// tels is what the last run collected.
-	tels []HierTelemetry
+	tels []*Telemetry
 }
 
 // AttachSink streams the next run's telemetry events into sink; a
@@ -145,10 +145,10 @@ func (r *Runner) EnableTelemetry(tc TelemetryConfig) {
 }
 
 // Telemetries returns the collectors of the last run: one for a flat
-// run, one per subsystem for a hierarchical run (series prefixed
-// "tier0/rack<i>/" or "tier1/"). Nil unless EnableTelemetry preceded
-// the run.
-func (r *Runner) Telemetries() []HierTelemetry { return r.tels }
+// run, one per subsystem for a hierarchical run in subsystem order
+// (racks 0..R−1, then the fabric; series prefixed "tier0/rack<i>/" or
+// "tier1/"). Nil unless EnableTelemetry preceded the run.
+func (r *Runner) Telemetries() []*Telemetry { return r.tels }
 
 // system returns a system assembled for cfg: the pooled one reset in
 // place when structurally compatible, a fresh construction otherwise.
@@ -193,7 +193,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if r.telCfg != nil {
-		r.tels = []HierTelemetry{{Prefix: r.telCfg.Prefix, T: sys.EnableTelemetry(*r.telCfg)}}
+		r.tels = []*Telemetry{sys.EnableTelemetry(*r.telCfg)}
 	}
 	for _, sink := range r.sinks {
 		sys.AttachSink(sink)

@@ -146,55 +146,68 @@ func TestStepNChunkInvariance(t *testing.T) {
 // cycle must use the new rate whatever the batch shape, so the batched
 // run and one stepped a cycle at a time emit the same telemetry stream
 // and end in the same state, and each rate shows in the injections of
-// its stretch.
+// its stretch. It runs once on Bernoulli injectors and once on bursty
+// ones, whose rate change retargets the ON-state probability.
 func TestSetInjectionRateDiscardsStagedDraws(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full step-driven runs")
+		t.Skip("four full step-driven runs")
 	}
-	drive := func(batched bool) (*Result, eventLog) {
-		cfg := fastConfig(PB)
-		s, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var log eventLog
-		s.AttachSink(&log)
-		steps := func(n uint64) {
-			if batched {
-				s.StepN(n)
-				return
+	bursty := fastConfig(PB)
+	bursty.BurstLength = 200
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"bernoulli", fastConfig(PB)},
+		{"bursty", bursty},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			drive := func(batched bool) (*Result, eventLog) {
+				cfg := tc.cfg
+				s, err := NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var log eventLog
+				s.AttachSink(&log)
+				steps := func(n uint64) {
+					if batched {
+						s.StepN(n)
+						return
+					}
+					for range n {
+						s.Step()
+					}
+				}
+				steps(1234) // mid-window
+				s.SetInjectionRate(0.09)
+				steps(777)
+				s.SetInjectionRate(0.004)
+				limit := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainLimitCycles
+				for s.Measurement().Phase() != stats.Done && s.Cycle() < limit {
+					s.Step()
+				}
+				return s.result(s.Cycle(), false), log
 			}
-			for range n {
-				s.Step()
+			refRes, refLog := drive(true)
+			var high, low int // injections in [1234, 2011) and [2011, 2788)
+			for _, ev := range refLog {
+				if ev.Kind == telemetry.PacketInject && ev.Cycle >= 1234 && ev.Cycle < 2788 {
+					if ev.Cycle < 2011 {
+						high++
+					} else {
+						low++
+					}
+				}
 			}
-		}
-		steps(1234) // mid-window
-		s.SetInjectionRate(0.09)
-		steps(777)
-		s.SetInjectionRate(0.004)
-		limit := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainLimitCycles
-		for s.Measurement().Phase() != stats.Done && s.Cycle() < limit {
-			s.Step()
-		}
-		return s.result(s.Cycle(), false), log
-	}
-	refRes, refLog := drive(true)
-	var high, low int // injections in [1234, 2011) and [2011, 2788)
-	for _, ev := range refLog {
-		if ev.Kind == telemetry.PacketInject && ev.Cycle >= 1234 && ev.Cycle < 2788 {
-			if ev.Cycle < 2011 {
-				high++
-			} else {
-				low++
+			if high < 10*low {
+				t.Fatalf("%d injections at rate 0.09, %d at 0.004 over as many cycles: a rate change did not take effect", high, low)
 			}
-		}
-	}
-	if high < 10*low {
-		t.Fatalf("%d injections at rate 0.09, %d at 0.004 over as many cycles: a rate change did not take effect", high, low)
-	}
-	res, log := drive(false)
-	if d := divergence(refRes, refLog, res, log); d != "" {
-		t.Errorf("stepped a cycle at a time vs in batches: %s", d)
+			res, log := drive(false)
+			if d := divergence(refRes, refLog, res, log); d != "" {
+				t.Errorf("stepped a cycle at a time vs in batches: %s", d)
+			}
+		})
 	}
 }
 

@@ -9,26 +9,25 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TelemetryConfig parameterizes the per-window metrics collector and
-// the event pipeline attached by EnableTelemetry.
+// seriesCap is how many windows each telemetry time series retains
+// (ring buffer).
+const seriesCap = 4096
+
+// TelemetryConfig parameterizes the event pipeline attached by
+// EnableTelemetry. Metrics are sampled once per reconfiguration window
+// R_w, so samples align with LS windows.
 type TelemetryConfig struct {
-	// Window is the sampling period in cycles; 0 uses the system's
-	// reconfiguration window R_w so samples align with LS windows.
-	Window uint64
-	// SeriesCap is how many windows each time series retains (ring
-	// buffer); 0 means 4096.
-	SeriesCap int
 	// EventCap is the in-memory event recorder's ring capacity; 0 means
 	// 65536. Negative disables the recorder (streaming sinks only).
 	EventCap int
 	// Sinks are additional event consumers (e.g. a JSONL stream); they
 	// receive every event alongside the recorder.
 	Sinks []telemetry.Sink
-	// Prefix is prepended to every series name. Hierarchical runs label
+	// prefix is prepended to every series name. Hierarchical runs label
 	// each subsystem's series with its tier and instance (e.g.
 	// "tier0/rack3/supply_mw", "tier1/supply_mw") so one exported
 	// metrics stream stays unambiguous across tiers.
-	Prefix string
+	prefix string
 }
 
 // Telemetry is the per-run observability state: a metrics registry
@@ -41,7 +40,6 @@ type Telemetry struct {
 	window       uint64
 	nextBoundary uint64
 	index        uint64
-	prefix       string
 
 	// Window-latency accumulation (fed by System.onDeliver).
 	latSum   uint64
@@ -102,24 +100,14 @@ func (s *System) EnableTelemetry(cfg TelemetryConfig) *Telemetry {
 	if s.telemetry != nil {
 		panic("core: telemetry already enabled")
 	}
-	if cfg.Window == 0 {
-		cfg.Window = s.cfg.Window
-	}
-	if cfg.Window == 0 {
-		panic("core: telemetry window must be >= 1")
-	}
-	if cfg.SeriesCap == 0 {
-		cfg.SeriesCap = 4096
-	}
 	if cfg.EventCap == 0 {
 		cfg.EventCap = 1 << 16
 	}
 	t := &Telemetry{
 		sys:          s,
-		reg:          telemetry.NewRegistry(cfg.SeriesCap),
-		window:       cfg.Window,
-		nextBoundary: cfg.Window,
-		prefix:       cfg.Prefix,
+		reg:          telemetry.NewRegistry(seriesCap),
+		window:       s.cfg.Window,
+		nextBoundary: s.cfg.Window,
 	}
 	if cfg.EventCap > 0 {
 		t.rec = telemetry.NewRecorder(cfg.EventCap)
@@ -128,19 +116,17 @@ func (s *System) EnableTelemetry(cfg TelemetryConfig) *Telemetry {
 	for _, sink := range cfg.Sinks {
 		s.AttachSink(sink)
 	}
-	t.buildSeries()
+	t.buildSeries(cfg.prefix)
 	s.telemetry = t
 	return t
 }
 
-// Telemetry returns the collector enabled on this system, or nil.
-func (s *System) Telemetry() *Telemetry { return s.telemetry }
-
-// buildSeries pre-creates every series so the per-window sampling path
-// is lookup-free and the registry's meta ordering is stable.
-func (t *Telemetry) buildSeries() {
+// buildSeries pre-creates every series, each name behind prefix, so the
+// per-window sampling path is lookup-free and the registry's meta
+// ordering is stable.
+func (t *Telemetry) buildSeries(prefix string) {
 	reg := func(name, unit string) *telemetry.TimeSeries {
-		return t.reg.Series(t.prefix+name, unit)
+		return t.reg.Series(prefix+name, unit)
 	}
 	t.sInjectRate = reg("inject_rate", "pkt/cycle")
 	t.sDeliverRate = reg("deliver_rate", "pkt/cycle")
@@ -293,6 +279,3 @@ func (t *Telemetry) Registry() *telemetry.Registry { return t.reg }
 // Recorder returns the in-memory event recorder (nil when disabled via
 // a negative EventCap).
 func (t *Telemetry) Recorder() *telemetry.Recorder { return t.rec }
-
-// Window returns the sampling window in cycles.
-func (t *Telemetry) Window() uint64 { return t.window }
