@@ -23,7 +23,7 @@
 //
 // Full figure sweeps (throughput / latency / power across loads, modes
 // and traffic patterns, run in parallel) are available through
-// SweepContext; see the examples directory and `erapid sweep`.
+// SweepContext; see the package examples and `erapid sweep`.
 //
 // # Cancellation
 //

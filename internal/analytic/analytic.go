@@ -29,7 +29,8 @@ func ZeroLoadInterBoardLatency(cfg core.Config) float64 {
 	fc := float64(cfg.FlitCyclesElec)
 	elecPacket := flits * fc // tail leaves a channel this long after the head enters it
 
-	ser := float64(power.SerializationCycles(cfg.PacketBytes*8, power.High, cfg.CycleNS))
+	lad := power.PaperLadder()
+	ser := float64(lad.SerializationCycles(cfg.PacketBytes*8, lad.Top(), cfg.CycleNS))
 
 	// Source side: NIC serializes the packet onto the injection channel,
 	// the IBI pipeline forwards it, and the transmitter reassembles the
@@ -107,7 +108,8 @@ func SaturationBound(cfg core.Config, pattern string, reconfigured bool) (float6
 		return 0, err
 	}
 	b := cfg.Boards
-	ser := float64(power.SerializationCycles(cfg.PacketBytes*8, power.High, cfg.CycleNS))
+	lad := power.PaperLadder()
+	ser := float64(lad.SerializationCycles(cfg.PacketBytes*8, lad.Top(), cfg.CycleNS))
 	maxHold := cfg.MaxHold
 	if maxHold <= 0 {
 		maxHold = b - 1

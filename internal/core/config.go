@@ -370,7 +370,8 @@ func (c Config) Rate() float64 {
 // the electrical injection channel.
 func (c Config) Capacity() float64 {
 	c = c.tiersApplied()
-	serHigh := float64(power.SerializationCycles(c.PacketBytes*8, power.High, c.CycleNS))
+	lad := power.PaperLadder()
+	serHigh := float64(lad.SerializationCycles(c.PacketBytes*8, lad.Top(), c.CycleNS))
 	// Electrical bound: a node injects one packet per Flits×FlitCycles.
 	elecBound := 1 / (float64(c.FlitsPerPacket()) * float64(c.FlitCyclesElec))
 	n := c.Boards * c.NodesPerBoard

@@ -245,6 +245,9 @@ func TestIntraBoardDelivery(t *testing.T) {
 		ID: 999, Src: 1, Dst: 2, SrcBoard: 0, DstBoard: 0,
 		Size: 64, FlitBytes: 8, InjectedAt: 0,
 	}
+	optical := telemetry.NewRecorder(1)
+	optical.Filter = func(ev telemetry.Event) bool { return ev.Kind == telemetry.PacketOpticalArrive }
+	s.AttachSink(optical)
 	s.nics[1].Enqueue(p)
 	for now := uint64(0); now < 300 && p.ReceivedAt == 0; now++ {
 		s.Step()
@@ -256,8 +259,8 @@ func TestIntraBoardDelivery(t *testing.T) {
 	if p.ReceivedAt > 100 {
 		t.Fatalf("intra-board latency %d cycles, want < 100 (no optical hop)", p.ReceivedAt)
 	}
-	if s.fab.Channel(1, 1).Deliveries() != 0 {
-		t.Fatal("intra-board packet crossed the optical fabric")
+	if n := optical.Count(telemetry.PacketOpticalArrive); n != 0 {
+		t.Fatalf("%d optical arrivals: intra-board packet crossed the optical fabric", n)
 	}
 }
 

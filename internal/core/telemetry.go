@@ -182,7 +182,7 @@ func (t *Telemetry) noteDelivery(p *flit.Packet) {
 }
 
 // observe samples every series at window boundaries. Called once per
-// cycle by System.commitCycle; all work happens on the boundary cycle, so the
+// cycle by System.step; all work happens on the boundary cycle, so the
 // steady-state cost is one comparison.
 func (t *Telemetry) observe(now uint64) {
 	if now+1 < t.nextBoundary {

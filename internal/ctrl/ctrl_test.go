@@ -198,9 +198,9 @@ func TestDBRReallocatesIdleChannelsToCongestedFlow(t *testing.T) {
 	r := newRig(t, 4, dbrConfig(300))
 	wStatic := r.top.Wavelength(0, 2)
 	r.run(0, 700, r.pumpFlow(0, wStatic, 2))
-	held := r.fab.HoldersToward(0, 2)
+	held := r.fab.AppendHoldersToward(nil, 0, 2)
 	if len(held) < 2 {
-		t.Fatalf("HoldersToward(0,2) = %v after DBR, want >= 2 channels", held)
+		t.Fatalf("holders 0→2 = %v after DBR, want >= 2 channels", held)
 	}
 	if err := r.fab.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestDBRReallocatesIdleChannelsToCongestedFlow(t *testing.T) {
 		t.Fatal("no reassignments recorded")
 	}
 	// Uninvolved flows keep their channels into other boards.
-	if got := r.fab.HoldersToward(1, 0); len(got) != 1 {
+	if got := r.fab.AppendHoldersToward(nil, 1, 0); len(got) != 1 {
 		t.Fatalf("flow 1→0 channels = %v, want untouched single channel", got)
 	}
 }
@@ -230,7 +230,7 @@ func TestDBRLeavesBalancedTrafficAlone(t *testing.T) {
 		if s == 2 {
 			continue
 		}
-		if got := r.fab.HoldersToward(s, 2); len(got) != 1 {
+		if got := r.fab.AppendHoldersToward(nil, s, 2); len(got) != 1 {
 			t.Fatalf("balanced traffic: flow %d→2 holds %v, want its single static channel", s, got)
 		}
 	}
@@ -245,7 +245,7 @@ func TestDBRReclaimReturnsChannelToOwner(t *testing.T) {
 	// Phase 1: hot flow 0→2 grabs extra channels.
 	pump0 := r.pumpFlow(0, wStatic, 2)
 	r.run(0, 700, pump0)
-	if len(r.fab.HoldersToward(0, 2)) < 2 {
+	if len(r.fab.AppendHoldersToward(nil, 0, 2)) < 2 {
 		t.Fatal("setup: no channels acquired")
 	}
 	// Phase 2: flow 0→2 goes quiet; board 1's flow to 2 becomes hot. Its
@@ -433,9 +433,9 @@ func TestMaxHoldCapsAcquisition(t *testing.T) {
 	r := newRig(t, 4, cfg)
 	wStatic := r.top.Wavelength(0, 2)
 	r.run(0, 2500, r.pumpFlow(0, wStatic, 2))
-	held := r.fab.HoldersToward(0, 2)
+	held := r.fab.AppendHoldersToward(nil, 0, 2)
 	if len(held) != 2 {
-		t.Fatalf("HoldersToward(0,2) = %v, want exactly MaxHold=2", held)
+		t.Fatalf("holders 0→2 = %v, want exactly MaxHold=2", held)
 	}
 	if err := r.fab.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -449,7 +449,7 @@ func TestAcquiredLaserStartsAtAcquireLevel(t *testing.T) {
 	top := r.fab.Config().Ladder.Top()
 	wStatic := r.top.Wavelength(0, 2)
 	r.run(0, 700, r.pumpFlow(0, wStatic, 2))
-	held := r.fab.HoldersToward(0, 2)
+	held := r.fab.AppendHoldersToward(nil, 0, 2)
 	if len(held) < 2 {
 		t.Fatal("setup: nothing acquired")
 	}
@@ -469,7 +469,7 @@ func TestPNBNeverReassigns(t *testing.T) {
 	r := newRig(t, 4, cfg)
 	wStatic := r.top.Wavelength(0, 2)
 	r.run(0, 1500, r.pumpFlow(0, wStatic, 2))
-	if got := r.fab.HoldersToward(0, 2); len(got) != 1 {
+	if got := r.fab.AppendHoldersToward(nil, 0, 2); len(got) != 1 {
 		t.Fatalf("P-NB acquired channels: %v", got)
 	}
 	if ctr := r.sys.Counters(); ctr.Reassignments != 0 || ctr.BandwidthCyles != 0 {
@@ -498,7 +498,7 @@ func TestFailedMovesCountedWhenHolderBusy(t *testing.T) {
 	}
 	// Whether or not the race fired in this exact schedule, flow 1→2 must
 	// still own or regain a channel and its packets must be drainable.
-	if got := r.fab.HoldersToward(1, 2); len(got) == 0 {
+	if got := r.fab.AppendHoldersToward(nil, 1, 2); len(got) == 0 {
 		t.Fatal("flow 1→2 left with no channel while actively sending")
 	}
 }

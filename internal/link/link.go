@@ -47,8 +47,6 @@ type PacketSource struct {
 	// OnDequeue is called when a packet's head flit leaves the source
 	// queue (sets Packet.NetworkAt in the system model). May be nil.
 	OnDequeue func(p *flit.Packet, now uint64)
-
-	sent uint64
 }
 
 type creditEntry struct {
@@ -73,7 +71,7 @@ func NewPacketSource(name string, sink router.Sink, vcs, depth int, flitCycles u
 
 // Reset rewinds the source to its freshly constructed state: queue and
 // in-flight transmission dropped, credits restored to the downstream
-// depth, round-robin pointer and counters zeroed. The sink and the
+// depth, round-robin pointer zeroed. The sink and the
 // OnDequeue callback stay attached, so a wired source can be reused
 // across runs without reconstruction.
 func (s *PacketSource) Reset() {
@@ -89,7 +87,6 @@ func (s *PacketSource) Reset() {
 	s.curIdx, s.curVC = 0, 0
 	s.nextSendAt = 0
 	s.rrVC = 0
-	s.sent = 0
 	s.act.Remove(s.bit)
 }
 
@@ -107,12 +104,6 @@ func (s *PacketSource) Enqueue(p *flit.Packet) {
 // QueueLen returns the number of packets waiting (excluding the one in
 // flight). Source-queue growth is the canonical saturation signal.
 func (s *PacketSource) QueueLen() int { return len(s.queue) }
-
-// Sent returns the number of packets fully transmitted.
-func (s *PacketSource) Sent() uint64 { return s.sent }
-
-// Busy reports whether a packet is currently being serialized.
-func (s *PacketSource) Busy() bool { return s.cur != nil }
 
 // HasWork reports whether Tick would do anything this cycle: a packet
 // queued or in flight, or credits waiting to mature. It is the predicate
@@ -194,7 +185,6 @@ func (s *PacketSource) tick(now uint64) {
 	s.curIdx++
 	if s.curIdx == len(s.cur) {
 		s.cur = nil
-		s.sent++
 	}
 }
 
@@ -209,8 +199,7 @@ type PacketSink struct {
 	// tail's arrival stamp.
 	OnPacket func(p *flit.Packet, now uint64)
 
-	open     []*flit.Packet // per VC, grown on first use; nil = no open packet
-	received uint64
+	open []*flit.Packet // per VC, grown on first use; nil = no open packet
 }
 
 // NewPacketSink creates a sink returning credits to cs (may be nil for
@@ -219,15 +208,11 @@ func NewPacketSink(name string, cs router.CreditSink, onPacket func(p *flit.Pack
 	return &PacketSink{name: name, credits: cs, OnPacket: onPacket}
 }
 
-// Received returns the number of completed packets.
-func (k *PacketSink) Received() uint64 { return k.received }
-
 // Reset rewinds the sink to its freshly constructed state, dropping any
-// partially reassembled packets and zeroing the received counter. The
-// credit sink and OnPacket callback stay attached.
+// partially reassembled packets. The credit sink and OnPacket callback
+// stay attached.
 func (k *PacketSink) Reset() {
 	clear(k.open)
-	k.received = 0
 }
 
 // PutFlit implements router.Sink.
@@ -253,7 +238,6 @@ func (k *PacketSink) PutFlit(f *flit.Flit, readyAt uint64) {
 	}
 	if f.IsTail() {
 		k.open[f.VC] = nil
-		k.received++
 		if k.OnPacket != nil {
 			k.OnPacket(f.Packet, readyAt)
 		}

@@ -11,8 +11,8 @@ import (
 // materialised counts the fabric's materialised lasers.
 func materialised(f *Fabric) int {
 	n := 0
-	for s := range f.shards {
-		n += f.shards[s].used
+	for s := range f.boards {
+		n += f.boards[s].used
 	}
 	return n
 }
@@ -118,9 +118,9 @@ func TestResetMatchesNewFabric(t *testing.T) {
 	if f.idleLitMW != fresh.idleLitMW {
 		t.Errorf("idle aggregate %v after Reset, %v fresh", f.idleLitMW, fresh.idleLitMW)
 	}
-	for s := range f.shards {
-		if f.shards[s].winFrom != 0 {
-			t.Errorf("board %d window starts at %d after Reset", s, f.shards[s].winFrom)
+	for s := range f.boards {
+		if f.boards[s].winFrom != 0 {
+			t.Errorf("board %d window starts at %d after Reset", s, f.boards[s].winFrom)
 		}
 	}
 	// strip drops the wiring, which differs between two fabrics, and keeps

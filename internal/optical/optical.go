@@ -89,27 +89,15 @@ func (c Config) normalize() Config {
 // Channel is one incoming wavelength at one destination board: the fiber
 // segment from the couplers into receiver (d, w).
 type Channel struct {
-	d, w      int
 	holder    int
 	busyUntil uint64
-	// deliveries counts packets received on this channel.
-	deliveries uint64
 }
 
 // Holder returns the board currently driving the channel.
 func (c *Channel) Holder() int { return c.holder }
 
-// Dest returns the destination board.
-func (c *Channel) Dest() int { return c.d }
-
-// Wavelength returns the channel's wavelength index.
-func (c *Channel) Wavelength() int { return c.w }
-
 // Busy reports whether a packet is being serialized onto the channel.
 func (c *Channel) Busy(now uint64) bool { return c.busyUntil > now }
-
-// Deliveries returns the number of packets received on the channel.
-func (c *Channel) Deliveries() uint64 { return c.deliveries }
 
 // Laser is one element of a transmitter's laser array: wavelength w at
 // board s, aimed at destination board d through port d.
@@ -248,7 +236,7 @@ type Fabric struct {
 	// heads[s*B+w] is the first materialised laser of transmitter (s, w);
 	// the rest follow through Laser.next in ascending d, so walking a
 	// board's heads in w order visits its lasers in canonical order. The
-	// structs live in the board's shard (boardShard.chunks).
+	// structs live in the board's state (boardState.chunks).
 	heads []*Laser
 	// populated counts the lasers the arrays are built with, materialised
 	// or not.
@@ -257,13 +245,13 @@ type Fabric struct {
 
 	deliver [][]DeliverFunc // [d][w]
 
-	// shards holds the per-board mutable tick state (active and
+	// boards holds the per-board mutable tick state (active and
 	// deferred-deactivation lists), one struct per board.
-	// shards[s].active holds, in canonical (w, d) order, every laser of
+	// boards[s].active holds, in canonical (w, d) order, every laser of
 	// board s with queued packets or an in-flight serialization. Only
 	// these are ticked. Iterating boards in ascending order visits lasers
 	// in exactly the canonical (s, w, d) order the exhaustive scan used.
-	shards []boardShard
+	boards []boardState
 	// idleLitMW is the summed supply power of lit, operating lasers that
 	// are NOT on the active list; it is added to the meter in one call per
 	// metered cycle so idle lasers need no per-cycle visit.
@@ -293,11 +281,11 @@ type Fabric struct {
 	dropHook DeliverFunc
 }
 
-// boardShard is one board's per-tick mutable list state: the active
+// boardState is one board's per-tick mutable list state: the active
 // lasers and the lasers leaving the active list within a Tick (their
 // idle-aggregate refresh is deferred past the cycle's idle-power
 // sample).
-type boardShard struct {
+type boardState struct {
 	active []*Laser
 	deact  []*Laser
 	// txFlits counts flits buffered across this board's transmitter
@@ -319,9 +307,9 @@ type boardShard struct {
 }
 
 // slot returns the board's i-th laser slot (chunks are of equal length).
-func (sh *boardShard) slot(i int) *Laser {
-	n := len(sh.chunks[0])
-	return &sh.chunks[i/n][i%n]
+func (bs *boardState) slot(i int) *Laser {
+	n := len(bs.chunks[0])
+	return &bs.chunks[i/n][i%n]
 }
 
 // SetDropHook registers the accounting path for packets discarded at
@@ -351,9 +339,9 @@ func NewFabric(top *topology.Topology, _ *sim.Engine, cfg Config) (*Fabric, erro
 	}
 	b := top.Boards()
 	f := &Fabric{top: top, cfg: cfg, meter: power.NewMeter(cfg.CycleNS)}
-	f.shards = make([]boardShard, b)
-	for s := range f.shards {
-		f.shards[s].txPending = router.NewActiveSet(b - 1)
+	f.boards = make([]boardState, b)
+	for s := range f.boards {
+		f.boards[s].txPending = router.NewActiveSet(b - 1)
 	}
 	f.channels = make([][]*Channel, b)
 	f.deliver = make([][]DeliverFunc, b)
@@ -366,7 +354,7 @@ func NewFabric(top *topology.Topology, _ *sim.Engine, cfg Config) (*Fabric, erro
 		f.deliver[d] = make([]DeliverFunc, b)
 		for w := 1; w < b; w++ {
 			ch := &chSlab[w]
-			ch.d, ch.w, ch.holder = d, w, top.StaticOwner(d, w)
+			ch.holder = top.StaticOwner(d, w)
 			f.channels[d][w] = ch
 		}
 	}
@@ -410,28 +398,27 @@ func (f *Fabric) Reset() {
 			ch := f.channels[d][w]
 			ch.holder = f.top.StaticOwner(d, w)
 			ch.busyUntil = 0
-			ch.deliveries = 0
 		}
 	}
-	for s := range f.shards {
-		sh := &f.shards[s]
-		for i := range sh.active {
-			sh.active[i] = nil
+	for s := range f.boards {
+		bs := &f.boards[s]
+		for i := range bs.active {
+			bs.active[i] = nil
 		}
-		sh.active = sh.active[:0]
-		for i := range sh.deact {
-			sh.deact[i] = nil
+		bs.active = bs.active[:0]
+		for i := range bs.deact {
+			bs.deact[i] = nil
 		}
-		sh.deact = sh.deact[:0]
-		sh.txFlits = 0
-		clear(sh.txPending)
+		bs.deact = bs.deact[:0]
+		bs.txFlits = 0
+		clear(bs.txPending)
 		// Release every packet still queued; the slots and their queue
 		// backing arrays are reused by the next materialisations.
-		for i := range sh.used {
-			clear(sh.slot(i).queue)
+		for i := range bs.used {
+			clear(bs.slot(i).queue)
 		}
-		sh.used = 0
-		sh.winFrom = 0
+		bs.used = 0
+		bs.winFrom = 0
 	}
 	clear(f.heads)
 	f.idleLitMW = 0
@@ -483,18 +470,18 @@ func (f *Fabric) laser(s, w, d int) *Laser {
 		return l
 	}
 	b := f.top.Boards()
-	sh := &f.shards[s]
-	if n := max(b-1, 16); sh.used == len(sh.chunks)*n {
-		sh.chunks = append(sh.chunks, make([]Laser, n))
+	bs := &f.boards[s]
+	if n := max(b-1, 16); bs.used == len(bs.chunks)*n {
+		bs.chunks = append(bs.chunks, make([]Laser, n))
 	}
-	l := sh.slot(sh.used)
-	sh.used++
+	l := bs.slot(bs.used)
+	bs.used++
 	*l = Laser{
 		s: s, w: w, d: d,
 		ladder: f.cfg.Ladder, fab: f, ch: f.channels[d][w],
 		level:   f.cfg.Ladder.Top(),
 		queue:   l.queue[:0],
-		statsAt: sh.winFrom,
+		statsAt: bs.winFrom,
 		key:     (s*b+w)*b + d,
 		next:    *p,
 	}
@@ -589,7 +576,7 @@ func (f *Fabric) TakeWindows(s int, now uint64, buf []WindowStats) []WindowStats
 			l.dropWin = 0
 		}
 	}
-	f.shards[s].winFrom = now
+	f.boards[s].winFrom = now
 	return buf
 }
 
@@ -614,8 +601,8 @@ func (f *Fabric) activateLaser(l *Laser, now uint64) {
 	}
 	f.syncStats(l, now)
 	l.active = true
-	sh := &f.shards[l.s]
-	lst := sh.active
+	bs := &f.boards[l.s]
+	lst := bs.active
 	lo, hi := 0, len(lst)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -628,7 +615,7 @@ func (f *Fabric) activateLaser(l *Laser, now uint64) {
 	lst = append(lst, nil)
 	copy(lst[lo+1:], lst[lo:])
 	lst[lo] = l
-	sh.active = lst
+	bs.active = lst
 	f.refreshIdle(l)
 }
 
@@ -825,14 +812,9 @@ func (f *Fabric) LaserHealthy(s, w, d int) bool {
 	return f.CanHold(s, w, d) && !f.Laser(s, w, d).Failed()
 }
 
-// HoldersToward returns the wavelengths board s currently holds toward
-// board d (the route candidates for flow s→d), in ascending order.
-func (f *Fabric) HoldersToward(s, d int) []int {
-	return f.AppendHoldersToward(nil, s, d)
-}
-
 // AppendHoldersToward appends the wavelengths board s currently holds
-// toward board d to buf and returns it. Channels whose laser has failed
+// toward board d (the route candidates for flow s→d) to buf, in
+// ascending order, and returns it. Channels whose laser has failed
 // are skipped: routing falls back to a surviving wavelength. Hot routing
 // paths pass a reused scratch buffer to avoid a per-packet allocation.
 func (f *Fabric) AppendHoldersToward(buf []int, s, d int) []int {
@@ -901,8 +883,6 @@ func (f *Fabric) DeliverDue(now uint64) {
 			i = child
 		}
 		f.delHeap = h
-		ch := f.channels[dv.d][dv.w]
-		ch.deliveries++
 		if fn := f.deliver[dv.d][dv.w]; fn != nil {
 			fn(dv.p, dv.at)
 		}
@@ -940,10 +920,10 @@ func (f *Fabric) Tick(now uint64) {
 // lasers that go idle drop off the list and their statistics and supply
 // power are carried forward in bulk (syncStats, idleLitMW).
 func (f *Fabric) TickBoards(now uint64) {
-	for s := range f.shards {
+	for s := range f.boards {
 		f.tickBoardTx(s, now)
 	}
-	for s := range f.shards {
+	for s := range f.boards {
 		f.tickBoardLasers(s, now)
 	}
 	if f.meterEnabled {
@@ -952,7 +932,7 @@ func (f *Fabric) TickBoards(now uint64) {
 	}
 	// Lasers deactivated this cycle were metered by tickLaser; they join
 	// the idle aggregate only from the next cycle on.
-	for s := range f.shards {
+	for s := range f.boards {
 		f.flushDeact(s)
 	}
 }
@@ -960,7 +940,7 @@ func (f *Fabric) TickBoards(now uint64) {
 // tickBoardTx advances board s's transmitters one cycle.
 func (f *Fabric) tickBoardTx(s int, now uint64) {
 	txs := f.txs[s*(f.top.Boards()-1):]
-	for wi, word := range f.shards[s].txPending {
+	for wi, word := range f.boards[s].txPending {
 		for ; word != 0; word &= word - 1 {
 			txs[wi<<6|bits.TrailingZeros64(word)].tick(now)
 		}
@@ -970,10 +950,10 @@ func (f *Fabric) tickBoardTx(s int, now uint64) {
 // tickBoardLasers advances board s's active lasers one cycle, compacting
 // lasers that go idle onto the board's deferred-deactivation list.
 func (f *Fabric) tickBoardLasers(s int, now uint64) {
-	sh := &f.shards[s]
-	lst := sh.active
+	bs := &f.boards[s]
+	lst := bs.active
 	kept := lst[:0]
-	deact := sh.deact[:0]
+	deact := bs.deact[:0]
 	for _, l := range lst {
 		f.tickLaser(l, now)
 		if len(l.queue) > 0 || l.busyUntil > now+1 {
@@ -986,21 +966,21 @@ func (f *Fabric) tickBoardLasers(s int, now uint64) {
 	for i := len(kept); i < len(lst); i++ {
 		lst[i] = nil
 	}
-	sh.active = kept
-	sh.deact = deact
+	bs.active = kept
+	bs.deact = deact
 }
 
 // flushDeact re-derives the idle supply contribution of board s's lasers
 // that left the active list this cycle (they join the idle aggregate
 // only from the next cycle on).
 func (f *Fabric) flushDeact(s int) {
-	sh := &f.shards[s]
-	d := sh.deact
+	bs := &f.boards[s]
+	d := bs.deact
 	for i, l := range d {
 		f.refreshIdle(l)
 		d[i] = nil
 	}
-	sh.deact = d[:0]
+	bs.deact = d[:0]
 }
 
 func (f *Fabric) tickLaser(l *Laser, now uint64) {
@@ -1130,23 +1110,23 @@ func (f *Fabric) CheckInvariants() error {
 
 // CheckIndex verifies, by exhaustive scan, that every transmitter's
 // pending count and txPending bit agree with its reassembly buffers and
-// that each shard's txFlits is their sum; tests call it between Ticks.
+// that each board's txFlits is their sum; tests call it between Ticks.
 func (f *Fabric) CheckIndex() error {
 	wpb := f.top.Boards() - 1
-	for s := range f.shards {
-		sh, flits := &f.shards[s], 0
+	for s := range f.boards {
+		bs, flits := &f.boards[s], 0
 		for i, tx := range f.txs[s*wpb : (s+1)*wpb] {
 			n := 0
 			for v := range tx.vcs {
 				n += len(tx.vcs[v].entries)
 			}
-			if n != tx.pending || sh.txPending.Has(i) != (n > 0) {
-				return fmt.Errorf("tx(%d,λ%d) holds %d flits, pending %d, bit %v", s, tx.w, n, tx.pending, sh.txPending.Has(i))
+			if n != tx.pending || bs.txPending.Has(i) != (n > 0) {
+				return fmt.Errorf("tx(%d,λ%d) holds %d flits, pending %d, bit %v", s, tx.w, n, tx.pending, bs.txPending.Has(i))
 			}
 			flits += n
 		}
-		if flits != sh.txFlits {
-			return fmt.Errorf("board %d transmitters hold %d flits, txFlits %d", s, flits, sh.txFlits)
+		if flits != bs.txFlits {
+			return fmt.Errorf("board %d transmitters hold %d flits, txFlits %d", s, flits, bs.txFlits)
 		}
 	}
 	return nil
@@ -1160,16 +1140,16 @@ func (f *Fabric) CheckIndex() error {
 // active list (tickBoardLasers' retention condition), a serialization
 // busy past now always has its delivery still pending in delHeap
 // (scheduled at start+ser+prop ≥ busyUntil), and buffered transmitter
-// flits are counted per shard as they arrive. No engine path calls it;
+// flits are counted per board as they arrive. No engine path calls it;
 // like FastForwardIdle it remains only for the benchmark's
 // optical.ff_idle_ns_per_cycle metric until ROADMAP item 1c.
 func (f *Fabric) Quiescent(now uint64) bool {
 	if len(f.delHeap) > 0 {
 		return false
 	}
-	for s := range f.shards {
-		sh := &f.shards[s]
-		if sh.txFlits != 0 || len(sh.active) > 0 {
+	for s := range f.boards {
+		bs := &f.boards[s]
+		if bs.txFlits != 0 || len(bs.active) > 0 {
 			return false
 		}
 	}

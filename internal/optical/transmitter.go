@@ -50,12 +50,6 @@ func (t *Transmitter) init(f *Fabric, s, w int) {
 	}
 }
 
-// Board returns the transmitter's board.
-func (t *Transmitter) Board() int { return t.s }
-
-// Wavelength returns the transmitter's wavelength index.
-func (t *Transmitter) Wavelength() int { return t.w }
-
 // SetCreditSink registers where reassembly credits are returned (the IBI
 // output port feeding this transmitter).
 func (t *Transmitter) SetCreditSink(cs router.CreditSink) { t.cs = cs }
@@ -72,9 +66,9 @@ func (t *Transmitter) PutFlit(f *flit.Flit, readyAt uint64) {
 	}
 	vc.entries = append(vc.entries, txEntry{f: f, readyAt: readyAt})
 	t.pending++
-	sh := &t.f.shards[t.s]
-	sh.txFlits++
-	sh.txPending.Add(t.w - 1)
+	bs := &t.f.boards[t.s]
+	bs.txFlits++
+	bs.txPending.Add(t.w - 1)
 }
 
 // tick moves completed packets from reassembly buffers into laser queues
@@ -119,7 +113,7 @@ func (t *Transmitter) tick(now uint64) {
 			}
 			vc.entries = vc.entries[:0]
 			t.pending -= n
-			t.f.shards[t.s].txFlits -= n
+			t.f.boards[t.s].txFlits -= n
 			if t.cs != nil {
 				for i := 0; i < n; i++ {
 					t.cs.PutCredit(v, now+1)
@@ -138,7 +132,7 @@ func (t *Transmitter) tick(now uint64) {
 		n := len(vc.entries)
 		vc.entries = vc.entries[:0]
 		t.pending -= n
-		t.f.shards[t.s].txFlits -= n
+		t.f.boards[t.s].txFlits -= n
 		if t.cs != nil {
 			for i := 0; i < n; i++ {
 				t.cs.PutCredit(v, now+1)
@@ -146,7 +140,7 @@ func (t *Transmitter) tick(now uint64) {
 		}
 	}
 	if t.pending == 0 {
-		t.f.shards[t.s].txPending.Remove(t.w - 1)
+		t.f.boards[t.s].txPending.Remove(t.w - 1)
 	}
 }
 

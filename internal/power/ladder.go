@@ -3,8 +3,8 @@ package power
 import "fmt"
 
 // Ladder is an ordered set of link operating points: index 0 is Off and
-// indices 1..NumLevels() are operating points in ascending bit-rate
-// order. The paper evaluates a 3-level ladder (2.5/3.3/5 Gbps) and names
+// indices 1..Top() are operating points in ascending bit-rate order. The
+// paper evaluates a 3-level ladder (2.5/3.3/5 Gbps) and names
 // "more power levels and corresponding bit rates" as future work; the
 // ladder generalizes the DPM machinery to arbitrary level counts so that
 // hypothesis can be tested (see BenchmarkAblationPowerLevels).
@@ -66,9 +66,6 @@ func InterpolatedLadder(n int) (*Ladder, error) {
 	pts[n-1].TotalMW = hi.TotalMW
 	return NewLadder(pts)
 }
-
-// NumLevels returns the number of operating levels (excluding Off).
-func (l *Ladder) NumLevels() int { return len(l.pts) - 1 }
 
 // Top returns the highest operating level index.
 func (l *Ladder) Top() int { return len(l.pts) - 1 }
@@ -136,15 +133,6 @@ func (l *Ladder) SerializationCycles(packetBits, i int, cycleNS float64) uint64 
 		n = 1
 	}
 	return n
-}
-
-// LevelName renders a level for diagnostics ("off", "L2@3.3G").
-func (l *Ladder) LevelName(i int) string {
-	l.check(i)
-	if i == 0 {
-		return "off"
-	}
-	return fmt.Sprintf("L%d@%.3gG", i, l.pts[i].Gbps)
 }
 
 func (l *Ladder) check(i int) {

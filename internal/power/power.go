@@ -52,27 +52,6 @@ func (l Level) String() string {
 	}
 }
 
-// Up returns the next higher level (saturating at High). Off steps to Low.
-func (l Level) Up() Level {
-	if l >= High {
-		return High
-	}
-	return l + 1
-}
-
-// Down returns the next lower operating level, saturating at Low. Links
-// are turned Off only by the explicit idle-shutdown path, not by
-// stepwise scaling.
-func (l Level) Down() Level {
-	if l <= Low {
-		return Low
-	}
-	return l - 1
-}
-
-// Operating reports whether the level carries traffic.
-func (l Level) Operating() bool { return l != Off && l < NumLevels }
-
 // Point is one operating point of an optical link.
 type Point struct {
 	Gbps    float64 // line rate
@@ -129,31 +108,6 @@ func ScaledMW(p Point) float64 {
 	return total
 }
 
-// LinkMW returns the canonical (Table 1) whole-link power at a level.
-func LinkMW(l Level) float64 { return Table1[l].TotalMW }
-
-// Gbps returns the line rate at a level (0 for Off).
-func Gbps(l Level) float64 { return Table1[l].Gbps }
-
-// SerializationCycles returns how many router cycles a packet of the
-// given size occupies an optical link at level l, with the given router
-// cycle time in nanoseconds (2.5 ns at 400 MHz). It panics for Off.
-func SerializationCycles(packetBits int, l Level, cycleNS float64) uint64 {
-	if !l.Operating() {
-		panic(fmt.Sprintf("power: serialization at non-operating level %v", l))
-	}
-	bitsPerCycle := Table1[l].Gbps * cycleNS // Gbps × ns = bits
-	cycles := float64(packetBits) / bitsPerCycle
-	n := uint64(cycles)
-	if float64(n) < cycles {
-		n++
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n
-}
-
 // Meter integrates link power over simulated time.
 //
 // Two accountings are kept (see DESIGN.md §5 and EXPERIMENTS.md):
@@ -180,13 +134,8 @@ func NewMeter(cycleNS float64) *Meter {
 	return &Meter{cycleNS: cycleNS}
 }
 
-// AddCycle records one cycle of one link at level l, transmitting or not.
-func (m *Meter) AddCycle(l Level, transmitting bool) {
-	m.AddCycleMW(LinkMW(l), transmitting)
-}
-
 // AddCycleMW records one cycle of one link drawing mw milliwatts of
-// supply power, transmitting or not (ladder-based callers).
+// supply power, transmitting or not.
 func (m *Meter) AddCycleMW(mw float64, transmitting bool) {
 	m.supplyMWCycles += mw
 	if transmitting {
@@ -194,26 +143,10 @@ func (m *Meter) AddCycleMW(mw float64, transmitting bool) {
 	}
 }
 
-// AddCycles records n cycles of one link at level l, busy for busyCycles
-// of them (busyCycles ≤ n).
-func (m *Meter) AddCycles(l Level, n, busyCycles uint64) {
-	if busyCycles > n {
-		panic("power: busy cycles exceed total cycles")
-	}
-	mw := LinkMW(l)
-	m.supplyMWCycles += mw * float64(n)
-	m.dynamicMWCycles += mw * float64(busyCycles)
-}
-
 // Observe advances the meter's notion of elapsed cycles (for averaging).
 // Call once per simulated cycle of the measurement window, regardless of
 // how many links were recorded.
 func (m *Meter) Observe(cycles uint64) { m.cycles += cycles }
-
-// SupplyEnergyNJ returns the integrated supply energy in nanojoules.
-func (m *Meter) SupplyEnergyNJ() float64 {
-	return m.supplyMWCycles * m.cycleNS * 1e-3 // mW·ns = pJ; ×1e-3 → nJ
-}
 
 // DynamicEnergyNJ returns the integrated dynamic energy in nanojoules.
 func (m *Meter) DynamicEnergyNJ() float64 {
@@ -236,9 +169,6 @@ func (m *Meter) AvgDynamicMW() float64 {
 	}
 	return m.dynamicMWCycles / float64(m.cycles)
 }
-
-// ObservedCycles returns the number of cycles observed.
-func (m *Meter) ObservedCycles() uint64 { return m.cycles }
 
 // Integrals returns the raw accumulators: supply and dynamic power
 // integrals in mW·cycles, and the observed cycle count. Telemetry takes

@@ -63,44 +63,26 @@ func TestScaledMWMonotone(t *testing.T) {
 	}
 }
 
-func TestLinkMWMonotone(t *testing.T) {
-	if !(LinkMW(Off) < LinkMW(Low) && LinkMW(Low) < LinkMW(Mid) && LinkMW(Mid) < LinkMW(High)) {
-		t.Error("LinkMW not strictly increasing across levels")
-	}
-}
-
-func TestLevelUpDown(t *testing.T) {
-	if Off.Up() != Low || Low.Up() != Mid || Mid.Up() != High || High.Up() != High {
-		t.Error("Up transitions wrong")
-	}
-	if High.Down() != Mid || Mid.Down() != Low || Low.Down() != Low || Off.Down() != Low {
-		t.Error("Down transitions wrong")
-	}
-}
-
-func TestLevelOperating(t *testing.T) {
-	if Off.Operating() {
-		t.Error("Off.Operating() = true")
-	}
-	for _, l := range []Level{Low, Mid, High} {
-		if !l.Operating() {
-			t.Errorf("%v.Operating() = false", l)
-		}
-	}
-}
-
 func TestSerializationCyclesPaperValues(t *testing.T) {
 	// 64 B packet (512 bits), 2.5 ns cycle (400 MHz):
 	//   5 Gbps   → 512/12.5  = 40.96 → 41 cycles
 	//   3.3 Gbps → 512/8.25  = 62.06 → 63 cycles
 	//   2.5 Gbps → 512/6.25  = 81.92 → 82 cycles
+	// An interpolated ladder's endpoints are the paper's Low and High
+	// points, so they serialize alike.
+	lad := PaperLadder()
+	two, err := InterpolatedLadder(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		l    Level
+		lad  *Ladder
+		i    int
 		want uint64
-	}{{High, 41}, {Mid, 63}, {Low, 82}}
+	}{{lad, 3, 41}, {lad, 2, 63}, {lad, 1, 82}, {two, 2, 41}, {two, 1, 82}}
 	for _, c := range cases {
-		if got := SerializationCycles(512, c.l, 2.5); got != c.want {
-			t.Errorf("SerializationCycles(512, %v) = %d, want %d", c.l, got, c.want)
+		if got := c.lad.SerializationCycles(512, c.i, 2.5); got != c.want {
+			t.Errorf("%d-level ladder: SerializationCycles(512, %d) = %d, want %d", c.lad.Top(), c.i, got, c.want)
 		}
 	}
 }
@@ -111,18 +93,27 @@ func TestSerializationCyclesPanicsOnOff(t *testing.T) {
 			t.Fatal("no panic for Off level")
 		}
 	}()
-	SerializationCycles(512, Off, 2.5)
+	PaperLadder().SerializationCycles(512, 0, 2.5)
 }
 
-// Property: serialization time decreases (weakly) as level rises, and is
-// at least 1 cycle.
+// Property: on any interpolated ladder, serialization time decreases
+// (weakly) as the level rises, and is at least 1 cycle.
 func TestSerializationMonotoneProperty(t *testing.T) {
-	f := func(bitsRaw uint16) bool {
+	f := func(bitsRaw uint16, nRaw uint8) bool {
 		bits := int(bitsRaw)%4096 + 1
-		lo := SerializationCycles(bits, Low, 2.5)
-		mid := SerializationCycles(bits, Mid, 2.5)
-		hi := SerializationCycles(bits, High, 2.5)
-		return hi >= 1 && hi <= mid && mid <= lo
+		lad, err := InterpolatedLadder(int(nRaw%15) + 2)
+		if err != nil {
+			return false
+		}
+		prev := lad.SerializationCycles(bits, 1, 2.5)
+		for i := 2; i <= lad.Top(); i++ {
+			n := lad.SerializationCycles(bits, i, 2.5)
+			if n > prev {
+				return false
+			}
+			prev = n
+		}
+		return prev >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -131,7 +122,9 @@ func TestSerializationMonotoneProperty(t *testing.T) {
 
 func TestMeterAccounting(t *testing.T) {
 	m := NewMeter(2.5)
-	m.AddCycles(High, 100, 40) // 100 cycles lit, 40 transmitting
+	for i := 0; i < 100; i++ { // 100 cycles lit at High, 40 transmitting
+		m.AddCycleMW(Table1[High].TotalMW, i < 40)
+	}
 	m.Observe(100)
 	wantSupply := 43.03 // every observed cycle lit at High
 	if got := m.AvgSupplyMW(); math.Abs(got-wantSupply) > 1e-9 {
@@ -141,18 +134,18 @@ func TestMeterAccounting(t *testing.T) {
 	if got := m.AvgDynamicMW(); math.Abs(got-wantDyn) > 1e-9 {
 		t.Errorf("AvgDynamicMW = %v, want %v", got, wantDyn)
 	}
-	// Energy: 100 cycles × 43.03 mW × 2.5 ns = 10757.5 pJ = 10.7575 nJ.
-	if got := m.SupplyEnergyNJ(); math.Abs(got-10.7575) > 1e-9 {
-		t.Errorf("SupplyEnergyNJ = %v, want 10.7575", got)
-	}
-	if got := m.DynamicEnergyNJ(); math.Abs(got-10.7575*0.4) > 1e-9 {
-		t.Errorf("DynamicEnergyNJ = %v, want %v", got, 10.7575*0.4)
+	// Energy: 40 cycles × 43.03 mW × 2.5 ns = 4303 pJ = 4.303 nJ.
+	if got := m.DynamicEnergyNJ(); math.Abs(got-4.303) > 1e-9 {
+		t.Errorf("DynamicEnergyNJ = %v, want 4.303", got)
 	}
 }
 
 func TestMeterOffCostsNothing(t *testing.T) {
 	m := NewMeter(2.5)
-	m.AddCycles(Off, 1000, 0)
+	off := PaperLadder().MW(0)
+	for i := 0; i < 1000; i++ {
+		m.AddCycleMW(off, false)
+	}
 	m.Observe(1000)
 	if m.AvgSupplyMW() != 0 || m.AvgDynamicMW() != 0 {
 		t.Error("Off level consumed power")
@@ -161,22 +154,12 @@ func TestMeterOffCostsNothing(t *testing.T) {
 
 func TestMeterReset(t *testing.T) {
 	m := NewMeter(2.5)
-	m.AddCycle(High, true)
+	m.AddCycleMW(Table1[High].TotalMW, true)
 	m.Observe(1)
 	m.Reset()
-	if m.AvgSupplyMW() != 0 || m.ObservedCycles() != 0 {
+	if supply, dyn, cycles := m.Integrals(); supply != 0 || dyn != 0 || cycles != 0 {
 		t.Error("Reset did not zero the meter")
 	}
-}
-
-func TestMeterBusyExceedsTotalPanics(t *testing.T) {
-	m := NewMeter(2.5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic when busy > total")
-		}
-	}()
-	m.AddCycles(High, 10, 11)
 }
 
 func TestMeterInvalidCyclePanics(t *testing.T) {

@@ -120,26 +120,3 @@ func (s *Stream) Perm(dst []int) {
 		dst[i], dst[j] = dst[j], dst[i]
 	}
 }
-
-// Choice returns a uniformly chosen index weighted by w (w[i] >= 0, not
-// all zero). It panics on invalid weights.
-func (s *Stream) Choice(w []float64) int {
-	var total float64
-	for _, v := range w {
-		if v < 0 {
-			panic("rng: negative weight")
-		}
-		total += v
-	}
-	if total <= 0 {
-		panic("rng: all-zero weights")
-	}
-	x := s.Float64() * total
-	for i, v := range w {
-		x -= v
-		if x < 0 {
-			return i
-		}
-	}
-	return len(w) - 1
-}

@@ -153,39 +153,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestChoiceRespectsWeights(t *testing.T) {
-	s := New(17)
-	w := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	for i := 0; i < 40000; i++ {
-		counts[s.Choice(w)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight bucket chosen %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 2.7 || ratio > 3.3 {
-		t.Fatalf("weight ratio = %v, want ~3", ratio)
-	}
-}
-
-func TestChoicePanics(t *testing.T) {
-	s := New(1)
-	for name, w := range map[string][]float64{
-		"negative": {1, -1},
-		"all-zero": {0, 0},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Choice(%s) did not panic", name)
-				}
-			}()
-			s.Choice(w)
-		}()
-	}
-}
-
 func TestMixStability(t *testing.T) {
 	if Mix(1, 2, 3) != Mix(1, 2, 3) {
 		t.Fatal("Mix is not a pure function")

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -15,7 +16,7 @@ import (
 // events behind skips ahead and is told how many events it missed, so
 // a slow or stalled client can never wedge or slow a simulation beyond
 // the cost of the mutex. Readers block on a condition variable until
-// new events arrive or the log closes.
+// new events arrive, the log closes or their context ends.
 //
 // The ring's storage is allocated in chunks as writes first reach
 // them, so a job holds memory for the events it emitted, not for
@@ -65,27 +66,33 @@ func (l *eventLog) close() {
 	l.cond.Broadcast()
 }
 
-// wake pulses waiting readers so they can re-check an external
-// condition (e.g. a disconnected HTTP client).
-func (l *eventLog) wake() { l.cond.Broadcast() }
+// wake pulses waiting readers so they re-check their contexts (a
+// disconnected HTTP client). It broadcasts under l.mu: a reader checks
+// its context and parks in cond.Wait under the same lock, so the pulse
+// lands either before the check (which then sees the ended context) or
+// after the reader parked (and wakes it), never in between.
+func (l *eventLog) wake() {
+	l.mu.Lock()
+	l.cond.Broadcast()
+	l.mu.Unlock()
+}
 
 // next copies the events from sequence number from onward into buf,
-// blocking while the log is open and has nothing new. It returns the
-// batch, the sequence to resume from, the number of events skipped
-// because the reader fell behind the ring, and whether the log is
-// closed (a closed log with an empty batch means the stream is done).
-// interrupted reports an external wake with nothing to deliver; the
-// caller should re-check its own liveness condition.
-func (l *eventLog) next(from uint64, buf []telemetry.Event) (batch []telemetry.Event, resume uint64, skipped uint64, closed bool) {
+// blocking while the log is open, has nothing new and ctx has not
+// ended. It returns the batch, the sequence to resume from, the number
+// of events skipped because the reader fell behind the ring, and
+// whether the log is closed (a closed log with an empty batch means the
+// stream is done). ctx is checked before every wait, so a reader whose
+// context has ended gets an empty batch at once; whoever cancels ctx
+// must call wake afterwards to release a reader already waiting.
+func (l *eventLog) next(ctx context.Context, from uint64, buf []telemetry.Event) (batch []telemetry.Event, resume uint64, skipped uint64, closed bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.seq == from && !l.closed {
-		l.cond.Wait()
-		if l.seq == from && !l.closed {
-			// Spurious or external wake: hand control back so the caller
-			// can notice a dead client instead of blocking forever.
+		if ctx.Err() != nil {
 			return buf[:0], from, 0, false
 		}
+		l.cond.Wait()
 	}
 	start := from
 	if window := l.capacity; l.seq > window && start < l.seq-window {

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -63,7 +66,7 @@ func TestEventLogMatchesEagerRing(t *testing.T) {
 					}
 					for _, bufCap := range []int{1, 7, 4096} {
 						for f := from; ; {
-							got, gotResume, gotSkipped, gotClosed := l.next(f, make([]telemetry.Event, 0, bufCap))
+							got, gotResume, gotSkipped, gotClosed := l.next(context.Background(), f, make([]telemetry.Event, 0, bufCap))
 							want, wantResume, wantSkipped, wantClosed := ref.next(f, bufCap)
 							if !slices.Equal(got, want) || gotResume != wantResume || gotSkipped != wantSkipped || gotClosed != wantClosed {
 								t.Fatalf("capacity %d, %d events, closed %v, next(%d) with cap(buf) %d = (%d events, %d, %d, %v), want (%d events, %d, %d, %v)",
@@ -104,4 +107,44 @@ func TestEventLogAllocatesOnDemand(t *testing.T) {
 		}
 	}
 	t.Fatalf("newEventLog(1 << 16) plus 100 Emits allocated %d B, want < %d B (two chunks)", got, limit)
+}
+
+// TestEventLogNextHonoursContext: on an open, empty log, a reader whose
+// context has already ended returns an empty batch at once, and a
+// reader whose context ends while it waits returns once wake pulses.
+func TestEventLogNextHonoursContext(t *testing.T) {
+	l := newEventLog(4)
+	defer l.close() // releases a reader the checks below leave blocked
+	read := func(ctx context.Context) <-chan string {
+		out := make(chan string, 1)
+		go func() {
+			batch, resume, skipped, closed := l.next(ctx, 0, make([]telemetry.Event, 0, 4))
+			if len(batch) != 0 || resume != 0 || skipped != 0 || closed {
+				out <- fmt.Sprintf("next = (%d events, %d, %d, %v), want (0 events, 0, 0, false)", len(batch), resume, skipped, closed)
+			}
+			close(out)
+		}()
+		return out
+	}
+	wait := func(what string, out <-chan string) {
+		t.Helper()
+		select {
+		case msg := <-out:
+			if msg != "" {
+				t.Fatalf("%s: %s", what, msg)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: reader still blocked on an open, empty log", what)
+		}
+	}
+
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	wait("ended context", read(ended))
+
+	live, cancel := context.WithCancel(context.Background())
+	out := read(live)
+	cancel()
+	l.wake()
+	wait("context ended while waiting", out)
 }

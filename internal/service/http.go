@@ -300,7 +300,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	buf := make([]telemetry.Event, 0, 512)
 	line := make([]byte, 0, 256)
 	for {
-		batch, resume, skipped, closed := log.next(from, buf)
+		batch, resume, skipped, closed := log.next(r.Context(), from, buf)
 		if skipped > 0 {
 			s.metrics.streamSkipped.Add(skipped)
 		}

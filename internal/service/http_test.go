@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -390,6 +391,52 @@ func TestHTTPEventFilterAndSSE(t *testing.T) {
 			t.Fatalf("SSE line %q lacks data: prefix", line)
 		}
 	}
+}
+
+// TestHTTPEventStreamDisconnectWhileQueued: a client that stops
+// streaming a queued job's events releases its handler at once, not
+// when the job ahead of it finishes or the queued job emits an event.
+func TestHTTPEventStreamDisconnectWhileQueued(t *testing.T) {
+	s, ts := httpServer(t, Options{Workers: 1})
+	blocker, err := s.SubmitRun(endlessCfg(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, s, blocker.ID)
+	queued, err := s.SubmitRun(fastCfg(core.PB, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := s.metrics.streamsActive
+	waitActive := func(want float64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); active.Value() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("erapid_event_streams_active = %v, want %v", active.Value(), want)
+			}
+		}
+	}
+	// Several rounds, so a disconnect lands at different points of the
+	// handler's way into its wait.
+	for round := 0; round < 10; round++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+queued.EventsURL, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round%2 == 1 {
+			waitActive(1)
+		}
+		cancel()
+		resp.Body.Close()
+		waitActive(0)
+	}
+	if v, _ := s.Job(queued.ID); v.State != StateQueued {
+		t.Fatalf("queued job is %s, want queued while the streams closed", v.State)
+	}
+	s.Cancel(blocker.ID)
+	waitDone(t, s, blocker.ID)
 }
 
 // TestHTTPHealth: the health endpoint reports capacity and drain state.

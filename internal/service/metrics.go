@@ -169,10 +169,6 @@ func (m *serverMetrics) updateRuntime() {
 	m.gcMu.Unlock()
 }
 
-// Metrics returns the server's operational metrics registry (the
-// /metrics source) for embedding or tests.
-func (s *Server) Metrics() *telemetry.Registry { return s.metrics.reg }
-
 // MetricsHandler returns just the Prometheus /metrics endpoint, for
 // mounting on an admin listener alongside pprof.
 func (s *Server) MetricsHandler() http.Handler {

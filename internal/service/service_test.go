@@ -459,7 +459,7 @@ func TestEventLogStreamAndSkip(t *testing.T) {
 		l.Emit(telemetry.Event{Cycle: uint64(i), Board: -1, Wavelength: -1, Dest: -1})
 	}
 	buf := make([]telemetry.Event, 0, 16)
-	batch, resume, skipped, closed := l.next(0, buf)
+	batch, resume, skipped, closed := l.next(context.Background(), 0, buf)
 	if skipped != 6 {
 		t.Fatalf("skipped = %d, want 6", skipped)
 	}
@@ -470,7 +470,7 @@ func TestEventLogStreamAndSkip(t *testing.T) {
 		t.Fatal("log reported closed while open")
 	}
 	l.close()
-	batch, _, _, closed = l.next(resume, buf)
+	batch, _, _, closed = l.next(context.Background(), resume, buf)
 	if len(batch) != 0 || !closed {
 		t.Fatalf("after close: batch %v closed %v", batch, closed)
 	}
@@ -484,7 +484,7 @@ func jobEvents(t *testing.T, s *Server, id string) []telemetry.Event {
 	var got []telemetry.Event
 	var from uint64
 	for {
-		batch, resume, skipped, closed := log.next(from, buf)
+		batch, resume, skipped, closed := log.next(context.Background(), from, buf)
 		if skipped != 0 {
 			t.Fatalf("skipped %d events with an oversized ring", skipped)
 		}

@@ -1,7 +1,7 @@
 // Package stats provides the measurement machinery for the E-RAPID
-// evaluation: online summaries, latency samples with quantiles,
-// windowed utilization counters (the Link_util / Buffer_util statistics
-// of the paper), and the warm-up / labeled-packet measurement protocol
+// evaluation: latency samples with quantiles, windowed utilization
+// counters (the Link_util / Buffer_util statistics of the paper), and
+// the warm-up / labeled-packet measurement protocol
 // of Sec. 4 ("the simulator was warmed up under load without taking
 // measurements until steady state was reached; then a sample of injected
 // packets were labelled during a measurement interval; the simulation
@@ -14,64 +14,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Online accumulates streaming mean/variance/min/max (Welford).
-type Online struct {
-	n        uint64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add records one observation.
-func (o *Online) Add(x float64) {
-	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the observation count.
-func (o *Online) N() uint64 { return o.n }
-
-// Mean returns the running mean (0 when empty).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Var returns the sample variance (0 for fewer than 2 observations).
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
-
-// Min returns the minimum observation (0 when empty).
-func (o *Online) Min() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return o.min
-}
-
-// Max returns the maximum observation (0 when empty).
-func (o *Online) Max() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return o.max
-}
 
 // Sample keeps all observations for exact quantiles. Latency samples in
 // our runs are 10³–10⁵ values, so exact storage is cheap and avoids
@@ -296,9 +238,6 @@ func (m *Measurement) OnDrop(labeled bool) {
 	}
 }
 
-// MeasureCycles returns the configured measurement interval length.
-func (m *Measurement) MeasureCycles() uint64 { return m.measureCycles }
-
 // LabeledInFlight returns labeled packets not yet delivered or dropped.
 func (m *Measurement) LabeledInFlight() uint64 {
 	return m.labeledInjected - m.labeledDelivered - m.labeledDropped
@@ -312,9 +251,6 @@ func (m *Measurement) LabeledInjected() uint64 { return m.labeledInjected }
 
 // DeliveredInMeasure returns packets delivered during the Measure phase.
 func (m *Measurement) DeliveredInMeasure() uint64 { return m.delivered }
-
-// InjectedInMeasure returns packets injected during the Measure phase.
-func (m *Measurement) InjectedInMeasure() uint64 { return m.injected }
 
 // Throughput returns accepted throughput in packets/node/cycle for a
 // system of n nodes.

@@ -13,15 +13,10 @@ import (
 // Observe is lock-free: one atomic add on the bucket counter and a CAS
 // loop on the float64 sum. Safe for concurrent use.
 type Histogram struct {
-	name    string
 	bounds  []float64       // ascending finite upper bounds
 	counts  []atomic.Uint64 // len(bounds)+1; the last is the +Inf bucket
 	sumBits atomic.Uint64   // float64 bits of the observation sum
 }
-
-// Name returns the full registered name (possibly with an embedded
-// label block, e.g. `job_run_seconds{kind="run"}`).
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {

@@ -177,7 +177,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if h == nil {
 		b := make([]float64, len(bounds))
 		copy(b, bounds)
-		h = &Histogram{name: name, bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
+		h = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
 		r.hists[name] = h
 	}
 	return h

@@ -137,30 +137,6 @@ type Event struct {
 	Label string
 }
 
-// String implements fmt.Stringer (diagnostic form).
-func (e Event) String() string {
-	s := fmt.Sprintf("%8d %-14s", e.Cycle, e.Kind)
-	if e.Packet != 0 {
-		s += fmt.Sprintf(" pkt#%-6d", e.Packet)
-	}
-	if e.Board >= 0 {
-		s += fmt.Sprintf(" board %d", e.Board)
-	}
-	if e.Wavelength >= 0 {
-		s += fmt.Sprintf(" λ%d", e.Wavelength)
-	}
-	if e.Dest >= 0 {
-		s += fmt.Sprintf(" → %d", e.Dest)
-	}
-	if e.Kind.HasTransition() {
-		s += fmt.Sprintf(" %d→%d", e.From, e.To)
-	}
-	if e.Label != "" {
-		s += " " + e.Label
-	}
-	return s
-}
-
 // Sink consumes telemetry events. Implementations must be cheap: they
 // are called synchronously from the simulation hot path. A nil Sink
 // held by an instrumented component means telemetry is disabled for it;

@@ -117,26 +117,3 @@ func (t *Topology) checkBoard(b int) {
 		panic(fmt.Sprintf("topology: board %d out of range for %s", b, t))
 	}
 }
-
-// ChannelID flattens an incoming channel (destination board d, wavelength
-// w) to a dense index in [0, B*(B-1)): useful as a map-free table key.
-func (t *Topology) ChannelID(d, w int) int {
-	t.checkBoard(d)
-	if w <= 0 || w >= t.boards {
-		panic(fmt.Sprintf("topology: ChannelID(d=%d, w=%d): wavelength out of range", d, w))
-	}
-	return d*(t.boards-1) + (w - 1)
-}
-
-// ChannelFromID inverts ChannelID.
-func (t *Topology) ChannelFromID(id int) (d, w int) {
-	n := t.boards * (t.boards - 1)
-	if id < 0 || id >= n {
-		panic(fmt.Sprintf("topology: channel id %d out of range [0,%d)", id, n))
-	}
-	return id / (t.boards - 1), id%(t.boards-1) + 1
-}
-
-// NumChannels returns the number of optical channels per cluster:
-// B destinations × (B-1) wavelengths.
-func (t *Topology) NumChannels() int { return t.boards * (t.boards - 1) }

@@ -158,41 +158,15 @@ func TestNodeIDRoundTrip(t *testing.T) {
 	}
 }
 
-func TestChannelIDRoundTrip(t *testing.T) {
-	top := MustNewSRS(8, 8)
-	seen := make(map[int]bool)
-	for d := 0; d < 8; d++ {
-		for w := 1; w < 8; w++ {
-			id := top.ChannelID(d, w)
-			if id < 0 || id >= top.NumChannels() {
-				t.Fatalf("ChannelID(%d,%d) = %d out of [0,%d)", d, w, id, top.NumChannels())
-			}
-			if seen[id] {
-				t.Fatalf("ChannelID(%d,%d) = %d collides", d, w, id)
-			}
-			seen[id] = true
-			d2, w2 := top.ChannelFromID(id)
-			if d2 != d || w2 != w {
-				t.Fatalf("ChannelFromID(%d) = (%d,%d), want (%d,%d)", id, d2, w2, d, w)
-			}
-		}
-	}
-	if len(seen) != top.NumChannels() {
-		t.Fatalf("covered %d channels, want %d", len(seen), top.NumChannels())
-	}
-}
-
 func TestPanics(t *testing.T) {
 	top := MustNewSRS(4, 4)
 	for name, fn := range map[string]func(){
-		"wavelength-self":    func() { top.Wavelength(2, 2) },
-		"wavelength-oob":     func() { top.Wavelength(4, 0) },
-		"owner-w0":           func() { top.StaticOwner(1, 0) },
-		"owner-w-oob":        func() { top.StaticOwner(1, 4) },
-		"board-oob":          func() { top.Board(16) },
-		"node-id-oob":        func() { top.NodeID(4, 0) },
-		"channel-id-w0":      func() { top.ChannelID(0, 0) },
-		"channel-from-id-ob": func() { top.ChannelFromID(99) },
+		"wavelength-self": func() { top.Wavelength(2, 2) },
+		"wavelength-oob":  func() { top.Wavelength(4, 0) },
+		"owner-w0":        func() { top.StaticOwner(1, 0) },
+		"owner-w-oob":     func() { top.StaticOwner(1, 4) },
+		"board-oob":       func() { top.Board(16) },
+		"node-id-oob":     func() { top.NodeID(4, 0) },
 	} {
 		func() {
 			defer func() {
