@@ -433,11 +433,5 @@ func (c Config) ctrlConfig() ctrl.Config {
 	cc.Window = c.Window
 	cc.MaxHold = c.MaxHold
 	cc.Policy = c.Policy.Canonical()
-	if c.Faults.HasCtrlFaults() {
-		// Bound every ring receive so a lost Board Request cannot wedge a
-		// window: one full ring circulation plus slack, doubling per retry.
-		cc.RecvTimeoutCycles = 4 * uint64(c.Boards) * cc.RingHopCycles
-		cc.RecvRetries = 2
-	}
 	return cc
 }

@@ -77,15 +77,6 @@ type Config struct {
 	// complement-traffic results plateau near 4× the static bandwidth,
 	// which corresponds to MaxHold = 4; see the ablation bench.
 	MaxHold int
-	// RecvTimeoutCycles bounds every blocking ring receive during the DBR
-	// exchange; 0 (the default) leaves receives unbounded, which is exact
-	// when messages cannot be lost. Fault-injected systems set it so a
-	// dropped Board Request cannot wedge a window.
-	RecvTimeoutCycles uint64
-	// RecvRetries bounds how many times a timed-out RC re-sends its
-	// message (each retry doubles the timeout) before abandoning the
-	// cycle. Only meaningful with RecvTimeoutCycles > 0.
-	RecvRetries int
 	// Policy selects the registered reconfiguration policy the RCs
 	// consult each window (nil = the paper baseline, bit-identical to
 	// the pre-interface engine).
@@ -108,8 +99,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ctrl: LMin %v > LMax %v", c.Thresholds.LMin, c.Thresholds.LMax)
 	case c.Thresholds.BMin > c.Thresholds.BMax:
 		return fmt.Errorf("ctrl: BMin %v > BMax %v", c.Thresholds.BMin, c.Thresholds.BMax)
-	case c.RecvRetries < 0:
-		return fmt.Errorf("ctrl: RecvRetries must be >= 0, got %d", c.RecvRetries)
 	}
 	if c.NewPolicy == nil {
 		if err := c.Policy.Validate(); err != nil {
@@ -210,7 +199,10 @@ type System struct {
 	// event (see SetSink).
 	sink telemetry.Sink
 	// ringFault, when non-nil, filters every RC→RC message (fault
-	// injection). The healthy path never consults it beyond a nil check.
+	// injection), and ring receives are bounded (see RC.receive). The
+	// healthy path never consults it beyond a nil check, and its
+	// receives block until the message arrives, which is exact when
+	// messages cannot be lost.
 	ringFault RingFault
 
 	// msgFree recycles consumed boardMsg records (and their entry
@@ -243,7 +235,8 @@ func (s *System) putMsg(m *boardMsg) {
 	s.msgFree = append(s.msgFree, m)
 }
 
-// SetRingFault attaches a control-ring fault filter (nil detaches).
+// SetRingFault attaches a control-ring fault filter, which also bounds
+// every ring receive (nil detaches).
 func (s *System) SetRingFault(rf RingFault) { s.ringFault = rf }
 
 // NewSystem builds the controller system and schedules every RC's first

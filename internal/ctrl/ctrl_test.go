@@ -192,6 +192,25 @@ func TestLockStepStageOrder(t *testing.T) {
 	}
 }
 
+// dropRing is a RingFault that loses every control-ring message.
+type dropRing struct{}
+
+func (dropRing) FilterRingMsg(from, to int, now uint64) (bool, uint64) { return true, 0 }
+
+func TestRingFaultBoundsReceives(t *testing.T) {
+	// With every ring message lost, a DBR circulation can only end by
+	// timing out: an attached ring fault must bound the receives, so the
+	// RCs retry and then abandon the cycle instead of blocking forever.
+	cfg := DefaultConfig(true, true)
+	r := newRig(t, 4, cfg)
+	r.sys.SetRingFault(dropRing{})
+	r.run(0, 4*cfg.Window)
+	ctr := r.sys.Counters()
+	if ctr.AbandonedCycles == 0 || ctr.Timeouts == 0 {
+		t.Fatalf("no circulation timed out and was abandoned: %+v", ctr)
+	}
+}
+
 func TestDBRReallocatesIdleChannelsToCongestedFlow(t *testing.T) {
 	// Complement-style hot flow 0→2 with everything else idle: the idle
 	// incoming channels of board 2 must migrate to board 0.

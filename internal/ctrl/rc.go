@@ -16,6 +16,11 @@ const (
 	boardResponse
 )
 
+// recvRetries is how many times an RC re-sends a ring message whose
+// bounded receive timed out, doubling the timeout each time, before it
+// abandons the circulation.
+const recvRetries = 2
+
 // boardMsg is an RC→RC control packet on the electrical ring.
 type boardMsg struct {
 	kind   msgKind
@@ -396,7 +401,7 @@ func (rc *RC) newMsg() *boardMsg {
 func (rc *RC) circulate(kind msgKind) {
 	rc.recvKind = kind
 	rc.attempt = 0
-	rc.timeout = rc.sys.cfg.RecvTimeoutCycles
+	rc.timeout = 4 * uint64(rc.sys.top.Boards()) * rc.sys.cfg.RingHopCycles
 	rc.deadline = rc.sys.eng.Now() + rc.timeout
 	rc.send(rc.newMsg())
 	rc.receive()
@@ -407,11 +412,12 @@ func (rc *RC) circulate(kind msgKind) {
 // (a board-request after filling in this board's entries), until this
 // RC's own message is back — any attempt of it that made it all the way
 // around is complete — and then moves to the next stage. With nothing to
-// take it blocks: waiting is set and, iff RecvTimeoutCycles > 0, the
-// deadline timer armed. A deadline already reached times out without
-// scheduling anything: the message is re-sent with a doubled timeout, up
-// to RecvRetries times, after which the circulation is given up — never
-// wedged.
+// take it blocks: waiting is set and, iff a ring fault is attached (only
+// then can a message be lost), the deadline timer armed. The first
+// deadline is one full ring circulation plus slack (4·Boards·RingHop). A
+// deadline already reached times out without scheduling anything: the
+// message is re-sent with a doubled timeout, up to recvRetries times,
+// after which the circulation is given up — never wedged.
 //
 // Ordering contract (core's cells.golden pins it). An arrival and its
 // consumption are two events: arrive queues the message and, if the RC
@@ -423,7 +429,7 @@ func (rc *RC) circulate(kind msgKind) {
 // hop) and emit StageEnter in event order.
 func (rc *RC) receive() {
 	sys := rc.sys
-	bounded := sys.cfg.RecvTimeoutCycles > 0
+	bounded := sys.ringFault != nil
 	for {
 		m := rc.take()
 		switch {
@@ -435,7 +441,7 @@ func (rc *RC) receive() {
 				}
 				return
 			}
-			if rc.attempt >= sys.cfg.RecvRetries {
+			if rc.attempt >= recvRetries {
 				rc.circulated(nil)
 				return
 			}

@@ -47,8 +47,7 @@ type Injector struct {
 	events    []Event // sorted by At, stable
 	nextEvent int
 
-	restores []restore // sorted by (at, seq)
-	resSeq   uint64
+	restores []restore // sorted by at, in scheduling order for equal at
 
 	outageUntil uint64
 
@@ -65,7 +64,6 @@ type Injector struct {
 // restore is a pending recovery of a transient fault.
 type restore struct {
 	at             uint64
-	seq            uint64
 	board, wl, dst int
 	unstick        bool // true: release a stuck actuator; false: restore a failed laser
 }
@@ -276,8 +274,6 @@ func (in *Injector) applyRestore(r restore, now uint64) {
 // scheduleRestore inserts a recovery keeping the queue sorted by due
 // cycle (stable for equal cycles).
 func (in *Injector) scheduleRestore(r restore) {
-	r.seq = in.resSeq
-	in.resSeq++
 	i := sort.Search(len(in.restores), func(i int) bool { return in.restores[i].at > r.at })
 	in.restores = append(in.restores, restore{})
 	copy(in.restores[i+1:], in.restores[i:])

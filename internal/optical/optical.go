@@ -288,12 +288,8 @@ type Fabric struct {
 type boardState struct {
 	active []*Laser
 	deact  []*Laser
-	// txFlits counts flits buffered across this board's transmitter
-	// reassembly buffers, maintained as flits arrive and leave so
-	// Quiescent needs no O(B²) transmitter scan.
-	txFlits int
-	// txPending has bit w-1 up exactly while transmitter w holds flits
-	// (Transmitter.pending > 0); tickBoardTx walks it.
+	// txPending has bit w-1 up exactly while transmitter w holds flits;
+	// tickBoardTx walks it, and Quiescent tests it.
 	txPending router.ActiveSet
 	// chunks holds the board's materialised lasers, used slots in all;
 	// chunks never move once allocated, so *Laser stays valid.
@@ -410,7 +406,6 @@ func (f *Fabric) Reset() {
 			bs.deact[i] = nil
 		}
 		bs.deact = bs.deact[:0]
-		bs.txFlits = 0
 		clear(bs.txPending)
 		// Release every packet still queued; the slots and their queue
 		// backing arrays are reused by the next materialisations.
@@ -426,13 +421,9 @@ func (f *Fabric) Reset() {
 	for _, tx := range f.txs {
 		for v := range tx.vcs {
 			vc := &tx.vcs[v]
-			for i := range vc.entries {
-				vc.entries[i] = txEntry{}
-			}
+			clear(vc.entries)
 			vc.entries = vc.entries[:0]
-			vc.completePackets = 0
 		}
-		tx.pending = 0
 	}
 	for i := range f.delHeap {
 		f.delHeap[i] = delivery{}
@@ -1109,24 +1100,16 @@ func (f *Fabric) CheckInvariants() error {
 }
 
 // CheckIndex verifies, by exhaustive scan, that every transmitter's
-// pending count and txPending bit agree with its reassembly buffers and
-// that each board's txFlits is their sum; tests call it between Ticks.
+// txPending bit agrees with its reassembly buffers; tests call it
+// between Ticks.
 func (f *Fabric) CheckIndex() error {
 	wpb := f.top.Boards() - 1
 	for s := range f.boards {
-		bs, flits := &f.boards[s], 0
+		bs := &f.boards[s]
 		for i, tx := range f.txs[s*wpb : (s+1)*wpb] {
-			n := 0
-			for v := range tx.vcs {
-				n += len(tx.vcs[v].entries)
+			if n := tx.PendingFlits(); bs.txPending.Has(i) != (n > 0) {
+				return fmt.Errorf("tx(%d,λ%d) holds %d flits, bit %v", s, tx.w, n, bs.txPending.Has(i))
 			}
-			if n != tx.pending || bs.txPending.Has(i) != (n > 0) {
-				return fmt.Errorf("tx(%d,λ%d) holds %d flits, pending %d, bit %v", s, tx.w, n, tx.pending, bs.txPending.Has(i))
-			}
-			flits += n
-		}
-		if flits != bs.txFlits {
-			return fmt.Errorf("board %d transmitters hold %d flits, txFlits %d", s, flits, bs.txFlits)
 		}
 	}
 	return nil
@@ -1139,9 +1122,9 @@ func (f *Fabric) CheckIndex() error {
 // an unfinished serialization is exactly a laser still on its board's
 // active list (tickBoardLasers' retention condition), a serialization
 // busy past now always has its delivery still pending in delHeap
-// (scheduled at start+ser+prop ≥ busyUntil), and buffered transmitter
-// flits are counted per board as they arrive. No engine path calls it;
-// like FastForwardIdle it remains only for the benchmark's
+// (scheduled at start+ser+prop ≥ busyUntil), and a transmitter holding
+// flits is exactly a member of its board's txPending set. No engine path
+// calls it; like FastForwardIdle it remains only for the benchmark's
 // optical.ff_idle_ns_per_cycle metric until ROADMAP item 1c.
 func (f *Fabric) Quiescent(now uint64) bool {
 	if len(f.delHeap) > 0 {
@@ -1149,7 +1132,7 @@ func (f *Fabric) Quiescent(now uint64) bool {
 	}
 	for s := range f.boards {
 		bs := &f.boards[s]
-		if bs.txFlits != 0 || len(bs.active) > 0 {
+		if !bs.txPending.Empty() || len(bs.active) > 0 {
 			return false
 		}
 	}

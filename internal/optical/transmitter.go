@@ -23,15 +23,10 @@ type Transmitter struct {
 	cs router.CreditSink
 
 	vcs []txVC
-	// pending counts buffered flits across all VCs; the fabric skips
-	// ticking transmitters with nothing buffered.
-	pending int
 }
 
 type txVC struct {
 	entries []txEntry
-	// complete counts fully arrived packets at the front of the queue.
-	completePackets int
 }
 
 type txEntry struct {
@@ -65,14 +60,12 @@ func (t *Transmitter) PutFlit(f *flit.Flit, readyAt uint64) {
 		panic(fmt.Sprintf("optical: tx(%d,λ%d): VC %d reassembly overflow (credit protocol violated)", t.s, t.w, f.VC))
 	}
 	vc.entries = append(vc.entries, txEntry{f: f, readyAt: readyAt})
-	t.pending++
-	bs := &t.f.boards[t.s]
-	bs.txFlits++
-	bs.txPending.Add(t.w - 1)
+	t.f.boards[t.s].txPending.Add(t.w - 1)
 }
 
 // tick moves completed packets from reassembly buffers into laser queues
-// and returns the freed flit credits.
+// and returns the freed flit credits. It leaves the board's txPending set
+// once every buffer is empty.
 func (t *Transmitter) tick(now uint64) {
 	for v := range t.vcs {
 		vc := &t.vcs[v]
@@ -107,18 +100,7 @@ func (t *Transmitter) tick(now uint64) {
 			if t.f.dropHook != nil {
 				t.f.dropHook(p, now)
 			}
-			n := len(vc.entries)
-			for i := range vc.entries {
-				vc.entries[i] = txEntry{}
-			}
-			vc.entries = vc.entries[:0]
-			t.pending -= n
-			t.f.boards[t.s].txFlits -= n
-			if t.cs != nil {
-				for i := 0; i < n; i++ {
-					t.cs.PutCredit(v, now+1)
-				}
-			}
+			t.release(v, now)
 			continue
 		}
 		if len(laser.queue) >= t.f.cfg.QueueCap {
@@ -129,21 +111,33 @@ func (t *Transmitter) tick(now uint64) {
 		if t.f.sink != nil {
 			t.f.sink.Emit(telemetry.Event{Cycle: now, Kind: telemetry.PacketLaserEnqueue, Packet: uint64(p.ID), Board: t.s, Wavelength: t.w, Dest: dst})
 		}
-		n := len(vc.entries)
-		vc.entries = vc.entries[:0]
-		t.pending -= n
-		t.f.boards[t.s].txFlits -= n
-		if t.cs != nil {
-			for i := 0; i < n; i++ {
-				t.cs.PutCredit(v, now+1)
-			}
-		}
+		t.release(v, now)
 	}
-	if t.pending == 0 {
+	if t.PendingFlits() == 0 {
 		t.f.boards[t.s].txPending.Remove(t.w - 1)
 	}
 }
 
+// release empties VC v's reassembly buffer, whose packet has left it, and
+// returns its flit credits upstream at now+1.
+func (t *Transmitter) release(v int, now uint64) {
+	vc := &t.vcs[v]
+	n := len(vc.entries)
+	clear(vc.entries)
+	vc.entries = vc.entries[:0]
+	if t.cs != nil {
+		for range n {
+			t.cs.PutCredit(v, now+1)
+		}
+	}
+}
+
 // PendingFlits returns the number of flits currently buffered across all
-// VCs (for diagnostics).
-func (t *Transmitter) PendingFlits() int { return t.pending }
+// VCs, by a scan of the VC buffers.
+func (t *Transmitter) PendingFlits() int {
+	n := 0
+	for v := range t.vcs {
+		n += len(t.vcs[v].entries)
+	}
+	return n
+}

@@ -159,14 +159,13 @@ type nomination struct{ inPort, inVC, out int }
 // Tick exactly once per cycle with a monotonically increasing cycle
 // number.
 //
-// The router keeps O(1) activity counters (buffered flits, non-idle VCs,
-// pending credits) so each pipeline stage — and, via HasWork, the whole
-// Tick — can be skipped when it provably has nothing to do, and an
-// ActiveSet per stage so a stage that does run visits only the ports or
-// VCs that can take part in it. Sets are walked in ascending order, which is
-// the exhaustive scan's order, so arbitration outcomes are bit-identical
-// to it: no stage adds a member to the set it is walking, and whatever
-// arrives during a Tick is stamped > now.
+// The router keeps an ActiveSet per stage, so each stage visits only the
+// ports or VCs that can take part in it (an empty set is an empty walk),
+// and HasWork — whether the whole Tick can be skipped — is a test of the
+// same sets. Sets are walked in ascending order, which is the exhaustive
+// scan's order, so arbitration outcomes are bit-identical to it: no stage
+// adds a member to the set it is walking, and whatever arrives during a
+// Tick is stamped > now.
 //
 // Input VC v of port p is vcs[p*VCs+v]; the VC-level sets use the same
 // numbering, so their ascending walk is the (port, VC) scan order.
@@ -179,16 +178,9 @@ type Router struct {
 	rrInVC           []int // per input port: round-robin over VCs for SA stage 1
 	ctr              Counters
 
-	// Activity counters for stage skipping.
-	bufTotal   int   // flits buffered across all input VCs
-	activeVCs  int   // input VCs with stage != vcIdle
-	portActive []int // per input port: VCs with stage != vcIdle
-	vaWaiting  int   // input VCs in vcWaitVC
-	credTotal  int   // immature credit entries across all outputs
-
 	// Stage indexes: a bit is up exactly while the state it names holds.
 	rcCand      ActiveSet   // input VCs that are idle with a buffered head (RC)
-	activePorts ActiveSet   // input ports with portActive > 0 (SA stage 1)
+	activePorts ActiveSet   // input ports with a VC past RC (SA stage 1)
 	vaWait      []ActiveSet // per output: input VCs in vcWaitVC routed to it (VA)
 	vaOuts      ActiveSet   // outputs whose vaWait is non-empty (VA)
 	credOuts    ActiveSet   // outputs with pendingCredits (credit absorption)
@@ -223,7 +215,6 @@ func New(cfg Config) (*Router, error) {
 	r.outs = make([]outPort, cfg.Outputs)
 	r.inputCreditSinks = make([]CreditSink, cfg.Inputs)
 	r.rrInVC = make([]int, cfg.Inputs)
-	r.portActive = make([]int, cfg.Inputs)
 	r.rcCand, r.activePorts = NewActiveSet(nvc), NewActiveSet(cfg.Inputs)
 	w := len(r.rcCand)
 	waitSlab := make(ActiveSet, cfg.Outputs*w)
@@ -265,7 +256,6 @@ func (r *Router) Reset() {
 		*vc = inVC{buf: vc.buf[:0]}
 	}
 	clear(r.rrInVC)
-	clear(r.portActive)
 	clear(r.rcCand)
 	clear(r.activePorts)
 	for _, w := range r.vaWait {
@@ -283,7 +273,6 @@ func (r *Router) Reset() {
 		op.pendingCredits = op.pendingCredits[:0]
 	}
 	r.ctr = Counters{}
-	r.bufTotal, r.activeVCs, r.vaWaiting, r.credTotal = 0, 0, 0, 0
 }
 
 // Counters returns a snapshot of activity counters.
@@ -341,7 +330,6 @@ func (s inputSink) PutFlit(f *flit.Flit, readyAt uint64) {
 	if vc.stage == vcIdle {
 		r.rcCand.Add(i)
 	}
-	r.bufTotal++
 	r.ctr.FlitsIn++
 }
 
@@ -358,7 +346,6 @@ type creditSink struct {
 func (s creditSink) PutCredit(vc int, readyAt uint64) {
 	op := &s.r.outs[s.port]
 	op.pendingCredits = append(op.pendingCredits, creditEntry{vc: vc, readyAt: readyAt})
-	s.r.credTotal++
 	s.r.credOuts.Add(s.port)
 }
 
@@ -367,31 +354,31 @@ func (s creditSink) PutCredit(vc int, readyAt uint64) {
 func (r *Router) CreditSink(p int) CreditSink { return creditSink{r: r, port: p} }
 
 // HasWork reports whether Tick could change any state this cycle: flits
-// buffered, packets mid-pipeline, or credits waiting to mature. O(1).
+// buffered, packets mid-pipeline, or credits waiting to mature. A
+// buffered flit sits either in an idle VC, which is an RC candidate, or
+// in a VC past RC, whose port is active.
 func (r *Router) HasWork() bool {
-	return r.bufTotal > 0 || r.activeVCs > 0 || r.credTotal > 0
+	return !r.rcCand.Empty() || !r.activePorts.Empty() || !r.credOuts.Empty()
 }
 
 // BufferedTotal returns the number of flits buffered across all input
-// VCs. O(1): it reads the maintained activity counter, so telemetry can
-// sample buffer occupancy every window without scanning ports.
-func (r *Router) BufferedTotal() int { return r.bufTotal }
+// VCs, by a scan of the buffers (telemetry samples it once a window).
+func (r *Router) BufferedTotal() int {
+	n := 0
+	for i := range r.vcs {
+		n += len(r.vcs[i].buf)
+	}
+	return n
+}
 
 // Tick advances the router one cycle. now must increase by exactly one
-// between calls for utilization accounting to be meaningful.
+// between calls for utilization accounting to be meaningful. Each stage
+// walks its own set, so a stage with nothing to do costs an empty walk.
 func (r *Router) Tick(now uint64) {
-	if r.credTotal > 0 {
-		r.absorbCredits(now)
-	}
-	if r.bufTotal > 0 {
-		r.routeCompute(now)
-	}
-	if r.vaWaiting > 0 {
-		r.vcAllocate(now)
-	}
-	if r.activeVCs > 0 {
-		r.switchAllocateAndTraverse(now)
-	}
+	r.absorbCredits(now)
+	r.routeCompute(now)
+	r.vcAllocate(now)
+	r.switchAllocateAndTraverse(now)
 }
 
 // absorbCredits makes matured credits visible to the allocators.
@@ -404,7 +391,6 @@ func (r *Router) absorbCredits(now uint64) {
 			for _, ce := range op.pendingCredits {
 				if ce.readyAt <= now {
 					op.vcs[ce.vc].credits++
-					r.credTotal--
 					if op.vcs[ce.vc].credits > op.link.DownDepth {
 						panic(fmt.Sprintf("router %q: credit overflow on output", r.cfg.Name))
 					}
@@ -443,11 +429,7 @@ func (r *Router) routeCompute(now uint64) {
 			r.rcCand.Remove(i)
 			r.vaWait[out].Add(i)
 			r.vaOuts.Add(out)
-			p := i / r.cfg.VCs
-			r.activeVCs++
-			r.portActive[p]++
-			r.activePorts.Add(p)
-			r.vaWaiting++
+			r.activePorts.Add(i / r.cfg.VCs)
 		}
 	}
 }
@@ -494,7 +476,6 @@ func (r *Router) vcAllocate(now uint64) {
 				ivc.stage = vcActive
 				ivc.stageReady = now + 1 // VA occupies this cycle
 				wait.Remove(i)
-				r.vaWaiting--
 				granted++
 			}
 			if wait.Empty() {
@@ -611,7 +592,6 @@ func (r *Router) traverse(inPort, inVC int, now uint64) {
 	entry := vc.buf[0]
 	copy(vc.buf, vc.buf[1:])
 	vc.buf = vc.buf[:len(vc.buf)-1]
-	r.bufTotal--
 
 	out := &r.outs[vc.outPort]
 	f := entry.f
@@ -640,24 +620,33 @@ func (r *Router) traverse(inPort, inVC int, now uint64) {
 		if len(vc.buf) > 0 {
 			r.rcCand.Add(i)
 		}
-		r.activeVCs--
-		if r.portActive[inPort]--; r.portActive[inPort] == 0 {
+		if !r.portBusy(inPort) {
 			r.activePorts.Remove(inPort)
 		}
 		r.ctr.PacketsOut++
 	}
 }
 
+// portBusy reports whether a VC of input port p is past RC.
+func (r *Router) portBusy(p int) bool {
+	for i := p * r.cfg.VCs; i < (p+1)*r.cfg.VCs; i++ {
+		if r.vcs[i].stage != vcIdle {
+			return true
+		}
+	}
+	return false
+}
+
 // Quiescent reports whether the router holds no flits and no in-flight
 // allocations (used by drain checks in tests).
-func (r *Router) Quiescent() bool { return r.bufTotal == 0 && r.activeVCs == 0 }
+func (r *Router) Quiescent() bool { return r.rcCand.Empty() && r.activePorts.Empty() }
 
-// CheckIndex verifies, by exhaustive scan, that every activity counter
-// and every ActiveSet bit agrees with the state it summarizes; tests
-// call it between Ticks. It returns the first disagreement found.
+// CheckIndex verifies, by exhaustive scan, that every ActiveSet bit, and
+// HasWork and Quiescent, agree with the state they summarize; tests call
+// it between Ticks. It returns the first disagreement found.
 func (r *Router) CheckIndex() error {
-	buf, waiting := 0, 0
-	for p := range r.portActive {
+	buf, waiting, nonIdle, credits := 0, 0, 0, 0
+	for p := range r.cfg.Inputs {
 		act := 0
 		for i := p * r.cfg.VCs; i < (p+1)*r.cfg.VCs; i++ {
 			vc := &r.vcs[i]
@@ -675,12 +664,10 @@ func (r *Router) CheckIndex() error {
 				act++
 			}
 		}
-		if act != r.portActive[p] || r.activePorts.Has(p) != (act > 0) {
-			return fmt.Errorf("router %q: input %d has %d non-idle VCs, portActive %d, bit %v", r.cfg.Name, p, act, r.portActive[p], r.activePorts.Has(p))
+		if r.activePorts.Has(p) != (act > 0) {
+			return fmt.Errorf("router %q: input %d has %d non-idle VCs, bit %v", r.cfg.Name, p, act, r.activePorts.Has(p))
 		}
-	}
-	if buf != r.bufTotal || waiting != r.vaWaiting {
-		return fmt.Errorf("router %q: %d flits buffered and %d VCs waiting for VA, counters %d and %d", r.cfg.Name, buf, waiting, r.bufTotal, r.vaWaiting)
+		nonIdle += act
 	}
 	members := 0
 	for o := range r.outs {
@@ -695,6 +682,10 @@ func (r *Router) CheckIndex() error {
 		if r.credOuts.Has(o) != (len(r.outs[o].pendingCredits) > 0) {
 			return fmt.Errorf("router %q: output %d has %d pending credits, bit %v", r.cfg.Name, o, len(r.outs[o].pendingCredits), r.credOuts.Has(o))
 		}
+		credits += len(r.outs[o].pendingCredits)
+	}
+	if quiet := buf == 0 && nonIdle == 0; r.Quiescent() != quiet || r.HasWork() != (!quiet || credits > 0) {
+		return fmt.Errorf("router %q: %d flits buffered, %d VCs past RC, %d pending credits, but Quiescent %v and HasWork %v", r.cfg.Name, buf, nonIdle, credits, r.Quiescent(), r.HasWork())
 	}
 	if members != waiting {
 		return fmt.Errorf("router %q: VA waiter sets hold %d VCs, %d are waiting", r.cfg.Name, members, waiting)

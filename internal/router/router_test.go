@@ -96,7 +96,7 @@ func build2x2(t *testing.T, vcs, depth int) (*Router, *collector, *collector) {
 }
 
 // runCycles drives the senders and the router for n cycles, checking
-// every activity counter and ActiveSet bit against an exhaustive scan
+// every ActiveSet bit, HasWork and Quiescent against an exhaustive scan
 // after each one.
 func runCycles(r *Router, senders []*sender, n uint64) {
 	for now := uint64(0); now < n; now++ {

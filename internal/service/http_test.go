@@ -313,7 +313,7 @@ func TestHTTPCancelAndNotFound(t *testing.T) {
 		}
 	}
 
-	v, err := s.SubmitRun(endlessCfg(21))
+	v, err := s.submitRun(endlessCfg(21), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestHTTPCancelAndNotFound(t *testing.T) {
 // a 400, and Accept: text/event-stream switches the framing.
 func TestHTTPEventFilterAndSSE(t *testing.T) {
 	s, ts := httpServer(t, Options{Workers: 1})
-	v, err := s.SubmitRun(fastCfg(core.PB, 22))
+	v, err := s.submitRun(fastCfg(core.PB, 22), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,12 +398,12 @@ func TestHTTPEventFilterAndSSE(t *testing.T) {
 // when the job ahead of it finishes or the queued job emits an event.
 func TestHTTPEventStreamDisconnectWhileQueued(t *testing.T) {
 	s, ts := httpServer(t, Options{Workers: 1})
-	blocker, err := s.SubmitRun(endlessCfg(31))
+	blocker, err := s.submitRun(endlessCfg(31), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, s, blocker.ID)
-	queued, err := s.SubmitRun(fastCfg(core.PB, 32))
+	queued, err := s.submitRun(fastCfg(core.PB, 32), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,12 +466,12 @@ func TestHTTPHealth(t *testing.T) {
 // TestHTTPQueueFull503: an overfull queue maps to 503 with Retry-After.
 func TestHTTPQueueFull503(t *testing.T) {
 	s, ts := httpServer(t, Options{Workers: 1, QueueCap: 1})
-	blocker, err := s.SubmitRun(endlessCfg(23))
+	blocker, err := s.submitRun(endlessCfg(23), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, s, blocker.ID)
-	if _, err := s.SubmitRun(fastCfg(core.PB, 24)); err != nil {
+	if _, err := s.submitRun(fastCfg(core.PB, 24), ""); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Post(ts.URL+"/v1/runs", "application/json",

@@ -77,7 +77,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// Identical config: answered from the cache without simulating.
-	v2, err := s.SubmitRun(cfg)
+	v2, err := s.submitRun(cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,16 +166,11 @@ func (s *Server) newJobLocked(kind string) *Job {
 	return j
 }
 
-// SubmitRun queues one simulation. Identical configs (by canonical
-// digest) are answered from the result cache or deduped onto an
-// in-flight job. The error is errServerClosed or errQueueFull mapped
-// by the HTTP layer; the config must already be validated.
-func (s *Server) SubmitRun(cfg core.Config) (JobView, error) {
-	return s.submitRun(cfg, "")
-}
-
-// submitRun is SubmitRun carrying the originating request ID (empty
-// for programmatic submissions).
+// submitRun queues one simulation, tagged with the originating request
+// ID. Identical configs (by canonical digest) are answered from the
+// result cache or deduped onto an in-flight job. The error is
+// errServerClosed or errQueueFull mapped by the HTTP layer; the config
+// must already be validated.
 func (s *Server) submitRun(cfg core.Config, reqID string) (JobView, error) {
 	m := s.metrics
 	digest := cfg.Digest()
@@ -242,14 +237,10 @@ func (s *Server) submitRun(cfg core.Config, reqID string) (JobView, error) {
 	return j.snapshot(), nil
 }
 
-// SubmitSweep queues a figure sweep (patterns × modes × loads over a
-// base config). Sweeps are not content-cached; their runs parallelize
-// under the server's GOMAXPROCS budget.
-func (s *Server) SubmitSweep(req sweep.Request) (JobView, error) {
-	return s.submitSweep(req, "")
-}
-
-// submitSweep is SubmitSweep carrying the originating request ID.
+// submitSweep queues a figure sweep (patterns × modes × loads over a
+// base config), tagged with the originating request ID. Sweeps are not
+// content-cached; their runs parallelize under the server's GOMAXPROCS
+// budget.
 func (s *Server) submitSweep(req sweep.Request, reqID string) (JobView, error) {
 	m := s.metrics
 	s.mu.Lock()

@@ -91,7 +91,7 @@ func TestRunByteIdentity(t *testing.T) {
 
 	s := New(Options{Workers: 2})
 	defer shutdown(t, s)
-	v, err := s.SubmitRun(cfg)
+	v, err := s.submitRun(cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestConcurrentQueuedJobs(t *testing.T) {
 	defer shutdown(t, s)
 	ids := make([]string, n)
 	for i, cfg := range cfgs {
-		v, err := s.SubmitRun(cfg)
+		v, err := s.submitRun(cfg, "")
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -162,13 +162,13 @@ func TestResultCacheHit(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
 
-	first, err := s.SubmitRun(cfg)
+	first, err := s.submitRun(cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := waitDone(t, s, first.ID)
 
-	second, err := s.SubmitRun(cfg)
+	second, err := s.submitRun(cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestPolicyDistinctCache(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
 
-	first, err := s.SubmitRun(cfg)
+	first, err := s.submitRun(cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPolicyDistinctCache(t *testing.T) {
 
 	alt := cfg
 	alt.Policy = &policy.Spec{Name: "greedy-off"}
-	second, err := s.SubmitRun(alt)
+	second, err := s.submitRun(alt, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestPolicyDistinctCache(t *testing.T) {
 	// Explicit paper spec → same digest, cache hit on the first entry.
 	explicit := cfg
 	explicit.Policy = &policy.Spec{Name: "paper"}
-	third, err := s.SubmitRun(explicit)
+	third, err := s.submitRun(explicit, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +244,9 @@ func TestCacheDisabled(t *testing.T) {
 	cfg := fastCfg(core.PNB, 7)
 	s := New(Options{Workers: 1, CacheCap: -1})
 	defer shutdown(t, s)
-	v, _ := s.SubmitRun(cfg)
+	v, _ := s.submitRun(cfg, "")
 	waitDone(t, s, v.ID)
-	again, err := s.SubmitRun(cfg)
+	again, err := s.submitRun(cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,16 +263,16 @@ func TestInflightDedupe(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
 
-	blocker, err := s.SubmitRun(fastCfg(core.PB, 99))
+	blocker, err := s.submitRun(fastCfg(core.PB, 99), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := fastCfg(core.NPB, 50)
-	a, err := s.SubmitRun(cfg)
+	a, err := s.submitRun(cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.SubmitRun(cfg)
+	b, err := s.submitRun(cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestInflightDedupe(t *testing.T) {
 func TestCancelRunning(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
-	v, err := s.SubmitRun(endlessCfg(3))
+	v, err := s.submitRun(endlessCfg(3), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestCancelRunning(t *testing.T) {
 		t.Fatalf("cancelled run carries no partial result: %+v", got)
 	}
 	// Cancelled (partial) results must never serve cache hits.
-	again, err := s.SubmitRun(endlessCfg(3))
+	again, err := s.submitRun(endlessCfg(3), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,9 +330,9 @@ func TestCancelRunning(t *testing.T) {
 func TestCancelQueued(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
-	blocker, _ := s.SubmitRun(endlessCfg(4))
+	blocker, _ := s.submitRun(endlessCfg(4), "")
 	waitRunning(t, s, blocker.ID)
-	queued, err := s.SubmitRun(fastCfg(core.PB, 5))
+	queued, err := s.submitRun(fastCfg(core.PB, 5), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,12 +349,12 @@ func TestCancelQueued(t *testing.T) {
 func TestQueueFull(t *testing.T) {
 	s := New(Options{Workers: 1, QueueCap: 1})
 	defer shutdown(t, s)
-	blocker, _ := s.SubmitRun(endlessCfg(6))
+	blocker, _ := s.submitRun(endlessCfg(6), "")
 	waitRunning(t, s, blocker.ID)
-	if _, err := s.SubmitRun(fastCfg(core.PB, 7)); err != nil {
+	if _, err := s.submitRun(fastCfg(core.PB, 7), ""); err != nil {
 		t.Fatalf("first queued submission rejected: %v", err)
 	}
-	if _, err := s.SubmitRun(fastCfg(core.PB, 8)); !errors.Is(err, errQueueFull) {
+	if _, err := s.submitRun(fastCfg(core.PB, 8), ""); !errors.Is(err, errQueueFull) {
 		t.Fatalf("over-capacity submission error = %v, want errQueueFull", err)
 	}
 	s.Cancel(blocker.ID)
@@ -369,7 +369,7 @@ func TestNegativeOptionsMeanDefaults(t *testing.T) {
 	if s.opts.QueueCap != 64 || s.opts.EventCap != 1<<16 {
 		t.Fatalf("QueueCap %d, EventCap %d, want the defaults 64 and 65536", s.opts.QueueCap, s.opts.EventCap)
 	}
-	v, err := s.SubmitRun(fastCfg(core.PB, 9))
+	v, err := s.submitRun(fastCfg(core.PB, 9), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestNegativeOptionsMeanDefaults(t *testing.T) {
 func TestJobTimeout(t *testing.T) {
 	s := New(Options{Workers: 1, JobTimeout: 100 * time.Millisecond})
 	defer shutdown(t, s)
-	v, err := s.SubmitRun(endlessCfg(9))
+	v, err := s.submitRun(endlessCfg(9), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,12 +403,12 @@ func TestJobTimeout(t *testing.T) {
 // ones, and rejects new submissions.
 func TestShutdownDrain(t *testing.T) {
 	s := New(Options{Workers: 1})
-	running, err := s.SubmitRun(fastCfg(core.PB, 10))
+	running, err := s.submitRun(fastCfg(core.PB, 10), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, s, running.ID)
-	queued, err := s.SubmitRun(fastCfg(core.PB, 11))
+	queued, err := s.submitRun(fastCfg(core.PB, 11), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestShutdownDrain(t *testing.T) {
 	if qv.State != StateDone && qv.State != StateCancelled {
 		t.Errorf("queued job state %s after drain", qv.State)
 	}
-	if _, err := s.SubmitRun(fastCfg(core.PB, 12)); !errors.Is(err, errServerClosed) {
+	if _, err := s.submitRun(fastCfg(core.PB, 12), ""); !errors.Is(err, errServerClosed) {
 		t.Errorf("post-shutdown submission error = %v, want errServerClosed", err)
 	}
 }
@@ -434,7 +434,7 @@ func TestShutdownDrain(t *testing.T) {
 // are cancelled rather than awaited.
 func TestShutdownForceCancel(t *testing.T) {
 	s := New(Options{Workers: 1})
-	v, err := s.SubmitRun(endlessCfg(13))
+	v, err := s.submitRun(endlessCfg(13), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +558,7 @@ func TestOnePathIdentity(t *testing.T) {
 
 			s := New(Options{Workers: 1, EventCap: 1 << 20})
 			defer shutdown(t, s)
-			v, err := s.SubmitRun(tc.cfg)
+			v, err := s.submitRun(tc.cfg, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -587,7 +587,7 @@ func TestEventStreamMatchesRecorder(t *testing.T) {
 
 	s := New(Options{Workers: 1, EventCap: 1 << 20})
 	defer shutdown(t, s)
-	v, err := s.SubmitRun(cfg)
+	v, err := s.submitRun(cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
