@@ -80,8 +80,9 @@ type board struct {
 	// wavelength.
 	rxSources []*link.PacketSource // index w-1
 	// nicSet and rxSet index nics and rxSources by HasWork: Enqueue
-	// (admission, DeliverDue) raises a bit, and a source that runs out of
-	// work clears its own.
+	// (admission, DeliverDue) and PutCredit raise a bit when the source
+	// can act, and a source that runs out of work or credit clears its
+	// own.
 	nicSet, rxSet router.ActiveSet
 	rrW           int // tie-break rotation for route choices
 	// routeWS is the board's reusable route-choice wavelength scratch

@@ -31,8 +31,9 @@ type PacketSource struct {
 
 	// act holds bit `bit` up exactly while HasWork is true, so whoever
 	// owns a group of sources walks the set instead of polling each one.
-	// A source is born on a private one-bit set; TrackIn moves it to its
-	// owner's.
+	// HasWork reads no clock, so the bit only moves in Enqueue, PutCredit
+	// and Tick. A source is born on a private one-bit set; TrackIn moves
+	// it to its owner's.
 	act router.ActiveSet
 	bit int
 
@@ -95,27 +96,54 @@ func (s *PacketSource) Reset() {
 // only ever be mutated by one goroutine at a time.
 func (s *PacketSource) TrackIn(set router.ActiveSet, i int) { s.act, s.bit = set, i }
 
-// Enqueue appends a packet to the source queue.
+// Enqueue appends a packet to the source queue. A source blocked on
+// credits stays asleep: the credit, not the packet, wakes it.
 func (s *PacketSource) Enqueue(p *flit.Packet) {
 	s.queue = append(s.queue, p)
-	s.act.Add(s.bit)
+	s.wake()
 }
 
 // QueueLen returns the number of packets waiting (excluding the one in
 // flight). Source-queue growth is the canonical saturation signal.
 func (s *PacketSource) QueueLen() int { return len(s.queue) }
 
-// HasWork reports whether Tick would do anything this cycle: a packet
-// queued or in flight, or credits waiting to mature. It is the predicate
-// the source's ActiveSet bit tracks.
+// HasWork reports whether Tick can act now or once a pending credit
+// matures: a packet queued or in flight, and either a pending credit or a
+// credit it can spend (on the current packet's VC mid-packet, on any VC
+// between packets). It is the predicate the source's ActiveSet bit
+// tracks; a source that holds packets but no usable credit sleeps until
+// PutCredit.
 func (s *PacketSource) HasWork() bool {
-	return s.cur != nil || len(s.queue) > 0 || len(s.pending) > 0
+	if s.cur == nil && len(s.queue) == 0 {
+		return false
+	}
+	if len(s.pending) > 0 {
+		return true
+	}
+	if s.cur != nil {
+		return s.credits[s.curVC] > 0
+	}
+	for _, c := range s.credits {
+		if c > 0 {
+			return true
+		}
+	}
+	return false
 }
 
-// PutCredit implements router.CreditSink.
+// PutCredit implements router.CreditSink. The credit is absorbed lazily,
+// by the next Tick, which absorbs every matured credit before it reads
+// any count.
 func (s *PacketSource) PutCredit(vc int, readyAt uint64) {
 	s.pending = append(s.pending, creditEntry{vc: vc, readyAt: readyAt})
-	s.act.Add(s.bit)
+	s.wake()
+}
+
+// wake raises the source's bit if it can act.
+func (s *PacketSource) wake() {
+	if s.HasWork() {
+		s.act.Add(s.bit)
+	}
 }
 
 func (s *PacketSource) absorbCredits(now uint64) {

@@ -75,6 +75,64 @@ func TestSourceRespectsCredits(t *testing.T) {
 	}
 }
 
+// TestSourceSleepsUntilCredit drives a one-VC, one-credit source whose
+// sink never returns credits: the source's bit must drop once its credit
+// is spent, stay down through the serialization gap and across an
+// Enqueue, and rise on PutCredit; it must equal HasWork after every call.
+func TestSourceSleepsUntilCredit(t *testing.T) {
+	m := &memSink{}
+	s := NewPacketSource("nic", m, 1, 1, 4)
+	set := router.NewActiveSet(1)
+	s.TrackIn(set, 0)
+	check := func(step string, want bool) {
+		t.Helper()
+		if set.Has(0) != s.HasWork() {
+			t.Fatalf("%s: bit %v, HasWork %v", step, set.Has(0), s.HasWork())
+		}
+		if set.Has(0) != want {
+			t.Fatalf("%s: bit %v, want %v", step, set.Has(0), want)
+		}
+	}
+	check("fresh", false)
+	s.Enqueue(mkPacket(1))
+	check("Enqueue", true)
+	s.Tick(0)
+	if len(m.flits) != 1 {
+		t.Fatalf("sent %d flits at cycle 0, want 1", len(m.flits))
+	}
+	check("after the head flit", false)
+	s.Enqueue(mkPacket(2))
+	check("Enqueue onto a credit-blocked source", false)
+	for now := uint64(1); now < 4; now++ {
+		s.Tick(now)
+		check("serialization gap", false)
+	}
+	now := uint64(4)
+	s.PutCredit(0, now+1)
+	check("PutCredit", true)
+	s.Tick(now) // the credit matures at now+1
+	check("credit pending", true)
+	if len(m.flits) != 1 {
+		t.Fatalf("sent %d flits before the credit matured, want 1", len(m.flits))
+	}
+	// Return each flit's credit a cycle after it leaves until both
+	// packets are out.
+	for now++; len(m.flits) < 16 && now < 200; now++ {
+		n := len(m.flits)
+		s.Tick(now)
+		check("Tick", len(m.flits) == n)
+		if len(m.flits) > n {
+			s.PutCredit(0, now+1)
+			check("PutCredit", len(m.flits) < 16)
+		}
+	}
+	if len(m.flits) != 16 {
+		t.Fatalf("sent %d flits, want 16", len(m.flits))
+	}
+	s.Tick(now)
+	check("drained, one credit pending", false)
+}
+
 func TestSourceQueuesMultiplePackets(t *testing.T) {
 	m := &memSink{}
 	s := NewPacketSource("nic", m, 2, 4, 1)

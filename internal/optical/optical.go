@@ -288,8 +288,8 @@ type Fabric struct {
 type boardState struct {
 	active []*Laser
 	deact  []*Laser
-	// txPending has bit w-1 up exactly while transmitter w holds flits;
-	// tickBoardTx walks it, and Quiescent tests it.
+	// txPending has bit w-1 up exactly while transmitter w buffers a
+	// complete packet (holdsPacket); tickBoardTx walks it.
 	txPending router.ActiveSet
 	// chunks holds the board's materialised lasers, used slots in all;
 	// chunks never move once allocated, so *Laser stays valid.
@@ -1100,39 +1100,44 @@ func (f *Fabric) CheckInvariants() error {
 }
 
 // CheckIndex verifies, by exhaustive scan, that every transmitter's
-// txPending bit agrees with its reassembly buffers; tests call it
-// between Ticks.
+// txPending bit agrees with holdsPacket; tests call it between Ticks.
 func (f *Fabric) CheckIndex() error {
 	wpb := f.top.Boards() - 1
 	for s := range f.boards {
 		bs := &f.boards[s]
 		for i, tx := range f.txs[s*wpb : (s+1)*wpb] {
-			if n := tx.PendingFlits(); bs.txPending.Has(i) != (n > 0) {
-				return fmt.Errorf("tx(%d,λ%d) holds %d flits, bit %v", s, tx.w, n, bs.txPending.Has(i))
+			if hp := tx.holdsPacket(); bs.txPending.Has(i) != hp {
+				return fmt.Errorf("tx(%d,λ%d) holds %d flits (complete packet %v), bit %v", s, tx.w, tx.PendingFlits(), hp, bs.txPending.Has(i))
 			}
 		}
 	}
 	return nil
 }
 
-// Quiescent reports whether no laser holds queued packets or in-flight
-// serializations at the given cycle, and no delivery is in flight.
+// Quiescent reports whether no transmitter buffers flits, no laser holds
+// queued packets or in-flight serializations at the given cycle, and no
+// delivery is in flight.
 //
-// The check is O(boards), not O(lasers): a laser with queued packets or
+// The laser check is O(boards), not O(lasers): a laser with queued packets or
 // an unfinished serialization is exactly a laser still on its board's
 // active list (tickBoardLasers' retention condition), a serialization
 // busy past now always has its delivery still pending in delHeap
-// (scheduled at start+ser+prop ≥ busyUntil), and a transmitter holding
-// flits is exactly a member of its board's txPending set. No engine path
-// calls it; like FastForwardIdle it remains only for the benchmark's
-// optical.ff_idle_ns_per_cycle metric until ROADMAP item 1c.
+// (scheduled at start+ser+prop ≥ busyUntil). Transmitters are checked by
+// a scan of PendingFlits, because the txPending set misses one that holds
+// only part of a packet. No engine path calls it; like FastForwardIdle it
+// remains only for the benchmark's optical.ff_idle_ns_per_cycle metric
+// until ROADMAP item 1c.
 func (f *Fabric) Quiescent(now uint64) bool {
 	if len(f.delHeap) > 0 {
 		return false
 	}
 	for s := range f.boards {
-		bs := &f.boards[s]
-		if !bs.txPending.Empty() || len(bs.active) > 0 {
+		if len(f.boards[s].active) > 0 {
+			return false
+		}
+	}
+	for _, tx := range f.txs {
+		if tx.PendingFlits() > 0 {
 			return false
 		}
 	}

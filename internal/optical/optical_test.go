@@ -305,6 +305,35 @@ func TestBackpressureHoldsReassembly(t *testing.T) {
 	}
 }
 
+// TestTxPendingWaitsForTail checks that a transmitter joins its board's
+// txPending set on a packet's tail flit, not on the flits before it, and
+// leaves it once the packet is dispatched.
+func TestTxPendingWaitsForTail(t *testing.T) {
+	f, eng := newTestFabric(t, 4)
+	w := f.Topology().Wavelength(1, 0)
+	tx := f.Transmitter(1, w)
+	fl := flit.Explode(mkPkt(1, 1, 0))
+	for _, x := range fl[:7] {
+		x.VC = 0
+		tx.PutFlit(x, 0)
+	}
+	if err := f.CheckIndex(); err != nil {
+		t.Fatalf("7 of 8 flits buffered: %v", err)
+	}
+	if f.boards[1].txPending.Has(w - 1) {
+		t.Fatal("bit up before the tail flit")
+	}
+	fl[7].VC = 0
+	tx.PutFlit(fl[7], 0)
+	if !f.boards[1].txPending.Has(w-1) || f.CheckIndex() != nil {
+		t.Fatalf("bit %v after the tail flit, CheckIndex %v", f.boards[1].txPending.Has(w-1), f.CheckIndex())
+	}
+	run(f, eng, 0, 1)
+	if tx.PendingFlits() != 0 || f.boards[1].txPending.Has(w-1) || f.CheckIndex() != nil {
+		t.Fatalf("after dispatch: %d flits, bit %v, CheckIndex %v", tx.PendingFlits(), f.boards[1].txPending.Has(w-1), f.CheckIndex())
+	}
+}
+
 func TestCreditsReturnOnDispatch(t *testing.T) {
 	f, eng := newTestFabric(t, 4)
 	w := f.Topology().Wavelength(1, 0)

@@ -102,7 +102,6 @@ type vcStage uint8
 
 const (
 	vcIdle vcStage = iota
-	vcRouting
 	vcWaitVC
 	vcActive
 )
