@@ -264,6 +264,7 @@ type Fabric struct {
 
 	meter        *power.Meter
 	meterEnabled bool
+	nextTick     uint64 // the cycle after the last TickBoards (0 before the first)
 
 	// autoWake, when an operating level, re-enables Off lasers as soon as
 	// a packet is queued on them (the paper's DLS "turns up the link when
@@ -289,8 +290,10 @@ type boardState struct {
 	active []*Laser
 	deact  []*Laser
 	// txPending has bit w-1 up exactly while transmitter w buffers a
-	// complete packet (holdsPacket); tickBoardTx walks it.
+	// complete packet whose tail has matured (holdsPacket); tickBoardTx
+	// walks it. An unmatured tail sleeps on txWheel.
 	txPending router.ActiveSet
+	txWheel   router.Wheel
 	// chunks holds the board's materialised lasers, used slots in all;
 	// chunks never move once allocated, so *Laser stays valid.
 	chunks [][]Laser
@@ -407,6 +410,7 @@ func (f *Fabric) Reset() {
 		}
 		bs.deact = bs.deact[:0]
 		clear(bs.txPending)
+		bs.txWheel.Reset()
 		// Release every packet still queued; the slots and their queue
 		// backing arrays are reused by the next materialisations.
 		for i := range bs.used {
@@ -430,6 +434,7 @@ func (f *Fabric) Reset() {
 	}
 	f.delHeap = f.delHeap[:0]
 	f.delSeq = 0
+	f.nextTick = 0
 	f.meter.Reset()
 	f.meterEnabled = false
 	f.autoWake = 0
@@ -926,10 +931,13 @@ func (f *Fabric) TickBoards(now uint64) {
 	for s := range f.boards {
 		f.flushDeact(s)
 	}
+	f.nextTick = now + 1
 }
 
-// tickBoardTx advances board s's transmitters one cycle.
+// tickBoardTx raises board s's transmitters whose tail matures now, then
+// advances those holding a matured packet one cycle.
 func (f *Fabric) tickBoardTx(s int, now uint64) {
+	f.boards[s].txWheel.Turn(now, f.boards[s].txPending, nil)
 	txs := f.txs[s*(f.top.Boards()-1):]
 	for wi, word := range f.boards[s].txPending {
 		for ; word != 0; word &= word - 1 {
@@ -1100,14 +1108,21 @@ func (f *Fabric) CheckInvariants() error {
 }
 
 // CheckIndex verifies, by exhaustive scan, that every transmitter's
-// txPending bit agrees with holdsPacket; tests call it between Ticks.
+// txPending bit agrees with holdsPacket as of the last TickBoards, and
+// that every unmatured tail is on the board's wheel; tests call it
+// between Ticks.
 func (f *Fabric) CheckIndex() error {
 	wpb := f.top.Boards() - 1
 	for s := range f.boards {
 		bs := &f.boards[s]
 		for i, tx := range f.txs[s*wpb : (s+1)*wpb] {
-			if hp := tx.holdsPacket(); bs.txPending.Has(i) != hp {
-				return fmt.Errorf("tx(%d,λ%d) holds %d flits (complete packet %v), bit %v", s, tx.w, tx.PendingFlits(), hp, bs.txPending.Has(i))
+			if hp := tx.holdsPacket(f.nextTick); bs.txPending.Has(i) != hp {
+				return fmt.Errorf("tx(%d,λ%d) holds %d flits (matured packet %v), bit %v", s, tx.w, tx.PendingFlits(), hp, bs.txPending.Has(i))
+			}
+			for v := range tx.vcs {
+				if e := tx.vcs[v].entries; len(e) > 0 && e[len(e)-1].f.IsTail() && e[len(e)-1].readyAt >= f.nextTick && !bs.txWheel.Armed(i, e[len(e)-1].readyAt) {
+					return fmt.Errorf("tx(%d,λ%d) VC %d: tail maturing at %d is not on the wheel", s, tx.w, v, e[len(e)-1].readyAt)
+				}
 			}
 		}
 	}
@@ -1124,9 +1139,9 @@ func (f *Fabric) CheckIndex() error {
 // busy past now always has its delivery still pending in delHeap
 // (scheduled at start+ser+prop ≥ busyUntil). Transmitters are checked by
 // a scan of PendingFlits, because the txPending set misses one that holds
-// only part of a packet. No engine path calls it; like FastForwardIdle it
-// remains only for the benchmark's optical.ff_idle_ns_per_cycle metric
-// until ROADMAP item 1c.
+// part of a packet or an unmatured tail. No engine path calls it; like
+// FastForwardIdle it remains only for the benchmark's
+// optical.ff_idle_ns_per_cycle metric until ROADMAP item 1c.
 func (f *Fabric) Quiescent(now uint64) bool {
 	if len(f.delHeap) > 0 {
 		return false

@@ -306,31 +306,37 @@ func TestBackpressureHoldsReassembly(t *testing.T) {
 }
 
 // TestTxPendingWaitsForTail checks that a transmitter joins its board's
-// txPending set on a packet's tail flit, not on the flits before it, and
-// leaves it once the packet is dispatched.
+// txPending set only once a packet's tail flit has matured — not on the
+// flits before it, nor on the tail's arrival — and leaves it once the
+// packet is dispatched. The tail is stamped more than one wheel lap
+// ahead, so its entry must survive a turn of its slot.
 func TestTxPendingWaitsForTail(t *testing.T) {
+	const at = 20
 	f, eng := newTestFabric(t, 4)
 	w := f.Topology().Wavelength(1, 0)
 	tx := f.Transmitter(1, w)
 	fl := flit.Explode(mkPkt(1, 1, 0))
-	for _, x := range fl[:7] {
+	for _, x := range fl {
 		x.VC = 0
-		tx.PutFlit(x, 0)
+		tx.PutFlit(x, at)
+		if err := f.CheckIndex(); err != nil {
+			t.Fatalf("after flit %d: %v", x.Index, err)
+		}
+		if f.boards[1].txPending.Has(w - 1) {
+			t.Fatalf("bit up after flit %d, before the tail matures", x.Index)
+		}
 	}
-	if err := f.CheckIndex(); err != nil {
-		t.Fatalf("7 of 8 flits buffered: %v", err)
-	}
-	if f.boards[1].txPending.Has(w - 1) {
-		t.Fatal("bit up before the tail flit")
-	}
-	fl[7].VC = 0
-	tx.PutFlit(fl[7], 0)
-	if !f.boards[1].txPending.Has(w-1) || f.CheckIndex() != nil {
-		t.Fatalf("bit %v after the tail flit, CheckIndex %v", f.boards[1].txPending.Has(w-1), f.CheckIndex())
-	}
-	run(f, eng, 0, 1)
-	if tx.PendingFlits() != 0 || f.boards[1].txPending.Has(w-1) || f.CheckIndex() != nil {
-		t.Fatalf("after dispatch: %d flits, bit %v, CheckIndex %v", tx.PendingFlits(), f.boards[1].txPending.Has(w-1), f.CheckIndex())
+	for now := uint64(0); now <= at; now++ {
+		run(f, eng, now, now+1)
+		if err := f.CheckIndex(); err != nil {
+			t.Fatalf("cycle %d: %v", now, err)
+		}
+		if dispatched := tx.PendingFlits() == 0; dispatched != (now == at) {
+			t.Fatalf("cycle %d: %d flits still buffered", now, tx.PendingFlits())
+		}
+		if f.boards[1].txPending.Has(w - 1) {
+			t.Fatalf("cycle %d: bit up", now)
+		}
 	}
 }
 

@@ -50,9 +50,9 @@ func (t *Transmitter) init(f *Fabric, s, w int) {
 func (t *Transmitter) SetCreditSink(cs router.CreditSink) { t.cs = cs }
 
 // PutFlit implements router.Sink: it accepts one flit of the electrical
-// stream into the per-VC reassembly buffer. Only a tail flit raises the
-// board's txPending bit: until then no packet can leave, so tick has
-// nothing to do.
+// stream into the per-VC reassembly buffer. Only a tail flit wakes the
+// transmitter, through the board's wheel at the tail's readyAt: until
+// then no packet can leave, so tick has nothing to do.
 func (t *Transmitter) PutFlit(f *flit.Flit, readyAt uint64) {
 	if f.VC < 0 || f.VC >= len(t.vcs) {
 		panic(fmt.Sprintf("optical: tx(%d,λ%d): flit on invalid VC %d", t.s, t.w, f.VC))
@@ -63,13 +63,13 @@ func (t *Transmitter) PutFlit(f *flit.Flit, readyAt uint64) {
 	}
 	vc.entries = append(vc.entries, txEntry{f: f, readyAt: readyAt})
 	if f.IsTail() {
-		t.f.boards[t.s].txPending.Add(t.w - 1)
+		t.f.boards[t.s].txWheel.Arm(t.w-1, readyAt)
 	}
 }
 
 // tick moves completed packets from reassembly buffers into laser queues
 // and returns the freed flit credits. It leaves the board's txPending set
-// once no buffer holds a complete packet; a packet held back by a full
+// once no buffer holds a matured packet; a packet held back by a full
 // laser queue keeps the transmitter in the set, polling.
 func (t *Transmitter) tick(now uint64) {
 	for v := range t.vcs {
@@ -118,16 +118,16 @@ func (t *Transmitter) tick(now uint64) {
 		}
 		t.release(v, now)
 	}
-	if !t.holdsPacket() {
+	if !t.holdsPacket(now + 1) {
 		t.f.boards[t.s].txPending.Remove(t.w - 1)
 	}
 }
 
-// holdsPacket reports whether some VC buffers a complete packet (its last
-// entry is a tail): the predicate the board's txPending bit tracks.
-func (t *Transmitter) holdsPacket() bool {
+// holdsPacket reports whether some VC's last entry is a tail stamped
+// before cycle next: the predicate the board's txPending bit tracks.
+func (t *Transmitter) holdsPacket(next uint64) bool {
 	for v := range t.vcs {
-		if e := t.vcs[v].entries; len(e) > 0 && e[len(e)-1].f.IsTail() {
+		if e := t.vcs[v].entries; len(e) > 0 && e[len(e)-1].f.IsTail() && e[len(e)-1].readyAt < next {
 			return true
 		}
 	}

@@ -39,6 +39,67 @@ func (s ActiveSet) Empty() bool {
 	return true
 }
 
+const (
+	wheelSlots = 16         // a Wheel's lap, above Table 1's 4- to 5-cycle flit spacing
+	never      = ^uint64(0) // the wake-up cycle of a member that waits on a call
+)
+
+// Wheel is a hashed timing wheel that raises ActiveSet members at a given
+// cycle, so a component waiting on the clock sleeps instead of polling.
+// Each entry carries its cycle: one a lap or more ahead stays in its slot.
+// Slots are lists threaded through one pool, which grows only with the
+// number of entries live at once. The zero Wheel is empty.
+type Wheel struct {
+	head [wheelSlots]int32 // per slot: first entry, 1-based (0 = none)
+	free int32             // first free entry, 1-based
+	pool []wheelEntry
+}
+
+type wheelEntry struct {
+	at      uint64
+	i, next int32 // member; next entry in the slot or free list
+}
+
+// Arm schedules member i to rise at cycle at, which must be no earlier
+// than the next cycle turned.
+func (w *Wheel) Arm(i int, at uint64) {
+	if w.free == 0 {
+		w.pool = append(w.pool, wheelEntry{})
+		w.free = int32(len(w.pool))
+	}
+	e, s := w.free, &w.head[at%wheelSlots]
+	w.free, w.pool[e-1], *s = w.pool[e-1].next, wheelEntry{at: at, i: int32(i), next: *s}, e
+}
+
+// Turn adds to set the members due at now and frees their entries; with
+// a non-nil at, an entry whose member's at[i] has since moved is freed
+// without a raise. Call it on every cycle that can hold a due entry.
+func (w *Wheel) Turn(now uint64, set ActiveSet, at []uint64) {
+	for link := &w.head[now%wheelSlots]; *link != 0; {
+		en := &w.pool[*link-1]
+		if en.at > now {
+			link = &en.next
+			continue
+		}
+		if at == nil || at[en.i] == en.at {
+			set.Add(int(en.i))
+		}
+		*link, en.next, w.free = en.next, w.free, *link
+	}
+}
+
+// Reset drops every entry, keeping the pool's storage.
+func (w *Wheel) Reset() { w.head, w.free, w.pool = [wheelSlots]int32{}, 0, w.pool[:0] }
+
+// Armed reports whether member i has an entry for cycle at.
+func (w *Wheel) Armed(i int, at uint64) bool {
+	e := w.head[at%wheelSlots]
+	for e != 0 && (int(w.pool[e-1].i) != i || w.pool[e-1].at != at) {
+		e = w.pool[e-1].next
+	}
+	return e != 0
+}
+
 // Sink consumes flits. readyAt is the first cycle the flit may be acted
 // upon downstream (arrival stamp); it must be strictly greater than the
 // sending cycle so that transfers never ripple within one cycle.
@@ -168,6 +229,9 @@ type nomination struct{ inPort, inVC, out int }
 //
 // Input VC v of port p is vcs[p*VCs+v]; the VC-level sets use the same
 // numbering, so their ascending walk is the (port, VC) scan order.
+//
+// SA stage 1 visits only ready VCs; the rest wait on the wheel or a flit.
+// Each would fail a time test before its credit test, so nothing moves.
 type Router struct {
 	cfg  Config
 	vcs  []inVC
@@ -182,7 +246,10 @@ type Router struct {
 	activePorts ActiveSet   // input ports with a VC past RC (SA stage 1)
 	vaWait      []ActiveSet // per output: input VCs in vcWaitVC routed to it (VA)
 	vaOuts      ActiveSet   // outputs whose vaWait is non-empty (VA)
-	credOuts    ActiveSet   // outputs with pendingCredits (credit absorption)
+	ready       ActiveSet   // input VCs with saAt <= now (SA stage 1)
+	saAt        []uint64    // per input VC: earliest cycle it can bid, or never
+	wheel       Wheel       // VCs whose saAt lies ahead
+	now         uint64      // cycle of the last Tick
 
 	// Per-tick scratch buffers (no steady-state allocation). nomOuts is
 	// the outputs named by this cycle's SA nominations, emptied by the
@@ -221,7 +288,9 @@ func New(cfg Config) (*Router, error) {
 	for o := range r.vaWait {
 		r.vaWait[o] = waitSlab[o*w : (o+1)*w : (o+1)*w]
 	}
-	r.vaOuts, r.credOuts, r.nomOuts = NewActiveSet(cfg.Outputs), NewActiveSet(cfg.Outputs), NewActiveSet(cfg.Outputs)
+	r.vaOuts, r.nomOuts = NewActiveSet(cfg.Outputs), NewActiveSet(cfg.Outputs)
+	r.ready, r.saAt = NewActiveSet(nvc), make([]uint64, nvc)
+	r.Reset()
 	r.saBest = make([]int, cfg.Outputs)
 	r.saCount = make([]int, cfg.Outputs)
 	// Scratch capacities are bounded by the request populations (every
@@ -261,7 +330,12 @@ func (r *Router) Reset() {
 		clear(w)
 	}
 	clear(r.vaOuts)
-	clear(r.credOuts)
+	clear(r.ready)
+	for i := range r.saAt {
+		r.saAt[i] = never
+	}
+	r.wheel.Reset()
+	r.now = 0
 	for o := range r.outs {
 		op := &r.outs[o]
 		for v := range op.vcs {
@@ -295,8 +369,8 @@ func (r *Router) ConnectOutput(p int, link OutputLink) {
 	for v := range op.vcs {
 		op.vcs[v].credits = link.DownDepth
 	}
-	// At most every downstream buffer slot's credit can be in flight at
-	// once, so the pending list never regrows after this.
+	// At most every downstream buffer slot's credit can be in flight or
+	// unabsorbed at once, so the pending list never regrows after this.
 	op.pendingCredits = make([]creditEntry, 0, link.DownVCs*link.DownDepth)
 }
 
@@ -326,8 +400,11 @@ func (s inputSink) PutFlit(f *flit.Flit, readyAt uint64) {
 		panic(fmt.Sprintf("router %q: input %d VC %d overflow (credit protocol violated)", r.cfg.Name, s.port, f.VC))
 	}
 	vc.buf = append(vc.buf, bufEntry{f: f, readyAt: readyAt})
-	if vc.stage == vcIdle {
+	switch {
+	case vc.stage == vcIdle:
 		r.rcCand.Add(i)
+	case vc.stage == vcActive && len(vc.buf) == 1:
+		r.arm(i)
 	}
 	r.ctr.FlitsIn++
 }
@@ -341,11 +418,11 @@ type creditSink struct {
 	port int
 }
 
-// PutCredit returns one downstream buffer slot on the given VC.
+// PutCredit returns one downstream buffer slot on the given VC. It waits
+// in the pending list until SA finds the VC's count at 0 (absorbCredits).
 func (s creditSink) PutCredit(vc int, readyAt uint64) {
 	op := &s.r.outs[s.port]
 	op.pendingCredits = append(op.pendingCredits, creditEntry{vc: vc, readyAt: readyAt})
-	s.r.credOuts.Add(s.port)
 }
 
 // CreditSink returns the credit sink for output port p (handed to the
@@ -353,11 +430,11 @@ func (s creditSink) PutCredit(vc int, readyAt uint64) {
 func (r *Router) CreditSink(p int) CreditSink { return creditSink{r: r, port: p} }
 
 // HasWork reports whether Tick could change any state this cycle: flits
-// buffered, packets mid-pipeline, or credits waiting to mature. A
-// buffered flit sits either in an idle VC, which is an RC candidate, or
-// in a VC past RC, whose port is active.
+// buffered or packets mid-pipeline. A buffered flit sits either in an
+// idle VC, which is an RC candidate, or in a VC past RC, whose port is
+// active. Pending credits need no Tick: they are absorbed when read.
 func (r *Router) HasWork() bool {
-	return !r.rcCand.Empty() || !r.activePorts.Empty() || !r.credOuts.Empty()
+	return !r.rcCand.Empty() || !r.activePorts.Empty()
 }
 
 // BufferedTotal returns the number of flits buffered across all input
@@ -374,35 +451,36 @@ func (r *Router) BufferedTotal() int {
 // between calls for utilization accounting to be meaningful. Each stage
 // walks its own set, so a stage with nothing to do costs an empty walk.
 func (r *Router) Tick(now uint64) {
-	r.absorbCredits(now)
+	r.now = now
 	r.routeCompute(now)
 	r.vcAllocate(now)
 	r.switchAllocateAndTraverse(now)
 }
 
-// absorbCredits makes matured credits visible to the allocators.
-func (r *Router) absorbCredits(now uint64) {
-	for wi, word := range r.credOuts {
-		for ; word != 0; word &= word - 1 {
-			o := wi<<6 | bits.TrailingZeros64(word)
-			op := &r.outs[o]
-			kept := op.pendingCredits[:0]
-			for _, ce := range op.pendingCredits {
-				if ce.readyAt <= now {
-					op.vcs[ce.vc].credits++
-					if op.vcs[ce.vc].credits > op.link.DownDepth {
-						panic(fmt.Sprintf("router %q: credit overflow on output", r.cfg.Name))
-					}
-				} else {
-					kept = append(kept, ce)
-				}
+// absorbCredits makes an output's matured credits visible. SA calls it on
+// reading a count at 0, so no matured credit is missing when it decides.
+func (r *Router) absorbCredits(op *outPort, now uint64) {
+	kept := op.pendingCredits[:0]
+	for _, ce := range op.pendingCredits {
+		if ce.readyAt <= now {
+			op.vcs[ce.vc].credits++
+			if op.vcs[ce.vc].credits > op.link.DownDepth {
+				panic(fmt.Sprintf("router %q: credit overflow on output", r.cfg.Name))
 			}
-			op.pendingCredits = kept
-			if len(kept) == 0 {
-				r.credOuts.Remove(o)
-			}
+		} else {
+			kept = append(kept, ce)
 		}
 	}
+	op.pendingCredits = kept
+}
+
+// arm puts input VC i, past VA with a flit buffered, to sleep until its
+// stage delay, head flit and output channel all allow a bid (> now).
+func (r *Router) arm(i int) {
+	vc := &r.vcs[i]
+	at := max(vc.stageReady, vc.buf[0].readyAt, r.outs[vc.outPort].nextFreeAt)
+	r.saAt[i] = at
+	r.wheel.Arm(i, at)
 }
 
 // routeCompute starts the RC stage for idle VCs whose head flit arrived.
@@ -474,6 +552,7 @@ func (r *Router) vcAllocate(now uint64) {
 				ivc.outVC = v
 				ivc.stage = vcActive
 				ivc.stageReady = now + 1 // VA occupies this cycle
+				r.arm(i)
 				wait.Remove(i)
 				granted++
 			}
@@ -503,20 +582,26 @@ func freeOutVC(out *outPort) int {
 // output stage) and moves the granted flits onto their output channels.
 func (r *Router) switchAllocateAndTraverse(now uint64) {
 	// Stage 1: each input port nominates one requesting VC (round-robin).
-	// Only ports with a non-idle VC can nominate.
+	// Only ports with a ready VC can nominate; their ready VCs are
+	// contiguous bits of ready, which a port may straddle across words.
+	r.wheel.Turn(now, r.ready, r.saAt)
 	noms := r.nomScratch[:0]
 	nvc := r.cfg.VCs
-	for wi, word := range r.activePorts {
+	last := -1
+	for wi, word := range r.ready {
 		for ; word != 0; word &= word - 1 {
-			p := wi<<6 | bits.TrailingZeros64(word)
-			vcs := r.vcs[p*nvc : (p+1)*nvc]
+			p := (wi<<6 | bits.TrailingZeros64(word)) / nvc
+			if p == last {
+				continue
+			}
+			last = p
 			for v, n := r.rrInVC[p], 0; n < nvc; n++ {
 				next := v + 1
 				if next == nvc {
 					next = 0
 				}
-				if vc := &vcs[v]; r.saEligible(vc, now) {
-					noms = append(noms, nomination{inPort: p, inVC: v, out: vc.outPort})
+				if i := p*nvc + v; r.ready.Has(i) && r.saEligible(i, now) {
+					noms = append(noms, nomination{inPort: p, inVC: v, out: r.vcs[i].outPort})
 					r.rrInVC[p] = next
 					break
 				}
@@ -563,23 +648,23 @@ func (r *Router) switchAllocateAndTraverse(now uint64) {
 	}
 }
 
-// saEligible reports whether an input VC can request the switch this
-// cycle: active, stage delay elapsed, flit present and mature, credits
-// available, and the output channel idle.
-func (r *Router) saEligible(vc *inVC, now uint64) bool {
-	if vc.stage != vcActive || vc.stageReady > now || len(vc.buf) == 0 {
-		return false
-	}
-	if vc.buf[0].readyAt > now {
-		return false
-	}
+// saEligible reports whether ready input VC i can request the switch
+// this cycle. A busy output puts it to sleep until the output frees
+// (nextFreeAt only grows between Resets); one short of credits stalls.
+func (r *Router) saEligible(i int, now uint64) bool {
+	vc := &r.vcs[i]
 	out := &r.outs[vc.outPort]
 	if out.nextFreeAt > now {
+		r.ready.Remove(i)
+		r.arm(i)
 		return false
 	}
 	if out.vcs[vc.outVC].credits <= 0 {
-		r.ctr.CreditStall++
-		return false
+		r.absorbCredits(out, now)
+		if out.vcs[vc.outVC].credits <= 0 {
+			r.ctr.CreditStall++
+			return false
+		}
 	}
 	return true
 }
@@ -611,6 +696,8 @@ func (r *Router) traverse(inPort, inVC int, now uint64) {
 		cs.PutCredit(inVC, now+1)
 	}
 
+	r.ready.Remove(i)
+	r.saAt[i] = never
 	if f.IsTail() {
 		// Release the output VC and the input VC; a next packet's head
 		// already buffered becomes an RC candidate for the next cycle.
@@ -623,6 +710,8 @@ func (r *Router) traverse(inPort, inVC int, now uint64) {
 			r.activePorts.Remove(inPort)
 		}
 		r.ctr.PacketsOut++
+	} else if len(vc.buf) > 0 {
+		r.arm(i)
 	}
 }
 
@@ -640,11 +729,12 @@ func (r *Router) portBusy(p int) bool {
 // allocations (used by drain checks in tests).
 func (r *Router) Quiescent() bool { return r.rcCand.Empty() && r.activePorts.Empty() }
 
-// CheckIndex verifies, by exhaustive scan, that every ActiveSet bit, and
-// HasWork and Quiescent, agree with the state they summarize; tests call
-// it between Ticks. It returns the first disagreement found.
+// CheckIndex verifies, by exhaustive scan, that every ActiveSet bit, each
+// VC's saAt and wheel entry, and HasWork and Quiescent, agree with the
+// state they summarize; tests call it between Ticks. It returns the first
+// disagreement found.
 func (r *Router) CheckIndex() error {
-	buf, waiting, nonIdle, credits := 0, 0, 0, 0
+	buf, waiting, nonIdle := 0, 0, 0
 	for p := range r.cfg.Inputs {
 		act := 0
 		for i := p * r.cfg.VCs; i < (p+1)*r.cfg.VCs; i++ {
@@ -662,6 +752,9 @@ func (r *Router) CheckIndex() error {
 			if vc.stage != vcIdle {
 				act++
 			}
+			if err := r.checkSA(i); err != nil {
+				return err
+			}
 		}
 		if r.activePorts.Has(p) != (act > 0) {
 			return fmt.Errorf("router %q: input %d has %d non-idle VCs, bit %v", r.cfg.Name, p, act, r.activePorts.Has(p))
@@ -678,19 +771,31 @@ func (r *Router) CheckIndex() error {
 		if r.vaOuts.Has(o) != (n > 0) {
 			return fmt.Errorf("router %q: output %d has %d VA waiters, bit %v", r.cfg.Name, o, n, r.vaOuts.Has(o))
 		}
-		if r.credOuts.Has(o) != (len(r.outs[o].pendingCredits) > 0) {
-			return fmt.Errorf("router %q: output %d has %d pending credits, bit %v", r.cfg.Name, o, len(r.outs[o].pendingCredits), r.credOuts.Has(o))
-		}
-		credits += len(r.outs[o].pendingCredits)
 	}
-	if quiet := buf == 0 && nonIdle == 0; r.Quiescent() != quiet || r.HasWork() != (!quiet || credits > 0) {
-		return fmt.Errorf("router %q: %d flits buffered, %d VCs past RC, %d pending credits, but Quiescent %v and HasWork %v", r.cfg.Name, buf, nonIdle, credits, r.Quiescent(), r.HasWork())
+	if quiet := buf == 0 && nonIdle == 0; r.Quiescent() != quiet || r.HasWork() != !quiet {
+		return fmt.Errorf("router %q: %d flits buffered, %d VCs past RC, but Quiescent %v and HasWork %v", r.cfg.Name, buf, nonIdle, r.Quiescent(), r.HasWork())
 	}
 	if members != waiting {
 		return fmt.Errorf("router %q: VA waiter sets hold %d VCs, %d are waiting", r.cfg.Name, members, waiting)
 	}
 	if !r.nomOuts.Empty() {
 		return fmt.Errorf("router %q: nomination scratch set not emptied", r.cfg.Name)
+	}
+	return nil
+}
+
+// checkSA verifies input VC i's saAt, ready bit and wheel entry: a VC
+// past VA with a flit buffered bids no earlier than its stage delay and
+// head allow, nor later than its output frees, and is ready once that
+// cycle is ticked; any other VC is never ready.
+func (r *Router) checkSA(i int) error {
+	vc, at, lo, hi := &r.vcs[i], r.saAt[i], never, never
+	if vc.stage == vcActive && len(vc.buf) > 0 {
+		lo = max(vc.stageReady, vc.buf[0].readyAt)
+		hi = max(lo, r.outs[vc.outPort].nextFreeAt)
+	}
+	if at < lo || at > hi || r.ready.Has(i) != (at <= r.now) || at > r.now && at != never && !r.wheel.Armed(i, at) {
+		return fmt.Errorf("router %q: VC %d (stage %d, %d flits) at cycle %d: saAt %d, want [%d, %d]; ready %v, armed %v", r.cfg.Name, i, vc.stage, len(vc.buf), r.now, at, lo, hi, r.ready.Has(i), r.wheel.Armed(i, at))
 	}
 	return nil
 }

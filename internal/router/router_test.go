@@ -452,3 +452,110 @@ func BenchmarkRouterSaturated(b *testing.B) {
 		r.Tick(uint64(i))
 	}
 }
+
+// TestSASleepsUntilAble checks that SA stage 1 visits an input VC only
+// from the cycle it can bid: (a) a flit stamped beyond one wheel lap
+// keeps ready empty until its cycle and traverses on exactly that cycle;
+// (b) a VC behind a busy output is deferred once, to the cycle the output
+// frees, not polled; (c) a credit-starved VC stalls, counted in
+// CreditStall every cycle as before, and resumes on the cycle its credit
+// matures.
+func TestSASleepsUntilAble(t *testing.T) {
+	newRouter := func(inputs, depth int, link OutputLink) *Router {
+		r := MustNew(Config{Name: "sleep", Inputs: inputs, Outputs: 1, VCs: 1, BufDepth: depth,
+			Route: func(*flit.Packet) int { return 0 }})
+		r.ConnectOutput(0, link)
+		return r
+	}
+	tick := func(r *Router, now uint64) {
+		t.Helper()
+		r.Tick(now)
+		if err := r.CheckIndex(); err != nil {
+			t.Fatalf("cycle %d: %v", now, err)
+		}
+	}
+	put := func(r *Router, port int, f *flit.Flit, readyAt uint64) {
+		f.VC = 0
+		r.InputSink(port).PutFlit(f, readyAt)
+	}
+
+	t.Run("a-beyond-a-lap", func(t *testing.T) {
+		c := &collector{}
+		r := newRouter(1, 2, OutputLink{Sink: c, FlitCycles: 1, DownVCs: 1, DownDepth: 8})
+		fl := flit.Explode(&flit.Packet{ID: 1, Size: 16, FlitBytes: 8})
+		put(r, 0, fl[0], 1)
+		now := uint64(0)
+		for ; len(c.flits) == 0; now++ {
+			tick(r, now)
+		}
+		const ahead = 40 // > wheelSlots: the entry must survive a turn of its slot
+		due := now + ahead
+		put(r, 0, fl[1], due)
+		for ; now < due; now++ {
+			tick(r, now)
+			if !r.ready.Empty() || len(c.flits) != 1 {
+				t.Fatalf("cycle %d (flit due %d): ready %v, %d flits out", now, due, r.ready, len(c.flits))
+			}
+		}
+		tick(r, due)
+		if len(c.flits) != 2 || c.stamps[1] != due+1 {
+			t.Fatalf("tail: %d flits out, stamps %v; want it sent at %d", len(c.flits), c.stamps, due)
+		}
+	})
+
+	t.Run("b-busy-output", func(t *testing.T) {
+		const flitCycles = 10
+		c := &collector{}
+		r := newRouter(2, 1, OutputLink{Sink: c, FlitCycles: flitCycles, DownVCs: 2, DownDepth: 8})
+		for p := range 2 {
+			put(r, p, flit.Explode(&flit.Packet{ID: flit.PacketID(p + 1), Src: p, Size: 8, FlitBytes: 8})[0], 1)
+		}
+		// RC at 1, VA at 2 (which advances the output's round-robin
+		// pointer to input 1); both bid at 3 and input 1 wins the output
+		// until 3+flitCycles. Input 0's VC, which lost, finds the output
+		// busy at 4 and must then sleep until it frees.
+		deferrals, prev := 0, r.saAt[0]
+		for now := uint64(0); now < 3+flitCycles; now++ {
+			tick(r, now)
+			if at := r.saAt[0]; at != prev {
+				deferrals, prev = deferrals+1, at
+			}
+			if now >= 4 && (r.ready.Has(0) || r.saAt[0] != 3+flitCycles) {
+				t.Fatalf("cycle %d: input 0 ready %v, saAt %d; want asleep until %d", now, r.ready.Has(0), r.saAt[0], 3+flitCycles)
+			}
+		}
+		// The VA arm (never → 3) and one deferral (3 → 13).
+		if deferrals != 2 || len(c.flits) != 1 || c.flits[0].Packet.Src != 1 {
+			t.Fatalf("input 0's saAt moved %d times, want 2; %d flits out", deferrals, len(c.flits))
+		}
+		tick(r, 3+flitCycles)
+		if len(c.flits) != 2 || c.flits[1].Packet.Src != 0 || c.stamps[1] != 3+2*flitCycles {
+			t.Fatalf("after the output frees: %d flits out, stamps %v", len(c.flits), c.stamps)
+		}
+	})
+
+	t.Run("c-credit-starved", func(t *testing.T) {
+		c := &collector{holdCredits: true}
+		r := newRouter(1, 2, OutputLink{Sink: c, FlitCycles: 1, DownVCs: 1, DownDepth: 1})
+		fl := flit.Explode(&flit.Packet{ID: 1, Size: 16, FlitBytes: 8})
+		put(r, 0, fl[0], 1)
+		put(r, 0, fl[1], 1)
+		// RC at 1, VA at 2, the head takes the only credit at 3; the tail
+		// bids from 4 and stalls until the credit returned at 10 matures
+		// at 15.
+		const back, matures = 10, 15
+		for now := uint64(0); now < matures; now++ {
+			if now == back {
+				r.CreditSink(0).PutCredit(0, matures)
+			}
+			tick(r, now)
+		}
+		if got, want := r.Counters().CreditStall, uint64(matures-4); got != want || len(c.flits) != 1 {
+			t.Fatalf("CreditStall %d, want %d; %d flits out", got, want, len(c.flits))
+		}
+		tick(r, matures)
+		if len(c.flits) != 2 || c.stamps[1] != matures+1 || r.Counters().CreditStall != matures-4 {
+			t.Fatalf("after the credit matures: %d flits out, stamps %v, CreditStall %d", len(c.flits), c.stamps, r.Counters().CreditStall)
+		}
+	})
+}
