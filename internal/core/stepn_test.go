@@ -1,12 +1,15 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/traffic"
 )
 
 // This file pins the StepN stepping contract at its edges: the no-op
@@ -142,12 +145,15 @@ func TestStepNChunkInvariance(t *testing.T) {
 }
 
 // TestSetInjectionRateDiscardsStagedDraws changes the injection rate
-// between StepN batches, mid-window both times: the draws of the next
-// cycle must use the new rate whatever the batch shape, so the batched
-// run and one stepped a cycle at a time emit the same telemetry stream
-// and end in the same state, and each rate shows in the injections of
-// its stretch. It runs once on Bernoulli injectors and once on bursty
-// ones, whose rate change retargets the ON-state probability.
+// between StepN batches: mid-window, to 0 and back, and on a cycle a
+// node's drawn-ahead packet is due. Each change must apply from the next
+// cycle whatever the batch shape, so the batched run and one stepped a
+// cycle at a time emit the same telemetry stream and end in the same
+// state; and the packets injected must be exactly those of the node
+// injectors stepped once per cycle with the same changes, the reference
+// the draw-ahead reproduces. It runs once on Bernoulli injectors and
+// once on bursty ones, whose rate change retargets the ON-state
+// probability.
 func TestSetInjectionRateDiscardsStagedDraws(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four full step-driven runs")
@@ -162,7 +168,11 @@ func TestSetInjectionRateDiscardsStagedDraws(t *testing.T) {
 		{"bursty", bursty},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			drive := func(batched bool) (*Result, eventLog) {
+			type change struct {
+				at   uint64
+				rate float64
+			}
+			drive := func(batched bool) (*Result, eventLog, []change, *System) {
 				cfg := tc.cfg
 				s, err := NewSystem(cfg)
 				if err != nil {
@@ -170,6 +180,11 @@ func TestSetInjectionRateDiscardsStagedDraws(t *testing.T) {
 				}
 				var log eventLog
 				s.AttachSink(&log)
+				var changes []change
+				set := func(rate float64) {
+					changes = append(changes, change{s.nextCycle, rate})
+					s.SetInjectionRate(rate)
+				}
 				steps := func(n uint64) {
 					if batched {
 						s.StepN(n)
@@ -180,35 +195,109 @@ func TestSetInjectionRateDiscardsStagedDraws(t *testing.T) {
 					}
 				}
 				steps(1234) // mid-window
-				s.SetInjectionRate(0.09)
+				set(0.09)
 				steps(777)
-				s.SetInjectionRate(0.004)
+				set(0)
+				steps(300)
+				set(0.09)
+				steps(200)
+				// Step to a cycle some node's drawn packet is due on.
+				for due := false; !due; {
+					for n, at := range s.injAt {
+						due = due || at == s.nextCycle && s.injDst[n] >= 0
+					}
+					if !due {
+						steps(1)
+					}
+				}
+				set(0.004)
 				limit := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainLimitCycles
 				for s.Measurement().Phase() != stats.Done && s.Cycle() < limit {
 					s.Step()
 				}
-				return s.result(s.Cycle(), false), log
+				return s.result(s.Cycle(), false), log, changes, s
 			}
-			refRes, refLog := drive(true)
-			var high, low int // injections in [1234, 2011) and [2011, 2788)
+			refRes, refLog, changes, sys := drive(true)
+			// Injections in the first 0.09 stretch, the 0 stretch and the
+			// 0.004 stretch's first 777 cycles.
+			var high, zero, low int
+			last := changes[len(changes)-1].at
 			for _, ev := range refLog {
-				if ev.Kind == telemetry.PacketInject && ev.Cycle >= 1234 && ev.Cycle < 2788 {
-					if ev.Cycle < 2011 {
-						high++
-					} else {
-						low++
+				switch c := ev.Cycle; {
+				case ev.Kind != telemetry.PacketInject:
+				case c >= 1234 && c < 2011:
+					high++
+				case c >= 2011 && c < 2311:
+					zero++
+				case c >= last && c < last+777:
+					low++
+				}
+			}
+			if high < 10*low || zero != 0 {
+				t.Fatalf("%d injections at rate 0.09, %d at 0 and %d at 0.004: a rate change did not take effect", high, zero, low)
+			}
+
+			// The reference: every node's injector stepped once per cycle.
+			ref := twinInjectors(t, sys)
+			var want, got [][2]uint64 // (cycle, source board) per packet, in injection order
+			for c := uint64(0); c <= sys.Cycle(); c++ {
+				for len(changes) > 0 && changes[0].at == c {
+					for _, src := range ref {
+						switch inj := src.(type) {
+						case *traffic.Injector:
+							inj.Rate = changes[0].rate
+						case *traffic.BurstyInjector:
+							inj.SetMean(changes[0].rate)
+						}
+					}
+					changes = changes[1:]
+				}
+				for n, src := range ref {
+					if _, ok := src.Step(); ok {
+						want = append(want, [2]uint64{c, uint64(sys.top.Board(n))})
 					}
 				}
 			}
-			if high < 10*low {
-				t.Fatalf("%d injections at rate 0.09, %d at 0.004 over as many cycles: a rate change did not take effect", high, low)
+			for _, ev := range refLog {
+				if ev.Kind == telemetry.PacketInject {
+					got = append(got, [2]uint64{ev.Cycle, uint64(ev.Board)})
+				}
 			}
-			res, log := drive(false)
+			if !reflect.DeepEqual(got, want) {
+				i := 0
+				for i < min(len(got), len(want)) && got[i] == want[i] {
+					i++
+				}
+				t.Fatalf("injections differ from per-cycle Steps at packet %d of %d/%d", i, len(got), len(want))
+			}
+
+			res, log, _, _ := drive(false)
 			if d := divergence(refRes, refLog, res, log); d != "" {
 				t.Errorf("stepped a cycle at a time vs in batches: %s", d)
 			}
 		})
 	}
+}
+
+// twinInjectors builds s's per-node injectors afresh, as buildInjectors
+// does, without drawing ahead.
+func twinInjectors(t *testing.T, s *System) []traffic.Source {
+	t.Helper()
+	cfg := s.cfg
+	pattern, err := traffic.NewGrouped(cfg.Pattern, s.top.TotalNodes(), s.top.NodesPerBoard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	master := rng.New(cfg.Seed)
+	var srcs []traffic.Source
+	for n := range s.top.TotalNodes() {
+		if cfg.BurstLength > 0 {
+			srcs = append(srcs, traffic.NewBurstyInjector(n, cfg.Rate(), cfg.BurstDuty, cfg.BurstLength, pattern, master))
+		} else {
+			srcs = append(srcs, traffic.NewInjector(n, cfg.Rate(), pattern, master))
+		}
+	}
+	return srcs
 }
 
 // TestStepPastDone pins stepping beyond the end of the measurement

@@ -34,8 +34,16 @@ type System struct {
 
 	boards    []*board
 	injectors []traffic.Source
-	nics      []*link.PacketSource // indexed by global node id
-	nextPkt   flit.PacketID
+	// Each node's injection process is drawn ahead to its next packet
+	// (drawInjection): the draw covers cycles injFrom[n]..injAt[n] and
+	// ends in a packet to injDst[n], or in none when injDst[n] < 0.
+	// injWheel raises node n in injSet at injAt[n].
+	injFrom, injAt []uint64
+	injDst         []int
+	injWheel       router.Wheel
+	injSet         router.ActiveSet
+	nics           []*link.PacketSource // indexed by global node id
+	nextPkt        flit.PacketID
 
 	// freePkts recycles delivered packets (and their flit slabs) so the
 	// steady-state injection path allocates nothing.
@@ -194,8 +202,11 @@ func (s *System) assemble() {
 	d := top.NodesPerBoard()
 	w := top.Wavelengths() // B-1
 
-	s.nics = make([]*link.PacketSource, top.TotalNodes())
-	s.deliveredPerNode = make([]uint64, top.TotalNodes())
+	nodes := top.TotalNodes()
+	s.nics = make([]*link.PacketSource, nodes)
+	s.deliveredPerNode = make([]uint64, nodes)
+	s.injFrom, s.injAt, s.injDst = make([]uint64, nodes), make([]uint64, nodes), make([]int, nodes)
+	s.injSet = router.NewActiveSet(nodes)
 	for bi := 0; bi < b; bi++ {
 		bd := &board{idx: bi, nics: s.nics[bi*d : (bi+1)*d],
 			nicSet: router.NewActiveSet(d), rxSet: router.NewActiveSet(w)}
@@ -273,26 +284,49 @@ func (s *System) assemble() {
 
 // buildInjectors (re)creates the per-node traffic injectors for the
 // current configuration, one independent derived RNG stream per node in
-// node order. The injectors are the only electrical-domain state whose
-// construction depends on per-run parameters (pattern, rate,
-// burstiness, seed); the NICs, routers and sinks are wired once.
+// node order, and draws each ahead from the next cycle to step. The
+// injectors are the only electrical-domain state whose construction
+// depends on per-run parameters (pattern, rate, burstiness, seed); the
+// NICs, routers and sinks are wired once.
 func (s *System) buildInjectors() error {
 	cfg := s.cfg
 	master := rng.New(cfg.Seed)
-	pattern, err := traffic.NewGrouped(cfg.Pattern, s.top.TotalNodes(), s.top.NodesPerBoard())
+	nodes := s.top.TotalNodes()
+	pattern, err := traffic.NewGrouped(cfg.Pattern, nodes, s.top.NodesPerBoard())
 	if err != nil {
 		return err
 	}
 	rate := cfg.Rate()
 	s.injectors = s.injectors[:0]
-	for n := 0; n < s.top.TotalNodes(); n++ {
+	for n := range nodes {
 		if cfg.BurstLength > 0 {
 			s.injectors = append(s.injectors, traffic.NewBurstyInjector(n, rate, cfg.BurstDuty, cfg.BurstLength, pattern, master))
 		} else {
 			s.injectors = append(s.injectors, traffic.NewInjector(n, rate, pattern, master))
 		}
 	}
+	s.injWheel.Reset()
+	clear(s.injSet)
+	for n := range nodes {
+		s.drawInjection(n, s.nextCycle)
+	}
 	return nil
+}
+
+// injHorizon bounds one draw-ahead, so a vanishing rate cannot spin.
+const injHorizon = 4096
+
+// drawInjection draws node n's injection process ahead from cycle from
+// to its next packet, or through the horizon, and arms the wheel for the
+// draw's last cycle. A node's stream is its own, so drawing it early
+// consumes it in the same order as a draw per cycle.
+func (s *System) drawInjection(n int, from uint64) {
+	k, dst, ok := s.injectors[n].Next(injHorizon)
+	if !ok {
+		dst = -1
+	}
+	s.injFrom[n], s.injAt[n], s.injDst[n] = from, from+k-1, dst
+	s.injWheel.Arm(n, from+k-1)
 }
 
 // routeFunc builds the IBI routing function for one board: intra-board
@@ -364,15 +398,22 @@ func (s *System) onFaultDrop(p *flit.Packet, now uint64) {
 	}
 }
 
-// injectAll steps every node's injection process for one cycle and
-// admits each packet drawn, in global node order: packet IDs, labeling,
-// pool recycling and the inject event all happen here, in the cycle's
-// head.
+// injectAll admits the packets due this cycle, in global node order:
+// packet IDs, labeling, pool recycling and the inject event all happen
+// here, in the cycle's head. Only the nodes whose draw ends now are
+// visited (a node draws ahead to its next packet, drawInjection); each
+// then draws again from the next cycle.
 func (s *System) injectAll(now uint64) {
-	for n, inj := range s.injectors {
-		if dst, ok := inj.Step(); ok {
-			s.injectOne(n, dst, now)
+	s.injWheel.Turn(now, s.injSet, s.injAt)
+	for wi, word := range s.injSet {
+		for ; word != 0; word &= word - 1 {
+			n := wi<<6 | bits.TrailingZeros64(word)
+			if dst := s.injDst[n]; dst >= 0 {
+				s.injectOne(n, dst, now)
+			}
+			s.drawInjection(n, now+1)
 		}
+		s.injSet[wi] = 0
 	}
 }
 
@@ -498,15 +539,18 @@ func (s *System) AttachSink(sink telemetry.Sink) {
 
 // SetInjectionRate changes every node's mean injection rate mid-run
 // (phased-load experiments such as the Fig. 3 design-space demo). rate
-// is in packets/node/cycle; it applies from the next cycle stepped.
+// is in packets/node/cycle; it applies from the next cycle stepped: each
+// node's draw-ahead is rewound to that cycle and drawn again.
 func (s *System) SetInjectionRate(rate float64) {
-	for _, src := range s.injectors {
+	for n, src := range s.injectors {
+		src.Rewind(s.nextCycle - s.injFrom[n])
 		switch inj := src.(type) {
 		case *traffic.Injector:
 			inj.Rate = rate
 		case *traffic.BurstyInjector:
 			inj.SetMean(rate)
 		}
+		s.drawInjection(n, s.nextCycle)
 	}
 }
 

@@ -19,8 +19,10 @@
 package optical
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/flit"
 	"repro/internal/power"
@@ -111,12 +113,15 @@ func (c *Channel) Busy(now uint64) bool { return c.busyUntil > now }
 // accept the nil *Laser and report a healthy laser.
 //
 // Lasers are ticked lazily: only lasers with queued packets or an
-// in-flight serialization sit on the fabric's active list and are
-// visited each cycle. An idle laser's window statistics are batched in
-// when it reactivates (or on FlushStats) — an idle span of k cycles is
-// exactly k not-busy LinkWin ticks and k empty-queue BufWin samples, so
-// the windows stay integer-exact. Its supply power while lit is carried
-// by the fabric's idle-laser aggregate (see Fabric.idleLitMW).
+// in-flight serialization sit on the fabric's active list, and of those
+// only the ones not sleeping through a serialization are ticked each
+// cycle. An idle laser's window statistics are batched in when it
+// reactivates (or on FlushStats) — an idle span of k cycles is exactly k
+// not-busy LinkWin ticks and k empty-queue BufWin samples, so the
+// windows stay integer-exact; a sleeping laser's span is k busy ticks
+// with its queue unchanged. Its supply power while lit is carried by the
+// fabric's idle-laser aggregate (see Fabric.idleLitMW), or while asleep
+// by its sleep record.
 type Laser struct {
 	s, w, d int
 	ladder  *power.Ladder
@@ -137,7 +142,8 @@ type Laser struct {
 	transitions uint64
 	sentPackets uint64
 	// busyCycles counts cycles spent serializing, cumulatively. Idle
-	// (off-list) lasers are never busy, so the count needs no batching.
+	// (off-list) lasers are never busy; a sleeping laser's count is
+	// settled with its windows (syncStats).
 	busyCycles uint64
 
 	// failed marks the laser unable to transmit (fault injection). A
@@ -154,6 +160,7 @@ type Laser struct {
 	dropWin uint64
 
 	active      bool    // on the fabric's active list
+	asleep      bool    // serialising off the per-cycle walk (boardState.sleep)
 	statsAt     uint64  // cycle through which LinkWin/BufWin are accounted
 	idleContrib float64 // mW currently counted in fab.idleLitMW
 	key         int     // canonical (s,w,d) order for the active list
@@ -205,6 +212,9 @@ func (l *Laser) SetLevel(level int, now, relockCycles uint64) {
 	}
 	if l.stuck || level == l.level {
 		return
+	}
+	if l.fab != nil {
+		l.fab.wake(l)
 	}
 	from := l.level
 	l.transitions++
@@ -288,7 +298,13 @@ type Fabric struct {
 // sample).
 type boardState struct {
 	active []*Laser
-	deact  []*Laser
+	// sleep runs parallel to active. A laser serialising a packet has
+	// nothing to do but count busy cycles until its last busy cycle, so
+	// it sleeps until then: the walk adds its constant meter sample in
+	// its list position, and its statistics are settled when it wakes
+	// (syncStats). Any change to its state wakes it first (wake).
+	sleep []sleeper
+	deact []*Laser
 	// txPending has bit w-1 up exactly while transmitter w buffers a
 	// complete packet whose tail has matured (holdsPacket); tickBoardTx
 	// walks it. An unmatured tail sleeps on txWheel.
@@ -303,6 +319,20 @@ type boardState struct {
 	// materialised mid-window accounts its statistics from here, as it
 	// would have had it existed all along.
 	winFrom uint64
+}
+
+// sleeper is an active laser's sleep: until is the cycle it is next
+// ticked (0 when awake), mw its litMW, metered every cycle meanwhile.
+type sleeper struct {
+	until uint64
+	mw    float64
+}
+
+// search returns the position of the laser with the given canonical key
+// in the board's active list, or where it would be inserted.
+func (bs *boardState) search(key int) int {
+	i, _ := slices.BinarySearchFunc(bs.active, key, func(l *Laser, key int) int { return cmp.Compare(l.key, key) })
+	return i
 }
 
 // slot returns the board's i-th laser slot (chunks are of equal length).
@@ -404,7 +434,7 @@ func (f *Fabric) Reset() {
 		for i := range bs.active {
 			bs.active[i] = nil
 		}
-		bs.active = bs.active[:0]
+		bs.active, bs.sleep = bs.active[:0], bs.sleep[:0]
 		for i := range bs.deact {
 			bs.deact[i] = nil
 		}
@@ -485,11 +515,10 @@ func (f *Fabric) laser(s, w, d int) *Laser {
 	return l
 }
 
-// litIdleMW returns the supply power an idle laser currently draws: its
-// level's power when it is lit (drives its channel) and operating, and
-// not already accounted per-cycle via the active list.
-func (f *Fabric) litIdleMW(l *Laser) float64 {
-	if l.active || l.failed || !l.ladder.Operating(l.level) || l.ch.holder != l.s {
+// litMW returns the supply power a laser draws per cycle: its level's
+// power when it is lit (drives its channel), healthy and operating.
+func (f *Fabric) litMW(l *Laser) float64 {
+	if l.failed || !l.ladder.Operating(l.level) || l.ch.holder != l.s {
 		return 0
 	}
 	return f.cfg.Ladder.MW(l.level)
@@ -497,9 +526,12 @@ func (f *Fabric) litIdleMW(l *Laser) float64 {
 
 // refreshIdle re-derives one laser's contribution to the idle-laser
 // supply aggregate after any change to its level, holder or active
-// status.
+// status: its litMW, unless the active list accounts it per cycle.
 func (f *Fabric) refreshIdle(l *Laser) {
-	c := f.litIdleMW(l)
+	c := 0.0
+	if !l.active {
+		c = f.litMW(l)
+	}
 	if c == l.idleContrib {
 		return
 	}
@@ -507,28 +539,46 @@ func (f *Fabric) refreshIdle(l *Laser) {
 	l.idleContrib = c
 }
 
-// syncStats fills in the idle span [l.statsAt, now) of a laser's window
-// statistics: an inactive laser is never busy and holds no queued
-// packets, so the batch update is integer-exact with per-cycle ticking.
+// syncStats fills in the span [l.statsAt, now) a laser was not ticked
+// for: an inactive laser is never busy and holds no queued packets, and
+// a sleeping one is busy throughout with an unchanged queue, so the
+// batch update is integer-exact with per-cycle ticking. It is a no-op on
+// a laser ticked through now-1.
 func (f *Fabric) syncStats(l *Laser, now uint64) {
 	if now > l.statsAt {
-		k := now - l.statsAt
-		l.LinkWin.AddN(0, k)
-		l.BufWin.AddN(0, k*uint64(f.cfg.QueueCap))
+		k, busy := now-l.statsAt, uint64(0)
+		if l.asleep {
+			busy = k
+		}
+		l.busyCycles += busy
+		l.LinkWin.AddN(busy, k)
+		l.BufWin.AddN(uint64(len(l.queue))*k, uint64(f.cfg.QueueCap)*k)
 		l.statsAt = now
 	}
 }
 
+// wake puts a sleeping laser back on the per-cycle walk, settling the
+// ticks it skipped through the last TickBoards, before a change to its
+// level, queue, health or channel. A nil or awake laser is left alone.
+func (f *Fabric) wake(l *Laser) {
+	if l == nil || !l.asleep {
+		return
+	}
+	f.syncStats(l, f.nextTick)
+	l.asleep = false
+	bs := &f.boards[l.s]
+	bs.sleep[bs.search(l.key)] = sleeper{}
+}
+
 // FlushStats brings every materialised laser's LinkWin/BufWin up to
 // date through cycle now-1. Callers that read or reset the windows
-// directly (tests) must flush first; active lasers are already current.
-// The RC snapshot uses TakeWindows instead, which flushes one board.
+// directly (tests) must flush first; lasers ticked every cycle are
+// already current. The RC snapshot uses TakeWindows instead, which
+// flushes one board.
 func (f *Fabric) FlushStats(now uint64) {
 	for _, l := range f.heads {
 		for ; l != nil; l = l.next {
-			if !l.active {
-				f.syncStats(l, now)
-			}
+			f.syncStats(l, now)
 		}
 	}
 }
@@ -557,9 +607,7 @@ func (f *Fabric) TakeWindows(s int, now uint64, buf []WindowStats) []WindowStats
 	b := f.top.Boards()
 	for _, l := range f.heads[s*b+1 : (s+1)*b] {
 		for ; l != nil; l = l.next {
-			if !l.active {
-				f.syncStats(l, now)
-			}
+			f.syncStats(l, now)
 			buf = append(buf, WindowStats{
 				W: l.w, D: l.d,
 				LinkUtil: l.LinkWin.Utilization(),
@@ -587,31 +635,22 @@ func (f *Fabric) AppendHeldLasers(buf []*Laser, s, w int) []*Laser {
 	return buf
 }
 
-// activateLaser puts a laser on its board's active list (no-op when
-// already there), first batching in the idle span it skipped. Binary
-// insertion keeps each board's list in canonical (w, d) order so active
-// lasers are visited in exactly the order the exhaustive scan used.
+// activateLaser readies a laser for a packet about to be queued: it
+// puts it on its board's active list, first batching in the idle span it
+// skipped, or wakes it if it is there asleep. Binary insertion keeps
+// each board's list in canonical (w, d) order so active lasers are
+// visited in exactly the order the exhaustive scan used.
 func (f *Fabric) activateLaser(l *Laser, now uint64) {
 	if l.active {
+		f.wake(l)
 		return
 	}
 	f.syncStats(l, now)
 	l.active = true
 	bs := &f.boards[l.s]
-	lst := bs.active
-	lo, hi := 0, len(lst)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if lst[mid].key < l.key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	lst = append(lst, nil)
-	copy(lst[lo+1:], lst[lo:])
-	lst[lo] = l
-	bs.active = lst
+	i := bs.search(l.key)
+	bs.active = slices.Insert(bs.active, i, l)
+	bs.sleep = slices.Insert(bs.sleep, i, sleeper{})
 	f.refreshIdle(l)
 }
 
@@ -705,6 +744,9 @@ func (f *Fabric) Reassign(d, w, newHolder int, now uint64) error {
 	if len(old.queue) > 0 {
 		return fmt.Errorf("optical: channel (%d,λ%d): holder %d still has %d queued packets", d, w, ch.holder, len(old.queue))
 	}
+	// Both lasers' lit state changes with the holder.
+	f.wake(old)
+	f.wake(f.Laser(newHolder, w, d))
 	oldHolder := ch.holder
 	ch.holder = newHolder
 	if f.sink != nil {
@@ -743,6 +785,7 @@ func (f *Fabric) FailLaser(s, w, d int, permanent bool, now uint64) {
 		panic(fmt.Sprintf("optical: FailLaser(%d,λ%d→%d): no such laser", s, w, d))
 	}
 	l := f.laser(s, w, d)
+	f.wake(l)
 	l.failed = true
 	if permanent {
 		l.permFailed = true
@@ -766,6 +809,7 @@ func (f *Fabric) RestoreLaser(s, w, d int, now uint64) {
 		panic(fmt.Sprintf("optical: RestoreLaser(%d,λ%d→%d): no such laser", s, w, d))
 	}
 	l := f.laser(s, w, d)
+	f.wake(l)
 	l.failed = false
 	l.permFailed = false
 	if l.Operating() {
@@ -947,25 +991,42 @@ func (f *Fabric) tickBoardTx(s int, now uint64) {
 }
 
 // tickBoardLasers advances board s's active lasers one cycle, compacting
-// lasers that go idle onto the board's deferred-deactivation list.
+// lasers that go idle onto the board's deferred-deactivation list. A
+// laser that stays busy past the next cycle falls asleep until its last
+// busy cycle, busyUntil-1: the cycle the per-cycle code drops it from
+// the list (if its queue is empty), so its idle-aggregate refresh stays
+// on the same cycle.
 func (f *Fabric) tickBoardLasers(s int, now uint64) {
 	bs := &f.boards[s]
-	lst := bs.active
-	kept := lst[:0]
+	lst, sleep := bs.active, bs.sleep
+	kept := 0
 	deact := bs.deact[:0]
-	for _, l := range lst {
-		f.tickLaser(l, now)
-		if len(l.queue) > 0 || l.busyUntil > now+1 {
-			kept = append(kept, l)
+	for i, l := range lst {
+		sl := sleep[i]
+		if sl.until > now {
+			if f.meterEnabled {
+				f.meter.AddCycleMW(sl.mw, true)
+			}
 		} else {
-			l.active = false
-			deact = append(deact, l)
+			if sl.until != 0 {
+				f.syncStats(l, now)
+				l.asleep, sl = false, sleeper{}
+			}
+			f.tickLaser(l, now)
+			if len(l.queue) == 0 && l.busyUntil <= now+1 {
+				l.active = false
+				deact = append(deact, l)
+				continue
+			}
+			if l.busyUntil > now+2 {
+				l.asleep, sl = true, sleeper{until: l.busyUntil - 1, mw: f.litMW(l)}
+			}
 		}
+		lst[kept], sleep[kept] = l, sl
+		kept++
 	}
-	for i := len(kept); i < len(lst); i++ {
-		lst[i] = nil
-	}
-	bs.active = kept
+	clear(lst[kept:])
+	bs.active, bs.sleep = lst[:kept], sleep[:kept]
 	bs.deact = deact
 }
 
@@ -1048,6 +1109,9 @@ func (f *Fabric) BoardStats(s int, st *BoardStats, levelCounts []int) {
 	b := f.top.Boards()
 	for _, l := range f.heads[s*b+1 : (s+1)*b] {
 		for ; l != nil; l = l.next {
+			if l.asleep {
+				f.syncStats(l, f.nextTick)
+			}
 			st.Queued += len(l.queue)
 			st.TxBusyCycles += l.busyCycles
 			if l.failed {
@@ -1108,13 +1172,23 @@ func (f *Fabric) CheckInvariants() error {
 }
 
 // CheckIndex verifies, by exhaustive scan, that every transmitter's
-// txPending bit agrees with holdsPacket as of the last TickBoards, and
-// that every unmatured tail is on the board's wheel; tests call it
-// between Ticks.
+// txPending bit agrees with holdsPacket as of the last TickBoards, that
+// every unmatured tail is on the board's wheel, and that each sleeping
+// laser's record matches its state: it sleeps until its last busy cycle,
+// still ahead, and meters its lit power; tests call it between Ticks.
 func (f *Fabric) CheckIndex() error {
 	wpb := f.top.Boards() - 1
 	for s := range f.boards {
 		bs := &f.boards[s]
+		if len(bs.sleep) != len(bs.active) {
+			return fmt.Errorf("board %d: %d sleep records for %d active lasers", s, len(bs.sleep), len(bs.active))
+		}
+		for i, l := range bs.active {
+			sl := bs.sleep[i]
+			if l.asleep != (sl.until != 0) || l.asleep && (sl.until != l.busyUntil-1 || sl.until < f.nextTick || sl.mw != f.litMW(l)) {
+				return fmt.Errorf("laser (%d,λ%d→%d) busy until %d: asleep %v, record %+v at cycle %d (lit power %v)", s, l.w, l.d, l.busyUntil, l.asleep, sl, f.nextTick, f.litMW(l))
+			}
+		}
 		for i, tx := range f.txs[s*wpb : (s+1)*wpb] {
 			if hp := tx.holdsPacket(f.nextTick); bs.txPending.Has(i) != hp {
 				return fmt.Errorf("tx(%d,λ%d) holds %d flits (matured packet %v), bit %v", s, tx.w, tx.PendingFlits(), hp, bs.txPending.Has(i))

@@ -111,8 +111,8 @@ func (t *Transmitter) tick(now uint64) {
 		if len(laser.queue) >= t.f.cfg.QueueCap {
 			continue // backpressure: hold credits until the laser drains
 		}
-		laser.queue = append(laser.queue, p)
 		t.f.activateLaser(laser, now)
+		laser.queue = append(laser.queue, p)
 		if t.f.sink != nil {
 			t.f.sink.Emit(telemetry.Event{Cycle: now, Kind: telemetry.PacketLaserEnqueue, Packet: uint64(p.ID), Board: t.s, Wavelength: t.w, Dest: dst})
 		}

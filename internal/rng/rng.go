@@ -8,7 +8,10 @@
 // recommend. Only stdlib is used.
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // SplitMix64 advances the splitmix64 state and returns the next value.
 // It is used both as a seed expander and as a cheap hash.
@@ -107,6 +110,37 @@ func (s *Stream) Bernoulli(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
+}
+
+// Threshold returns the integer cut of a Bernoulli(p) draw for p in
+// (0, 1): Float64() < p exactly when Uint64()>>11 < Threshold(p). The
+// product p·2^53 is exact, and an integer lies below a real exactly when
+// it lies below the real's ceiling.
+func Threshold(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
+// Until draws up to n values and stops at the first whose top 53 bits
+// fall below thr, keeping the generator state in registers: with
+// thr = Threshold(p) it is a run of Bernoulli(p) draws up to the first
+// hit. It returns the number drawn and whether the last one hit.
+func (s *Stream) Until(thr, n uint64) (k uint64, hit bool) {
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	for k < n {
+		r := bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		k++
+		if r>>11 < thr {
+			hit = true
+			break
+		}
+	}
+	s.s = [4]uint64{s0, s1, s2, s3}
+	return k, hit
 }
 
 // Perm fills dst with a uniform random permutation of 0..len(dst)-1

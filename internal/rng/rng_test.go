@@ -192,3 +192,46 @@ func BenchmarkBernoulli(b *testing.B) {
 	}
 	_ = n
 }
+
+// TestThresholdBoundary checks the integer cut against Float64's
+// comparison at the 53-bit values around p·2^53, where a ceiling taken
+// as a floor (or an off-by-one) would flip the answer. Random draws land
+// there with probability 2^-52 and cannot catch it.
+func TestThresholdBoundary(t *testing.T) {
+	for _, p := range []float64{0x1p-53, 0.3, math.Nextafter(0.3, 0), 0.5, 1 - 0x1p-53} {
+		thr := Threshold(p)
+		u0 := uint64(math.Floor(p * (1 << 53)))
+		for _, u := range []uint64{u0 - 1, u0, u0 + 1} {
+			if u >= 1<<53 {
+				continue // u0 - 1 wrapped below 0, or u0 + 1 past the top
+			}
+			want := float64(u)/(1<<53) < p
+			if got := u < thr; got != want {
+				t.Errorf("p=%v u=%d: u < Threshold(p)=%d is %v, Float64 comparison %v", p, u, thr, got, want)
+			}
+		}
+	}
+}
+
+// TestUntilMatchesBernoulli: Until stops where a loop of Bernoulli(p)
+// draws first hits and leaves the stream where that loop leaves it, both
+// on a hit and when n runs out first.
+func TestUntilMatchesBernoulli(t *testing.T) {
+	for _, p := range []float64{1e-9, 0.01, 0.3, 0.9} {
+		for _, n := range []uint64{1, 7, 300, 1 << 16} {
+			a, b := New(99), New(99)
+			for rep := 0; rep < 20; rep++ {
+				k, hit := a.Until(Threshold(p), n)
+				var wk uint64
+				whit := false
+				for wk < n && !whit {
+					wk++
+					whit = b.Bernoulli(p)
+				}
+				if k != wk || hit != whit || a.s != b.s {
+					t.Fatalf("p=%v n=%d rep %d: Until = (%d, %v), Bernoulli loop = (%d, %v), states equal %v", p, n, rep, k, hit, wk, whit, a.s == b.s)
+				}
+			}
+		}
+	}
+}

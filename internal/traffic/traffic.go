@@ -276,6 +276,7 @@ type Injector struct {
 	Rate    float64
 	Pattern Pattern
 	rng     *rng.Stream
+	mark    rng.Stream // the stream as the last Next found it
 	// SkipSelf drops generated packets whose destination equals the source
 	// (deterministic patterns can have fixed points; the paper's patterns
 	// have none at 64 nodes, but uniform already excludes self).
@@ -310,11 +311,52 @@ func (in *Injector) Step() (dst int, inject bool) {
 	return d, true
 }
 
+// Next implements Source. The Bernoulli draws between packets run in
+// rng.Until's integer kernel; rates 0 and 1, which Bernoulli decides
+// without a draw, draw nothing here either.
+func (in *Injector) Next(h uint64) (k uint64, dst int, inject bool) {
+	in.mark = *in.rng
+	for k < h {
+		switch {
+		case in.Rate <= 0:
+			return h, 0, false
+		case in.Rate >= 1:
+			k++
+		default:
+			n, hit := in.rng.Until(rng.Threshold(in.Rate), h-k)
+			if k += n; !hit {
+				return k, 0, false
+			}
+		}
+		if d := in.Pattern.Dest(in.Src, in.rng); !in.SkipSelf || d != in.Src {
+			return k, d, true
+		}
+	}
+	return k, 0, false
+}
+
+// Rewind implements Source.
+func (in *Injector) Rewind(n uint64) {
+	*in.rng = in.mark
+	for range n {
+		in.Step()
+	}
+}
+
 // Source is anything producing per-cycle injection decisions: the plain
 // Bernoulli Injector or the bursty Markov-modulated variant.
 type Source interface {
 	// Step advances one cycle, returning (dst, true) on injection.
 	Step() (dst int, inject bool)
+	// Next advances to the source's next injection, at most h ≥ 1 cycles,
+	// consuming the stream draw for draw as k Steps would. It returns k
+	// and whether the k-th cycle injects, and to whom; a miss means h
+	// cycles passed without one. It first marks the stream for Rewind.
+	Next(h uint64) (k uint64, dst int, inject bool)
+	// Rewind returns the source to the mark of the last Next and replays
+	// n Steps: the cycles of that draw that were simulated, before a
+	// parameter change that must apply to the rest.
+	Rewind(n uint64)
 }
 
 // BurstyInjector is a two-state Markov-modulated Bernoulli process: the
@@ -337,6 +379,9 @@ type BurstyInjector struct {
 	pExitOn  float64 // ON → OFF per cycle
 	pExitOff float64 // OFF → ON per cycle
 	SkipSelf bool
+
+	mark   rng.Stream // the stream as the last Next found it
+	markOn bool       // and the ON state
 }
 
 // NewBurstyInjector builds a bursty source. duty must be in (0, 1]; the
@@ -399,4 +444,24 @@ func (b *BurstyInjector) Step() (dst int, inject bool) {
 		return 0, false
 	}
 	return d, true
+}
+
+// Next implements Source, a Step at a time.
+func (b *BurstyInjector) Next(h uint64) (k uint64, dst int, inject bool) {
+	b.mark, b.markOn = *b.rng, b.on
+	for k < h {
+		k++
+		if d, ok := b.Step(); ok {
+			return k, d, true
+		}
+	}
+	return k, 0, false
+}
+
+// Rewind implements Source.
+func (b *BurstyInjector) Rewind(n uint64) {
+	*b.rng, b.on = b.mark, b.markOn
+	for range n {
+		b.Step()
+	}
 }

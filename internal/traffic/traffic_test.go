@@ -368,3 +368,79 @@ func TestInjectorImplementsSource(t *testing.T) {
 	var _ Source = NewInjector(0, 0.1, MustNew(Uniform, 8), rng.New(1))
 	var _ Source = NewBurstyInjector(0, 0.1, 0.5, 100, MustNew(Uniform, 8), rng.New(1))
 }
+
+// twin returns an independent copy of s in its current state.
+func twin(s Source) Source {
+	switch v := s.(type) {
+	case *Injector:
+		c, st := *v, *v.rng
+		c.rng = &st
+		return &c
+	case *BurstyInjector:
+		c, st := *v, *v.rng
+		c.rng = &st
+		return &c
+	}
+	panic("traffic: unknown source")
+}
+
+// sameState reports whether a and b will draw the same future.
+func sameState(a, b Source) bool {
+	switch v := a.(type) {
+	case *Injector:
+		return *v.rng == *b.(*Injector).rng
+	case *BurstyInjector:
+		w := b.(*BurstyInjector)
+		return *v.rng == *w.rng && v.on == w.on
+	}
+	return false
+}
+
+// TestNextMatchesStep pins the draw-ahead contract: Next(h) ends where k
+// Steps end and reports the k-th Step's packet, with no packet before it;
+// Rewind(n) ends where n Steps from Next's starting point end. Rates 0
+// and 1 draw nothing per Bernoulli; 1e-9 misses the horizon; transpose
+// has fixed points (node 9 of 64), so SkipSelf consumes hits.
+func TestNextMatchesStep(t *testing.T) {
+	p := MustNew(Transpose, 64)
+	for _, rate := range []float64{0, 1e-9, 0.0125, 0.5, 1} {
+		for _, src := range []int{5, 9} {
+			for _, s := range []Source{
+				NewInjector(src, rate, p, rng.New(21)),
+				NewBurstyInjector(src, rate/2, 0.5, 30, p, rng.New(21)),
+			} {
+				for rep := uint64(0); rep < 300; rep++ {
+					h := uint64(4096)
+					if rep%3 == 1 {
+						h = rep%7 + 1
+					}
+					mark, ref := twin(s), twin(s)
+					k, dst, ok := s.Next(h)
+					if k < 1 || k > h || (!ok && k != h) {
+						t.Fatalf("rate %v src %d: Next(%d) = (%d, %d, %v)", rate, src, h, k, dst, ok)
+					}
+					for i := uint64(1); i <= k; i++ {
+						d, inj := ref.Step()
+						if i < k && inj {
+							t.Fatalf("rate %v src %d %T: Step %d of %d injected before Next's packet", rate, src, s, i, k)
+						}
+						if i == k && (inj != ok || inj && d != dst) {
+							t.Fatalf("rate %v src %d %T: Step %d = (%d, %v), Next = (%d, %v)", rate, src, s, k, d, inj, dst, ok)
+						}
+					}
+					if !sameState(s, ref) {
+						t.Fatalf("rate %v src %d %T: Next(%d) and %d Steps leave different streams", rate, src, s, h, k)
+					}
+					n := rep % (k + 1)
+					for range n {
+						mark.Step()
+					}
+					s.Rewind(n)
+					if !sameState(s, mark) {
+						t.Fatalf("rate %v src %d %T: Rewind(%d) differs from %d Steps after the mark", rate, src, s, n, n)
+					}
+				}
+			}
+		}
+	}
+}
