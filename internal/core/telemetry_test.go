@@ -84,7 +84,7 @@ func TestTelemetryOffStepNoAllocs(t *testing.T) {
 
 // assertStepAllocs counts over allocWindows R_w windows and allows
 // allocSlack beyond the DBR holder maps for the occasional growth of a
-// pooled free list or the event heap (3–8 over 20 windows of the 4×4
+// pooled free list or the event calendar (3–8 over 20 windows of the 4×4
 // fast config, in every mode and policy).
 const allocWindows, allocSlack = 20, 16
 

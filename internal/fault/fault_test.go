@@ -179,8 +179,8 @@ func TestScheduledKill(t *testing.T) {
 	if got := in.Counters().LaserKills; got != 1 {
 		t.Fatalf("LaserKills = %d", got)
 	}
-	if in.ImpairedTotal() != 1 {
-		t.Fatalf("ImpairedTotal = %d", in.ImpairedTotal())
+	if want := []int{1, 0, 0, 0}; !reflect.DeepEqual(in.impaired, want) {
+		t.Fatalf("impaired = %v, want %v", in.impaired, want)
 	}
 	// Kills never recover; the impairment persists across windows and
 	// every closed window counts as degraded for board 0.
@@ -223,8 +223,8 @@ func TestDegradeRestores(t *testing.T) {
 	if ctr.LaserDegrades != 1 || ctr.LaserRestores != 1 {
 		t.Fatalf("counters = %+v", ctr)
 	}
-	if in.ImpairedTotal() != 0 {
-		t.Fatalf("ImpairedTotal = %d after restore", in.ImpairedTotal())
+	if want := []int{0, 0, 0, 0}; !reflect.DeepEqual(in.impaired, want) {
+		t.Fatalf("impaired = %v after restore, want %v", in.impaired, want)
 	}
 	// A second fault on an already-failed laser is ignored (first wins).
 	in2 := mustInjector(t, f, 500, 1, &Spec{Events: []Event{
@@ -281,8 +281,8 @@ func TestCtrlOutageAndRates(t *testing.T) {
 		{At: 100, Kind: KindCtrlOutage, Duration: 50},
 	}})
 	in.Tick(100)
-	if !in.OutageActive(120) || in.OutageActive(150) {
-		t.Fatal("outage interval wrong")
+	if in.outageUntil != 150 {
+		t.Fatalf("outage ends at %d, want 150", in.outageUntil)
 	}
 	if drop, _ := in.FilterRingMsg(0, 1, 120); !drop {
 		t.Fatal("message survived an outage")
@@ -390,5 +390,38 @@ func TestTelemetryEmission(t *testing.T) {
 		if !strings.Contains(joined, want) {
 			t.Errorf("missing %q in emitted events: %s", want, joined)
 		}
+	}
+}
+
+// TestRestoresInScheduleOrder pins the recovery order: restores leave
+// by due cycle and, on a shared due cycle, in the order their faults
+// were scheduled — not in laser order, and not behind a restore that
+// was scheduled earlier but falls due later.
+func TestRestoresInScheduleOrder(t *testing.T) {
+	f := newFabric(t, 4)
+	in := mustInjector(t, f, 500, 1, &Spec{Events: []Event{
+		{At: 10, Kind: KindLaserDegrade, Board: 1, Wavelength: 2, Dest: 3, Duration: 50},
+		{At: 10, Kind: KindLaserDegrade, Board: 0, Wavelength: 1, Dest: 1, Duration: 50},
+		{At: 20, Kind: KindLaserDegrade, Board: 0, Wavelength: 2, Dest: 2, Duration: 40},
+		{At: 30, Kind: KindLaserDegrade, Board: 3, Wavelength: 1, Dest: 0, Duration: 10},
+	}})
+	rec := telemetry.NewRecorder(128)
+	in.SetSink(rec)
+	for now := uint64(0); now <= 70; now++ {
+		in.Tick(now)
+	}
+	type restored struct {
+		cycle          uint64
+		board, wl, dst int
+	}
+	var got []restored
+	for _, ev := range rec.Events() {
+		if ev.Kind == telemetry.LaserRestore {
+			got = append(got, restored{ev.Cycle, ev.Board, ev.Wavelength, ev.Dest})
+		}
+	}
+	want := []restored{{40, 3, 1, 0}, {60, 1, 2, 3}, {60, 0, 1, 1}, {60, 0, 2, 2}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restores %+v, want %+v", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/optical"
 	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -47,7 +48,7 @@ type Injector struct {
 	events    []Event // sorted by At, stable
 	nextEvent int
 
-	restores []restore // sorted by at, in scheduling order for equal at
+	restores sim.Calendar[restore]
 
 	outageUntil uint64
 
@@ -63,7 +64,6 @@ type Injector struct {
 
 // restore is a pending recovery of a transient fault.
 type restore struct {
-	at             uint64
 	board, wl, dst int
 	unstick        bool // true: release a stuck actuator; false: restore a failed laser
 }
@@ -135,19 +135,6 @@ func (in *Injector) DegradedWindows() []uint64 {
 	return append([]uint64(nil), in.degradedWindows...)
 }
 
-// ImpairedTotal returns the number of currently impaired lasers.
-func (in *Injector) ImpairedTotal() int {
-	n := 0
-	for _, c := range in.impaired {
-		n += c
-	}
-	return n
-}
-
-// OutageActive reports whether a scheduled control-ring outage covers
-// the given cycle.
-func (in *Injector) OutageActive(now uint64) bool { return now < in.outageUntil }
-
 // Tick advances the injector to the given cycle: it applies due
 // scheduled events, performs due recoveries, closes reconfiguration
 // windows, and sweeps rate-based degradation. Call once per cycle; the
@@ -160,10 +147,11 @@ func (in *Injector) Tick(now uint64) {
 		in.apply(in.events[in.nextEvent], now)
 		in.nextEvent++
 	}
-	for len(in.restores) > 0 && in.restores[0].at <= now {
-		r := in.restores[0]
-		copy(in.restores, in.restores[1:])
-		in.restores = in.restores[:len(in.restores)-1]
+	for {
+		_, r, ok := in.restores.PopDue(now)
+		if !ok {
+			break
+		}
 		in.applyRestore(r, now)
 	}
 	for now >= in.nextWindowAt {
@@ -186,8 +174,8 @@ func (in *Injector) recomputeWake() {
 	if in.nextEvent < len(in.events) && in.events[in.nextEvent].At < wake {
 		wake = in.events[in.nextEvent].At
 	}
-	if len(in.restores) > 0 && in.restores[0].at < wake {
-		wake = in.restores[0].at
+	if at, ok := in.restores.Next(); ok && at < wake {
+		wake = at
 	}
 	if in.nextWindowAt < wake {
 		wake = in.nextWindowAt
@@ -217,7 +205,7 @@ func (in *Injector) apply(e Event, now uint64) {
 		}
 		in.ctr.LevelSticks++
 		if e.Duration > 0 {
-			in.scheduleRestore(restore{at: now + e.Duration, board: e.Board, wl: e.Wavelength, dst: e.Dest, unstick: true})
+			in.restores.Push(now+e.Duration, restore{board: e.Board, wl: e.Wavelength, dst: e.Dest, unstick: true})
 		}
 		in.emit(telemetry.Event{Cycle: now, Kind: telemetry.LaserFail,
 			Board: e.Board, Wavelength: e.Wavelength, Dest: e.Dest, Label: "stick"})
@@ -245,7 +233,7 @@ func (in *Injector) failLaser(b, w, d int, permanent bool, duration uint64, labe
 		in.ctr.LaserKills++
 	} else {
 		in.ctr.LaserDegrades++
-		in.scheduleRestore(restore{at: now + duration, board: b, wl: w, dst: d})
+		in.restores.Push(now+duration, restore{board: b, wl: w, dst: d})
 	}
 	in.emit(telemetry.Event{Cycle: now, Kind: telemetry.LaserFail,
 		Board: b, Wavelength: w, Dest: d, Label: label})
@@ -269,15 +257,6 @@ func (in *Injector) applyRestore(r restore, now uint64) {
 	}
 	in.emit(telemetry.Event{Cycle: now, Kind: telemetry.LaserRestore,
 		Board: r.board, Wavelength: r.wl, Dest: r.dst, Label: label})
-}
-
-// scheduleRestore inserts a recovery keeping the queue sorted by due
-// cycle (stable for equal cycles).
-func (in *Injector) scheduleRestore(r restore) {
-	i := sort.Search(len(in.restores), func(i int) bool { return in.restores[i].at > r.at })
-	in.restores = append(in.restores, restore{})
-	copy(in.restores[i+1:], in.restores[i:])
-	in.restores[i] = r
 }
 
 // sweepDegrade draws one Bernoulli per populated laser, in canonical

@@ -306,7 +306,7 @@ func TestSourceThroughRouterToSink(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("delivered %d packets end-to-end, want 3", len(got))
 	}
-	if !r.Quiescent() {
+	if !!r.HasWork() {
 		t.Fatal("router not quiescent")
 	}
 }

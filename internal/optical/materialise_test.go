@@ -67,7 +67,7 @@ func TestMidWindowMaterialisationStats(t *testing.T) {
 	}
 	sendPacket(f.Transmitter(3, 2), mkPkt(1, 3, 0), 0, 200)
 	run(f, eng, 150, 400)
-	f.FlushStats(400)
+	flushStats(f, 400)
 	for _, c := range []struct {
 		s, w, d int
 		from    uint64

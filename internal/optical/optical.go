@@ -116,12 +116,12 @@ func (c *Channel) Busy(now uint64) bool { return c.busyUntil > now }
 // in-flight serialization sit on the fabric's active list, and of those
 // only the ones not sleeping through a serialization are ticked each
 // cycle. An idle laser's window statistics are batched in when it
-// reactivates (or on FlushStats) — an idle span of k cycles is exactly k
-// not-busy LinkWin ticks and k empty-queue BufWin samples, so the
-// windows stay integer-exact; a sleeping laser's span is k busy ticks
-// with its queue unchanged. Its supply power while lit is carried by the
-// fabric's idle-laser aggregate (see Fabric.idleLitMW), or while asleep
-// by its sleep record.
+// reactivates (or when TakeWindows flushes its board) — an idle span of
+// k cycles is exactly k not-busy LinkWin ticks and k empty-queue BufWin
+// samples, so the windows stay integer-exact; a sleeping laser's span is
+// k busy ticks with its queue unchanged. Its supply power while lit is
+// carried by the fabric's idle-laser aggregate (see Fabric.idleLitMW),
+// or while asleep by its sleep record.
 type Laser struct {
 	s, w, d int
 	ladder  *power.Ladder
@@ -267,10 +267,9 @@ type Fabric struct {
 	// metered cycle so idle lasers need no per-cycle visit.
 	idleLitMW float64
 
-	// delHeap is the min-heap (by arrival, then push order) of in-flight
-	// optical transmissions awaiting delivery; DeliverDue drains it.
-	delHeap []delivery
-	delSeq  uint64
+	// inFlight holds the optical transmissions awaiting delivery, by
+	// arrival cycle; DeliverDue drains it.
+	inFlight sim.Calendar[delivery]
 
 	meter        *power.Meter
 	meterEnabled bool
@@ -415,10 +414,10 @@ func NewFabric(top *topology.Topology, _ *sim.Engine, cfg Config) (*Fabric, erro
 // laser and transmitter slabs: channels revert to their static RWA
 // owners, only the static owners' lasers stay materialised (at the
 // default level with empty queues and zeroed statistics), transmitters
-// revert to empty reassembly buffers, and the delivery heap, power meter
-// and idle aggregate to zero. Attached sink and drop hook are detached
-// (the next run re-attaches its own). All slab, laser chunk and queue
-// backing arrays are retained, so the reset fabric runs without
+// revert to empty reassembly buffers, and the in-flight calendar, power
+// meter and idle aggregate to zero. Attached sink and drop hook are
+// detached (the next run re-attaches its own). All slab, laser chunk and
+// queue backing arrays are retained, so the reset fabric runs without
 // reallocating its steady-state structures.
 func (f *Fabric) Reset() {
 	b := f.top.Boards()
@@ -459,11 +458,7 @@ func (f *Fabric) Reset() {
 			vc.entries = vc.entries[:0]
 		}
 	}
-	for i := range f.delHeap {
-		f.delHeap[i] = delivery{}
-	}
-	f.delHeap = f.delHeap[:0]
-	f.delSeq = 0
+	f.inFlight.Reset()
 	f.nextTick = 0
 	f.meter.Reset()
 	f.meterEnabled = false
@@ -568,19 +563,6 @@ func (f *Fabric) wake(l *Laser) {
 	l.asleep = false
 	bs := &f.boards[l.s]
 	bs.sleep[bs.search(l.key)] = sleeper{}
-}
-
-// FlushStats brings every materialised laser's LinkWin/BufWin up to
-// date through cycle now-1. Callers that read or reset the windows
-// directly (tests) must flush first; lasers ticked every cycle are
-// already current. The RC snapshot uses TakeWindows instead, which
-// flushes one board.
-func (f *Fabric) FlushStats(now uint64) {
-	for _, l := range f.heads {
-		for ; l != nil; l = l.next {
-			f.syncStats(l, now)
-		}
-	}
 }
 
 // WindowStats is one laser's statistics over a closed reconfiguration
@@ -867,31 +849,10 @@ func (f *Fabric) AppendHoldersToward(buf []int, s, d int) []int {
 }
 
 // delivery is one in-flight optical transmission: packet p arrives on
-// channel (d, w) at cycle at. seq preserves push (FIFO) order among
-// equal arrival times.
+// channel (d, w).
 type delivery struct {
-	at  uint64
-	seq uint64
-	d   int
-	w   int
-	p   *flit.Packet
-}
-
-// pushDelivery schedules a completed serialization for delivery.
-func (f *Fabric) pushDelivery(at uint64, d, w int, p *flit.Packet) {
-	h := f.delHeap
-	h = append(h, delivery{at: at, seq: f.delSeq, d: d, w: w, p: p})
-	f.delSeq++
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].at < h[i].at || (h[parent].at == h[i].at && h[parent].seq < h[i].seq) {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-	f.delHeap = h
+	d, w int
+	p    *flit.Packet
 }
 
 // DeliverDue hands every transmission with arrival ≤ now to its
@@ -900,31 +861,13 @@ func (f *Fabric) pushDelivery(at uint64, d, w int, p *flit.Packet) {
 // Tick also calls it so directly-driven fabrics (tests) deliver without
 // a driver. It is idempotent within a cycle.
 func (f *Fabric) DeliverDue(now uint64) {
-	for len(f.delHeap) > 0 && f.delHeap[0].at <= now {
-		h := f.delHeap
-		dv := h[0]
-		n := len(h) - 1
-		h[0] = h[n]
-		h[n] = delivery{}
-		h = h[:n]
-		i := 0
-		for {
-			child := 2*i + 1
-			if child >= n {
-				break
-			}
-			if r := child + 1; r < n && (h[r].at < h[child].at || (h[r].at == h[child].at && h[r].seq < h[child].seq)) {
-				child = r
-			}
-			if h[i].at < h[child].at || (h[i].at == h[child].at && h[i].seq < h[child].seq) {
-				break
-			}
-			h[i], h[child] = h[child], h[i]
-			i = child
+	for {
+		at, dv, ok := f.inFlight.PopDue(now)
+		if !ok {
+			return
 		}
-		f.delHeap = h
 		if fn := f.deliver[dv.d][dv.w]; fn != nil {
-			fn(dv.p, dv.at)
+			fn(dv.p, at)
 		}
 	}
 }
@@ -1063,7 +1006,7 @@ func (f *Fabric) tickLaser(l *Laser, now uint64) {
 		ser := f.cfg.Ladder.SerializationCycles(p.Bits(), l.level, f.cfg.CycleNS)
 		l.busyUntil = now + ser
 		ch.busyUntil = now + ser
-		f.pushDelivery(now+ser+f.cfg.PropCycles, l.d, l.w, p)
+		f.inFlight.Push(now+ser+f.cfg.PropCycles, delivery{d: l.d, w: l.w, p: p})
 		l.sentPackets++
 	}
 	busy := l.Busy(now)
@@ -1210,14 +1153,14 @@ func (f *Fabric) CheckIndex() error {
 // The laser check is O(boards), not O(lasers): a laser with queued packets or
 // an unfinished serialization is exactly a laser still on its board's
 // active list (tickBoardLasers' retention condition), a serialization
-// busy past now always has its delivery still pending in delHeap
+// busy past now always has its delivery still pending in inFlight
 // (scheduled at start+ser+prop ≥ busyUntil). Transmitters are checked by
 // a scan of PendingFlits, because the txPending set misses one that holds
 // part of a packet or an unmatured tail. No engine path calls it; like
 // FastForwardIdle it remains only for the benchmark's
 // optical.ff_idle_ns_per_cycle metric until ROADMAP item 1c.
 func (f *Fabric) Quiescent(now uint64) bool {
-	if len(f.delHeap) > 0 {
+	if f.inFlight.Len() > 0 {
 		return false
 	}
 	for s := range f.boards {

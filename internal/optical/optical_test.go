@@ -46,6 +46,17 @@ func mkPkt(id, srcBoard, dstBoard int) *flit.Packet {
 	}
 }
 
+// flushStats brings every materialised laser's LinkWin/BufWin up to
+// date through cycle now-1, so a test can read or reset the windows
+// directly.
+func flushStats(f *Fabric, now uint64) {
+	for _, l := range f.heads {
+		for ; l != nil; l = l.next {
+			f.syncStats(l, now)
+		}
+	}
+}
+
 // sendPacket pushes a whole packet's flits into a transmitter.
 func sendPacket(tx *Transmitter, p *flit.Packet, vc int, at uint64) {
 	for _, fl := range flit.Explode(p) {
@@ -400,7 +411,7 @@ func TestLinkAndBufferWindows(t *testing.T) {
 	run(f, eng, 0, 100)
 	// The laser went idle (and off the active list) at cycle 82; flush the
 	// lazily accrued idle span before reading the windows.
-	f.FlushStats(100)
+	flushStats(f, 100)
 	// Busy 82/100 cycles (two back-to-back 41-cycle serializations).
 	if got := laser.LinkWin.Utilization(); got < 0.80 || got > 0.84 {
 		t.Fatalf("Link_util = %v, want ~0.82", got)

@@ -58,7 +58,7 @@ func statsOf(l *Laser) laserStats {
 // same fails unless every materialised laser and the meter agree.
 func (p *sleepPair) same(t *testing.T, now uint64) {
 	t.Helper()
-	p.both(func(f *Fabric) { f.FlushStats(now) })
+	p.both(func(f *Fabric) { flushStats(f, now) })
 	for i, la := range p.a.heads {
 		for lb := p.b.heads[i]; la != nil || lb != nil; la, lb = la.next, lb.next {
 			if la == nil || lb == nil || statsOf(la) != statsOf(lb) {
@@ -77,7 +77,7 @@ func (p *sleepPair) same(t *testing.T, now uint64) {
 // packet (41 cycles from cycle 0) and, mid-sleep, changes its state in
 // each way one can: every change must wake it first, settling the ticks
 // it skipped, or its statistics and meter samples drift from the
-// per-cycle twin's. TakeWindows, FlushStats and BoardStats must settle a
+// per-cycle twin's. TakeWindows, flushStats and BoardStats must settle a
 // sleeper without waking it.
 func TestSleepWakesAndSettles(t *testing.T) {
 	w := topoWavelength(t)
@@ -155,7 +155,7 @@ func TestSleepWakesAndSettles(t *testing.T) {
 			t.Errorf("BoardStats: %+v, per-cycle twin %+v", sa, sb)
 		}
 		p.run(t, 30, 35)
-		p.same(t, 35) // FlushStats
+		p.same(t, 35) // flushStats
 		if !la.asleep {
 			t.Fatal("settling woke the laser")
 		}

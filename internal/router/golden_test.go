@@ -183,7 +183,7 @@ func (a *arbRouter) drive(t *testing.T, stop uint64) string {
 		if err := r.CheckIndex(); err != nil {
 			t.Fatalf("cycle %d: %v", now, err)
 		}
-		if now >= injectCycles && delivered == id && r.Quiescent() {
+		if now >= injectCycles && delivered == id && !r.HasWork() {
 			break
 		}
 	}

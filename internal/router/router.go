@@ -725,13 +725,9 @@ func (r *Router) portBusy(p int) bool {
 	return false
 }
 
-// Quiescent reports whether the router holds no flits and no in-flight
-// allocations (used by drain checks in tests).
-func (r *Router) Quiescent() bool { return r.rcCand.Empty() && r.activePorts.Empty() }
-
 // CheckIndex verifies, by exhaustive scan, that every ActiveSet bit, each
-// VC's saAt and wheel entry, and HasWork and Quiescent, agree with the
-// state they summarize; tests call it between Ticks. It returns the first
+// VC's saAt and wheel entry, and HasWork agree with the state they
+// summarize; tests call it between Ticks. It returns the first
 // disagreement found.
 func (r *Router) CheckIndex() error {
 	buf, waiting, nonIdle := 0, 0, 0
@@ -772,8 +768,8 @@ func (r *Router) CheckIndex() error {
 			return fmt.Errorf("router %q: output %d has %d VA waiters, bit %v", r.cfg.Name, o, n, r.vaOuts.Has(o))
 		}
 	}
-	if quiet := buf == 0 && nonIdle == 0; r.Quiescent() != quiet || r.HasWork() != !quiet {
-		return fmt.Errorf("router %q: %d flits buffered, %d VCs past RC, but Quiescent %v and HasWork %v", r.cfg.Name, buf, nonIdle, r.Quiescent(), r.HasWork())
+	if quiet := buf == 0 && nonIdle == 0; r.HasWork() != !quiet {
+		return fmt.Errorf("router %q: %d flits buffered, %d VCs past RC, but HasWork %v", r.cfg.Name, buf, nonIdle, r.HasWork())
 	}
 	if members != waiting {
 		return fmt.Errorf("router %q: VA waiter sets hold %d VCs, %d are waiting", r.cfg.Name, members, waiting)

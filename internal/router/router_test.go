@@ -96,8 +96,8 @@ func build2x2(t *testing.T, vcs, depth int) (*Router, *collector, *collector) {
 }
 
 // runCycles drives the senders and the router for n cycles, checking
-// every ActiveSet bit, HasWork and Quiescent against an exhaustive scan
-// after each one.
+// every ActiveSet bit and HasWork against an exhaustive scan after each
+// one.
 func runCycles(r *Router, senders []*sender, n uint64) {
 	for now := uint64(0); now < n; now++ {
 		for _, s := range senders {
@@ -137,7 +137,7 @@ func TestSinglePacketTraversal(t *testing.T) {
 	if ctr.FlitsIn != 8 || ctr.FlitsOut != 8 || ctr.PacketsOut != 1 {
 		t.Fatalf("counters = %+v", ctr)
 	}
-	if !r.Quiescent() {
+	if !!r.HasWork() {
 		t.Fatal("router not quiescent after drain")
 	}
 }
@@ -405,7 +405,7 @@ func TestFlitConservationRandomized(t *testing.T) {
 			if total != id {
 				t.Fatalf("delivered %d packets, want %d", total, id)
 			}
-			if !r.Quiescent() {
+			if !!r.HasWork() {
 				t.Fatal("router not quiescent after drain")
 			}
 		})

@@ -12,10 +12,10 @@
 // the engine starts no goroutines — so simulations are reproducible
 // bit-for-bit from the (time, seq) order alone.
 //
-// The calendar is a typed min-heap of pooled event records: scheduling
-// does not box through interfaces, fired and cancelled events return to
-// a free list, and Cancel eagerly removes its entry so long runs with
-// many cancelled wake-ups never accumulate dead calendar entries.
+// The engine's calendar is a Calendar (calendar.go) of pooled event
+// records: scheduling does not box through interfaces, and fired and
+// cancelled events return to a free list. Cancel is lazy: it clears the record's callback, and the
+// record is recycled, without running, when its time comes.
 package sim
 
 import (
@@ -30,14 +30,12 @@ type Time = uint64
 // MaxTime is the largest representable virtual time.
 const MaxTime Time = math.MaxUint64
 
-// event is a single calendar entry. Events are pooled: gen increments on
-// every reuse so stale EventIDs can never cancel a recycled entry.
+// event is a pooled calendar record. gen increments on every reuse so
+// stale EventIDs can never cancel a recycled entry; fn is nil once the
+// event is cancelled.
 type event struct {
-	at  Time
-	seq uint64 // tie-break: FIFO among equal times
 	fn  func()
-	idx int    // heap index, -1 when popped/cancelled
-	gen uint32 // reuse generation
+	gen uint32
 }
 
 // EventID identifies a scheduled event so it can be cancelled.
@@ -51,8 +49,7 @@ type EventID struct {
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
 	now      Time
-	seq      uint64
-	events   []*event // min-heap ordered by (at, seq)
+	cal      Calendar[*event]
 	free     []*event // recycled event records
 	executed uint64
 	stopped  bool
@@ -70,79 +67,8 @@ func (e *Engine) Now() Time { return e.now }
 // Executed returns the total number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// less orders the heap by (at, seq).
-func less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// siftUp restores the heap property upward from index i.
-func (e *Engine) siftUp(i int) {
-	h := e.events
-	ev := h[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(ev, h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		h[i].idx = i
-		i = parent
-	}
-	h[i] = ev
-	ev.idx = i
-}
-
-// siftDown restores the heap property downward from index i.
-func (e *Engine) siftDown(i int) {
-	h := e.events
-	n := len(h)
-	ev := h[i]
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && less(h[r], h[child]) {
-			child = r
-		}
-		if !less(h[child], ev) {
-			break
-		}
-		h[i] = h[child]
-		h[i].idx = i
-		i = child
-	}
-	h[i] = ev
-	ev.idx = i
-}
-
-// remove detaches the event at heap index i and recycles it.
-func (e *Engine) remove(i int) {
-	h := e.events
-	n := len(h) - 1
-	ev := h[i]
-	if i != n {
-		h[i] = h[n]
-		h[i].idx = i
-	}
-	h[n] = nil
-	e.events = h[:n]
-	if i != n {
-		if i > 0 && less(e.events[i], e.events[(i-1)/2]) {
-			e.siftUp(i)
-		} else {
-			e.siftDown(i)
-		}
-	}
-	e.recycle(ev)
-}
-
 // recycle returns an event record to the free list.
 func (e *Engine) recycle(ev *event) {
-	ev.idx = -1
 	ev.gen++
 	ev.fn = nil
 	e.free = append(e.free, ev)
@@ -162,13 +88,8 @@ func (e *Engine) At(t Time, fn func()) EventID {
 	} else {
 		ev = &event{}
 	}
-	ev.at = t
-	ev.seq = e.seq
 	ev.fn = fn
-	e.seq++
-	ev.idx = len(e.events)
-	e.events = append(e.events, ev)
-	e.siftUp(ev.idx)
+	e.cal.Push(t, ev)
 	return EventID{ev: ev, gen: ev.gen}
 }
 
@@ -179,58 +100,50 @@ func (e *Engine) After(delay Time, fn func()) EventID {
 	return e.At(e.now+delay, fn)
 }
 
-// Cancel removes a scheduled event. Cancelling an already-fired or
+// Cancel withdraws a scheduled event. Cancelling an already-fired or
 // already-cancelled event is a no-op. It reports whether the event was
-// actually cancelled. The calendar entry is removed (and its record
-// recycled) immediately, so cancelled wake-ups cost nothing later.
+// actually cancelled. A cancelled event never runs and, when its time
+// comes, moves neither Now nor Executed.
 func (e *Engine) Cancel(id EventID) bool {
 	ev := id.ev
-	if ev == nil || ev.gen != id.gen || ev.idx < 0 {
+	if ev == nil || ev.gen != id.gen || ev.fn == nil {
 		return false
 	}
-	e.remove(ev.idx)
+	ev.fn = nil
 	return true
 }
 
-// popRun detaches the heap root, advances the clock and runs its fn.
-func (e *Engine) popRun() {
-	h := e.events
-	ev := h[0]
-	n := len(h) - 1
-	if n > 0 {
-		h[0] = h[n]
-		h[0].idx = 0
+// runDue pops the earliest event due at or before limit and runs it,
+// recycling cancelled records on the way. It reports false when no live
+// event is due.
+func (e *Engine) runDue(limit Time) bool {
+	for {
+		at, ev, ok := e.cal.PopDue(limit)
+		if !ok {
+			return false
+		}
+		fn := ev.fn
+		e.recycle(ev)
+		if fn == nil {
+			continue
+		}
+		e.now = at
+		e.executed++
+		fn()
+		return true
 	}
-	h[n] = nil
-	e.events = h[:n]
-	if n > 1 {
-		e.siftDown(0)
-	}
-	if ev.at < e.now {
-		panic("sim: event time ran backwards")
-	}
-	e.now = ev.at
-	e.executed++
-	fn := ev.fn
-	e.recycle(ev)
-	fn()
 }
 
 // Step executes the single next event. It reports false when the calendar
-// is empty or the engine has been stopped.
+// holds no live event or the engine has been stopped.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 || e.stopped {
-		return false
-	}
-	e.popRun()
-	return true
+	return !e.stopped && e.runDue(MaxTime)
 }
 
 // Run executes events until the calendar is empty or the engine is
 // stopped. It returns the final virtual time.
 func (e *Engine) Run() Time {
-	for len(e.events) > 0 && !e.stopped {
-		e.popRun()
+	for !e.stopped && e.runDue(MaxTime) {
 	}
 	return e.now
 }
@@ -239,8 +152,7 @@ func (e *Engine) Run() Time {
 // limit (even if no event fired exactly there). Events scheduled exactly
 // at limit do fire.
 func (e *Engine) RunUntil(limit Time) Time {
-	for !e.stopped && len(e.events) > 0 && e.events[0].at <= limit {
-		e.popRun()
+	for !e.stopped && e.runDue(limit) {
 	}
 	if e.now < limit {
 		e.now = limit
@@ -259,13 +171,15 @@ func (e *Engine) Stop() { e.stopped = true }
 // entries are recycled onto the free list, so the reset engine
 // schedules without allocating.
 func (e *Engine) Reset() {
-	for i, ev := range e.events {
-		e.events[i] = nil
+	for {
+		_, ev, ok := e.cal.PopDue(MaxTime)
+		if !ok {
+			break
+		}
 		e.recycle(ev)
 	}
-	e.events = e.events[:0]
+	e.cal.Reset()
 	e.now = 0
-	e.seq = 0
 	e.executed = 0
 	e.stopped = false
 }

@@ -10,7 +10,7 @@ func TestEngineStartsAtZero(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("Now() = %d, want 0", e.Now())
 	}
-	if len(e.events) != 0 {
+	if e.cal.Len() != 0 {
 		t.Fatal("fresh engine has a pending event")
 	}
 }
@@ -206,5 +206,68 @@ func BenchmarkEventScheduling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.After(Time(i%64), fn)
 		e.Step()
+	}
+}
+
+func TestCancelledEventMovesNeitherNowNorExecuted(t *testing.T) {
+	e := NewEngine()
+	ran := false
+	id := e.At(10, func() { ran = true })
+	e.At(5, func() {})
+	e.Cancel(id)
+	if end := e.Run(); ran || end != 5 || e.Executed() != 1 {
+		t.Fatalf("ran %v, Run = %d, Executed = %d; want false, 5, 1", ran, end, e.Executed())
+	}
+	if e.cal.Len() != 0 {
+		t.Fatalf("cancelled record still on the calendar (%d entries)", e.cal.Len())
+	}
+
+	e.Reset()
+	var got []int
+	id = e.At(1, func() { got = append(got, 1) })
+	e.At(2, func() { got = append(got, 2) })
+	e.Cancel(id)
+	if !e.Step() || len(got) != 1 || got[0] != 2 || e.Now() != 2 {
+		t.Fatalf("Step ran %v at %d, want [2] at 2", got, e.Now())
+	}
+	if e.Step() {
+		t.Fatal("Step reported an event on a drained calendar")
+	}
+	id = e.At(3, func() {})
+	e.Cancel(id)
+	if e.Step() || e.Now() != 2 || e.Executed() != 1 {
+		t.Fatalf("Step over only a cancelled event: Now %d, Executed %d; want 2, 1", e.Now(), e.Executed())
+	}
+}
+
+func TestStaleEventIDCancelsNothing(t *testing.T) {
+	e := NewEngine()
+	stale := e.After(1, func() {})
+	e.Run()
+	fired := false
+	fresh := e.After(1, func() { fired = true })
+	if fresh.ev != stale.ev {
+		t.Fatal("the fired record was not reused")
+	}
+	if e.Cancel(stale) {
+		t.Fatal("Cancel of a stale EventID reported success")
+	}
+	e.Run()
+	if !fired {
+		t.Fatal("a stale EventID cancelled the recycled record's event")
+	}
+
+	// A cancelled record comes back through the free list too.
+	gone := e.After(1, func() {})
+	e.Cancel(gone)
+	e.Run()
+	fired = false
+	e.After(1, func() { fired = true })
+	if e.Cancel(gone) {
+		t.Fatal("Cancel of a recycled cancelled EventID reported success")
+	}
+	e.Run()
+	if !fired {
+		t.Fatal("a recycled record's event did not run")
 	}
 }
