@@ -16,7 +16,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/link"
 	"repro/internal/policy"
-	"repro/internal/router"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
 )
@@ -622,23 +622,23 @@ func divergence(ra *Result, ea eventLog, rb *Result, eb eventLog) string {
 }
 
 // checkIndex asserts, by exhaustive scan, that every active set the
-// engines walk agrees with the predicate it indexes: the boards' NIC and
-// rx bits with PacketSource.HasWork, and Router.CheckIndex and
-// Fabric.CheckIndex for the IBI port and transmitter sets.
+// engines walk agrees with the predicate it indexes: the NIC and the
+// boards' rx bits with PacketSource.HasWork, and Router.CheckIndex and
+// Fabric.CheckIndex for the IBI stage and transmitter sets.
 func (s *System) checkIndex() error {
-	sources := func(kind string, set router.ActiveSet, srcs []*link.PacketSource, bi int) error {
+	sources := func(kind string, set sim.ActiveSet, srcs []*link.PacketSource) error {
 		for i, src := range srcs {
 			if set.Has(i) != src.HasWork() {
-				return fmt.Errorf("board %d %s %d: bit %v, HasWork %v", bi, kind, i, set.Has(i), src.HasWork())
+				return fmt.Errorf("%s %d: bit %v, HasWork %v", kind, i, set.Has(i), src.HasWork())
 			}
 		}
 		return nil
 	}
+	if err := sources("nic", s.nicSet, s.nics); err != nil {
+		return err
+	}
 	for bi, bd := range s.boards {
-		if err := sources("nic", bd.nicSet, bd.nics, bi); err != nil {
-			return err
-		}
-		if err := sources("rx", bd.rxSet, bd.rxSources, bi); err != nil {
+		if err := sources(fmt.Sprintf("board %d rx", bi), bd.rxSet, bd.rxSources); err != nil {
 			return err
 		}
 		if err := bd.ibi.CheckIndex(); err != nil {

@@ -392,7 +392,7 @@ func (c Config) Capacity() float64 {
 	// share it carries; whichever resource saturates first binds,
 	// exactly as in the flat formula.
 	n0 := float64(n)
-	N := n0 * float64(c.Racks())
+	N := float64(n0 * float64(c.Racks()))
 	fIntra := c.intraFraction()
 	// Tier-0 bound for traffic uniform within the rack, scaled by fIntra.
 	opt0 := (n0 - 1) / (d * d * serHigh) / fIntra
@@ -415,7 +415,7 @@ func (c Config) Capacity() float64 {
 // nodes, where N = Racks()×n0; 1 for a flat system. c is tiersApplied.
 func (c Config) intraFraction() float64 {
 	n0 := float64(c.Boards * c.NodesPerBoard)
-	return (n0 - 1) / (n0*float64(c.Racks()) - 1)
+	return (n0 - 1) / (float64(n0*float64(c.Racks())) - 1)
 }
 
 // ladder builds the DPM operating-point ladder for the normalized

@@ -279,11 +279,11 @@ func (f *fold) add(sr subRun) {
 
 	w := float64(sub.Samples)
 	f.latW += w
-	f.latSum += sub.AvgLatency * w
-	f.netSum += sub.AvgNetLatency * w
-	f.p50 += sub.P50Latency * w
-	f.p95 += sub.P95Latency * w
-	f.p99 += sub.P99Latency * w
+	f.latSum += float64(sub.AvgLatency * w)
+	f.netSum += float64(sub.AvgNetLatency * w)
+	f.p50 += float64(sub.P50Latency * w)
+	f.p95 += float64(sub.P95Latency * w)
+	f.p99 += float64(sub.P99Latency * w)
 	if sub.MaxLatency > r.MaxLatency {
 		r.MaxLatency = sub.MaxLatency
 	}
@@ -309,7 +309,7 @@ func (f *fold) add(sr subRun) {
 		r.MaxSourceQueue = sub.MaxSourceQueue
 	}
 	f.fairW += float64(sub.Delivered)
-	f.fairSum += sub.Fairness * float64(sub.Delivered)
+	f.fairSum += float64(sub.Fairness * float64(sub.Delivered))
 
 	if sub.DeliveredFraction > 0 {
 		f.labInj += float64(sub.Samples) / sub.DeliveredFraction

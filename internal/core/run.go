@@ -133,7 +133,7 @@ func jain(xs []uint64) float64 {
 	for _, x := range xs {
 		v := float64(x)
 		sum += v
-		sum2 += v * v
+		sum2 += float64(v * v)
 	}
 	if sum2 == 0 {
 		return 0

@@ -40,10 +40,12 @@ type System struct {
 	// injWheel raises node n in injSet at injAt[n].
 	injFrom, injAt []uint64
 	injDst         []int
-	injWheel       router.Wheel
-	injSet         router.ActiveSet
+	injWheel       sim.Wheel
+	injSet         sim.ActiveSet
 	nics           []*link.PacketSource // indexed by global node id
-	nextPkt        flit.PacketID
+	// nicSet indexes nics by HasWork, as a board's rxSet its rxSources.
+	nicSet  sim.ActiveSet
+	nextPkt flit.PacketID
 
 	// freePkts recycles delivered packets (and their flit slabs) so the
 	// steady-state injection path allocates nothing.
@@ -83,16 +85,14 @@ type board struct {
 	idx    int
 	ibi    *router.Router
 	ejects []*link.PacketSink
-	nics   []*link.PacketSource // the board's slice of System.nics
 	// rxSources re-inject optically received packets into the IBI, one per
 	// wavelength.
 	rxSources []*link.PacketSource // index w-1
-	// nicSet and rxSet index nics and rxSources by HasWork: Enqueue
-	// (admission, DeliverDue) and PutCredit raise a bit when the source
-	// can act, and a source that runs out of work or credit clears its
-	// own.
-	nicSet, rxSet router.ActiveSet
-	rrW           int // tie-break rotation for route choices
+	// rxSet indexes rxSources by HasWork: Enqueue (DeliverDue) and
+	// PutCredit raise a bit when the source can act, and a source that
+	// runs out of work or credit clears its own.
+	rxSet sim.ActiveSet
+	rrW   int // tie-break rotation for route choices
 	// routeWS is the board's reusable route-choice wavelength scratch
 	// buffer.
 	routeWS []int
@@ -206,10 +206,9 @@ func (s *System) assemble() {
 	s.nics = make([]*link.PacketSource, nodes)
 	s.deliveredPerNode = make([]uint64, nodes)
 	s.injFrom, s.injAt, s.injDst = make([]uint64, nodes), make([]uint64, nodes), make([]int, nodes)
-	s.injSet = router.NewActiveSet(nodes)
+	s.injSet, s.nicSet = sim.NewActiveSet(nodes), sim.NewActiveSet(nodes)
 	for bi := 0; bi < b; bi++ {
-		bd := &board{idx: bi, nics: s.nics[bi*d : (bi+1)*d],
-			nicSet: router.NewActiveSet(d), rxSet: router.NewActiveSet(w)}
+		bd := &board{idx: bi, rxSet: sim.NewActiveSet(w)}
 		// Port map: inputs 0..d-1 node NICs, d..d+w-1 optical receivers;
 		// outputs 0..d-1 node ejectors, d..d+w-1 transmitters.
 		bd.ibi = router.MustNew(router.Config{
@@ -232,7 +231,7 @@ func (s *System) assemble() {
 					s.tel.Emit(telemetry.Event{Cycle: now, Kind: telemetry.PacketNetEnter, Packet: uint64(p.ID), Board: p.SrcBoard, Wavelength: -1, Dest: -1})
 				}
 			}
-			nic.TrackIn(bd.nicSet, n)
+			nic.TrackIn(s.nicSet, global)
 			bd.ibi.SetInputCreditSink(n, nic)
 			s.nics[global] = nic
 
@@ -478,7 +477,7 @@ func (s *System) stepHead(now uint64) {
 // tickSources ticks the members of set, in ascending order. A Tick never
 // enqueues to or credits a source, so no bit of set rises during the
 // walk; a source that runs out of work clears its own bit.
-func tickSources(set router.ActiveSet, srcs []*link.PacketSource, now uint64) {
+func tickSources(set sim.ActiveSet, srcs []*link.PacketSource, now uint64) {
 	for wi, word := range set {
 		for ; word != 0; word &= word - 1 {
 			srcs[wi<<6|bits.TrailingZeros64(word)].Tick(now)
@@ -495,18 +494,16 @@ func (bd *board) tickRxIBI(now uint64) {
 }
 
 // step simulates cycle now on the calling goroutine: the head
-// (stepHead, then packet admission in global node order), every board's
-// NICs, every board's receive sources and IBI router, the fabric's
-// transmitters and lasers (TickBoards), and last the telemetry observer.
-// Only components with work are visited, in the order an exhaustive
-// scan would visit them (the Tick of a component with no work is a
-// no-op, so skipping it changes nothing).
+// (stepHead, then packet admission in global node order), the NICs in
+// the same order, every board's receive sources and IBI router, the
+// fabric's transmitters and lasers (TickBoards), and last the telemetry
+// observer. Only components with work are visited, in the order an
+// exhaustive scan would visit them (the Tick of a component with no work
+// is a no-op, so skipping it changes nothing).
 func (s *System) step(now uint64) {
 	s.stepHead(now)
 	s.injectAll(now)
-	for _, bd := range s.boards {
-		tickSources(bd.nicSet, bd.nics, now)
-	}
+	tickSources(s.nicSet, s.nics, now)
 	for _, bd := range s.boards {
 		bd.tickRxIBI(now)
 	}

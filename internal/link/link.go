@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/router"
+	"repro/internal/sim"
 )
 
 // PacketSource is a network interface transmit path: an unbounded packet
@@ -34,7 +35,7 @@ type PacketSource struct {
 	// HasWork reads no clock, so the bit only moves in Enqueue, PutCredit
 	// and Tick. A source is born on a private one-bit set; TrackIn moves
 	// it to its owner's.
-	act router.ActiveSet
+	act sim.ActiveSet
 	bit int
 
 	// in-flight transmission state. cur points into the current packet's
@@ -62,7 +63,7 @@ func NewPacketSource(name string, sink router.Sink, vcs, depth int, flitCycles u
 	if vcs < 1 || depth < 1 || flitCycles < 1 {
 		panic(fmt.Sprintf("link: source %q: invalid vcs=%d depth=%d flitCycles=%d", name, vcs, depth, flitCycles))
 	}
-	s := &PacketSource{name: name, sink: sink, vcs: vcs, depth: depth, flitCycles: flitCycles, act: router.NewActiveSet(1)}
+	s := &PacketSource{name: name, sink: sink, vcs: vcs, depth: depth, flitCycles: flitCycles, act: sim.NewActiveSet(1)}
 	s.credits = make([]int, vcs)
 	for v := range s.credits {
 		s.credits[v] = depth
@@ -94,7 +95,7 @@ func (s *PacketSource) Reset() {
 // TrackIn makes bit i of set this source's HasWork bit. Call it on an
 // idle source, before the first Enqueue; sources that share a set must
 // only ever be mutated by one goroutine at a time.
-func (s *PacketSource) TrackIn(set router.ActiveSet, i int) { s.act, s.bit = set, i }
+func (s *PacketSource) TrackIn(set sim.ActiveSet, i int) { s.act, s.bit = set, i }
 
 // Enqueue appends a packet to the source queue. A source blocked on
 // credits stays asleep: the credit, not the packet, wakes it.

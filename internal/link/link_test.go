@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/router"
+	"repro/internal/sim"
 )
 
 // memSink records flits and can return credits through a PacketSource.
@@ -82,7 +83,7 @@ func TestSourceRespectsCredits(t *testing.T) {
 func TestSourceSleepsUntilCredit(t *testing.T) {
 	m := &memSink{}
 	s := NewPacketSource("nic", m, 1, 1, 4)
-	set := router.NewActiveSet(1)
+	set := sim.NewActiveSet(1)
 	s.TrackIn(set, 0)
 	check := func(step string, want bool) {
 		t.Helper()

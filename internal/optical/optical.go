@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/power"
-	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -251,7 +250,13 @@ type Fabric struct {
 	// populated counts the lasers the arrays are built with, materialised
 	// or not.
 	populated int
-	txs       []*Transmitter
+	// txs is transmitter (s, w) at s*(B-1)+w-1, so an ascending walk is
+	// the (board, wavelength) scan order. txPending has bit i up exactly
+	// while txs[i] holds a packet whose tail has matured (holdsPacket);
+	// TickBoards walks it. An unmatured tail sleeps on txWheel.
+	txs       []Transmitter
+	txPending sim.ActiveSet
+	txWheel   sim.Wheel
 
 	deliver [][]DeliverFunc // [d][w]
 
@@ -304,11 +309,6 @@ type boardState struct {
 	// (syncStats). Any change to its state wakes it first (wake).
 	sleep []sleeper
 	deact []*Laser
-	// txPending has bit w-1 up exactly while transmitter w buffers a
-	// complete packet whose tail has matured (holdsPacket); tickBoardTx
-	// walks it. An unmatured tail sleeps on txWheel.
-	txPending router.ActiveSet
-	txWheel   router.Wheel
 	// chunks holds the board's materialised lasers, used slots in all;
 	// chunks never move once allocated, so *Laser stays valid.
 	chunks [][]Laser
@@ -368,9 +368,6 @@ func NewFabric(top *topology.Topology, _ *sim.Engine, cfg Config) (*Fabric, erro
 	b := top.Boards()
 	f := &Fabric{top: top, cfg: cfg, meter: power.NewMeter(cfg.CycleNS)}
 	f.boards = make([]boardState, b)
-	for s := range f.boards {
-		f.boards[s].txPending = router.NewActiveSet(b - 1)
-	}
 	f.channels = make([][]*Channel, b)
 	f.deliver = make([][]DeliverFunc, b)
 	for d := 0; d < b; d++ {
@@ -396,15 +393,11 @@ func NewFabric(top *topology.Topology, _ *sim.Engine, cfg Config) (*Fabric, erro
 	}
 	f.heads = make([]*Laser, b*b)
 	f.materialiseStatic()
-	for s := 0; s < b; s++ {
-		// Per-board transmitter slabs: a board's b-1 transmitters are
-		// walked together every cycle.
-		txSlab := make([]Transmitter, b-1)
-		for w := 1; w < b; w++ {
-			tx := &txSlab[w-1]
-			tx.init(f, s, w)
-			f.txs = append(f.txs, tx)
-		}
+	// Transmitters and their VC records live in two slabs.
+	f.txs, f.txPending = make([]Transmitter, b*(b-1)), sim.NewActiveSet(b*(b-1))
+	vcs := make([]txVC, len(f.txs)*cfg.VCs)
+	for i := range f.txs {
+		f.txs[i] = Transmitter{f: f, s: i / (b - 1), w: i%(b-1) + 1, vcs: vcs[i*cfg.VCs : (i+1)*cfg.VCs : (i+1)*cfg.VCs]}
 	}
 	return f, nil
 }
@@ -414,7 +407,7 @@ func NewFabric(top *topology.Topology, _ *sim.Engine, cfg Config) (*Fabric, erro
 // laser and transmitter slabs: channels revert to their static RWA
 // owners, only the static owners' lasers stay materialised (at the
 // default level with empty queues and zeroed statistics), transmitters
-// revert to empty reassembly buffers, and the in-flight calendar, power
+// revert to empty reassembly records, and the in-flight calendar, power
 // meter and idle aggregate to zero. Attached sink and drop hook are
 // detached (the next run re-attaches its own). All slab, laser chunk and
 // queue backing arrays are retained, so the reset fabric runs without
@@ -438,8 +431,6 @@ func (f *Fabric) Reset() {
 			bs.deact[i] = nil
 		}
 		bs.deact = bs.deact[:0]
-		clear(bs.txPending)
-		bs.txWheel.Reset()
 		// Release every packet still queued; the slots and their queue
 		// backing arrays are reused by the next materialisations.
 		for i := range bs.used {
@@ -451,13 +442,11 @@ func (f *Fabric) Reset() {
 	clear(f.heads)
 	f.idleLitMW = 0
 	f.materialiseStatic()
-	for _, tx := range f.txs {
-		for v := range tx.vcs {
-			vc := &tx.vcs[v]
-			clear(vc.entries)
-			vc.entries = vc.entries[:0]
-		}
+	for i := range f.txs {
+		clear(f.txs[i].vcs)
 	}
+	clear(f.txPending)
+	f.txWheel.Reset()
 	f.inFlight.Reset()
 	f.nextTick = 0
 	f.meter.Reset()
@@ -684,7 +673,7 @@ func ringDistance(a, b, n int) int {
 
 // Transmitter returns transmitter w at board s.
 func (f *Fabric) Transmitter(s, w int) *Transmitter {
-	return f.txs[s*(f.top.Boards()-1)+(w-1)]
+	return &f.txs[s*(f.top.Boards()-1)+(w-1)]
 }
 
 // SetDeliver registers the receive path for channel (d, w).
@@ -897,14 +886,22 @@ func (f *Fabric) Tick(now uint64) {
 	f.TickBoards(now)
 }
 
-// TickBoards advances every board's transmitters, then every board's
-// active lasers, one cycle, and samples statistics and power. Only
-// transmitters holding flits and lasers on the active list are visited;
+// TickBoards advances every transmitter, then every board's active
+// lasers, one cycle, and samples statistics and power. Only transmitters
+// holding a matured packet and lasers on the active list are visited;
 // lasers that go idle drop off the list and their statistics and supply
-// power are carried forward in bulk (syncStats, idleLitMW).
+// power are carried forward in bulk (syncStats, idleLitMW). A
+// transmitter's tick only queues packets and returns credits, so raising
+// every tail that matures now before the walk visits the transmitters
+// in the (board, wavelength) order a per-board turn and walk would.
 func (f *Fabric) TickBoards(now uint64) {
-	for s := range f.boards {
-		f.tickBoardTx(s, now)
+	f.txWheel.Turn(now, f.txPending, nil)
+	for wi, word := range f.txPending {
+		for ; word != 0; word &= word - 1 {
+			if i := wi<<6 | bits.TrailingZeros64(word); !f.txs[i].tick(now) {
+				f.txPending.Remove(i)
+			}
+		}
 	}
 	for s := range f.boards {
 		f.tickBoardLasers(s, now)
@@ -919,18 +916,6 @@ func (f *Fabric) TickBoards(now uint64) {
 		f.flushDeact(s)
 	}
 	f.nextTick = now + 1
-}
-
-// tickBoardTx raises board s's transmitters whose tail matures now, then
-// advances those holding a matured packet one cycle.
-func (f *Fabric) tickBoardTx(s int, now uint64) {
-	f.boards[s].txWheel.Turn(now, f.boards[s].txPending, nil)
-	txs := f.txs[s*(f.top.Boards()-1):]
-	for wi, word := range f.boards[s].txPending {
-		for ; word != 0; word &= word - 1 {
-			txs[wi<<6|bits.TrailingZeros64(word)].tick(now)
-		}
-	}
 }
 
 // tickBoardLasers advances board s's active lasers one cycle, compacting
@@ -1116,11 +1101,11 @@ func (f *Fabric) CheckInvariants() error {
 
 // CheckIndex verifies, by exhaustive scan, that every transmitter's
 // txPending bit agrees with holdsPacket as of the last TickBoards, that
-// every unmatured tail is on the board's wheel, and that each sleeping
-// laser's record matches its state: it sleeps until its last busy cycle,
-// still ahead, and meters its lit power; tests call it between Ticks.
+// the wheel holds exactly one entry per tail still maturing, and that
+// each sleeping laser's record matches its state: it sleeps until its
+// last busy cycle, still ahead, and meters its lit power; tests call it
+// between Ticks.
 func (f *Fabric) CheckIndex() error {
-	wpb := f.top.Boards() - 1
 	for s := range f.boards {
 		bs := &f.boards[s]
 		if len(bs.sleep) != len(bs.active) {
@@ -1132,16 +1117,25 @@ func (f *Fabric) CheckIndex() error {
 				return fmt.Errorf("laser (%d,λ%d→%d) busy until %d: asleep %v, record %+v at cycle %d (lit power %v)", s, l.w, l.d, l.busyUntil, l.asleep, sl, f.nextTick, f.litMW(l))
 			}
 		}
-		for i, tx := range f.txs[s*wpb : (s+1)*wpb] {
-			if hp := tx.holdsPacket(f.nextTick); bs.txPending.Has(i) != hp {
-				return fmt.Errorf("tx(%d,λ%d) holds %d flits (matured packet %v), bit %v", s, tx.w, tx.PendingFlits(), hp, bs.txPending.Has(i))
+	}
+	maturing := 0
+	for i := range f.txs {
+		tx := &f.txs[i]
+		if hp := tx.holdsPacket(f.nextTick); f.txPending.Has(i) != hp {
+			return fmt.Errorf("tx(%d,λ%d) holds %d flits (matured packet %v), bit %v", tx.s, tx.w, tx.PendingFlits(), hp, f.txPending.Has(i))
+		}
+		for v, vc := range tx.vcs {
+			if vc.n == 0 || vc.tailAt < f.nextTick || vc.tailAt == sim.MaxTime {
+				continue
 			}
-			for v := range tx.vcs {
-				if e := tx.vcs[v].entries; len(e) > 0 && e[len(e)-1].f.IsTail() && e[len(e)-1].readyAt >= f.nextTick && !bs.txWheel.Armed(i, e[len(e)-1].readyAt) {
-					return fmt.Errorf("tx(%d,λ%d) VC %d: tail maturing at %d is not on the wheel", s, tx.w, v, e[len(e)-1].readyAt)
-				}
+			maturing++
+			if !f.txWheel.Armed(i, vc.tailAt) {
+				return fmt.Errorf("tx(%d,λ%d) VC %d: tail maturing at %d is not on the wheel", tx.s, tx.w, v, vc.tailAt)
 			}
 		}
+	}
+	if f.txWheel.Len() != maturing {
+		return fmt.Errorf("transmitter wheel holds %d entries for %d maturing tails", f.txWheel.Len(), maturing)
 	}
 	return nil
 }
@@ -1168,8 +1162,8 @@ func (f *Fabric) Quiescent(now uint64) bool {
 			return false
 		}
 	}
-	for _, tx := range f.txs {
-		if tx.PendingFlits() > 0 {
+	for i := range f.txs {
+		if f.txs[i].PendingFlits() > 0 {
 			return false
 		}
 	}

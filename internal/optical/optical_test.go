@@ -316,7 +316,7 @@ func TestBackpressureHoldsReassembly(t *testing.T) {
 	}
 }
 
-// TestTxPendingWaitsForTail checks that a transmitter joins its board's
+// TestTxPendingWaitsForTail checks that a transmitter joins the fabric's
 // txPending set only once a packet's tail flit has matured — not on the
 // flits before it, nor on the tail's arrival — and leaves it once the
 // packet is dispatched. The tail is stamped more than one wheel lap
@@ -325,7 +325,7 @@ func TestTxPendingWaitsForTail(t *testing.T) {
 	const at = 20
 	f, eng := newTestFabric(t, 4)
 	w := f.Topology().Wavelength(1, 0)
-	tx := f.Transmitter(1, w)
+	tx, bit := f.Transmitter(1, w), 1*3+w-1
 	fl := flit.Explode(mkPkt(1, 1, 0))
 	for _, x := range fl {
 		x.VC = 0
@@ -333,7 +333,7 @@ func TestTxPendingWaitsForTail(t *testing.T) {
 		if err := f.CheckIndex(); err != nil {
 			t.Fatalf("after flit %d: %v", x.Index, err)
 		}
-		if f.boards[1].txPending.Has(w - 1) {
+		if f.txPending.Has(bit) {
 			t.Fatalf("bit up after flit %d, before the tail matures", x.Index)
 		}
 	}
@@ -345,7 +345,7 @@ func TestTxPendingWaitsForTail(t *testing.T) {
 		if dispatched := tx.PendingFlits() == 0; dispatched != (now == at) {
 			t.Fatalf("cycle %d: %d flits still buffered", now, tx.PendingFlits())
 		}
-		if f.boards[1].txPending.Has(w - 1) {
+		if f.txPending.Has(bit) {
 			t.Fatalf("cycle %d: bit up", now)
 		}
 	}
@@ -426,16 +426,38 @@ func TestLinkAndBufferWindows(t *testing.T) {
 	}
 }
 
-func TestIntraBoardPacketPanics(t *testing.T) {
-	f, eng := newTestFabric(t, 4)
-	tx := f.Transmitter(1, 1)
-	sendPacket(tx, mkPkt(1, 1, 1), 0, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("intra-board packet in optical domain did not panic")
-		}
-	}()
-	run(f, eng, 0, 5)
+// TestTransmitterPanics checks that a transmitter refuses what the
+// network must never hand it: a flit that breaks the wormhole stream of
+// its VC panics on PutFlit, and an intra-board packet panics at dispatch.
+func TestTransmitterPanics(t *testing.T) {
+	a, b := flit.Explode(mkPkt(1, 1, 0)), flit.Explode(mkPkt(2, 1, 0))
+	put := func(x *flit.Flit) func(*Fabric, *sim.Engine, *Transmitter) {
+		return func(_ *Fabric, _ *sim.Engine, tx *Transmitter) { tx.PutFlit(x, 0) }
+	}
+	for _, tc := range []struct {
+		name  string
+		flits []*flit.Flit // accepted first
+		fails func(*Fabric, *sim.Engine, *Transmitter)
+	}{
+		{"intra-board packet", flit.Explode(mkPkt(3, 1, 1)), func(f *Fabric, eng *sim.Engine, _ *Transmitter) { run(f, eng, 0, 5) }},
+		{"body flit on an empty VC", nil, put(a[1])},
+		{"second head", a[:2], put(a[0])},
+		{"flit of another packet", a[:2], put(b[2])},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, eng := newTestFabric(t, 4)
+			tx := f.Transmitter(1, 1)
+			for _, x := range tc.flits {
+				tx.PutFlit(x, 0)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("did not panic")
+				}
+			}()
+			tc.fails(f, eng, tx)
+		})
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -94,7 +94,7 @@ func TestSleepWakesAndSettles(t *testing.T) {
 				// cycle queues the packet (Tick's own call then finds
 				// nothing to do).
 				sendPacket(f.Transmitter(1, w), mkPkt(3, 1, 0), 0, now)
-				f.tickBoardTx(1, now)
+				f.Transmitter(1, w).tick(now)
 			}}},
 		{"FailLaser", 2, map[uint64]func(*Fabric, uint64){
 			20: func(f *Fabric, now uint64) { f.FailLaser(1, w, 0, true, now) }}},

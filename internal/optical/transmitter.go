@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/router"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -22,27 +23,18 @@ type Transmitter struct {
 	w  int // wavelength
 	cs router.CreditSink
 
-	vcs []txVC
+	vcs []txVC // this transmitter's window of the fabric's VC slab
 }
 
+// txVC is one VC's reassembly record. The credit protocol caps a VC at
+// one packet, and wormhole switching delivers its flits in order, so the
+// packet, the count of its flits received and the cycle its tail matures
+// (sim.MaxTime until the tail arrives) are all a packet's flits are read
+// back for. The zero record is an empty VC.
 type txVC struct {
-	entries []txEntry
-}
-
-type txEntry struct {
-	f       *flit.Flit
-	readyAt uint64
-}
-
-// init prepares an in-place (slab-allocated) transmitter. Each VC's
-// reassembly buffer is pre-sized to a full packet — the credit protocol
-// caps it there — so the steady state never grows it.
-func (t *Transmitter) init(f *Fabric, s, w int) {
-	t.f, t.s, t.w = f, s, w
-	t.vcs = make([]txVC, f.cfg.VCs)
-	for v := range t.vcs {
-		t.vcs[v].entries = make([]txEntry, 0, f.cfg.FlitsPerPacket)
-	}
+	p      *flit.Packet
+	n      int
+	tailAt uint64
 }
 
 // SetCreditSink registers where reassembly credits are returned (the IBI
@@ -50,43 +42,45 @@ func (t *Transmitter) init(f *Fabric, s, w int) {
 func (t *Transmitter) SetCreditSink(cs router.CreditSink) { t.cs = cs }
 
 // PutFlit implements router.Sink: it accepts one flit of the electrical
-// stream into the per-VC reassembly buffer. Only a tail flit wakes the
-// transmitter, through the board's wheel at the tail's readyAt: until
-// then no packet can leave, so tick has nothing to do.
+// stream into the per-VC reassembly record, checking that it continues
+// the packet the VC holds. Only a tail flit wakes the transmitter,
+// through the fabric's wheel at the tail's readyAt: until then no packet
+// can leave, so tick has nothing to do.
 func (t *Transmitter) PutFlit(f *flit.Flit, readyAt uint64) {
 	if f.VC < 0 || f.VC >= len(t.vcs) {
 		panic(fmt.Sprintf("optical: tx(%d,λ%d): flit on invalid VC %d", t.s, t.w, f.VC))
 	}
 	vc := &t.vcs[f.VC]
-	if len(vc.entries) >= t.f.cfg.FlitsPerPacket {
+	switch {
+	case vc.n >= t.f.cfg.FlitsPerPacket:
 		panic(fmt.Sprintf("optical: tx(%d,λ%d): VC %d reassembly overflow (credit protocol violated)", t.s, t.w, f.VC))
+	case vc.n == 0 && !f.IsHead():
+		panic(fmt.Sprintf("optical: tx(%d,λ%d): stray %v on VC %d with no open packet", t.s, t.w, f, f.VC))
+	case vc.n > 0 && (f.IsHead() || f.Packet != vc.p):
+		panic(fmt.Sprintf("optical: tx(%d,λ%d): %v on VC %d interleaves packet %v", t.s, t.w, f, f.VC, vc.p))
+	case vc.n == 0:
+		*vc = txVC{p: f.Packet, tailAt: sim.MaxTime}
 	}
-	vc.entries = append(vc.entries, txEntry{f: f, readyAt: readyAt})
+	vc.n++
 	if f.IsTail() {
-		t.f.boards[t.s].txWheel.Arm(t.w-1, readyAt)
+		vc.tailAt = readyAt
+		t.f.txWheel.Arm(t.s*(len(t.f.boards)-1)+t.w-1, readyAt)
 	}
 }
 
-// tick moves completed packets from reassembly buffers into laser queues
-// and returns the freed flit credits. It leaves the board's txPending set
-// once no buffer holds a matured packet; a packet held back by a full
-// laser queue keeps the transmitter in the set, polling.
-func (t *Transmitter) tick(now uint64) {
+// tick moves completed packets from reassembly records into laser queues
+// and returns the freed flit credits. It reports whether a record still
+// holds a matured packet (holdsPacket), which keeps the transmitter in
+// the fabric's txPending set: a packet held back by a full laser queue
+// polls.
+func (t *Transmitter) tick(now uint64) bool {
 	for v := range t.vcs {
-		vc := &t.vcs[v]
-		if len(vc.entries) == 0 {
-			continue
-		}
 		// A packet is movable when its tail has fully arrived.
-		tail := vc.entries[len(vc.entries)-1]
-		if !tail.f.IsTail() || tail.readyAt > now {
+		vc := &t.vcs[v]
+		if vc.n == 0 || vc.tailAt > now {
 			continue
 		}
-		p := tail.f.Packet
-		// Wormhole per VC guarantees the buffer holds exactly this packet.
-		if !vc.entries[0].f.IsHead() || vc.entries[0].f.Packet != p {
-			panic(fmt.Sprintf("optical: tx(%d,λ%d): VC %d reassembly corrupted", t.s, t.w, v))
-		}
+		p := vc.p
 		dst := p.DstBoard
 		if dst == t.s {
 			panic(fmt.Sprintf("optical: tx(%d,λ%d): intra-board packet %v reached the optical domain", t.s, t.w, p))
@@ -100,7 +94,7 @@ func (t *Transmitter) tick(now uint64) {
 		if laser.permFailed {
 			// The laser is permanently dead and routing had no surviving
 			// alternative: drop the packet rather than wedge the VC, and
-			// free the reassembly buffer.
+			// free the reassembly record.
 			laser.dropWin++
 			if t.f.dropHook != nil {
 				t.f.dropHook(p, now)
@@ -118,29 +112,26 @@ func (t *Transmitter) tick(now uint64) {
 		}
 		t.release(v, now)
 	}
-	if !t.holdsPacket(now + 1) {
-		t.f.boards[t.s].txPending.Remove(t.w - 1)
-	}
+	return t.holdsPacket(now + 1)
 }
 
-// holdsPacket reports whether some VC's last entry is a tail stamped
-// before cycle next: the predicate the board's txPending bit tracks.
+// holdsPacket reports whether some VC holds a packet whose tail is
+// stamped before cycle next: the predicate the fabric's txPending bit
+// tracks.
 func (t *Transmitter) holdsPacket(next uint64) bool {
 	for v := range t.vcs {
-		if e := t.vcs[v].entries; len(e) > 0 && e[len(e)-1].f.IsTail() && e[len(e)-1].readyAt < next {
+		if vc := &t.vcs[v]; vc.n > 0 && vc.tailAt < next {
 			return true
 		}
 	}
 	return false
 }
 
-// release empties VC v's reassembly buffer, whose packet has left it, and
+// release empties VC v's reassembly record, whose packet has left it, and
 // returns its flit credits upstream at now+1.
 func (t *Transmitter) release(v int, now uint64) {
-	vc := &t.vcs[v]
-	n := len(vc.entries)
-	clear(vc.entries)
-	vc.entries = vc.entries[:0]
+	n := t.vcs[v].n
+	t.vcs[v] = txVC{}
 	if t.cs != nil {
 		for range n {
 			t.cs.PutCredit(v, now+1)
@@ -149,11 +140,11 @@ func (t *Transmitter) release(v int, now uint64) {
 }
 
 // PendingFlits returns the number of flits currently buffered across all
-// VCs, by a scan of the VC buffers.
+// VCs.
 func (t *Transmitter) PendingFlits() int {
 	n := 0
 	for v := range t.vcs {
-		n += len(t.vcs[v].entries)
+		n += t.vcs[v].n
 	}
 	return n
 }

@@ -67,8 +67,8 @@ func (e *EWMA) fold(link, buf *float64, seen *bool, l, b float64) (float64, floa
 		*seen = true
 		*link, *buf = l, b
 	} else {
-		*link = e.alpha*l + (1-e.alpha)**link
-		*buf = e.alpha*b + (1-e.alpha)**buf
+		*link = float64(e.alpha*l) + float64((1-e.alpha)**link)
+		*buf = float64(e.alpha*b) + float64((1-e.alpha)**buf)
 	}
 	if l == 0 && *link < ewmaZero {
 		*link = 0

@@ -64,7 +64,7 @@ func (pr *Profiler) Name() string { return "profile" }
 func (pr *Profiler) Power(o LinkObs) int {
 	w, d := o.Wavelength, o.Dest
 	if o.Level > 0 {
-		pr.outDemand[w][d] += o.LinkUtil * pr.p.Ladder.Gbps(o.Level)
+		pr.outDemand[w][d] += float64(o.LinkUtil * pr.p.Ladder.Gbps(o.Level))
 		pr.outBuf[w][d] += o.BufUtil
 		pr.outN[w][d]++
 	}

@@ -54,8 +54,8 @@ func InterpolatedLadder(n int) (*Ladder, error) {
 	for i := 0; i < n; i++ {
 		f := float64(i) / float64(n-1)
 		p := Point{
-			Gbps: lo.Gbps + f*(hi.Gbps-lo.Gbps),
-			VDD:  lo.VDD + f*(hi.VDD-lo.VDD),
+			Gbps: lo.Gbps + float64(f*(hi.Gbps-lo.Gbps)),
+			VDD:  lo.VDD + float64(f*(hi.VDD-lo.VDD)),
 		}
 		p.TotalMW = ScaledMW(p)
 		pts[i] = p

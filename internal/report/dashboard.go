@@ -163,8 +163,8 @@ func writeDashPanel(b *strings.Builder, p dashPanel, reg *telemetry.Registry, ma
 	}
 	ymax *= 1.05
 
-	x := func(c float64) float64 { return dashMarL + (c-xmin)/(xmax-xmin)*dashPlotW }
-	y := func(v float64) float64 { return dashMarT + (1-v/ymax)*dashPlotH }
+	x := func(c float64) float64 { return dashMarL + float64((c-xmin)/(xmax-xmin)*dashPlotW) }
+	y := func(v float64) float64 { return dashMarT + float64((1-v/ymax)*dashPlotH) }
 
 	fmt.Fprintf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="11">`+"\n", dashW, dashH)
 	fmt.Fprintf(b, `<rect width="%d" height="%d" fill="white"/>`+"\n", dashW, dashH)
@@ -173,15 +173,15 @@ func writeDashPanel(b *strings.Builder, p dashPanel, reg *telemetry.Registry, ma
 	fmt.Fprintf(b, `<rect x="%d" y="%d" width="%d" height="%d" fill="none" stroke="#444"/>`+"\n",
 		dashMarL, dashMarT, dashPlotW, dashPlotH)
 	for i := 0; i <= dashTicks; i++ {
-		f := float64(i) / dashTicks
-		gy := dashMarT + (1-f)*dashPlotH
+		f := float64(float64(i) / dashTicks)
+		gy := dashMarT + float64((1-f)*dashPlotH)
 		fmt.Fprintf(b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#ddd"/>`+"\n",
 			dashMarL, gy, dashMarL+dashPlotW, gy)
 		fmt.Fprintf(b, `<text x="%d" y="%.1f" text-anchor="end">%.3g</text>`+"\n",
 			dashMarL-5, gy+4, f*ymax)
-		gx := dashMarL + f*float64(dashPlotW)
+		gx := dashMarL + float64(f*float64(dashPlotW))
 		fmt.Fprintf(b, `<text x="%.1f" y="%d" text-anchor="middle">%.4g</text>`+"\n",
-			gx, dashMarT+dashPlotH+16, xmin+f*(xmax-xmin))
+			gx, dashMarT+dashPlotH+16, xmin+float64(f*(xmax-xmin)))
 	}
 	fmt.Fprintf(b, `<text x="%d" y="%d" text-anchor="middle">cycle (window end)</text>`+"\n",
 		dashMarL+dashPlotW/2, dashH-8)

@@ -100,8 +100,8 @@ func WriteParetoSVG(w io.Writer, cmp sweep.Comparison) error {
 	xmin, xmax = xmin-xpad, xmax+xpad
 	ymin, ymax = ymin-ypad, ymax+ypad
 
-	x := func(v float64) float64 { return svgMarginL + (v-xmin)/(xmax-xmin)*svgPlotW }
-	y := func(v float64) float64 { return svgMarginT + (1-(v-ymin)/(ymax-ymin))*svgPlotH }
+	x := func(v float64) float64 { return svgMarginL + float64((v-xmin)/(xmax-xmin)*svgPlotW) }
+	y := func(v float64) float64 { return svgMarginT + float64((1-(v-ymin)/(ymax-ymin))*svgPlotH) }
 
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="12">`+"\n", svgW, svgH)
@@ -112,14 +112,14 @@ func WriteParetoSVG(w io.Writer, cmp sweep.Comparison) error {
 		svgMarginL, svgMarginT, svgPlotW, svgPlotH)
 	for i := 0; i <= svgTicks; i++ {
 		f := float64(i) / svgTicks
-		gy := svgMarginT + (1-f)*svgPlotH
+		gy := svgMarginT + float64((1-f)*svgPlotH)
 		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#ddd"/>`+"\n",
 			svgMarginL, gy, svgMarginL+svgPlotW, gy)
 		fmt.Fprintf(&b, `<text x="%d" y="%.1f" text-anchor="end">%.4g</text>`+"\n",
-			svgMarginL-6, gy+4, ymin+f*(ymax-ymin))
-		gx := svgMarginL + f*float64(svgPlotW)
+			svgMarginL-6, gy+4, ymin+float64(f*(ymax-ymin)))
+		gx := svgMarginL + float64(f*float64(svgPlotW))
 		fmt.Fprintf(&b, `<text x="%.1f" y="%d" text-anchor="middle">%.4g</text>`+"\n",
-			gx, svgMarginT+svgPlotH+18, xmin+f*(xmax-xmin))
+			gx, svgMarginT+svgPlotH+18, xmin+float64(f*(xmax-xmin)))
 	}
 	fmt.Fprintf(&b, `<text x="%d" y="%d" text-anchor="middle">avg supply power (mW)</text>`+"\n",
 		svgMarginL+svgPlotW/2, svgH-12)

@@ -54,10 +54,10 @@ func WriteSVG(w io.Writer, title string, series []sweep.Series, m Metric) error 
 	ymax *= 1.05 // headroom
 
 	x := func(load float64) float64 {
-		return svgMarginL + (load-xmin)/(xmax-xmin)*svgPlotW
+		return svgMarginL + float64((load-xmin)/(xmax-xmin)*svgPlotW)
 	}
 	y := func(v float64) float64 {
-		return svgMarginT + (1-v/ymax)*svgPlotH
+		return svgMarginT + float64((1-v/ymax)*svgPlotH)
 	}
 
 	var b strings.Builder
@@ -71,13 +71,13 @@ func WriteSVG(w io.Writer, title string, series []sweep.Series, m Metric) error 
 		svgMarginL, svgMarginT, svgPlotW, svgPlotH)
 	for i := 0; i <= svgTicks; i++ {
 		f := float64(i) / svgTicks
-		gy := svgMarginT + (1-f)*svgPlotH
+		gy := svgMarginT + float64((1-f)*svgPlotH)
 		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#ddd"/>`+"\n",
 			svgMarginL, gy, svgMarginL+svgPlotW, gy)
 		fmt.Fprintf(&b, `<text x="%d" y="%.1f" text-anchor="end">%.3g</text>`+"\n",
 			svgMarginL-6, gy+4, f*ymax)
-		gx := svgMarginL + f*float64(svgPlotW)
-		load := xmin + f*(xmax-xmin)
+		gx := svgMarginL + float64(f*float64(svgPlotW))
+		load := xmin + float64(f*(xmax-xmin))
 		fmt.Fprintf(&b, `<text x="%.1f" y="%d" text-anchor="middle">%.1f</text>`+"\n",
 			gx, svgMarginT+svgPlotH+18, load)
 	}

@@ -12,93 +12,8 @@ import (
 	"math/bits"
 
 	"repro/internal/flit"
+	"repro/internal/sim"
 )
-
-// ActiveSet is an ordered set of small integers (port, source or
-// transmitter indices): one bit per member, kept current at the points
-// that change membership and walked in ascending order — copy a word,
-// then repeatedly take bits.TrailingZeros64 and clear the lowest bit —
-// which visits members in exactly the order an exhaustive index scan
-// that tests the membership predicate would.
-type ActiveSet []uint64
-
-// NewActiveSet returns an empty set over indices [0, n).
-func NewActiveSet(n int) ActiveSet { return make(ActiveSet, (n+63)>>6) }
-
-func (s ActiveSet) Add(i int)      { s[i>>6] |= 1 << (i & 63) }
-func (s ActiveSet) Remove(i int)   { s[i>>6] &^= 1 << (i & 63) }
-func (s ActiveSet) Has(i int) bool { return s[i>>6]>>(i&63)&1 != 0 }
-
-// Empty reports whether the set has no members.
-func (s ActiveSet) Empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-const (
-	wheelSlots = 16         // a Wheel's lap, above Table 1's 4- to 5-cycle flit spacing
-	never      = ^uint64(0) // the wake-up cycle of a member that waits on a call
-)
-
-// Wheel is a hashed timing wheel that raises ActiveSet members at a given
-// cycle, so a component waiting on the clock sleeps instead of polling.
-// Each entry carries its cycle: one a lap or more ahead stays in its slot.
-// Slots are lists threaded through one pool, which grows only with the
-// number of entries live at once. The zero Wheel is empty.
-type Wheel struct {
-	head [wheelSlots]int32 // per slot: first entry, 1-based (0 = none)
-	free int32             // first free entry, 1-based
-	pool []wheelEntry
-}
-
-type wheelEntry struct {
-	at      uint64
-	i, next int32 // member; next entry in the slot or free list
-}
-
-// Arm schedules member i to rise at cycle at, which must be no earlier
-// than the next cycle turned.
-func (w *Wheel) Arm(i int, at uint64) {
-	if w.free == 0 {
-		w.pool = append(w.pool, wheelEntry{})
-		w.free = int32(len(w.pool))
-	}
-	e, s := w.free, &w.head[at%wheelSlots]
-	w.free, w.pool[e-1], *s = w.pool[e-1].next, wheelEntry{at: at, i: int32(i), next: *s}, e
-}
-
-// Turn adds to set the members due at now and frees their entries; with
-// a non-nil at, an entry whose member's at[i] has since moved is freed
-// without a raise. Call it on every cycle that can hold a due entry.
-func (w *Wheel) Turn(now uint64, set ActiveSet, at []uint64) {
-	for link := &w.head[now%wheelSlots]; *link != 0; {
-		en := &w.pool[*link-1]
-		if en.at > now {
-			link = &en.next
-			continue
-		}
-		if at == nil || at[en.i] == en.at {
-			set.Add(int(en.i))
-		}
-		*link, en.next, w.free = en.next, w.free, *link
-	}
-}
-
-// Reset drops every entry, keeping the pool's storage.
-func (w *Wheel) Reset() { w.head, w.free, w.pool = [wheelSlots]int32{}, 0, w.pool[:0] }
-
-// Armed reports whether member i has an entry for cycle at.
-func (w *Wheel) Armed(i int, at uint64) bool {
-	e := w.head[at%wheelSlots]
-	for e != 0 && (int(w.pool[e-1].i) != i || w.pool[e-1].at != at) {
-		e = w.pool[e-1].next
-	}
-	return e != 0
-}
 
 // Sink consumes flits. readyAt is the first cycle the flit may be acted
 // upon downstream (arrival stamp); it must be strictly greater than the
@@ -220,12 +135,12 @@ type nomination struct{ inPort, inVC, out int }
 // number.
 //
 // The router keeps an ActiveSet per stage, so each stage visits only the
-// ports or VCs that can take part in it (an empty set is an empty walk),
-// and HasWork — whether the whole Tick can be skipped — is a test of the
-// same sets. Sets are walked in ascending order, which is the exhaustive
-// scan's order, so arbitration outcomes are bit-identical to it: no stage
-// adds a member to the set it is walking, and whatever arrives during a
-// Tick is stamped > now.
+// VCs or outputs that can take part in it (an empty set is an empty
+// walk), and HasWork — whether the whole Tick can be skipped — is a test
+// of the same sets and the wheel. Sets are walked in ascending order,
+// which is the exhaustive scan's order, so arbitration outcomes are
+// bit-identical to it: no stage adds a member to the set it is walking,
+// and whatever arrives during a Tick is stamped > now.
 //
 // Input VC v of port p is vcs[p*VCs+v]; the VC-level sets use the same
 // numbering, so their ascending walk is the (port, VC) scan order.
@@ -242,21 +157,20 @@ type Router struct {
 	ctr              Counters
 
 	// Stage indexes: a bit is up exactly while the state it names holds.
-	rcCand      ActiveSet   // input VCs that are idle with a buffered head (RC)
-	activePorts ActiveSet   // input ports with a VC past RC (SA stage 1)
-	vaWait      []ActiveSet // per output: input VCs in vcWaitVC routed to it (VA)
-	vaOuts      ActiveSet   // outputs whose vaWait is non-empty (VA)
-	ready       ActiveSet   // input VCs with saAt <= now (SA stage 1)
-	saAt        []uint64    // per input VC: earliest cycle it can bid, or never
-	wheel       Wheel       // VCs whose saAt lies ahead
-	now         uint64      // cycle of the last Tick
+	rcCand sim.ActiveSet   // input VCs that are idle with a buffered head (RC)
+	vaWait []sim.ActiveSet // per output: input VCs in vcWaitVC routed to it (VA)
+	vaOuts sim.ActiveSet   // outputs whose vaWait is non-empty (VA)
+	ready  sim.ActiveSet   // input VCs with saAt <= now (SA stage 1)
+	saAt   []uint64        // per input VC: earliest cycle it can bid, or sim.MaxTime
+	wheel  sim.Wheel       // VCs whose saAt lies ahead
+	now    uint64          // cycle of the last Tick
 
 	// Per-tick scratch buffers (no steady-state allocation). nomOuts is
 	// the outputs named by this cycle's SA nominations, emptied by the
 	// loop that serves them.
 	vaSub      []int // one output's mature VA requests
 	nomScratch []nomination
-	nomOuts    ActiveSet
+	nomOuts    sim.ActiveSet
 	saBest     []int // per output: index into nomScratch of the SA winner
 	saCount    []int // per output: nominations this cycle
 }
@@ -281,15 +195,15 @@ func New(cfg Config) (*Router, error) {
 	r.outs = make([]outPort, cfg.Outputs)
 	r.inputCreditSinks = make([]CreditSink, cfg.Inputs)
 	r.rrInVC = make([]int, cfg.Inputs)
-	r.rcCand, r.activePorts = NewActiveSet(nvc), NewActiveSet(cfg.Inputs)
+	r.rcCand = sim.NewActiveSet(nvc)
 	w := len(r.rcCand)
-	waitSlab := make(ActiveSet, cfg.Outputs*w)
-	r.vaWait = make([]ActiveSet, cfg.Outputs)
+	waitSlab := make(sim.ActiveSet, cfg.Outputs*w)
+	r.vaWait = make([]sim.ActiveSet, cfg.Outputs)
 	for o := range r.vaWait {
 		r.vaWait[o] = waitSlab[o*w : (o+1)*w : (o+1)*w]
 	}
-	r.vaOuts, r.nomOuts = NewActiveSet(cfg.Outputs), NewActiveSet(cfg.Outputs)
-	r.ready, r.saAt = NewActiveSet(nvc), make([]uint64, nvc)
+	r.vaOuts, r.nomOuts = sim.NewActiveSet(cfg.Outputs), sim.NewActiveSet(cfg.Outputs)
+	r.ready, r.saAt = sim.NewActiveSet(nvc), make([]uint64, nvc)
 	r.Reset()
 	r.saBest = make([]int, cfg.Outputs)
 	r.saCount = make([]int, cfg.Outputs)
@@ -325,14 +239,13 @@ func (r *Router) Reset() {
 	}
 	clear(r.rrInVC)
 	clear(r.rcCand)
-	clear(r.activePorts)
 	for _, w := range r.vaWait {
 		clear(w)
 	}
 	clear(r.vaOuts)
 	clear(r.ready)
 	for i := range r.saAt {
-		r.saAt[i] = never
+		r.saAt[i] = sim.MaxTime
 	}
 	r.wheel.Reset()
 	r.now = 0
@@ -429,12 +342,14 @@ func (s creditSink) PutCredit(vc int, readyAt uint64) {
 // downstream receiver).
 func (r *Router) CreditSink(p int) CreditSink { return creditSink{r: r, port: p} }
 
-// HasWork reports whether Tick could change any state this cycle: flits
-// buffered or packets mid-pipeline. A buffered flit sits either in an
-// idle VC, which is an RC candidate, or in a VC past RC, whose port is
-// active. Pending credits need no Tick: they are absorbed when read.
+// HasWork reports whether Tick could change any state this cycle: some
+// VC holds a flit. An idle VC holding one is an RC candidate, a VC
+// waiting for VA is in its output's waiters, and one past VA is ready or
+// on the wheel. A VC past VA with an empty buffer waits on PutFlit, which
+// arms the wheel, and pending credits are absorbed when read, so neither
+// needs a Tick.
 func (r *Router) HasWork() bool {
-	return !r.rcCand.Empty() || !r.activePorts.Empty()
+	return !r.rcCand.Empty() || !r.vaOuts.Empty() || !r.ready.Empty() || !r.wheel.Empty()
 }
 
 // BufferedTotal returns the number of flits buffered across all input
@@ -506,7 +421,6 @@ func (r *Router) routeCompute(now uint64) {
 			r.rcCand.Remove(i)
 			r.vaWait[out].Add(i)
 			r.vaOuts.Add(out)
-			r.activePorts.Add(i / r.cfg.VCs)
 		}
 	}
 }
@@ -697,7 +611,7 @@ func (r *Router) traverse(inPort, inVC int, now uint64) {
 	}
 
 	r.ready.Remove(i)
-	r.saAt[i] = never
+	r.saAt[i] = sim.MaxTime
 	if f.IsTail() {
 		// Release the output VC and the input VC; a next packet's head
 		// already buffered becomes an RC candidate for the next cycle.
@@ -706,56 +620,40 @@ func (r *Router) traverse(inPort, inVC int, now uint64) {
 		if len(vc.buf) > 0 {
 			r.rcCand.Add(i)
 		}
-		if !r.portBusy(inPort) {
-			r.activePorts.Remove(inPort)
-		}
 		r.ctr.PacketsOut++
 	} else if len(vc.buf) > 0 {
 		r.arm(i)
 	}
 }
 
-// portBusy reports whether a VC of input port p is past RC.
-func (r *Router) portBusy(p int) bool {
-	for i := p * r.cfg.VCs; i < (p+1)*r.cfg.VCs; i++ {
-		if r.vcs[i].stage != vcIdle {
-			return true
-		}
-	}
-	return false
-}
-
 // CheckIndex verifies, by exhaustive scan, that every ActiveSet bit, each
-// VC's saAt and wheel entry, and HasWork agree with the state they
-// summarize; tests call it between Ticks. It returns the first
-// disagreement found.
+// VC's saAt and wheel entry, the wheel's entry count and HasWork agree
+// with the state they summarize; tests call it between Ticks. It returns
+// the first disagreement found.
 func (r *Router) CheckIndex() error {
-	buf, waiting, nonIdle := 0, 0, 0
-	for p := range r.cfg.Inputs {
-		act := 0
-		for i := p * r.cfg.VCs; i < (p+1)*r.cfg.VCs; i++ {
-			vc := &r.vcs[i]
-			buf += len(vc.buf)
-			if cand := vc.stage == vcIdle && len(vc.buf) > 0; r.rcCand.Has(i) != cand {
-				return fmt.Errorf("router %q: VC %d (stage %d, %d flits) RC-candidate bit %v, want %v", r.cfg.Name, i, vc.stage, len(vc.buf), r.rcCand.Has(i), cand)
-			}
-			if vc.stage == vcWaitVC {
-				waiting++
-				if !r.vaWait[vc.outPort].Has(i) {
-					return fmt.Errorf("router %q: VC %d waits for output %d but is not in its VA waiters", r.cfg.Name, i, vc.outPort)
-				}
-			}
-			if vc.stage != vcIdle {
-				act++
-			}
-			if err := r.checkSA(i); err != nil {
-				return err
+	work, waiting, asleep := 0, 0, 0
+	for i := range r.vcs {
+		vc := &r.vcs[i]
+		// An idle VC holding a flit is an RC candidate; any other holds
+		// a flit past RC. Either is work for Tick.
+		if len(vc.buf) > 0 {
+			work++
+		}
+		if cand := vc.stage == vcIdle && len(vc.buf) > 0; r.rcCand.Has(i) != cand {
+			return fmt.Errorf("router %q: VC %d (stage %d, %d flits) RC-candidate bit %v, want %v", r.cfg.Name, i, vc.stage, len(vc.buf), r.rcCand.Has(i), cand)
+		}
+		if vc.stage == vcWaitVC {
+			waiting++
+			if !r.vaWait[vc.outPort].Has(i) {
+				return fmt.Errorf("router %q: VC %d waits for output %d but is not in its VA waiters", r.cfg.Name, i, vc.outPort)
 			}
 		}
-		if r.activePorts.Has(p) != (act > 0) {
-			return fmt.Errorf("router %q: input %d has %d non-idle VCs, bit %v", r.cfg.Name, p, act, r.activePorts.Has(p))
+		if at := r.saAt[i]; at > r.now && at != sim.MaxTime {
+			asleep++
 		}
-		nonIdle += act
+		if err := r.checkSA(i); err != nil {
+			return err
+		}
 	}
 	members := 0
 	for o := range r.outs {
@@ -768,8 +666,11 @@ func (r *Router) CheckIndex() error {
 			return fmt.Errorf("router %q: output %d has %d VA waiters, bit %v", r.cfg.Name, o, n, r.vaOuts.Has(o))
 		}
 	}
-	if quiet := buf == 0 && nonIdle == 0; r.HasWork() != !quiet {
-		return fmt.Errorf("router %q: %d flits buffered, %d VCs past RC, but HasWork %v", r.cfg.Name, buf, nonIdle, r.HasWork())
+	if r.HasWork() != (work > 0) {
+		return fmt.Errorf("router %q: %d VCs hold flits, but HasWork %v", r.cfg.Name, work, r.HasWork())
+	}
+	if r.wheel.Len() != asleep {
+		return fmt.Errorf("router %q: wheel holds %d entries, %d VCs bid after cycle %d", r.cfg.Name, r.wheel.Len(), asleep, r.now)
 	}
 	if members != waiting {
 		return fmt.Errorf("router %q: VA waiter sets hold %d VCs, %d are waiting", r.cfg.Name, members, waiting)
@@ -785,12 +686,12 @@ func (r *Router) CheckIndex() error {
 // head allow, nor later than its output frees, and is ready once that
 // cycle is ticked; any other VC is never ready.
 func (r *Router) checkSA(i int) error {
-	vc, at, lo, hi := &r.vcs[i], r.saAt[i], never, never
+	vc, at, lo, hi := &r.vcs[i], r.saAt[i], sim.MaxTime, sim.MaxTime
 	if vc.stage == vcActive && len(vc.buf) > 0 {
 		lo = max(vc.stageReady, vc.buf[0].readyAt)
 		hi = max(lo, r.outs[vc.outPort].nextFreeAt)
 	}
-	if at < lo || at > hi || r.ready.Has(i) != (at <= r.now) || at > r.now && at != never && !r.wheel.Armed(i, at) {
+	if at < lo || at > hi || r.ready.Has(i) != (at <= r.now) || at > r.now && at != sim.MaxTime && !r.wheel.Armed(i, at) {
 		return fmt.Errorf("router %q: VC %d (stage %d, %d flits) at cycle %d: saAt %d, want [%d, %d]; ready %v, armed %v", r.cfg.Name, i, vc.stage, len(vc.buf), r.now, at, lo, hi, r.ready.Has(i), r.wheel.Armed(i, at))
 	}
 	return nil

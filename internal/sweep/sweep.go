@@ -46,7 +46,7 @@ func Loads(start, end, step float64) []float64 {
 	var ls []float64
 	for x := start; x <= end+1e-9; x += step {
 		// Round to 3 decimals to keep labels exact (0.1, 0.2, ...).
-		ls = append(ls, float64(int(x*1000+0.5))/1000)
+		ls = append(ls, float64(int(float64(x*1000)+0.5))/1000)
 	}
 	return ls
 }
