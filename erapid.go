@@ -127,10 +127,10 @@ type Result = core.Result
 // System is an assembled network for custom cycle-by-cycle drivers.
 type System = core.System
 
-// Runner executes runs back-to-back — flat configs on a pooled System
-// reused across structurally compatible configurations via
-// System.Reset, multi-tier configs on the hierarchical engine — and
-// carries a run's telemetry attachments (AttachSink, EnableTelemetry).
+// Runner executes runs back-to-back — flat configs on one System that
+// System.Reset rebuilds for each run, multi-tier configs on the
+// hierarchical engine — and carries a run's telemetry attachments
+// (AttachSink, EnableTelemetry).
 // The zero value is ready to use; it is not safe for concurrent use —
 // give each worker goroutine its own.
 type Runner = core.Runner

@@ -69,7 +69,7 @@ func TestCanonicalGolden(t *testing.T) {
 
 // TestEquivalentConfigsCanonicalize: settings the engine runs as one
 // simulation share their canonical bytes, so the service cache hits
-// across them and a pooled System resets instead of rebuilding.
+// across them and a Runner runs both on its one System.
 func TestEquivalentConfigsCanonicalize(t *testing.T) {
 	for _, c := range []struct {
 		name string

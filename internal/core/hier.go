@@ -3,8 +3,7 @@
 //
 // The engine decomposes a two-tier system into R+1 independent SRS
 // subsystems, each simulated by the existing cycle engine with all of
-// its machinery (flit slab, active sets, the cycle loop, pooled Reset
-// reuse) intact:
+// its machinery (flit slab, active sets, the cycle loop) intact:
 //
 //   - R tier-0 rack instances (B boards × D nodes) carry the intra-rack
 //     share of the workload, fIntra = (B·D−1)/(N−1) of a uniform load;
@@ -95,7 +94,7 @@ func deriveSeed(seed, tier, idx uint64) uint64 {
 // Hier is the plan of a hierarchical (multi-tier) simulation: the
 // validated configuration and the derived per-rack and fabric subsystem
 // configurations. Runner.RunContext builds one per multi-tier run and
-// executes it on its pooled subsystems.
+// executes it.
 type Hier struct {
 	cfg     Config
 	rackCfg Config // per-rack template; Seed is set per instance
@@ -165,8 +164,7 @@ func NewHier(cfg Config) (*Hier, error) {
 }
 
 // RunContext executes the plan on a throw-away Runner; see
-// Runner.RunContext, which also pools the subsystems across runs and
-// carries telemetry attachments.
+// Runner.RunContext, which also carries telemetry attachments.
 func (h *Hier) RunContext(ctx context.Context) (*Result, error) {
 	return h.run(ctx, new(Runner))
 }
@@ -180,10 +178,9 @@ type subRun struct {
 	nodes       int
 }
 
-// runSub runs one subsystem of a hierarchical run on the pooled
-// sub-Runner, forwarding r's sinks and — under the subsystem's series
-// prefix — its telemetry request, and collecting the subsystem's
-// collector into r.tels.
+// runSub runs one subsystem of a hierarchical run on sub, forwarding
+// r's sinks and — under the subsystem's series prefix — its telemetry
+// request, and collecting the subsystem's collector into r.tels.
 func (r *Runner) runSub(ctx context.Context, sub *Runner, cfg Config, tier, inst int) (subRun, error) {
 	sub.sinks = r.sinks
 	if r.telCfg != nil {
@@ -205,21 +202,19 @@ func (r *Runner) runSub(ctx context.Context, sub *Runner, cfg Config, tier, inst
 }
 
 // run executes the R rack subsystems and the tier-1 fabric
-// sequentially on r's pooled sub-Runners, folding their metrics into
+// sequentially on two sub-Runners of its own, folding their metrics into
 // one Result with a per-tier breakdown. Cancellation is checked inside
 // every subsystem run at window boundaries; a cancelled run returns the
 // aggregate of the completed portion alongside the *CancelledError.
 func (h *Hier) run(ctx context.Context, r *Runner) (*Result, error) {
-	if r.rack == nil {
-		r.rack, r.fab = new(Runner), new(Runner)
-	}
+	rack, fab := new(Runner), new(Runner)
 	n := float64(h.cfg.Racks() * h.cfg.Boards * h.cfg.NodesPerBoard)
 	all, tier0, tier1 := fold{n: n}, fold{n: n}, fold{n: n}
 	var cancelled *CancelledError
 	for i := 0; i < h.cfg.Racks() && cancelled == nil; i++ {
 		cfg := h.rackCfg
 		cfg.Seed = deriveSeed(h.cfg.Seed, 0, uint64(i))
-		sr, err := r.runSub(ctx, r.rack, cfg, 0, i)
+		sr, err := r.runSub(ctx, rack, cfg, 0, i)
 		if err != nil && !(errors.As(err, &cancelled) && sr.res != nil) {
 			return nil, fmt.Errorf("core: tier-0 rack %d: %w", i, err)
 		}
@@ -228,7 +223,7 @@ func (h *Hier) run(ctx context.Context, r *Runner) (*Result, error) {
 	}
 	tiers := []TierResult{tier0.tier(0, h.rackCfg)}
 	if cancelled == nil {
-		sr, err := r.runSub(ctx, r.fab, h.fabCfg, 1, 0)
+		sr, err := r.runSub(ctx, fab, h.fabCfg, 1, 0)
 		if err != nil && !(errors.As(err, &cancelled) && sr.res != nil) {
 			return nil, fmt.Errorf("core: tier-1 fabric: %w", err)
 		}

@@ -194,8 +194,8 @@ func approxEqual(a, b float64) bool {
 }
 
 // TestHierRunnerReuse: consecutive hierarchical jobs through one
-// Runner (the service worker pattern) reuse pooled subsystems and stay
-// bit-identical to fresh construction.
+// Runner (the service worker pattern) stay bit-identical to fresh
+// construction.
 func TestHierRunnerReuse(t *testing.T) {
 	cfg := hierTestConfig(3, 4, 2)
 	fresh := mustRun(t, cfg)
@@ -203,10 +203,10 @@ func TestHierRunnerReuse(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		got, err := r.Run(cfg)
 		if err != nil {
-			t.Fatalf("pooled run %d: %v", i, err)
+			t.Fatalf("run %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(fresh, got) {
-			t.Errorf("pooled run %d differs from fresh construction", i)
+			t.Errorf("run %d differs from fresh construction", i)
 		}
 	}
 }

@@ -39,12 +39,12 @@ func oracleProfile(cfg Config, ladder *power.Ladder) (*policy.Profile, error) {
 	pcfg.Policy = nil
 	cc := pcfg.ctrlConfig()
 	profilers := make([]*policy.Profiler, cfg.Boards)
-	s, err := newSystem(pcfg, func(b int) policy.Policy {
+	s := new(System)
+	if err := s.build(pcfg, func(b int) policy.Policy {
 		pr := policy.NewProfiler(policyParams(pcfg, cc, ladder, b, nil))
 		profilers[b] = pr
 		return pr
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	s.StepN(pcfg.WarmupCycles + pcfg.MeasureCycles)

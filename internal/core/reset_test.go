@@ -9,15 +9,21 @@ import (
 	"repro/internal/traffic"
 )
 
-// TestResetIncompatible pins the structural-compatibility boundary:
-// slab-shaping fields reject, per-run fields accept.
-func TestResetIncompatible(t *testing.T) {
-	cfg := fastConfig(PB)
-	s, err := NewSystem(cfg)
+// TestResetToAnyShape: Reset rebuilds through NewSystem's path, so a
+// system that completed a run resets to any valid single-tier config —
+// a new topology, router shape, packet format or fabric shape as well
+// as per-run changes — and then runs exactly as NewSystem builds it. A
+// rejected config (invalid, or multi-tier) errors and leaves the system
+// as it was, and the next valid Reset is again a fresh system.
+func TestResetToAnyShape(t *testing.T) {
+	base := fastConfig(PB)
+	base.WarmupCycles, base.MeasureCycles = 1500, 1500
+	s, err := NewSystem(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reject := []struct {
+	s.Run()
+	for _, tc := range []struct {
 		label  string
 		mutate func(*Config)
 	}{
@@ -27,26 +33,47 @@ func TestResetIncompatible(t *testing.T) {
 		{"PacketBytes", func(c *Config) { c.PacketBytes *= 2 }},
 		{"LaserQueueCap", func(c *Config) { c.LaserQueueCap++ }},
 		{"RelockCycles", func(c *Config) { c.RelockCycles++ }},
-	}
-	for _, tc := range reject {
-		c := cfg
-		tc.mutate(&c)
-		if s.ResetCompatible(c) {
-			t.Errorf("%s change reported compatible", tc.label)
+		{"per-run", func(c *Config) { c.Mode = NPNB; c.Window *= 2; c.Seed = 42 }},
+	} {
+		cfg := base
+		tc.mutate(&cfg)
+		if err := s.Reset(cfg); err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
 		}
-		if err := s.Reset(c); err == nil {
-			t.Errorf("%s change accepted by Reset", tc.label)
+		checkFresh(t, tc.label, s, cfg)
+	}
+
+	invalid := base
+	invalid.VCs = 0
+	cycle, injected := s.Cycle(), s.InjectedCount()
+	for label, cfg := range map[string]Config{"VCs=0": invalid, "multi-tier": hierTestConfig(2, 2, 2)} {
+		if err := s.Reset(cfg); err == nil {
+			t.Errorf("%s: Reset accepted it", label)
+		}
+		if s.Cycle() != cycle || s.InjectedCount() != injected {
+			t.Errorf("%s: the rejected Reset changed the system", label)
 		}
 	}
-	accept := cfg
-	accept.Mode = NPNB
-	accept.Window = cfg.Window * 2
-	accept.Seed = 42
-	if !s.ResetCompatible(accept) {
-		t.Error("per-run field changes reported incompatible")
+	if err := s.Reset(base); err != nil {
+		t.Fatal(err)
 	}
-	if err := s.Reset(accept); err != nil {
-		t.Errorf("per-run field changes rejected: %v", err)
+	checkFresh(t, "after rejected Resets", s, base)
+}
+
+// checkFresh runs s, which was just Reset to cfg, and compares its
+// Result and event stream with a run on NewSystem(cfg).
+func checkFresh(t *testing.T, label string, s *System, cfg Config) {
+	t.Helper()
+	c := cell{cfg: cfg}
+	c.v.obs = obsEvents
+	var log eventLog
+	res, _ := c.run(t, s, &log)
+	refRes, refEvs := c.replay(t)
+	if len(log) == 0 || res.Delivered == 0 {
+		t.Errorf("%s: the run emitted %d events and delivered %d packets", label, len(log), res.Delivered)
+	}
+	if d := divergence(refRes, refEvs, res, log); d != "" {
+		t.Errorf("%s: Reset vs NewSystem: %s", label, d)
 	}
 }
 

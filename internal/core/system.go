@@ -102,28 +102,46 @@ type board struct {
 // returned system is already running (its LS controllers are engine
 // callbacks, scheduled at construction) and ready to step.
 func NewSystem(cfg Config) (*System, error) {
-	if cfg.MultiTier() {
-		return nil, fmt.Errorf("core: a System models one SRS tier; run multi-tier configs through Run/RunContext or NewHier")
+	s := new(System)
+	if err := s.Reset(cfg); err != nil {
+		return nil, err
 	}
-	return newSystem(cfg, nil)
+	return s, nil
 }
 
-// newSystem allocates everything whose shape depends only on the
-// topology and the per-component capacities — engine, optical fabric
-// slabs, NICs, IBI routers, sinks, packet pool — and hands the rest to
-// initRun, the same per-run initialiser Reset calls after its rewind.
-// newPol optionally overrides the per-board policy (the oracle
-// pre-pass's profilers).
-func newSystem(cfg Config, newPol func(board int) policy.Policy) (*System, error) {
+// Reset rebuilds s for cfg exactly as NewSystem(cfg) builds a system,
+// keeping only the pointer: any valid single-tier config is accepted,
+// whatever its shape, and a run in progress is abandoned. On error s is
+// left as it was.
+func (s *System) Reset(cfg Config) error {
+	if cfg.MultiTier() {
+		return fmt.Errorf("core: a System models one SRS tier; run multi-tier configs through Run/RunContext or NewHier")
+	}
+	old := *s
+	if err := s.build(cfg, nil); err != nil {
+		*s = old
+		return err
+	}
+	return nil
+}
+
+// build validates cfg and constructs every component of the system into
+// s: engine, optical fabric, NICs, IBI routers, sinks, packet pool, LS
+// controllers, measurement, fault injector and traffic injectors. It is
+// the only place any of these is created. newPol optionally overrides
+// the per-board policy (the oracle pre-pass's profilers); otherwise a
+// config selecting oracle-static first runs a healthy profiling
+// pre-pass on the same seed and traffic, which is deterministic.
+func (s *System) build(cfg Config, newPol func(board int) policy.Policy) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	cfg = cfg.normalized()
 	top := topology.MustNewSRS(cfg.Boards, cfg.NodesPerBoard)
 	eng := sim.NewEngine()
 	ladder, err := cfg.ladder()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fab, err := optical.NewFabric(top, eng, optical.Config{
 		CycleNS:        cfg.CycleNS,
@@ -136,29 +154,16 @@ func newSystem(cfg Config, newPol func(board int) policy.Policy) (*System, error
 		PortRadius:     cfg.PortRadius,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s := &System{cfg: cfg, top: top, eng: eng, fab: fab}
+	*s = System{cfg: cfg, top: top, eng: eng, fab: fab, lastPhase: -1}
 	s.assemble()
 	s.pktBlock = flit.NewBlock((&flit.Packet{Size: cfg.PacketBytes, FlitBytes: cfg.FlitBytes}).Flits())
-	if err := s.initRun(cfg, newPol); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
 
-// initRun builds the per-run state of a freshly allocated or rewound
-// system: the LS controllers (the policy may differ run to run; a
-// config selecting oracle-static first runs a healthy profiling pre-pass
-// on the same seed and traffic, which is deterministic), the
-// measurement, the fault injector and the traffic injectors. It is the
-// only place any of these is created.
-func (s *System) initRun(cfg Config, newPol func(board int) policy.Policy) error {
 	cc := cfg.ctrlConfig()
 	if newPol != nil {
 		cc.NewPolicy = newPol
 	} else if cc.Policy.CanonicalName() == "oracle-static" {
-		ladder := s.fab.Config().Ladder
 		prof, err := oracleProfile(cfg, ladder)
 		if err != nil {
 			return fmt.Errorf("core: oracle profiling pre-pass: %w", err)
@@ -168,30 +173,20 @@ func (s *System) initRun(cfg Config, newPol func(board int) policy.Policy) error
 			return policy.NewOracleStatic(policyParams(cfg, cc, ladder, b, spec), prof)
 		}
 	}
-	ctl, err := ctrl.NewSystem(s.top, s.fab, s.eng, cc)
-	if err != nil {
+	if s.ctl, err = ctrl.NewSystem(top, fab, eng, cc); err != nil {
 		return err
 	}
-	s.cfg = cfg
-	s.ctl = ctl
 	s.meas = stats.NewMeasurement(cfg.WarmupCycles, cfg.MeasureCycles)
-	s.lastPhase = -1
-	s.faults = nil
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		inj, err := fault.New(s.fab, cfg.Window, cfg.Seed, cfg.Faults)
-		if err != nil {
+		if s.faults, err = fault.New(fab, cfg.Window, cfg.Seed, cfg.Faults); err != nil {
 			return err
 		}
-		s.faults = inj
-		s.fab.SetDropHook(s.onFaultDrop)
+		fab.SetDropHook(s.onFaultDrop)
 		if cfg.Faults.HasCtrlFaults() {
-			ctl.SetRingFault(inj)
+			s.ctl.SetRingFault(s.faults)
 		}
 	}
-	if err := s.buildInjectors(); err != nil {
-		return err
-	}
-	return nil
+	return s.buildInjectors()
 }
 
 // assemble wires NICs, IBI routers, transmitters and receivers.
@@ -281,12 +276,9 @@ func (s *System) assemble() {
 	}
 }
 
-// buildInjectors (re)creates the per-node traffic injectors for the
-// current configuration, one independent derived RNG stream per node in
-// node order, and draws each ahead from the next cycle to step. The
-// injectors are the only electrical-domain state whose construction
-// depends on per-run parameters (pattern, rate, burstiness, seed); the
-// NICs, routers and sinks are wired once.
+// buildInjectors creates the per-node traffic injectors, one
+// independent derived RNG stream per node in node order, and draws each
+// ahead from cycle 0.
 func (s *System) buildInjectors() error {
 	cfg := s.cfg
 	master := rng.New(cfg.Seed)
@@ -296,7 +288,7 @@ func (s *System) buildInjectors() error {
 		return err
 	}
 	rate := cfg.Rate()
-	s.injectors = s.injectors[:0]
+	s.injectors = make([]traffic.Source, 0, nodes)
 	for n := range nodes {
 		if cfg.BurstLength > 0 {
 			s.injectors = append(s.injectors, traffic.NewBurstyInjector(n, rate, cfg.BurstDuty, cfg.BurstLength, pattern, master))
@@ -304,10 +296,8 @@ func (s *System) buildInjectors() error {
 			s.injectors = append(s.injectors, traffic.NewInjector(n, rate, pattern, master))
 		}
 	}
-	s.injWheel.Reset()
-	clear(s.injSet)
 	for n := range nodes {
-		s.drawInjection(n, s.nextCycle)
+		s.drawInjection(n, 0)
 	}
 	return nil
 }
@@ -375,26 +365,22 @@ func (s *System) onDeliver(p *flit.Packet, now uint64) {
 	}
 	s.meas.OnDeliver(p.Labeled, p.Latency(), p.NetworkLatency())
 	// A delivered packet is fully consumed (all flits reassembled, stats
-	// recorded); recycle it unless it carries control state. Telemetry
-	// sinks copy the packet ID by value, so they do not inhibit recycling.
-	if !p.Control {
-		s.freePkts = append(s.freePkts, p)
-	}
+	// recorded); recycle it. Telemetry sinks copy the packet ID by value,
+	// so they do not inhibit recycling.
+	s.freePkts = append(s.freePkts, p)
 }
 
 // onFaultDrop is the fabric's drop hook: a fault destroyed a packet
 // that will never be delivered. It keeps the labeled-packet accounting
 // balanced so the drain phase still terminates, and recycles the packet
-// under the same conditions as delivery.
+// as delivery does.
 func (s *System) onFaultDrop(p *flit.Packet, now uint64) {
 	s.droppedByFault++
 	s.meas.OnDrop(p.Labeled)
 	if s.tel != nil {
 		s.tel.Emit(telemetry.Event{Cycle: now, Kind: telemetry.PacketDropFault, Packet: uint64(p.ID), Board: p.SrcBoard, Wavelength: -1, Dest: p.DstBoard})
 	}
-	if !p.Control {
-		s.freePkts = append(s.freePkts, p)
-	}
+	s.freePkts = append(s.freePkts, p)
 }
 
 // injectAll admits the packets due this cycle, in global node order:

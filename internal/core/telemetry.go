@@ -206,7 +206,8 @@ func (t *Telemetry) observe(now uint64) {
 
 	// Meter-integrated power: deltas of the raw integrals, so this works
 	// whether metering covers the whole run or just the measurement
-	// interval, and survives an external Reset (negative delta → re-base).
+	// interval, and survives an external Meter.Reset (negative delta →
+	// re-base).
 	supplyInt, dynamicInt, _ := s.fab.Meter().Integrals()
 	if supplyInt < t.lastSupplyInt || dynamicInt < t.lastDynamicInt {
 		t.lastSupplyInt, t.lastDynamicInt = 0, 0

@@ -57,6 +57,16 @@ func PaperPB() Thresholds { return Thresholds{LMin: 0.7, LMax: 0.9, BMin: 0.0, B
 // is not specified in the paper; 0.5 keeps hysteresis below L_max.
 func PaperPNB() Thresholds { return Thresholds{LMin: 0.5, LMax: 0.7, BMin: 0.0, BMax: 0.0} }
 
+// Control-plane latencies, in cycles.
+const (
+	// ringHopCycles is the RC→RC control-ring hop latency.
+	ringHopCycles uint64 = 4
+	// lcHopCycles is the RC→LC chain per-hop latency.
+	lcHopCycles uint64 = 2
+	// computeCycles is the Reconfigure-stage computation time.
+	computeCycles uint64 = 4
+)
+
 // Config parameterizes the controller system.
 type Config struct {
 	// Window is R_w, the reconfiguration window (2000 cycles in Sec. 3.1).
@@ -66,12 +76,6 @@ type Config struct {
 	// BandwidthReconfig enables the DBR cycle (even windows).
 	BandwidthReconfig bool
 	Thresholds        Thresholds
-	// RingHopCycles is the RC→RC control-ring hop latency.
-	RingHopCycles uint64
-	// LCHopCycles is the RC→LC chain per-hop latency.
-	LCHopCycles uint64
-	// ComputeCycles is the Reconfigure-stage computation time.
-	ComputeCycles uint64
 	// MaxHold caps how many incoming channels of one destination a single
 	// source board may hold (0 = unlimited, i.e. B-1). The paper's
 	// complement-traffic results plateau near 4× the static bandwidth,
@@ -93,8 +97,6 @@ func (c Config) Validate() error {
 	switch {
 	case c.Window < 1:
 		return fmt.Errorf("ctrl: window must be >= 1, got %d", c.Window)
-	case c.RingHopCycles < 1 || c.LCHopCycles < 1:
-		return fmt.Errorf("ctrl: hop latencies must be >= 1")
 	case c.Thresholds.LMin > c.Thresholds.LMax:
 		return fmt.Errorf("ctrl: LMin %v > LMax %v", c.Thresholds.LMin, c.Thresholds.LMax)
 	case c.Thresholds.BMin > c.Thresholds.BMax:
@@ -119,9 +121,6 @@ func DefaultConfig(powerAware, bandwidthReconfig bool) Config {
 		PowerAware:        powerAware,
 		BandwidthReconfig: bandwidthReconfig,
 		Thresholds:        th,
-		RingHopCycles:     4,
-		LCHopCycles:       2,
-		ComputeCycles:     4,
 		MaxHold:           4,
 	}
 }

@@ -96,8 +96,6 @@ func dbrConfig(window uint64) Config {
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Window = 0 },
-		func(c *Config) { c.RingHopCycles = 0 },
-		func(c *Config) { c.LCHopCycles = 0 },
 		func(c *Config) { c.Thresholds.LMin = 0.95 },
 		func(c *Config) { c.Thresholds.BMin = 0.5 },
 	}
@@ -127,8 +125,7 @@ func TestPaperThresholds(t *testing.T) {
 func TestNPNBDoesNothing(t *testing.T) {
 	r := newRig(t, 4, Config{
 		Window: 200, PowerAware: false, BandwidthReconfig: false,
-		Thresholds: PaperPB(), RingHopCycles: 4, LCHopCycles: 2,
-		ComputeCycles: 4,
+		Thresholds: PaperPB(),
 	})
 	r.run(0, 1000)
 	ctr := r.sys.Counters()

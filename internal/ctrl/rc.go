@@ -180,14 +180,14 @@ func (rc *RC) window() bool {
 		sys.ctr.PowerCycles++
 		sys.stage(rc.board, "power-request")
 		rc.lc = 1
-		sys.eng.After(sys.cfg.LCHopCycles, rc.onLCHop)
+		sys.eng.After(lcHopCycles, rc.onLCHop)
 		return true
 	case rc.windows%2 == 0 && sys.cfg.BandwidthReconfig:
 		// Stage 1 of the LS DBR exchange (Sec. 3.2): Link Request — the
 		// request visits every LC and returns to the RC.
 		sys.ctr.BandwidthCyles++
 		sys.stage(rc.board, "link-request")
-		sys.eng.After(uint64(sys.top.Boards())*sys.cfg.LCHopCycles, rc.onBoardRequest)
+		sys.eng.After(uint64(sys.top.Boards())*lcHopCycles, rc.onBoardRequest)
 		return true
 	}
 	return false
@@ -279,7 +279,7 @@ func (rc *RC) lcHop() {
 		}
 	}
 	rc.lc++
-	sys.eng.After(sys.cfg.LCHopCycles, rc.onLCHop)
+	sys.eng.After(lcHopCycles, rc.onLCHop)
 }
 
 // boardRequest is stage 2, Board Request: circulate a request for my
@@ -401,7 +401,7 @@ func (rc *RC) newMsg() *boardMsg {
 func (rc *RC) circulate(kind msgKind) {
 	rc.recvKind = kind
 	rc.attempt = 0
-	rc.timeout = 4 * uint64(rc.sys.top.Boards()) * rc.sys.cfg.RingHopCycles
+	rc.timeout = 4 * uint64(rc.sys.top.Boards()) * ringHopCycles
 	rc.deadline = rc.sys.eng.Now() + rc.timeout
 	rc.send(rc.newMsg())
 	rc.receive()
@@ -480,7 +480,7 @@ func (rc *RC) circulated(m *boardMsg) {
 			sys.putMsg(m)
 		}
 		sys.stage(rc.board, "link-response")
-		sys.eng.After(uint64(sys.top.Boards())*sys.cfg.LCHopCycles, rc.onLinkResponse)
+		sys.eng.After(uint64(sys.top.Boards())*lcHopCycles, rc.onLinkResponse)
 	case m == nil:
 		// Fault injection lost the request for good: give up reconfiguring
 		// this window rather than wedge the lock-step schedule. The fabric
@@ -491,7 +491,7 @@ func (rc *RC) circulated(m *boardMsg) {
 	default:
 		rc.full = m
 		sys.stage(rc.board, "reconfigure")
-		sys.eng.After(sys.cfg.ComputeCycles, rc.onReconfigure)
+		sys.eng.After(computeCycles, rc.onReconfigure)
 	}
 }
 
@@ -528,7 +528,7 @@ func (rc *RC) send(m *boardMsg) {
 	sys := rc.sys
 	sys.ctr.MessagesSent++
 	next := (rc.board + 1) % sys.top.Boards()
-	delay := sys.cfg.RingHopCycles
+	delay := ringHopCycles
 	if sys.ringFault != nil {
 		drop, extra := sys.ringFault.FilterRingMsg(rc.board, next, sys.eng.Now())
 		if drop {

@@ -1,7 +1,6 @@
 // Package flit defines the units of data moved by the E-RAPID models:
 // packets (the end-to-end unit, and the unit of optical transmission) and
-// flits (the unit of electrical switching and buffering), plus credits
-// for link-level flow control.
+// flits (the unit of electrical switching and buffering).
 //
 // The split mirrors the paper (Sec. 2.1): "Flits from different nodes are
 // interleaved in the electrical domain using virtual channels whereas
@@ -68,12 +67,6 @@ type Packet struct {
 	// Labeled marks packets injected during the measurement interval; only
 	// labeled packets contribute to latency statistics (paper Sec. 4).
 	Labeled bool
-
-	// Control marks protocol packets (LS stage packets, bit-rate change
-	// notifications). Control packets never contribute to traffic stats.
-	Control bool
-	// Meta carries control payload for Control packets.
-	Meta any
 
 	// slab is the packet's flit storage, filled by Flitize. It is reused
 	// every time the packet is (re-)serialized onto a link, and survives
@@ -183,11 +176,4 @@ func Explode(p *Packet) []*Flit {
 		fs[i] = &backing[i]
 	}
 	return fs
-}
-
-// Credit is a flow-control token returned upstream when a flit buffer
-// slot frees.
-type Credit struct {
-	// VC identifies the virtual channel whose slot freed.
-	VC int
 }

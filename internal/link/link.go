@@ -23,7 +23,6 @@ type PacketSource struct {
 	name       string
 	sink       router.Sink
 	vcs        int
-	depth      int
 	flitCycles uint64
 
 	queue   []*flit.Packet
@@ -63,33 +62,12 @@ func NewPacketSource(name string, sink router.Sink, vcs, depth int, flitCycles u
 	if vcs < 1 || depth < 1 || flitCycles < 1 {
 		panic(fmt.Sprintf("link: source %q: invalid vcs=%d depth=%d flitCycles=%d", name, vcs, depth, flitCycles))
 	}
-	s := &PacketSource{name: name, sink: sink, vcs: vcs, depth: depth, flitCycles: flitCycles, act: sim.NewActiveSet(1)}
+	s := &PacketSource{name: name, sink: sink, vcs: vcs, flitCycles: flitCycles, act: sim.NewActiveSet(1)}
 	s.credits = make([]int, vcs)
 	for v := range s.credits {
 		s.credits[v] = depth
 	}
 	return s
-}
-
-// Reset rewinds the source to its freshly constructed state: queue and
-// in-flight transmission dropped, credits restored to the downstream
-// depth, round-robin pointer zeroed. The sink and the
-// OnDequeue callback stay attached, so a wired source can be reused
-// across runs without reconstruction.
-func (s *PacketSource) Reset() {
-	for i := range s.queue {
-		s.queue[i] = nil
-	}
-	s.queue = s.queue[:0]
-	for v := range s.credits {
-		s.credits[v] = s.depth
-	}
-	s.pending = s.pending[:0]
-	s.cur = nil
-	s.curIdx, s.curVC = 0, 0
-	s.nextSendAt = 0
-	s.rrVC = 0
-	s.act.Remove(s.bit)
 }
 
 // TrackIn makes bit i of set this source's HasWork bit. Call it on an
@@ -235,13 +213,6 @@ type PacketSink struct {
 // tests). onPacket may be nil.
 func NewPacketSink(name string, cs router.CreditSink, onPacket func(p *flit.Packet, now uint64)) *PacketSink {
 	return &PacketSink{name: name, credits: cs, OnPacket: onPacket}
-}
-
-// Reset rewinds the sink to its freshly constructed state, dropping any
-// partially reassembled packets. The credit sink and OnPacket callback
-// stay attached.
-func (k *PacketSink) Reset() {
-	clear(k.open)
 }
 
 // PutFlit implements router.Sink.

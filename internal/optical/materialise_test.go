@@ -1,7 +1,6 @@
 package optical
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -88,66 +87,6 @@ func TestMidWindowMaterialisationStats(t *testing.T) {
 	}
 	if static.LinkWin.Total() != sent.LinkWin.Total() || static.BufWin.Total() != sent.BufWin.Total() {
 		t.Errorf("windows of (3,λ2→0) and the static (3,λ3→0) cover different spans")
-	}
-}
-
-// TestResetMatchesNewFabric dirties every kind of laser state — a
-// reassignment, faults on dark lasers, queued and in-flight packets, a
-// closed window — and checks that Reset leaves every laser as NewFabric
-// builds it.
-func TestResetMatchesNewFabric(t *testing.T) {
-	f, eng := newTestFabric(t, 4)
-	f.EnableMetering(true)
-	if err := f.Reassign(0, 2, 3, 10); err != nil {
-		t.Fatal(err)
-	}
-	f.FailLaser(1, 1, 3, true, 20)
-	f.StickLaser(2, 1, 0, 2, 30)
-	f.FailLaser(0, 3, 1, false, 30)
-	sendPacket(f.Transmitter(3, 2), mkPkt(1, 3, 0), 0, 40)
-	sendPacket(f.Transmitter(2, 2), mkPkt(2, 2, 0), 0, 40)
-	run(f, eng, 0, 90)
-	f.TakeWindows(0, 90, nil)
-	run(f, eng, 90, 120)
-	f.Reset()
-	fresh, _ := newTestFabric(t, 4)
-
-	if got, want := materialised(f), materialised(fresh); got != want {
-		t.Fatalf("Reset left %d lasers materialised, NewFabric %d", got, want)
-	}
-	if f.idleLitMW != fresh.idleLitMW {
-		t.Errorf("idle aggregate %v after Reset, %v fresh", f.idleLitMW, fresh.idleLitMW)
-	}
-	for s := range f.boards {
-		if f.boards[s].winFrom != 0 {
-			t.Errorf("board %d window starts at %d after Reset", s, f.boards[s].winFrom)
-		}
-	}
-	// strip drops the wiring, which differs between two fabrics, and keeps
-	// the state.
-	strip := func(l *Laser) Laser {
-		c := *l
-		c.ladder, c.fab, c.ch, c.next, c.queue = nil, nil, nil, nil, nil
-		return c
-	}
-	for s := 0; s < 4; s++ {
-		for w := 1; w < 4; w++ {
-			for d := 0; d < 4; d++ {
-				a, b := f.Laser(s, w, d), fresh.Laser(s, w, d)
-				if (a == nil) != (b == nil) {
-					t.Fatalf("laser (%d,λ%d→%d): materialised %v after Reset, %v fresh", s, w, d, a != nil, b != nil)
-				}
-				if a == nil {
-					continue
-				}
-				if a.QueueLen() != 0 || !reflect.DeepEqual(strip(a), strip(b)) {
-					t.Errorf("laser (%d,λ%d→%d) after Reset:\n%+v\nfresh:\n%+v", s, w, d, strip(a), strip(b))
-				}
-			}
-		}
-	}
-	if err := f.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -402,61 +402,6 @@ func NewFabric(top *topology.Topology, _ *sim.Engine, cfg Config) (*Fabric, erro
 	return f, nil
 }
 
-// Reset returns the fabric to its just-constructed state so a completed
-// run's fabric can host a fresh one without rebuilding the channel,
-// laser and transmitter slabs: channels revert to their static RWA
-// owners, only the static owners' lasers stay materialised (at the
-// default level with empty queues and zeroed statistics), transmitters
-// revert to empty reassembly records, and the in-flight calendar, power
-// meter and idle aggregate to zero. Attached sink and drop hook are
-// detached (the next run re-attaches its own). All slab, laser chunk and
-// queue backing arrays are retained, so the reset fabric runs without
-// reallocating its steady-state structures.
-func (f *Fabric) Reset() {
-	b := f.top.Boards()
-	for d := 0; d < b; d++ {
-		for w := 1; w < b; w++ {
-			ch := f.channels[d][w]
-			ch.holder = f.top.StaticOwner(d, w)
-			ch.busyUntil = 0
-		}
-	}
-	for s := range f.boards {
-		bs := &f.boards[s]
-		for i := range bs.active {
-			bs.active[i] = nil
-		}
-		bs.active, bs.sleep = bs.active[:0], bs.sleep[:0]
-		for i := range bs.deact {
-			bs.deact[i] = nil
-		}
-		bs.deact = bs.deact[:0]
-		// Release every packet still queued; the slots and their queue
-		// backing arrays are reused by the next materialisations.
-		for i := range bs.used {
-			clear(bs.slot(i).queue)
-		}
-		bs.used = 0
-		bs.winFrom = 0
-	}
-	clear(f.heads)
-	f.idleLitMW = 0
-	f.materialiseStatic()
-	for i := range f.txs {
-		clear(f.txs[i].vcs)
-	}
-	clear(f.txPending)
-	f.txWheel.Reset()
-	f.inFlight.Reset()
-	f.nextTick = 0
-	f.meter.Reset()
-	f.meterEnabled = false
-	f.autoWake = 0
-	f.wakes = 0
-	f.sink = nil
-	f.dropHook = nil
-}
-
 // materialiseStatic materialises the static owners' lasers, the lit
 // ones, and folds their supply power into the idle aggregate in
 // canonical (s, w, d) order. The other lasers are dark and add nothing,

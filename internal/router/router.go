@@ -204,7 +204,9 @@ func New(cfg Config) (*Router, error) {
 	}
 	r.vaOuts, r.nomOuts = sim.NewActiveSet(cfg.Outputs), sim.NewActiveSet(cfg.Outputs)
 	r.ready, r.saAt = sim.NewActiveSet(nvc), make([]uint64, nvc)
-	r.Reset()
+	for i := range r.saAt {
+		r.saAt[i] = sim.MaxTime
+	}
 	r.saBest = make([]int, cfg.Outputs)
 	r.saCount = make([]int, cfg.Outputs)
 	// Scratch capacities are bounded by the request populations (every
@@ -225,41 +227,6 @@ func MustNew(cfg Config) *Router {
 
 // Name returns the router's configured name.
 func (r *Router) Name() string { return r.cfg.Name }
-
-// Reset rewinds the router to its post-ConnectOutput state: input
-// buffers emptied, pipeline stages idle, round-robin pointers rewound,
-// downstream credits restored to full and counters zeroed. Output links
-// and input credit sinks stay attached, so a wired router can be reused
-// across runs without reconstruction.
-func (r *Router) Reset() {
-	for i := range r.vcs {
-		vc := &r.vcs[i]
-		clear(vc.buf)
-		*vc = inVC{buf: vc.buf[:0]}
-	}
-	clear(r.rrInVC)
-	clear(r.rcCand)
-	for _, w := range r.vaWait {
-		clear(w)
-	}
-	clear(r.vaOuts)
-	clear(r.ready)
-	for i := range r.saAt {
-		r.saAt[i] = sim.MaxTime
-	}
-	r.wheel.Reset()
-	r.now = 0
-	for o := range r.outs {
-		op := &r.outs[o]
-		for v := range op.vcs {
-			op.vcs[v] = outVCState{credits: op.link.DownDepth}
-		}
-		op.nextFreeAt = 0
-		op.rrVC, op.rrIn = 0, 0
-		op.pendingCredits = op.pendingCredits[:0]
-	}
-	r.ctr = Counters{}
-}
 
 // Counters returns a snapshot of activity counters.
 func (r *Router) Counters() Counters { return r.ctr }
@@ -564,7 +531,7 @@ func (r *Router) switchAllocateAndTraverse(now uint64) {
 
 // saEligible reports whether ready input VC i can request the switch
 // this cycle. A busy output puts it to sleep until the output frees
-// (nextFreeAt only grows between Resets); one short of credits stalls.
+// (nextFreeAt only grows); one short of credits stalls.
 func (r *Router) saEligible(i int, now uint64) bool {
 	vc := &r.vcs[i]
 	out := &r.outs[vc.outPort]

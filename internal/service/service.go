@@ -364,9 +364,8 @@ func (s *Server) Done(id string) (<-chan struct{}, bool) {
 	return j.done, true
 }
 
-// worker drains the queue until it closes. Each worker owns a pooled
-// runner, so consecutive run jobs on one topology reset a cached
-// system instead of reconstructing it.
+// worker drains the queue until it closes. Each worker owns one runner
+// for all its run jobs.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	var runner core.Runner
@@ -495,7 +494,7 @@ func (s *Server) finishLocked(j *Job, state JobState, resultJSON json.RawMessage
 	}
 }
 
-// execRun simulates one configuration on the worker's pooled runner,
+// execRun simulates one configuration on the worker's runner,
 // streaming its telemetry into the job's event log.
 func (s *Server) execRun(ctx context.Context, runner *core.Runner, j *Job) (json.RawMessage, error) {
 	if j.events != nil {

@@ -9,7 +9,7 @@ package sim
 //
 // The queue is a binary min-heap over (time, sequence). Popped slots
 // are zeroed so the calendar holds no references to departed values,
-// and its storage is kept across pops and Reset, so a calendar in
+// and its storage is kept across pops, so a calendar in
 // steady use does not allocate.
 //
 // The zero value is an empty calendar ready for use.
@@ -94,11 +94,3 @@ func (c *Calendar[T]) Next() (at Time, ok bool) {
 
 // Len returns the number of entries.
 func (c *Calendar[T]) Len() int { return len(c.h) }
-
-// Reset empties the calendar and restarts the scheduling order, keeping
-// its storage.
-func (c *Calendar[T]) Reset() {
-	clear(c.h)
-	c.h = c.h[:0]
-	c.seq = 0
-}

@@ -62,32 +62,6 @@ func TestCalendarKeepsFutureEntries(t *testing.T) {
 	}
 }
 
-func TestCalendarResetRestartsOrderKeepsStorage(t *testing.T) {
-	var c Calendar[int]
-	for i := 0; i < 64; i++ {
-		c.Push(Time(i%4), i)
-	}
-	c.PopDue(0)
-	capBefore := cap(c.h)
-	c.Reset()
-	if c.Len() != 0 || c.seq != 0 {
-		t.Fatalf("after Reset: Len %d, seq %d; want 0, 0", c.Len(), c.seq)
-	}
-	if cap(c.h) != capBefore {
-		t.Fatalf("Reset dropped storage: cap %d, want %d", cap(c.h), capBefore)
-	}
-	for _, s := range c.h[:capBefore] {
-		if s != (entry[int]{}) {
-			t.Fatal("Reset left a stale slot")
-		}
-	}
-	c.Push(2, 10)
-	c.Push(2, 11)
-	if _, vs := popAll(&c, 2); len(vs) != 2 || vs[0] != 10 || vs[1] != 11 {
-		t.Fatalf("after Reset popped %v, want [10 11]", vs)
-	}
-}
-
 func TestCalendarSteadyStateNoAllocs(t *testing.T) {
 	var c Calendar[*int]
 	x := new(int)

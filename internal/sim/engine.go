@@ -164,22 +164,3 @@ func (e *Engine) RunUntil(limit Time) Time {
 // Step calls return false. Stop is how measurement drivers end open-ended
 // simulations (e.g. "run until all labelled packets drain").
 func (e *Engine) Stop() { e.stopped = true }
-
-// Reset returns the engine to its initial state — time zero, empty
-// calendar, sequence zero, not stopped — so a completed simulation's
-// engine can host a fresh run without reconstruction. Pending calendar
-// entries are recycled onto the free list, so the reset engine
-// schedules without allocating.
-func (e *Engine) Reset() {
-	for {
-		_, ev, ok := e.cal.PopDue(MaxTime)
-		if !ok {
-			break
-		}
-		e.recycle(ev)
-	}
-	e.cal.Reset()
-	e.now = 0
-	e.executed = 0
-	e.stopped = false
-}

@@ -222,7 +222,7 @@ func TestCancelledEventMovesNeitherNowNorExecuted(t *testing.T) {
 		t.Fatalf("cancelled record still on the calendar (%d entries)", e.cal.Len())
 	}
 
-	e.Reset()
+	e = NewEngine()
 	var got []int
 	id = e.At(1, func() { got = append(got, 1) })
 	e.At(2, func() { got = append(got, 2) })

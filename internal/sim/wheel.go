@@ -74,9 +74,6 @@ func (w *Wheel) Turn(now Time, set ActiveSet, at []Time) {
 	}
 }
 
-// Reset drops every entry, keeping the pool's storage.
-func (w *Wheel) Reset() { w.head, w.free, w.n, w.pool = [wheelSlots]int32{}, 0, 0, w.pool[:0] }
-
 // Len returns the number of live entries: armed and not yet turned.
 func (w *Wheel) Len() int { return w.n }
 

@@ -73,25 +73,6 @@ func TestWheelFreesMovedEntries(t *testing.T) {
 	}
 }
 
-func TestWheelResetKeepsPool(t *testing.T) {
-	var w Wheel
-	for i := range 8 {
-		w.Arm(i, Time(i))
-	}
-	pool := &w.pool[:1][0]
-	w.Reset()
-	if !w.Empty() || len(w.pool) != 0 || cap(w.pool) < 8 {
-		t.Fatalf("after Reset: Len %d, pool len %d cap %d; want 0, 0, >= 8", w.Len(), len(w.pool), cap(w.pool))
-	}
-	if w.Armed(3, 3) {
-		t.Fatal("entry survived Reset")
-	}
-	w.Arm(0, 1)
-	if &w.pool[0] != pool {
-		t.Fatal("Arm after Reset reallocated the pool")
-	}
-}
-
 func TestWheelSteadyStateAllocatesNothing(t *testing.T) {
 	var w Wheel
 	set := NewActiveSet(64)

@@ -110,9 +110,6 @@ func Compare(ctx context.Context, req CompareRequest) ([]Comparison, error) {
 		}
 	}
 
-	// Scenarios may differ in shape, so a worker's pooled runner falls
-	// back to fresh construction across shape changes; within one
-	// scenario's policy panel every run resets the same system.
 	var mu sync.Mutex
 	forEachJob(ctx, req.Workers, len(cmps)*len(specs), func(runner *core.Runner, i int) {
 		cmp := &cmps[i/len(specs)]

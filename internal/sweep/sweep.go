@@ -123,9 +123,8 @@ func CheckLoad(l float64) error {
 
 // forEachJob calls fn once per job index in [0, n), in ascending
 // dispatch order, from up to workers goroutines (<= 0 means
-// GOMAXPROCS; never more than n). Each goroutine owns one pooled
-// core.Runner, so consecutive jobs sharing a topology reset its system
-// instead of rebuilding it. Cancelling ctx stops dispatching; jobs
+// GOMAXPROCS; never more than n). Each goroutine owns one
+// core.Runner for all its jobs. Cancelling ctx stops dispatching; jobs
 // already handed out run to completion (fn forwards ctx into its run
 // to cut them short).
 func forEachJob(ctx context.Context, workers, n int, fn func(r *core.Runner, i int)) {
